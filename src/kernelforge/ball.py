@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass
 
 from .config import Point2, SeriesResult, TruncationConfig, default_config
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .poly2 import BiPoly
 from .specfun import hyp2f1, log_gamma
 
-from .bidisk import NormExpansion, disk_norm_sq
+from .bidisk import NormExpansion, disk_norm_sq, expand
 
 
 @dataclass(frozen=True)
@@ -50,19 +50,18 @@ def embed_const(params: BallParams, N: int) -> float:
                     - log_gamma(al + th + N + 2.0)) / (al + be + th + N + 2.0)
 
 
+def _z2_transform(f: BiPoly, N: int):
+    """d^N f / dz2^N restricted to z2 = 0."""
+    return f.differentiate(2, N).restrict_z2_zero()
+
+
 def ball_norm_expansion(params: BallParams, f: BiPoly) -> NormExpansion:
     """||f||^2 = sum_N [embed_const(N)/(N!)^2] ||d^N f/dz2^N at z2=0||^2
     in the 1D space of index alpha+beta+theta+N+1."""
-    terms = []
     s_base = params.alpha + params.beta + params.theta + 1.0
-    for N in range(f.degree_in(2) + 1 if not f.is_zero() else 0):
-        g = f.differentiate(2, N).restrict_z2_zero()
-        if g.is_zero():
-            terms.append((N, 0.0))
-            continue
-        weight = embed_const(params, N) / math.factorial(N) ** 2
-        terms.append((N, weight * disk_norm_sq(g, s_base + N)))
-    return NormExpansion(tuple(terms), sum(v for _, v in terms))
+    return expand(range(f.degree_in(2) + 1), lambda N: _z2_transform(f, N),
+                  lambda N: embed_const(params, N) / math.factorial(N) ** 2,
+                  lambda g, N: disk_norm_sq(g, s_base + N))
 
 
 def ball_qN_kernel(params: BallParams, N: int, z: Point2, w: Point2) -> complex:
@@ -127,7 +126,6 @@ def ball_full_kernel_series(params: BallParams, z: Point2, w: Point2,
                 return SeriesResult(total, N + 1, tail)
         else:
             small_streak = 0
-    from .errors import ConvergenceError
     raise ConvergenceError(
         f"ball kernel series did not converge in {cfg.max_outer_terms} terms",
         terms_used=cfg.max_outer_terms, tail_estimate=tail)
@@ -140,12 +138,7 @@ def ball_hardy_norm_expansion(beta: float, theta: float,
     normalization."""
     if beta + theta <= -1:
         raise DomainError("ball_hardy_norm_expansion requires beta + theta > -1")
-    terms = []
-    for N in range(f.degree_in(2) + 1 if not f.is_zero() else 0):
-        g = f.differentiate(2, N).restrict_z2_zero()
-        if g.is_zero():
-            terms.append((N, 0.0))
-            continue
-        weight = 1.0 / ((beta + theta + N + 1.0) * math.factorial(N) ** 2)
-        terms.append((N, weight * disk_norm_sq(g, beta + theta + N)))
-    return NormExpansion(tuple(terms), sum(v for _, v in terms))
+    return expand(range(f.degree_in(2) + 1), lambda N: _z2_transform(f, N),
+                  lambda N: 1.0 / ((beta + theta + N + 1.0)
+                                   * math.factorial(N) ** 2),
+                  lambda g, N: disk_norm_sq(g, beta + theta + N))

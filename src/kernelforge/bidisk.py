@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import Point2, SeriesResult, TruncationConfig, default_config
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .poly2 import BiPoly, UniPoly
 from .specfun import hyp3f2_unit, log_gamma, pochhammer
 
@@ -132,11 +132,6 @@ def _c_coeffs(params: BidiskParams, N: int, n: int) -> tuple:
     return tuple(left[j] * right[n - j] for j in range(n + 1))
 
 
-def _c_value(params: BidiskParams, N: int, n: int, z: Point2) -> complex:
-    coef = _c_coeffs(params, N, n)
-    return sum(c * z.z1 ** j * z.z2 ** (n - j) for j, c in enumerate(coef))
-
-
 class _PowerTable:
     """Incrementally grown powers of a pair of complex numbers."""
 
@@ -198,7 +193,6 @@ def q_kernel(params: BidiskParams, N: int, z: Point2, w: Point2,
             small_streak = 0
         mu *= (n + 1.0) / (s2 + n)
     if not done:
-        from .errors import ConvergenceError
         raise ConvergenceError(
             f"q_kernel inner series did not converge in {cfg.max_terms} terms",
             terms_used=terms, tail_estimate=abs(pref) * tail)
@@ -235,7 +229,6 @@ def full_kernel(params: BidiskParams, z: Point2, w: Point2,
                 return SeriesResult(total, terms, tail)
         else:
             small_streak = 0
-    from .errors import ConvergenceError
     raise ConvergenceError(
         f"full_kernel did not converge in {cfg.max_outer_terms} outer terms",
         terms_used=terms, tail_estimate=tail)
@@ -294,7 +287,7 @@ def coeff_b(theta: float, k: int, N: int) -> float:
             / pochhammer(2 * theta + N + k + 1.0, N - k))
 
 
-def _transform(f: BiPoly, N: int, coeff) -> UniPoly:
+def diagonal_transform(f: BiPoly, N: int, coeff) -> UniPoly:
     """sum_k coeff(k) d^{N-k} of the diagonal restriction of d^k f / dz1^k."""
     out = UniPoly()
     for k in range(N + 1):
@@ -307,7 +300,7 @@ def restriction_transform(params: BidiskParams, f: BiPoly, N: int) -> UniPoly:
     """The 1D polynomial sum_k a_{k,N} d^{N-k} [d^k f restricted to the
     diagonal]; inverts the order-N projection followed by division by
     (z1-z2)^N and diagonal restriction."""
-    return _transform(f, N, lambda k: coeff_a(params, k, N))
+    return diagonal_transform(f, N, lambda k: coeff_a(params, k, N))
 
 
 def disk_norm_sq(p: UniPoly, s: float) -> float:
@@ -327,21 +320,28 @@ class NormExpansion:
     total: float
 
 
+def expand(orders, transform, weight, norm1d) -> NormExpansion:
+    """The norm expansion shared by every space: ||f||^2 = sum over N in
+    orders of weight(N) norm1d(transform(N), N), where transform(N) is the
+    order-N restriction of f to the zero variety and norm1d its 1D
+    monomial-norm sum.  The weight is only evaluated for nonzero transforms."""
+    terms = []
+    for N in orders:
+        t = transform(N)
+        terms.append((N, 0.0 if t.is_zero() else weight(N) * norm1d(t, N)))
+    return NormExpansion(tuple(terms), sum(v for _, v in terms))
+
+
 def norm_expansion(params: BidiskParams, f: BiPoly,
                    cfg: TruncationConfig | None = None) -> NormExpansion:
     """||f||^2 = sum_N (1/sigma_N) || transform_N f ||^2 in the 1D space of
     index s + 2N; finite for polynomials since transforms of order beyond
     deg f vanish."""
     cfg = cfg or default_config()
-    terms = []
-    for N in range(max(f.total_degree, 0) + 1):
-        t = restriction_transform(params, f, N)
-        if t.is_zero():
-            terms.append((N, 0.0))
-            continue
-        inv_sig = 1.0 / sigma(params.shifted(N), cfg)
-        terms.append((N, inv_sig * disk_norm_sq(t, params.s + 2.0 * N)))
-    return NormExpansion(tuple(terms), sum(v for _, v in terms))
+    return expand(range(max(f.total_degree, 0) + 1),
+                  lambda N: restriction_transform(params, f, N),
+                  lambda N: 1.0 / sigma(params.shifted(N), cfg),
+                  lambda t, N: disk_norm_sq(t, params.s + 2.0 * N))
 
 
 def hardy_norm_expansion(theta: float, f: BiPoly) -> NormExpansion:
@@ -350,13 +350,10 @@ def hardy_norm_expansion(theta: float, f: BiPoly) -> NormExpansion:
     1D indices 2 theta + 2N, coefficients b_{k,N}."""
     if theta <= -0.5:
         raise DomainError("hardy_norm_expansion requires theta > -1/2")
-    terms = []
-    for N in range(max(f.total_degree, 0) + 1):
-        t = _transform(f, N, lambda k: coeff_b(theta, k, N))
-        if t.is_zero():
-            terms.append((N, 0.0))
-            continue
-        w = math.exp(log_gamma(2 * theta + 2 * N + 2.0)
-                     - 2.0 * log_gamma(theta + N + 1.0)) / (2 * theta + 2 * N + 1.0)
-        terms.append((N, w * disk_norm_sq(t, 2 * theta + 2.0 * N)))
-    return NormExpansion(tuple(terms), sum(v for _, v in terms))
+    return expand(
+        range(max(f.total_degree, 0) + 1),
+        lambda N: diagonal_transform(f, N, lambda k: coeff_b(theta, k, N)),
+        lambda N: math.exp(log_gamma(2 * theta + 2 * N + 2.0)
+                           - 2.0 * log_gamma(theta + N + 1.0))
+        / (2 * theta + 2 * N + 1.0),
+        lambda t, N: disk_norm_sq(t, 2 * theta + 2.0 * N))

@@ -13,15 +13,18 @@ import io
 import json
 import sys
 import time
+from dataclasses import replace
 
 from . import ball, bidisk, fock, oracle, verify
 from .config import Point2, TruncationConfig, default_config
-from .errors import (ConditioningError, ConvergenceError, DomainError,
-                     KernelforgeError)
+from .errors import ConditioningError, ConvergenceError, DomainError
 from .poly2 import BiPoly
 
-_ORACLE_DEGREE = 16
 _ORACLE_TOL = 1e-6
+# The oracle's Taylor remainder may take this share of _ORACLE_TOL, so that
+# it cannot decide a comparison; degrees above the cap are not tried.
+_ORACLE_TAIL = 1e-3 * _ORACLE_TOL
+_ORACLE_MAX_DEGREE = 80
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -42,28 +45,45 @@ def _parse_pair(text: str):
     return Point2(vals[0], vals[1]), Point2(vals[2], vals[3])
 
 
-def _space_params(args):
-    if args.space == "bidisk":
-        return bidisk.BidiskParams(args.alpha, args.beta, args.theta,
-                                   args.vartheta)
-    if args.space == "ball":
-        return ball.BallParams(args.alpha, args.beta, args.theta)
-    if args.space == "fock":
-        return fock.FockParams(args.alpha, args.beta, args.theta)
-    raise DomainError(f"unknown space {args.space!r}")
+def _bidisk_gram(args, max_degree):
+    if args.vartheta != 0.0:
+        raise DomainError("oracle comparison requires vartheta = 0")
+    return oracle.gram_bidisk_exact(args.alpha, args.beta, args.theta,
+                                    max_degree)
 
 
-def _oracle_gram(args, max_degree):
-    if args.space == "bidisk":
-        if args.vartheta != 0.0:
-            raise DomainError("oracle comparison requires vartheta = 0")
-        return oracle.gram_bidisk_exact(args.alpha, args.beta, args.theta,
-                                        max_degree)
-    if args.space == "ball":
-        return oracle.ball_monomial_norms(args.alpha, args.beta, args.theta,
-                                          max_degree)
-    return oracle.gram_fock_exact(args.alpha, args.beta, args.theta,
-                                  max_degree)
+# What the commands use of each space: params(args), kernel(params, z, w,
+# cfg), expand(params, f, cfg), the exact oracle gram(args, max_degree) and
+# sigma(params, cfg) -> (sigma, closed form or None).  Every entry looks its
+# function up on the module when called, so that wrappers installed on
+# module attributes see each call.
+SPACES = {
+    "bidisk": {
+        "params": lambda a: bidisk.BidiskParams(a.alpha, a.beta, a.theta,
+                                                a.vartheta),
+        "kernel": lambda p, z, w, cfg: bidisk.full_kernel(p, z, w, cfg),
+        "expand": lambda p, f, cfg: bidisk.norm_expansion(p, f, cfg),
+        "gram": _bidisk_gram,
+        "sigma": lambda p, cfg: (
+            bidisk.sigma(p, cfg),
+            bidisk.sigma_gamma_form(p) if p.vartheta == 0.0 else None),
+    },
+    "ball": {
+        "params": lambda a: ball.BallParams(a.alpha, a.beta, a.theta),
+        "kernel": lambda p, z, w, cfg: ball.ball_full_kernel(p, z, w, cfg),
+        "expand": lambda p, f, cfg: ball.ball_norm_expansion(p, f),
+        "gram": lambda a, d: oracle.ball_monomial_norms(a.alpha, a.beta,
+                                                        a.theta, d),
+    },
+    "fock": {
+        "params": lambda a: fock.FockParams(a.alpha, a.beta, a.theta),
+        "kernel": lambda p, z, w, cfg: fock.fock_full_kernel(p, z, w, cfg),
+        "expand": lambda p, f, cfg: fock.fock_norm_expansion(p, f),
+        "gram": lambda a, d: oracle.gram_fock_exact(a.alpha, a.beta,
+                                                    a.theta, d),
+        "sigma": lambda p, cfg: (fock.fock_sigma(p), None),
+    },
+}
 
 
 def _emit(report: dict, args) -> None:
@@ -91,17 +111,25 @@ def _flat_items(report: dict):
         yield from report.get("items", [])
 
 
-def _kernel_value(args, params, z, w, cfg):
-    if args.space == "bidisk":
-        return bidisk.full_kernel(params, z, w, cfg)
-    if args.space == "ball":
-        return ball.ball_full_kernel(params, z, w, cfg)
-    return fock.fock_full_kernel(params, z, w, cfg)
+def _oracle_degree(gram, pairs, results):
+    """The smallest oracle degree whose remainder is within _ORACLE_TAIL of
+    the library value at every pair, and those remainders."""
+    rems = [oracle.kernel_remainders(gram, z.z1, z.z2, w.z1, w.z2,
+                                     _ORACLE_MAX_DEGREE) for z, w in pairs]
+    for degree in range(_ORACLE_MAX_DEGREE + 1):
+        tails = [r[degree] for r in rems]
+        if all(t <= _ORACLE_TAIL * abs(res.value)
+               for t, res in zip(tails, results)):
+            return degree, tails
+    raise ConvergenceError(
+        f"the oracle Taylor sum needs degree above {_ORACLE_MAX_DEGREE} to "
+        f"bound its truncation by {_ORACLE_TAIL:.0e} relative")
 
 
 def cmd_kernel(args) -> int:
     cfg = _make_cfg(args)
-    params = _space_params(args)
+    space = SPACES[args.space]
+    params = space["params"](args)
     pairs = [_parse_pair(t) for t in args.pair or []]
     if args.points_file:
         with open(args.points_file) as fh:
@@ -109,21 +137,18 @@ def cmd_kernel(args) -> int:
                          if line.strip() and not line.startswith("#"))
     if not pairs:
         raise DomainError("no point pairs given (use --pair or --points-file)")
-    kernel_blocks = None
-    if args.oracle:
-        kernel_blocks = oracle.gram_kernel_blocks(
-            _oracle_gram(args, _ORACLE_DEGREE))
-    items = []
+    # a degree-0 table checks the oracle's domain before the library runs and
+    # carries the parameters of its remainder bound
+    gram = space["gram"](args, 0) if args.oracle else None
+    results = [space["kernel"](params, z, w, cfg) for z, w in pairs]
+    items = [{"item": f"pair {i}", "value": [res.value.real, res.value.imag],
+              "terms_used": res.terms_used, "tail_bound": res.tail_bound}
+             for i, res in enumerate(results)]
     passed = True
-    for i, (z, w) in enumerate(pairs):
-        res = _kernel_value(args, params, z, w, cfg)
-        item = {
-            "item": f"pair {i}",
-            "value": [res.value.real, res.value.imag],
-            "terms_used": res.terms_used,
-            "tail_bound": res.tail_bound,
-        }
-        if kernel_blocks is not None:
+    if gram is not None:
+        degree, tails = _oracle_degree(gram, pairs, results)
+        kernel_blocks = oracle.gram_kernel_blocks(space["gram"](args, degree))
+        for item, (z, w), res, tail in zip(items, pairs, results, tails):
             ref = oracle.kernel_from_blocks(kernel_blocks, z.z1, z.z2,
                                             w.z1, w.z2)
             abs_err = abs(res.value - ref)
@@ -131,8 +156,8 @@ def cmd_kernel(args) -> int:
             ok = rel_err <= _ORACLE_TOL
             passed = passed and ok
             item.update(oracle=[ref.real, ref.imag], abs_err=abs_err,
-                        rel_err=rel_err, tol=_ORACLE_TOL, passed=bool(ok))
-        items.append(item)
+                        rel_err=rel_err, tol=_ORACLE_TOL, passed=bool(ok),
+                        oracle_degree=degree, oracle_tail=tail)
     report = _wrap_report("kernel", args, items, passed)
     _emit(report, args)
     return EXIT_OK if passed else EXIT_VERIFY
@@ -140,41 +165,29 @@ def cmd_kernel(args) -> int:
 
 def cmd_norm_expand(args) -> int:
     cfg = _make_cfg(args)
-    params = _space_params(args)
+    space = SPACES[args.space]
+    params = space["params"](args)
     if args.poly_file:
         with open(args.poly_file) as fh:
             f = BiPoly.parse(fh.read())
     else:
         f = BiPoly.parse(args.poly)
-    if args.space == "bidisk":
-        exp = bidisk.norm_expansion(params, f, cfg)
-    elif args.space == "ball":
-        exp = ball.ball_norm_expansion(params, f)
-    else:
-        exp = fock.fock_norm_expansion(params, f)
-    gram = _oracle_gram(args, max(f.total_degree, 0)) if args.oracle else None
-    items = []
+    exp = space["expand"](params, f, cfg)
+    items = [{"item": f"term N={N}", "value": [term, 0.0]}
+             for N, term in exp.terms]
+    items.append({"item": "total", "value": [exp.total, 0.0]})
     passed = True
-    for N, term in exp.terms:
-        item = {"item": f"term N={N}", "value": [term, 0.0]}
-        if gram is not None:
-            _, qN = oracle.project(gram, f, N)
-            ref = gram.norm_sq(qN)
-            abs_err = abs(term - ref)
-            ok = abs_err <= 1e-9 * max(1.0, gram.norm_sq(f))
+    if args.oracle:
+        gram = space["gram"](args, max(f.total_degree, 0))
+        norm = gram.norm_sq(f)
+        refs = [gram.norm_sq(oracle.project(gram, f, N)[1])
+                for N, _ in exp.terms]
+        for item, ref in zip(items, refs + [norm]):
+            abs_err = abs(item["value"][0] - ref)
+            ok = abs_err <= 1e-9 * max(1.0, norm)
             passed = passed and ok
             item.update(oracle=[ref, 0.0], abs_err=abs_err,
                         rel_err=abs_err / max(ref, 1e-300), passed=bool(ok))
-        items.append(item)
-    total_item = {"item": "total", "value": [exp.total, 0.0]}
-    if gram is not None:
-        ref = gram.norm_sq(f)
-        abs_err = abs(exp.total - ref)
-        ok = abs_err <= 1e-9 * max(1.0, ref)
-        passed = passed and ok
-        total_item.update(oracle=[ref, 0.0], abs_err=abs_err,
-                          rel_err=abs_err / max(ref, 1e-300), passed=bool(ok))
-    items.append(total_item)
     report = _wrap_report("norm-expand", args, items, passed)
     report["polynomial"] = f.format()
     _emit(report, args)
@@ -183,24 +196,15 @@ def cmd_norm_expand(args) -> int:
 
 def cmd_sigma(args) -> int:
     cfg = _make_cfg(args)
-    params = _space_params(args)
-    items = []
-    if args.space == "bidisk":
-        val = bidisk.sigma(params, cfg)
-        items.append({"item": "sigma", "value": [val, 0.0]})
-        items.append({"item": "inv_sigma", "value": [1.0 / val, 0.0]})
-        if args.vartheta == 0.0:
-            ref = bidisk.sigma_gamma_form(params)
-            items.append({
-                "item": "sigma_gamma_form", "value": [ref, 0.0],
-                "abs_err": abs(val - ref), "rel_err": abs(val - ref) / ref,
-            })
-    elif args.space == "fock":
-        val = fock.fock_sigma(params)
-        items.append({"item": "sigma", "value": [val, 0.0]})
-        items.append({"item": "inv_sigma", "value": [1.0 / val, 0.0]})
-    else:
-        raise DomainError("sigma is defined for the bidisk and fock spaces")
+    space = SPACES[args.space]
+    val, ref = space["sigma"](space["params"](args), cfg)
+    items = [{"item": "sigma", "value": [val, 0.0]},
+             {"item": "inv_sigma", "value": [1.0 / val, 0.0]}]
+    if ref is not None:
+        items.append({
+            "item": "sigma_gamma_form", "value": [ref, 0.0],
+            "abs_err": abs(val - ref), "rel_err": abs(val - ref) / ref,
+        })
     report = _wrap_report("sigma", args, items, True)
     _emit(report, args)
     return EXIT_OK
@@ -239,7 +243,6 @@ def _wrap_report(command, args, items, passed):
 def _make_cfg(args) -> TruncationConfig:
     cfg = default_config()
     if getattr(args, "tolerance", None):
-        from dataclasses import replace
         cfg = replace(cfg, tolerance=args.tolerance)
     return cfg
 
@@ -249,7 +252,7 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0)
 
 
-def _add_space_args(sub, spaces=("bidisk", "ball", "fock")):
+def _add_space_args(sub, spaces=tuple(SPACES)):
     _add_common(sub)
     sub.add_argument("--space", required=True, choices=spaces)
     sub.add_argument("--alpha", type=float, required=True)
@@ -284,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     n.set_defaults(func=cmd_norm_expand)
 
     s = subs.add_parser("sigma", help="the kernel value at the origin")
-    _add_space_args(s, spaces=("bidisk", "fock"))
+    _add_space_args(s, spaces=tuple(k for k in SPACES if "sigma" in SPACES[k]))
     s.set_defaults(func=cmd_sigma)
 
     v = subs.add_parser("verify", help="run a verification suite")

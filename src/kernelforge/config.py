@@ -36,9 +36,6 @@ class TruncationConfig:
         if self.consecutive_small < 1:
             raise ValueError("consecutive_small must be at least 1")
 
-    def tighter(self, factor: float) -> "TruncationConfig":
-        return replace(self, tolerance=self.tolerance / factor)
-
 
 def default_config() -> TruncationConfig:
     """Default truncation settings, honoring the KERNELFORGE_MAX_TERMS override."""

@@ -14,7 +14,7 @@ from .errors import ConvergenceError, DomainError
 from .poly2 import BiPoly, UniPoly
 from .specfun import log_gamma, mittag_e
 
-from .bidisk import NormExpansion
+from .bidisk import NormExpansion, diagonal_transform, expand
 
 
 @dataclass(frozen=True)
@@ -139,12 +139,8 @@ def fock_restriction_transform(params: FockParams, f: BiPoly, N: int) -> UniPoly
     diagonal restriction."""
     if N < 0:
         raise DomainError("N must be >= 0")
-    out = UniPoly()
-    for k in range(N + 1):
-        restricted = f.differentiate(1, k).restrict_diagonal()
-        out = out + restricted.differentiate(N - k).scale(
-            coeff_c(params, k, N) / math.factorial(N))
-    return out
+    return diagonal_transform(
+        f, N, lambda k: coeff_c(params, k, N) / math.factorial(N))
 
 
 def fock_disk_norm_sq(p: UniPoly, gamma: float) -> float:
@@ -161,13 +157,9 @@ def fock_norm_expansion(params: FockParams, f: BiPoly) -> NormExpansion:
     (alpha beta)^{theta+N+1}] ||N! transform_N f||^2_{alpha+beta} / (N!)^2,
     i.e. with the transform already carrying the 1/N!."""
     al, be, th = params.alpha, params.beta, params.theta
-    terms = []
-    for N in range(max(f.total_degree, 0) + 1):
-        t = fock_restriction_transform(params, f, N)
-        if t.is_zero():
-            terms.append((N, 0.0))
-            continue
-        w = math.exp((th + N + 1.0) * math.log((al + be) / (al * be))
-                     + log_gamma(th + N + 1.0))
-        terms.append((N, w * fock_disk_norm_sq(t, params.gamma)))
-    return NormExpansion(tuple(terms), sum(v for _, v in terms))
+    return expand(range(max(f.total_degree, 0) + 1),
+                  lambda N: fock_restriction_transform(params, f, N),
+                  lambda N: math.exp(
+                      (th + N + 1.0) * math.log((al + be) / (al * be))
+                      + log_gamma(th + N + 1.0)),
+                  lambda t, N: fock_disk_norm_sq(t, params.gamma))

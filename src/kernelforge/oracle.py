@@ -24,6 +24,7 @@ from .poly2 import BiPoly
 from .specfun import log_gamma
 
 COND_LIMIT = 1e12
+_REMAINDER_TERMS = 1000
 
 
 def disk_moment(alpha: float, p: int) -> float:
@@ -35,11 +36,6 @@ def disk_moment(alpha: float, p: int) -> float:
 def fock_moment(gamma: float, p: int) -> float:
     """int |z|^{2p} e^{-gamma |z|^2} dA over C = p! / gamma^{p+1}."""
     return math.exp(log_gamma(p + 1.0) - (p + 1.0) * math.log(gamma))
-
-
-def monomials(degree: int) -> list[tuple[int, int]]:
-    """Index convention for degree-d blocks: row m holds monomial z1^m z2^(d-m)."""
-    return [(m, degree - m) for m in range(degree + 1)]
 
 
 @dataclass
@@ -55,17 +51,6 @@ class GramBlocks:
     @property
     def max_degree(self) -> int:
         return len(self.blocks) - 1
-
-    def block(self, degree: int) -> np.ndarray:
-        if degree < 0 or degree > self.max_degree:
-            raise DomainError(f"no Gram block for degree {degree}")
-        return self.blocks[degree]
-
-    def variety_exponent(self, key: tuple[int, int], order: int) -> bool:
-        """Whether monomial z1^m z2^n lies in N_order for this space's variety."""
-        if self.space == "ball":
-            return key[1] >= order
-        raise DomainError("variety membership by monomial only defined for ball")
 
     def inner_product(self, f: BiPoly, g: BiPoly) -> complex:
         """<f, g> in the space; requires deg <= max_degree."""
@@ -398,7 +383,10 @@ def gram_kernel_blocks(gram: GramBlocks) -> list:
     are the exact Taylor blocks of the true kernel, not truncation artifacts."""
     out = []
     for d, g in enumerate(gram.blocks):
-        if np.linalg.cond(g) > COND_LIMIT:
+        # Cholesky's accuracy depends on the condition number after scaling
+        # to a unit diagonal, not on the spread of the monomial norms
+        s = 1.0 / np.sqrt(np.diag(g))
+        if np.linalg.cond(g * np.outer(s, s)) > COND_LIMIT:
             raise ConditioningError(
                 f"Gram block degree {d} has condition number above {COND_LIMIT:.0e}")
         try:
@@ -418,6 +406,54 @@ def kernel_from_blocks(kernel_blocks: list, z1, z2, w1, w2) -> complex:
         mw = np.array([w1 ** m * w2 ** (d - m) for m in range(d + 1)])
         total += mz @ kd @ np.conj(mw)
     return total
+
+
+def kernel_remainders(gram: GramBlocks, z1, z2, w1, w2,
+                      max_degree: int) -> list:
+    """r[D], D = 0..max_degree, bounds the truncation error of
+    kernel_from_blocks with this space's blocks up to degree D: the sum over
+    d > D of bounds b_d on |K_d(z, w)|.
+
+    ball: b_d sums the moduli of the orthogonal monomial terms.  bidisk
+    (vartheta = 0) and fock: f of degree d has the norm of (z1-z2)^theta f in
+    the theta = 0 product space, whose degree-n kernel is at most c_n on the
+    unit polydisk (c_n = (alpha+beta+4)_n / n! for the bidisk and
+    alpha beta (alpha+beta)^n / n! for fock), so Bernstein's inequality on
+    the circle gives b_d = C(d+theta, theta)^2 c_{d+theta} q^d with
+    q = max|z_i| max|w_i|.  Past the first b_{d+1} < b_d beyond max_degree
+    the rest is bounded geometrically: a bound for bidisk and fock, whose
+    ratio b_{d+1}/b_d decreases in d, an estimate for the ball.  inf if b_d
+    still grows at degree _REMAINDER_TERMS."""
+    p = gram.params
+    al, be, th = p["alpha"], p["beta"], p["theta"]
+    if gram.space == "ball":
+        x, y = abs(z1 * w1), abs(z2 * w2)
+
+        def bound(d):
+            return sum(x ** m * y ** (d - m)
+                       / ball_monomial_norm(al, be, th, m, d - m)
+                       for m in range(d + 1))
+    elif gram.space in ("bidisk", "fock") and p.get("vartheta", 0.0) == 0.0:
+        q = max(abs(z1), abs(z2)) * max(abs(w1), abs(w2))
+        t = int(th)
+
+        def bound(d):
+            n = d + t
+            log_c = (math.log(al * be) + n * math.log(al + be)
+                     if gram.space == "fock" else
+                     log_gamma(al + be + 4.0 + n) - log_gamma(al + be + 4.0))
+            return (q ** d * math.comb(n, t) ** 2
+                    * math.exp(log_c - log_gamma(n + 1.0)))
+    else:
+        raise DomainError(f"no Taylor remainder bound for {gram.space!r}")
+    terms, tail = [], math.inf
+    for d in range(_REMAINDER_TERMS):
+        terms.append(bound(d))
+        if d > max_degree and (terms[-1] < terms[-2] or not terms[-1]):
+            ratio = terms[-1] / terms[-2] if terms[-1] else 0.0
+            tail = terms[-1] * ratio / (1.0 - ratio)
+            break
+    return [tail + math.fsum(terms[D + 1:]) for D in range(max_degree + 1)]
 
 
 def kernel_section(kernel_blocks: list, w1, w2) -> BiPoly:

@@ -18,11 +18,14 @@ from .poly2 import BiPoly
 from .specfun import pochhammer
 
 
-def _item(name, value, ref, tol):
+def _item(name, value, ref, tol, scale=None):
+    """value against ref within tol, relative to |scale| (default |ref|) when
+    that exceeds one; scale=1 with ref=0 makes value an error measure."""
     value = complex(value)
     ref = complex(ref)
+    scale = abs(ref) if scale is None else abs(scale)
     abs_err = abs(value - ref)
-    rel_err = abs_err / max(abs(ref), 1e-300)
+    rel_err = abs_err / max(scale, 1e-300)
     return {
         "item": name,
         "value": [value.real, value.imag],
@@ -30,7 +33,7 @@ def _item(name, value, ref, tol):
         "abs_err": abs_err,
         "rel_err": rel_err,
         "tol": tol,
-        "passed": bool(abs_err <= tol * max(1.0, abs(ref))),
+        "passed": bool(abs_err <= tol * max(1.0, scale)),
     }
 
 
@@ -107,12 +110,8 @@ def suite_taylor_blocks(seed: int = 0) -> dict:
                 for km, kr in zip(mine, ref):
                     scale = np.max(np.abs(kr))
                     worst = max(worst, np.max(np.abs(km - kr)) / scale)
-                items.append({
-                    "item": f"taylor_blocks({al},{be},{th},0) d<=8",
-                    "value": [worst, 0.0], "oracle": [0.0, 0.0],
-                    "abs_err": worst, "rel_err": worst, "tol": 1e-9,
-                    "passed": bool(worst <= 1e-9),
-                })
+                items.append(_item(f"taylor_blocks({al},{be},{th},0) d<=8",
+                                   worst, 0.0, 1e-9, scale=1.0))
     return _report("taylor-blocks", seed, items)
 
 
@@ -168,15 +167,8 @@ def suite_bidisk_norm(seed: int = 0) -> dict:
                            exp.total, ref_total, 1e-9))
         for N, term in exp.terms:
             _, qN = oracle.project(g, f, N)
-            ref_term = g.norm_sq(qN)
-            err = abs(term - ref_term)
-            items.append({
-                "item": f"poly {i} term N={N}",
-                "value": [term, 0.0], "oracle": [ref_term, 0.0],
-                "abs_err": err, "rel_err": err / max(ref_total, 1e-300),
-                "tol": 1e-9,
-                "passed": bool(err <= 1e-9 * max(1.0, ref_total)),
-            })
+            items.append(_item(f"poly {i} term N={N}", term, g.norm_sq(qN),
+                               1e-9, scale=ref_total))
     return _report("bidisk-norm", seed, items)
 
 
@@ -301,12 +293,8 @@ def suite_structural(seed: int = 0) -> dict:
         herm = np.max(np.abs(mat - mat.conj().T)) / scale
         eigs = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
         psd_margin = eigs.min() / eigs.max()
-        items.append({
-            "item": f"hermitian {space} draw {draw}",
-            "value": [herm, 0.0], "oracle": [0.0, 0.0],
-            "abs_err": herm, "rel_err": herm, "tol": 1e-10,
-            "passed": bool(herm <= 1e-10),
-        })
+        items.append(_item(f"hermitian {space} draw {draw}", herm, 0.0,
+                           1e-10, scale=1.0))
         items.append({
             "item": f"psd {space} draw {draw}",
             "value": [psd_margin, 0.0], "oracle": [0.0, 0.0],
@@ -335,12 +323,8 @@ def suite_delta_identities(seed: int = 0) -> dict:
                     / pochhammer(al + be + 2 * th + 2 * vt + 2 * n + 4.0, k - n)
                     for k in range(n, N + 1))
                 worst = max(worst, abs(total))
-        items.append({
-            "item": f"bidisk delta draw {draw}",
-            "value": [worst, 0.0], "oracle": [0.0, 0.0],
-            "abs_err": worst, "rel_err": worst, "tol": 1e-10,
-            "passed": bool(worst <= 1e-10),
-        })
+        items.append(_item(f"bidisk delta draw {draw}", worst, 0.0, 1e-10,
+                           scale=1.0))
     for draw in range(5):
         al, be = rng.uniform(0.5, 2.5, 2)
         p = fock.FockParams(al, be, 0.0)
@@ -354,12 +338,8 @@ def suite_delta_identities(seed: int = 0) -> dict:
                     * math.factorial(n) * math.comb(k, n) * ratio ** (k - n)
                     for k in range(n, N + 1))
                 worst = max(worst, abs(total))
-        items.append({
-            "item": f"fock delta draw {draw}",
-            "value": [worst, 0.0], "oracle": [0.0, 0.0],
-            "abs_err": worst, "rel_err": worst, "tol": 1e-10,
-            "passed": bool(worst <= 1e-10),
-        })
+        items.append(_item(f"fock delta draw {draw}", worst, 0.0, 1e-10,
+                           scale=1.0))
     return _report("delta-identities", seed, items)
 
 

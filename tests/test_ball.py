@@ -137,3 +137,38 @@ def test_hardy_is_limit_of_weighted_norms():
             assert gap < prev_gap / 10
         prev_gap = gap
     assert prev_gap < 1e-4
+
+
+@pytest.mark.parametrize("al,be,th", [(0.0, 0.0, 0.0), (0.5, 1.0, 0.25),
+                                      (1.5, -0.5, 2.0)])
+def test_norm_expansion_terms_against_projection(al, be, th):
+    rng = np.random.default_rng(21)
+    p = BallParams(al, be, th)
+    g = oracle.ball_monomial_norms(al, be, th, 6)
+    for _ in range(4):
+        f = BiPoly({(m, n): complex(*rng.standard_normal(2))
+                    for m in range(4) for n in range(4) if m + n <= 6})
+        for N, term in ball_norm_expansion(p, f).terms:
+            _, qN = oracle.project(g, f, N)
+            assert term == pytest.approx(g.norm_sq(qN), rel=1e-12)
+
+
+@pytest.mark.parametrize("be,th", [(0.0, 0.0), (0.3, 0.6), (-0.5, 1.0),
+                                   (-0.9, 0.25), (1.5, 2.0)])
+def test_hardy_norm_expansion_against_oracle(be, th):
+    # monomials are orthogonal for the surface measure, so the N-th term is
+    # the sum of |c_mN|^2 ||z1^m z2^N||^2 over m
+    rng = np.random.default_rng(22)
+    for _ in range(10):
+        deg = int(rng.integers(0, 9))
+        f = BiPoly({(m, n): complex(*rng.standard_normal(2))
+                    for m in range(deg + 1) for n in range(deg + 1 - m)
+                    if rng.uniform() < 0.6})
+        exp = ball_hardy_norm_expansion(be, th, f)
+        ref = {}
+        for (m, n), c in f.coeffs.items():
+            ref[n] = ref.get(n, 0.0) + abs(c) ** 2 * \
+                oracle.ball_hardy_monomial_norm(be, th, m, n)
+        for N, term in exp.terms:
+            assert term == pytest.approx(ref.get(N, 0.0), rel=1e-13)
+        assert exp.total == pytest.approx(sum(ref.values()), rel=1e-13)

@@ -137,3 +137,23 @@ def test_max_terms_env_var(capsys, monkeypatch):
         "--theta", "1", "--pair", "0.6,0.5,0.6,0.5"])
     assert code == cli.EXIT_CONVERGENCE
     assert "convergence" in err
+
+
+def test_kernel_oracle_degree_follows_pairs(capsys):
+    # (1 - 0.49)^-5.5 = 40.58486 at this pair; a fixed degree-16 oracle gave
+    # 40.41 and failed a library value that is within tolerance
+    code, out, _ = run(capsys, [
+        "kernel", "--space", "bidisk", "--alpha", "1", "--beta", "0.5",
+        "--pair", "0.7,0.7,0.7,0.7", "--oracle"])
+    assert code == 0
+    item = json.loads(out)["items"][0]
+    assert item["passed"]
+    assert item["oracle"][0] == pytest.approx((1 - 0.49) ** -5.5, rel=1e-9)
+    assert item["oracle_degree"] > 16
+    assert item["oracle_tail"] <= cli._ORACLE_TAIL * item["value"][0]
+    # near the boundary no degree up to the cap bounds the oracle's remainder
+    code, _, err = run(capsys, [
+        "kernel", "--space", "bidisk", "--alpha", "0", "--beta", "0",
+        "--pair", "0.9,0.9,0.9,0.9", "--oracle"])
+    assert code == cli.EXIT_CONVERGENCE
+    assert "oracle" in err

@@ -151,3 +151,17 @@ def test_restriction_inequality():
               * math.gamma(p.theta + 1))
         lhs = w0 * fock_disk_norm_sq(f.restrict_diagonal(), p.gamma)
         assert lhs <= g.norm_sq(f) * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("al,be,th", [(1.0, 2.0, 0), (1.3, 0.7, 1),
+                                      (1.0, 1.0, 2)])
+def test_norm_expansion_terms_against_projection(al, be, th):
+    rng = np.random.default_rng(23)
+    p = FockParams(al, be, float(th))
+    g = oracle.gram_fock_exact(al, be, float(th), 6)
+    for _ in range(4):
+        f = BiPoly({(m, n): complex(*rng.standard_normal(2))
+                    for m in range(4) for n in range(4) if m + n <= 6})
+        for N, term in fock_norm_expansion(p, f).terms:
+            _, qN = oracle.project(g, f, N)
+            assert term == pytest.approx(g.norm_sq(qN), rel=1e-11)

@@ -118,6 +118,15 @@ def test_kernel_blocks_reject_ill_conditioned():
         oracle.gram_kernel_blocks(g)
 
 
+def test_kernel_blocks_accept_badly_scaled():
+    # the monomial norms of this block spread over 1e14, but scaled to a
+    # unit diagonal it is well conditioned and inverts accurately
+    g = oracle.gram_fock_exact(1.0, 2.0, 1.0, 30)
+    assert np.linalg.cond(g.blocks[30]) > oracle.COND_LIMIT
+    for k, b in zip(oracle.gram_kernel_blocks(g), g.blocks):
+        assert np.max(np.abs(k @ b - np.eye(len(b)))) < 1e-12
+
+
 def test_reproducing_property_via_gram_pairing():
     # <f, K(., w)> = f(w) when paired through the same Gram blocks
     g = oracle.gram_bidisk_exact(0.0, 0.0, 1.0, 6)
