@@ -8,6 +8,11 @@ Series organization: the subspace kernels are double series whose inner sum
 is bounded term by term by (rz rw)^n where rz = max |z_i|, rw = max |w_i|,
 so a clean geometric tail bound is available; the outer sum over vanishing
 order N is bounded by |z1-z2|^N |w1-w2|^N sigma_N / (1 - rz rw).
+
+q_kernel takes the inner coefficients c_n(z), the t^n coefficients of
+(1 - t z1)^-(a+N) (1 - t z2)^-(b+N), from their three-term recurrence in n:
+O(1) per term, and no cancellation when z1 and z2 point apart, unlike the
+binomial sum (_c_coeffs, which only taylor_blocks uses).
 """
 
 from __future__ import annotations
@@ -132,27 +137,6 @@ def _c_coeffs(params: BidiskParams, N: int, n: int) -> tuple:
     return tuple(left[j] * right[n - j] for j in range(n + 1))
 
 
-class _PowerTable:
-    """Incrementally grown powers of a pair of complex numbers."""
-
-    def __init__(self, z1: complex, z2: complex):
-        self.p1 = [1.0 + 0.0j]
-        self.p2 = [1.0 + 0.0j]
-        self.z1 = complex(z1)
-        self.z2 = complex(z2)
-
-    def grow(self, n: int) -> None:
-        while len(self.p1) <= n:
-            self.p1.append(self.p1[-1] * self.z1)
-            self.p2.append(self.p2[-1] * self.z2)
-
-    def c_value(self, params: BidiskParams, N: int, n: int) -> complex:
-        self.grow(n)
-        coef = _c_coeffs(params, N, n)
-        p1, p2 = self.p1, self.p2
-        return sum(coef[j] * p1[j] * p2[n - j] for j in range(n + 1))
-
-
 def q_kernel(params: BidiskParams, N: int, z: Point2, w: Point2,
              cfg: TruncationConfig | None = None) -> SeriesResult:
     """Kernel of the order-N subspace as the double series
@@ -170,33 +154,43 @@ def q_kernel(params: BidiskParams, N: int, z: Point2, w: Point2,
     rz = max(abs(z.z1), abs(z.z2))
     rw = max(abs(w.z1), abs(w.z2))
     q = rz * rw
+    # (n+1) c_{n+1} = [(A+n) z1 + (B+n) z2] c_n - (A+B+n-1) z1 z2 c_{n-1};
+    # conj(c_n(w)) follows the same recurrence on (conj(w1), conj(w2))
+    A, B = params.a + N, params.b + N
+    AB1 = A + B - 1.0
+    z1, z2 = complex(z.z1), complex(z.z2)
+    v1, v2 = complex(w.z1).conjugate(), complex(w.z2).conjugate()
+    zz, vv = z1 * z2, v1 * v2
+    cz = cv = 1.0 + 0.0j
+    cz_prev = cv_prev = 0.0j
+    tolerance = cfg.tolerance
+    # |mu_n c_n(z) conj(c_n(w))| <= (rz rw)^n since sum_j of the c
+    # coefficients is (s+2N+2)_n / n! = 1/mu_n
+    tail_scale = cfg.safety_factor / (1.0 - q)
+    consecutive_small = cfg.consecutive_small
     total = 0.0 + 0.0j
     mu = 1.0
     small_streak = 0
-    tail = math.inf
-    done = False
-    terms = 0
-    tz = _PowerTable(z.z1, z.z2)
-    tw = _PowerTable(w.z1, w.z2)
     for n in range(cfg.max_terms):
-        terms = n + 1
-        total += mu * tz.c_value(params, N, n) * tw.c_value(params, N, n).conjugate()
-        # |mu_n c_n(z) conj(c_n(w))| <= (rz rw)^n since sum_j of the c
-        # coefficients is (s+2N+2)_n / n! = 1/mu_n
-        tail = cfg.safety_factor * q ** (n + 1) / (1.0 - q)
-        if tail <= cfg.tolerance * max(1.0, abs(total)):
+        total += mu * cz * cv
+        tail = tail_scale * q ** (n + 1)
+        if tail <= tolerance * max(1.0, abs(total)):
             small_streak += 1
-            if small_streak >= cfg.consecutive_small:
-                done = True
+            if small_streak >= consecutive_small:
                 break
         else:
             small_streak = 0
-        mu *= (n + 1.0) / (s2 + n)
-    if not done:
+        m = n + 1.0
+        mu *= m / (s2 + n)
+        cz, cz_prev = (((A + n) * z1 + (B + n) * z2) * cz
+                       - (AB1 + n) * zz * cz_prev) / m, cz
+        cv, cv_prev = (((A + n) * v1 + (B + n) * v2) * cv
+                       - (AB1 + n) * vv * cv_prev) / m, cv
+    else:
         raise ConvergenceError(
             f"q_kernel inner series did not converge in {cfg.max_terms} terms",
-            terms_used=terms, tail_estimate=abs(pref) * tail)
-    return SeriesResult(pref * total, terms,
+            terms_used=cfg.max_terms, tail_estimate=abs(pref) * tail)
+    return SeriesResult(pref * total, n + 1,
                         abs(pref) * tail + abs(sN.tail_bound) * abs(total))
 
 
@@ -210,19 +204,22 @@ def full_kernel(params: BidiskParams, z: Point2, w: Point2,
     rz = max(abs(z.z1), abs(z.z2))
     rw = max(abs(w.z1), abs(w.z2))
     inner_bound = 1.0 / (1.0 - rz * rw)
+    dzdw = abs(dz * dw)
     total = 0.0 + 0.0j
     terms = 0
     tail = math.inf
     small_streak = 0
+    sig_next = sigma(params.shifted(1), cfg)
     for N in range(cfg.max_outer_terms):
         part = q_kernel(params, N, z, w, cfg)
         total += part.value
         terms += part.terms_used
-        sig_next = sigma(params.shifted(N + 1), cfg)
-        head = abs(dz * dw) ** (N + 1) * sig_next * inner_bound
+        sig_after = sigma(params.shifted(N + 2), cfg)
+        head = dzdw ** (N + 1) * sig_next * inner_bound
         # the outer terms decay at the asymptotic ratio |dz dw|/4 < 1
-        ratio = min(abs(dz * dw) * sigma(params.shifted(N + 2), cfg) / sig_next, 0.999)
+        ratio = min(dzdw * sig_after / sig_next, 0.999)
         tail = cfg.safety_factor * head / (1.0 - ratio)
+        sig_next = sig_after
         if tail <= cfg.tolerance * max(1.0, abs(total)):
             small_streak += 1
             if small_streak >= cfg.consecutive_small:

@@ -33,15 +33,21 @@ EXIT_CONVERGENCE = 3
 EXIT_CONDITIONING = 4
 
 
-def _parse_pair(text: str):
-    parts = [float(p) for p in text.split(",")]
+def _parse_pair(text: str, source: str = "--pair"):
+    parts = []
+    for i, field in enumerate(text.split(","), 1):
+        try:
+            parts.append(float(field))
+        except ValueError:
+            raise DomainError(f"{source}: field {i} ({field.strip()!r}) is "
+                              "not a real number") from None
     if len(parts) == 4:
         vals = [complex(p) for p in parts]
     elif len(parts) == 8:
         vals = [complex(parts[i], parts[i + 1]) for i in range(0, 8, 2)]
     else:
         raise DomainError(
-            "--pair needs 4 reals (z1,z2,w1,w2) or 8 (re,im interleaved)")
+            f"{source} needs 4 reals (z1,z2,w1,w2) or 8 (re,im interleaved)")
     return Point2(vals[0], vals[1]), Point2(vals[2], vals[3])
 
 
@@ -133,7 +139,8 @@ def cmd_kernel(args) -> int:
     pairs = [_parse_pair(t) for t in args.pair or []]
     if args.points_file:
         with open(args.points_file) as fh:
-            pairs.extend(_parse_pair(line) for line in fh
+            pairs.extend(_parse_pair(line, f"{args.points_file} line {i}")
+                         for i, line in enumerate(fh, 1)
                          if line.strip() and not line.startswith("#"))
     if not pairs:
         raise DomainError("no point pairs given (use --pair or --points-file)")

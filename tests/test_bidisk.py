@@ -1,5 +1,7 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -219,3 +221,84 @@ def test_hardy_norm_expansion_values():
         pytest.approx(2.0, rel=1e-12)
     with pytest.raises(DomainError):
         hardy_norm_expansion(-0.5, BiPoly.parse("1"))
+
+
+def _q_kernel_reference(params, N, z, w, terms):
+    """q_kernel's series summed in mpmath to `terms` terms, with c_n from its
+    binomial definition sum_j (A)_j/j! (B)_{n-j}/(n-j)! z1^j z2^{n-j}, and
+    the sum of the moduli of those terms."""
+    with mpmath.workdps(40):
+        A = mpmath.mpf(params.a) + N
+        B = mpmath.mpf(params.b) + N
+        s2 = mpmath.mpf(params.s) + 2 * N + 2
+
+        def scaled_powers(x, c):
+            # (c)_j / j! x^j for j < terms
+            out = [mpmath.mpc(1)]
+            for j in range(1, terms):
+                out.append(out[-1] * (c + j - 1) / j * x)
+            return out
+
+        def coefficients(x1, x2):
+            left, right = scaled_powers(x1, A), scaled_powers(x2, B)
+            return [mpmath.fsum(left[j] * right[n - j] for j in range(n + 1))
+                    for n in range(terms)]
+
+        cz = coefficients(mpmath.mpc(z.z1), mpmath.mpc(z.z2))
+        cw = coefficients(mpmath.mpc(w.z1), mpmath.mpc(w.z2))
+        pref = ((mpmath.mpc(z.z1) - mpmath.mpc(z.z2)) ** N
+                * mpmath.conj(mpmath.mpc(w.z1) - mpmath.mpc(w.z2)) ** N
+                * sigma(params.shifted(N)))
+        mu = mpmath.mpf(1)
+        value, moduli = mpmath.mpc(0), mpmath.mpf(0)
+        for n in range(terms):
+            t = pref * mu * cz[n] * mpmath.conj(cw[n])
+            value += t
+            moduli += abs(t)
+            mu = mu * (n + 1) / (s2 + n)
+        return complex(value), float(moduli)
+
+
+_R = 0.8
+_RECURRENCE_PAIRS = {
+    "antipodal": (Point2(cmath.rect(_R, 0.4), -cmath.rect(_R, 0.4)),
+                  Point2(cmath.rect(_R, -1.1), -cmath.rect(_R, -1.1))),
+    "near-arguments": (Point2(cmath.rect(_R, 0.3), cmath.rect(0.79, 0.36)),
+                       Point2(cmath.rect(0.795, -0.2), cmath.rect(_R, -0.15))),
+    "z2-zero": (Point2(cmath.rect(_R, 2.0), 0.0),
+                Point2(cmath.rect(0.7, 0.5), cmath.rect(_R, -2.5))),
+    "diagonal-z": (Point2(cmath.rect(_R, 1.2), cmath.rect(_R, 1.2)),
+                   Point2(cmath.rect(0.6, -0.4), cmath.rect(_R, 2.2))),
+}
+
+
+@pytest.mark.parametrize("N", [0, 3, 40])
+@pytest.mark.parametrize("pair", sorted(_RECURRENCE_PAIRS))
+def test_q_kernel_recurrence_against_mpmath(pair, N):
+    # the binomial sum for c_n cancels at antipodal points (relative error
+    # 2.7e-2 at N=40); the recurrence must stay within rounding of the sum
+    # of the moduli of the series' terms
+    p = BidiskParams(1.0, 0.5, 0.0, 0.0)
+    z, w = _RECURRENCE_PAIRS[pair]
+    got = q_kernel(p, N, z, w)
+    ref, moduli = _q_kernel_reference(p, N, z, w, got.terms_used)
+    assert abs(got.value - ref) <= 1e-13 * moduli
+
+
+def test_full_kernel_product_case_far_apart():
+    # z1 = -z2 and w1 = -w2, where binomial sums for c_n cancel (they give
+    # -0.464-0.053i here against the closed form -0.389+0.004i)
+    p = BidiskParams(1.0, 0.5, 0.0, 0.0)
+    z, w = Point2(0.8, -0.8), Point2(-0.8j, 0.8j)
+    expect = (1 - np.conj(w.z1) * z.z1) ** -3 * (1 - np.conj(w.z2) * z.z2) ** -2.5
+    assert abs(full_kernel(p, z, w).value - expect) < 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: full_kernel's tail "
+                   "bound misses a factor growing with n and drops the inner "
+                   "tails, so it reports 0.0 against an error of 6.8e-7")
+def test_full_kernel_tail_bound_holds_on_diagonal():
+    p = BidiskParams(1.0, 0.5, 0.0, 0.0)
+    z = Point2(0.7, 0.7)
+    r = full_kernel(p, z, z)
+    assert abs(r.value - (1 - 0.49) ** -5.5) <= r.tail_bound

@@ -64,6 +64,24 @@ def test_kernel_bad_pair_is_domain_error(capsys):
     assert "domain error" in err
 
 
+def test_kernel_non_numeric_pair_is_domain_error(capsys):
+    code, _, err = run(capsys, [
+        "kernel", "--space", "bidisk", "--alpha", "0", "--beta", "0",
+        "--pair", "0.1,abc,0.2,0.3"])
+    assert code == cli.EXIT_DOMAIN
+    assert "--pair: field 2 ('abc')" in err
+
+
+def test_kernel_non_numeric_points_file_line(capsys, tmp_path):
+    pts = tmp_path / "points.txt"
+    pts.write_text("# comment line\n0.2,0.1,0.4,-0.1\n\n0.1,0.1,x,0.1\n")
+    code, _, err = run(capsys, [
+        "kernel", "--space", "bidisk", "--alpha", "0", "--beta", "0",
+        "--points-file", str(pts)])
+    assert code == cli.EXIT_DOMAIN
+    assert f"{pts} line 4: field 3 ('x')" in err
+
+
 def test_kernel_outside_domain(capsys):
     code, _, err = run(capsys, [
         "kernel", "--space", "bidisk", "--alpha", "0", "--beta", "0",
