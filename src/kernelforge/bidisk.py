@@ -12,7 +12,10 @@ order N is bounded by |z1-z2|^N |w1-w2|^N sigma_N / (1 - rz rw).
 q_kernel takes the inner coefficients c_n(z), the t^n coefficients of
 (1 - t z1)^-(a+N) (1 - t z2)^-(b+N), from their three-term recurrence in n:
 O(1) per term, and no cancellation when z1 and z2 point apart, unlike the
-binomial sum (_c_coeffs, which only taylor_blocks uses).
+binomial sum (_c_coeffs, which only taylor_blocks uses).  The recurrence's
+coefficients and the geometric tail advance by one addition or product per
+term, and q_kernel and full_kernel read sigma_N through one cache keyed by
+(params, N).
 """
 
 from __future__ import annotations
@@ -137,6 +140,14 @@ def _c_coeffs(params: BidiskParams, N: int, n: int) -> tuple:
     return tuple(left[j] * right[n - j] for j in range(n + 1))
 
 
+@lru_cache(maxsize=4096)
+def _sigma_order(params: BidiskParams, N: int,
+                 cfg: TruncationConfig) -> SeriesResult:
+    """sigma_N, the sigma of the order-N subspace, cached by (params, N) so
+    that a series over N builds no shifted parameters once warm."""
+    return _sigma_cached(params.shifted(N), cfg)
+
+
 def q_kernel(params: BidiskParams, N: int, z: Point2, w: Point2,
              cfg: TruncationConfig | None = None) -> SeriesResult:
     """Kernel of the order-N subspace as the double series
@@ -146,7 +157,7 @@ def q_kernel(params: BidiskParams, N: int, z: Point2, w: Point2,
     if N < 0:
         raise DomainError("N must be >= 0")
     _require_bidisk(z, w)
-    sN = _sigma_cached(params.shifted(N), cfg)
+    sN = _sigma_order(params, N, cfg)
     pref = ((z.z1 - z.z2) ** N
             * (complex(w.z1).conjugate() - complex(w.z2).conjugate()) ** N
             * sN.value.real)
@@ -154,27 +165,30 @@ def q_kernel(params: BidiskParams, N: int, z: Point2, w: Point2,
     rz = max(abs(z.z1), abs(z.z2))
     rw = max(abs(w.z1), abs(w.z2))
     q = rz * rw
-    # (n+1) c_{n+1} = [(A+n) z1 + (B+n) z2] c_n - (A+B+n-1) z1 z2 c_{n-1};
-    # conj(c_n(w)) follows the same recurrence on (conj(w1), conj(w2))
+    # (n+1) c_{n+1} = P_n c_n - R_n c_{n-1} with P_n = (A+n) z1 + (B+n) z2
+    # and R_n = (A+B+n-1) z1 z2, so P and R advance by z1+z2 and z1 z2 per
+    # step; conj(c_n(w)) follows the same recurrence on (conj(w1), conj(w2))
     A, B = params.a + N, params.b + N
-    AB1 = A + B - 1.0
     z1, z2 = complex(z.z1), complex(z.z2)
     v1, v2 = complex(w.z1).conjugate(), complex(w.z2).conjugate()
-    zz, vv = z1 * z2, v1 * v2
+    zs, zz, vs, vv = z1 + z2, z1 * z2, v1 + v2, v1 * v2
+    Pz, Pv = A * z1 + B * z2, A * v1 + B * v2
+    Rz, Rv = (A + B - 1.0) * zz, (A + B - 1.0) * vv
     cz = cv = 1.0 + 0.0j
     cz_prev = cv_prev = 0.0j
     tolerance = cfg.tolerance
     # |mu_n c_n(z) conj(c_n(w))| <= (rz rw)^n since sum_j of the c
-    # coefficients is (s+2N+2)_n / n! = 1/mu_n
-    tail_scale = cfg.safety_factor / (1.0 - q)
+    # coefficients is (s+2N+2)_n / n! = 1/mu_n; tail is the bound on the
+    # terms after n, safety_factor q^(n+1) / (1-q)
+    tail = cfg.safety_factor / (1.0 - q)
     consecutive_small = cfg.consecutive_small
     total = 0.0 + 0.0j
     mu = 1.0
     small_streak = 0
     for n in range(cfg.max_terms):
         total += mu * cz * cv
-        tail = tail_scale * q ** (n + 1)
-        if tail <= tolerance * max(1.0, abs(total)):
+        tail *= q
+        if tail <= tolerance or tail <= tolerance * abs(total):
             small_streak += 1
             if small_streak >= consecutive_small:
                 break
@@ -182,10 +196,12 @@ def q_kernel(params: BidiskParams, N: int, z: Point2, w: Point2,
             small_streak = 0
         m = n + 1.0
         mu *= m / (s2 + n)
-        cz, cz_prev = (((A + n) * z1 + (B + n) * z2) * cz
-                       - (AB1 + n) * zz * cz_prev) / m, cz
-        cv, cv_prev = (((A + n) * v1 + (B + n) * v2) * cv
-                       - (AB1 + n) * vv * cv_prev) / m, cv
+        cz, cz_prev = (Pz * cz - Rz * cz_prev) / m, cz
+        cv, cv_prev = (Pv * cv - Rv * cv_prev) / m, cv
+        Pz += zs
+        Pv += vs
+        Rz += zz
+        Rv += vv
     else:
         raise ConvergenceError(
             f"q_kernel inner series did not converge in {cfg.max_terms} terms",
@@ -209,12 +225,12 @@ def full_kernel(params: BidiskParams, z: Point2, w: Point2,
     terms = 0
     tail = math.inf
     small_streak = 0
-    sig_next = sigma(params.shifted(1), cfg)
+    sig_next = _sigma_order(params, 1, cfg).value.real
     for N in range(cfg.max_outer_terms):
         part = q_kernel(params, N, z, w, cfg)
         total += part.value
         terms += part.terms_used
-        sig_after = sigma(params.shifted(N + 2), cfg)
+        sig_after = _sigma_order(params, N + 2, cfg).value.real
         head = dzdw ** (N + 1) * sig_next * inner_bound
         # the outer terms decay at the asymptotic ratio |dz dw|/4 < 1
         ratio = min(dzdw * sig_after / sig_next, 0.999)
@@ -247,15 +263,12 @@ def taylor_blocks(params: BidiskParams, max_degree: int,
             n = d - N
             sig = sigma(params.shifted(N), cfg)
             mu = math.factorial(n) / pochhammer(params.s + 2.0 * N + 2.0, n)
-            cpoly = BiPoly({(j, n - j): c
-                            for j, c in enumerate(_c_coeffs(params, N, n))})
-            diag = BiPoly({(1, 0): 1.0, (0, 1): -1.0})
-            prod = cpoly
+            # coefficients in ascending powers of z1, times (z1 - z2) one
+            # factor at a time: one convolution with the binomial
+            # coefficients of (z1 - z2)^N would cancel in its alternating sums
+            v = np.asarray(_c_coeffs(params, N, n))
             for _ in range(N):
-                prod = prod * diag
-            v = np.zeros(d + 1)
-            for (m, k), c in prod.coeffs.items():
-                v[m] = c.real
+                v = np.convolve(v, [-1.0, 1.0])
             block += sig * mu * np.outer(v, v)
         blocks.append(block)
     return blocks

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -270,7 +271,9 @@ def _add_space_args(sub, spaces=tuple(SPACES)):
                      help="series truncation tolerance override")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="kernelforge",
         description="Reproducing kernels and orthogonal norm expansions for "

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from kernelforge import oracle
+from kernelforge import bidisk, oracle
 from kernelforge.bidisk import (BidiskParams, coeff_a, coeff_b, diag_kernel,
                                 full_kernel, hardy_norm_expansion,
                                 norm_expansion, q_kernel,
@@ -302,3 +302,35 @@ def test_full_kernel_tail_bound_holds_on_diagonal():
     z = Point2(0.7, 0.7)
     r = full_kernel(p, z, z)
     assert abs(r.value - (1 - 0.49) ** -5.5) <= r.tail_bound
+
+
+# (alpha, beta, theta, vartheta), z, w, terms_used, orders; counted with
+# P_n, R_n and the tail recomputed from n at every inner term, so a faster
+# loop must reach the same terms, not fewer
+_TERM_CASES = {
+    "product-far-apart": ((1.0, 0.5, 0.0, 0.0), Point2(0.8, -0.8),
+                          Point2(-0.8j, 0.8j), 7560, 108),
+    "product-diagonal": ((1.0, 0.5, 0.0, 0.0), Point2(0.7, 0.7),
+                         Point2(0.7, 0.7), 111, 3),
+    "vartheta": ((0.3, 0.7, 1.0, 0.5), Point2(0.5 + 0.2j, -0.3j),
+                 Point2(0.1 - 0.6j, 0.45), 542, 20),
+    "large-beta": ((0.0, 4.0, 0.0, 0.0), Point2(0.85j, -0.6),
+                   Point2(-0.8j, 0.7 + 0.1j), 3321, 41),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TERM_CASES))
+def test_full_kernel_terms_per_order(case, monkeypatch):
+    # full_kernel calls the module-level q_kernel once per order, so that a
+    # wrapper installed there sees every order and its terms
+    tup, z, w, terms, orders = _TERM_CASES[case]
+    parts = []
+
+    def counted(*args, **kwargs):
+        out = q_kernel(*args, **kwargs)
+        parts.append(out.terms_used)
+        return out
+
+    monkeypatch.setattr(bidisk, "q_kernel", counted)
+    r = full_kernel(BidiskParams(*tup), z, w)
+    assert (r.terms_used, len(parts), sum(parts)) == (terms, orders, terms)

@@ -56,6 +56,18 @@ def test_kernel_points_file(capsys, tmp_path):
     assert len(json.loads(out)["items"]) == 2
 
 
+def test_kernel_parser_reused_without_state(capsys):
+    # one parser serves every call in a process; the --pair list of one call
+    # must not reach the next
+    base = ["kernel", "--space", "bidisk", "--alpha", "0", "--beta", "0"]
+    _, two, _ = run(capsys, base + ["--pair", "0.2,0.1,0.4,-0.1",
+                                    "--pair", "0.1,0.1,0.1,0.1"])
+    _, one, _ = run(capsys, base + ["--pair", "0.3,0.2,0.25,-0.1"])
+    assert len(json.loads(two)["items"]) == 2
+    assert len(json.loads(one)["items"]) == 1
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_kernel_bad_pair_is_domain_error(capsys):
     code, _, err = run(capsys, [
         "kernel", "--space", "bidisk", "--alpha", "0", "--beta", "0",
