@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import Point2, SeriesResult, TruncationConfig, default_config
+from .config import (CONSECUTIVE_SMALL, MAX_OUTER_TERMS, SAFETY_FACTOR,
+                     Point2, SeriesResult, TruncationConfig, default_config)
 from .errors import ConvergenceError, DomainError
 from .poly2 import BiPoly
 from .specfun import hyp2f1, log_gamma
@@ -115,20 +116,20 @@ def ball_full_kernel_series(params: BallParams, z: Point2, w: Point2,
     total = 0.0 + 0.0j
     tail = math.inf
     small_streak = 0
-    for N in range(cfg.max_outer_terms):
+    for N in range(MAX_OUTER_TERMS):
         term = ball_qN_kernel(params, N, z, w)
         total += term
         # term ratio tends to |x| as the embed constants vary slowly in N
-        tail = cfg.safety_factor * abs(term) * q / (1.0 - q) if q > 0 else 0.0
+        tail = SAFETY_FACTOR * abs(term) * q / (1.0 - q) if q > 0 else 0.0
         if tail <= cfg.tolerance * max(1.0, abs(total)):
             small_streak += 1
-            if small_streak >= cfg.consecutive_small:
+            if small_streak >= CONSECUTIVE_SMALL:
                 return SeriesResult(total, N + 1, tail)
         else:
             small_streak = 0
     raise ConvergenceError(
-        f"ball kernel series did not converge in {cfg.max_outer_terms} terms",
-        terms_used=cfg.max_outer_terms, tail_estimate=tail)
+        f"ball kernel series did not converge in {MAX_OUTER_TERMS} terms",
+        terms_used=MAX_OUTER_TERMS, tail_estimate=tail)
 
 
 def ball_hardy_norm_expansion(beta: float, theta: float,

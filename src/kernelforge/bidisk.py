@@ -14,8 +14,10 @@ q_kernel takes the inner coefficients c_n(z), the t^n coefficients of
 O(1) per term, and no cancellation when z1 and z2 point apart, unlike the
 binomial sum (_c_coeffs, which only taylor_blocks uses).  The recurrence's
 coefficients and the geometric tail advance by one addition or product per
-term, and q_kernel and full_kernel read sigma_N through one cache keyed by
-(params, N).
+term.  sigma has one cache, keyed by the weight's four exponents and the
+truncation settings, so sigma(params.shifted(N)) and the order-N reads of
+q_kernel and full_kernel share entries and a warm series builds no
+BidiskParams.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import Point2, SeriesResult, TruncationConfig, default_config
+from .config import (CONSECUTIVE_SMALL, MAX_OUTER_TERMS, SAFETY_FACTOR,
+                     Point2, SeriesResult, TruncationConfig, default_config)
 from .errors import ConvergenceError, DomainError
 from .poly2 import BiPoly, UniPoly
 from .specfun import hyp3f2_unit, log_gamma, pochhammer
@@ -74,34 +77,30 @@ def _require_bidisk(*points: Point2) -> None:
             raise DomainError(f"point ({p.z1}, {p.z2}) is not inside the bidisk")
 
 
-def inv_sigma(params: BidiskParams,
-              cfg: TruncationConfig | None = None) -> SeriesResult:
-    """1/sigma as the hypergeometric expression: (beta+1) Gamma(alpha+2)
-    Gamma(theta+1) / [(a+b-1) Gamma(alpha+theta+2)] times
-    3F2(theta+1, a, a; alpha+theta+2, a+b; 1)."""
-    cfg = cfg or default_config()
-    al, be, th, vt = params.alpha, params.beta, params.theta, params.vartheta
-    r = hyp3f2_unit(th + 1.0, params.a, params.a,
-                    al + th + 2.0, params.a + params.b, cfg)
+@lru_cache(maxsize=4096)
+def _sigma_cached(al: float, be: float, th: float, vt: float,
+                  cfg: TruncationConfig) -> SeriesResult:
+    """sigma and its tail bound for the weight exponents (alpha, beta, theta,
+    vartheta), from 1/sigma = (beta+1) Gamma(alpha+2) Gamma(theta+1) /
+    [(a+b-1) Gamma(alpha+theta+2)] times 3F2(theta+1, a, a; alpha+theta+2,
+    a+b; 1).  The order-N subspace's sigma_N is the entry at theta + N."""
+    a = al + th + vt + 2.0
+    b = be + th + vt + 2.0
+    r = hyp3f2_unit(th + 1.0, a, a, al + th + 2.0, a + b, cfg)
     pref = ((be + 1.0)
             * math.exp(log_gamma(al + 2.0) + log_gamma(th + 1.0)
                        - log_gamma(al + th + 2.0))
             / (al + be + 2 * th + 2 * vt + 3.0))
-    return SeriesResult(pref * r.value, r.terms_used, pref * r.tail_bound)
-
-
-@lru_cache(maxsize=4096)
-def _sigma_cached(params: BidiskParams, cfg: TruncationConfig) -> SeriesResult:
-    inv = inv_sigma(params, cfg)
-    val = 1.0 / inv.value.real
-    return SeriesResult(complex(val), inv.terms_used,
-                        val * val * inv.tail_bound)
+    val = 1.0 / (pref * r.value).real
+    return SeriesResult(complex(val), r.terms_used,
+                        val * val * (pref * r.tail_bound))
 
 
 def sigma(params: BidiskParams, cfg: TruncationConfig | None = None) -> float:
     """The kernel value at the origin, i.e. the reciprocal total mass of the
     weight."""
-    return _sigma_cached(params, cfg or default_config()).value.real
+    return _sigma_cached(params.alpha, params.beta, params.theta,
+                         params.vartheta, cfg or default_config()).value.real
 
 
 def sigma_gamma_form(params: BidiskParams) -> float:
@@ -140,14 +139,6 @@ def _c_coeffs(params: BidiskParams, N: int, n: int) -> tuple:
     return tuple(left[j] * right[n - j] for j in range(n + 1))
 
 
-@lru_cache(maxsize=4096)
-def _sigma_order(params: BidiskParams, N: int,
-                 cfg: TruncationConfig) -> SeriesResult:
-    """sigma_N, the sigma of the order-N subspace, cached by (params, N) so
-    that a series over N builds no shifted parameters once warm."""
-    return _sigma_cached(params.shifted(N), cfg)
-
-
 def q_kernel(params: BidiskParams, N: int, z: Point2, w: Point2,
              cfg: TruncationConfig | None = None) -> SeriesResult:
     """Kernel of the order-N subspace as the double series
@@ -157,7 +148,8 @@ def q_kernel(params: BidiskParams, N: int, z: Point2, w: Point2,
     if N < 0:
         raise DomainError("N must be >= 0")
     _require_bidisk(z, w)
-    sN = _sigma_order(params, N, cfg)
+    sN = _sigma_cached(params.alpha, params.beta, params.theta + N,
+                       params.vartheta, cfg)
     pref = ((z.z1 - z.z2) ** N
             * (complex(w.z1).conjugate() - complex(w.z2).conjugate()) ** N
             * sN.value.real)
@@ -179,9 +171,8 @@ def q_kernel(params: BidiskParams, N: int, z: Point2, w: Point2,
     tolerance = cfg.tolerance
     # |mu_n c_n(z) conj(c_n(w))| <= (rz rw)^n since sum_j of the c
     # coefficients is (s+2N+2)_n / n! = 1/mu_n; tail is the bound on the
-    # terms after n, safety_factor q^(n+1) / (1-q)
-    tail = cfg.safety_factor / (1.0 - q)
-    consecutive_small = cfg.consecutive_small
+    # terms after n, SAFETY_FACTOR q^(n+1) / (1-q)
+    tail = SAFETY_FACTOR / (1.0 - q)
     total = 0.0 + 0.0j
     mu = 1.0
     small_streak = 0
@@ -190,7 +181,7 @@ def q_kernel(params: BidiskParams, N: int, z: Point2, w: Point2,
         tail *= q
         if tail <= tolerance or tail <= tolerance * abs(total):
             small_streak += 1
-            if small_streak >= consecutive_small:
+            if small_streak >= CONSECUTIVE_SMALL:
                 break
         else:
             small_streak = 0
@@ -225,25 +216,26 @@ def full_kernel(params: BidiskParams, z: Point2, w: Point2,
     terms = 0
     tail = math.inf
     small_streak = 0
-    sig_next = _sigma_order(params, 1, cfg).value.real
-    for N in range(cfg.max_outer_terms):
+    al, be, th, vt = params.alpha, params.beta, params.theta, params.vartheta
+    sig_next = _sigma_cached(al, be, th + 1, vt, cfg).value.real
+    for N in range(MAX_OUTER_TERMS):
         part = q_kernel(params, N, z, w, cfg)
         total += part.value
         terms += part.terms_used
-        sig_after = _sigma_order(params, N + 2, cfg).value.real
+        sig_after = _sigma_cached(al, be, th + (N + 2), vt, cfg).value.real
         head = dzdw ** (N + 1) * sig_next * inner_bound
         # the outer terms decay at the asymptotic ratio |dz dw|/4 < 1
         ratio = min(dzdw * sig_after / sig_next, 0.999)
-        tail = cfg.safety_factor * head / (1.0 - ratio)
+        tail = SAFETY_FACTOR * head / (1.0 - ratio)
         sig_next = sig_after
         if tail <= cfg.tolerance * max(1.0, abs(total)):
             small_streak += 1
-            if small_streak >= cfg.consecutive_small:
+            if small_streak >= CONSECUTIVE_SMALL:
                 return SeriesResult(total, terms, tail)
         else:
             small_streak = 0
     raise ConvergenceError(
-        f"full_kernel did not converge in {cfg.max_outer_terms} outer terms",
+        f"full_kernel did not converge in {MAX_OUTER_TERMS} outer terms",
         terms_used=terms, tail_estimate=tail)
 
 

@@ -133,13 +133,20 @@ def _oracle_degree(gram, pairs, results):
         f"bound its truncation by {_ORACLE_TAIL:.0e} relative")
 
 
-def cmd_kernel(args) -> int:
-    cfg = _make_cfg(args)
+def _open(path, option):
+    try:
+        return open(path)
+    except OSError as exc:
+        raise DomainError(
+            f"{option}: cannot read {path}: {exc.strerror}") from None
+
+
+def cmd_kernel(args, cfg) -> int:
     space = SPACES[args.space]
     params = space["params"](args)
     pairs = [_parse_pair(t) for t in args.pair or []]
     if args.points_file:
-        with open(args.points_file) as fh:
+        with _open(args.points_file, "--points-file") as fh:
             pairs.extend(_parse_pair(line, f"{args.points_file} line {i}")
                          for i, line in enumerate(fh, 1)
                          if line.strip() and not line.startswith("#"))
@@ -171,15 +178,16 @@ def cmd_kernel(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFY
 
 
-def cmd_norm_expand(args) -> int:
-    cfg = _make_cfg(args)
+def cmd_norm_expand(args, cfg) -> int:
     space = SPACES[args.space]
     params = space["params"](args)
     if args.poly_file:
-        with open(args.poly_file) as fh:
+        with _open(args.poly_file, "--poly-file") as fh:
             f = BiPoly.parse(fh.read())
-    else:
+    elif args.poly is not None:
         f = BiPoly.parse(args.poly)
+    else:
+        raise DomainError("no polynomial given (use --poly or --poly-file)")
     exp = space["expand"](params, f, cfg)
     items = [{"item": f"term N={N}", "value": [term, 0.0]}
              for N, term in exp.terms]
@@ -202,8 +210,7 @@ def cmd_norm_expand(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFY
 
 
-def cmd_sigma(args) -> int:
-    cfg = _make_cfg(args)
+def cmd_sigma(args, cfg) -> int:
     space = SPACES[args.space]
     val, ref = space["sigma"](space["params"](args), cfg)
     items = [{"item": "sigma", "value": [val, 0.0]},
@@ -218,7 +225,8 @@ def cmd_sigma(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, cfg) -> int:
+    # cfg is not passed on: the suites read the same settings themselves
     try:
         report = verify.run_suite(args.suite, args.seed)
     except KeyError:
@@ -249,10 +257,19 @@ def _wrap_report(command, args, items, passed):
 
 
 def _make_cfg(args) -> TruncationConfig:
-    cfg = default_config()
-    if getattr(args, "tolerance", None):
-        cfg = replace(cfg, tolerance=args.tolerance)
-    return cfg
+    """The truncation settings of a command; a bad setting is a domain error
+    whose message names it."""
+    try:
+        cfg = default_config()
+    except ValueError as exc:
+        raise DomainError(str(exc)) from None
+    if getattr(args, "tolerance", None) is None:
+        return cfg
+    try:
+        return replace(cfg, tolerance=args.tolerance)
+    except ValueError:
+        raise DomainError(
+            f"--tolerance must be positive, got {args.tolerance}") from None
 
 
 def _add_common(sub):
@@ -312,7 +329,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args._t0 = time.time()
     try:
-        return args.func(args)
+        return args.func(args, _make_cfg(args))
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

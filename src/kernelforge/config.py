@@ -7,34 +7,35 @@ from dataclasses import dataclass, replace
 
 MAX_TERMS_ENV = "KERNELFORGE_MAX_TERMS"
 
+# The stopping policy that every series loop shares.  A series stops after
+# CONSECUTIVE_SMALL consecutive terms whose tail estimate, SAFETY_FACTOR times
+# the ratio-based one, is within tolerance; the series over vanishing orders N
+# stop after at most MAX_OUTER_TERMS orders.
+MAX_OUTER_TERMS = 500
+CONSECUTIVE_SMALL = 3
+SAFETY_FACTOR = 4.0
+
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """Controls every infinite series and adaptive quadrature in the library.
+    """The two settable controls of every infinite series in the library.
 
-    tolerance          target bound on the truncation error of a sum
-    max_terms          hard cap on inner-series terms
-    max_outer_terms    hard cap on the vanishing-order series over N
-    consecutive_small  number of consecutive below-threshold terms required
-                       before a series is declared converged (guards against
-                       accidental small terms)
-    safety_factor      multiplier applied to ratio-based tail estimates so the
-                       reported bound errs on the conservative side
+    tolerance  target bound on the truncation error of a sum (CLI
+               --tolerance)
+    max_terms  hard cap on the terms of each inner series
+               (KERNELFORGE_MAX_TERMS)
     """
 
     tolerance: float = 1e-12
     max_terms: int = 100_000
-    max_outer_terms: int = 500
-    consecutive_small: int = 3
-    safety_factor: float = 4.0
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_terms < 1 or self.max_outer_terms < 1:
-            raise ValueError("term caps must be at least 1")
-        if self.consecutive_small < 1:
-            raise ValueError("consecutive_small must be at least 1")
+        # written so that a NaN tolerance is refused too
+        if not self.tolerance > 0:
+            raise ValueError(
+                f"tolerance must be positive, got {self.tolerance}")
+        if self.max_terms < 1:
+            raise ValueError("max_terms must be at least 1")
 
 
 def default_config() -> TruncationConfig:
@@ -42,7 +43,12 @@ def default_config() -> TruncationConfig:
     cfg = TruncationConfig()
     cap = os.environ.get(MAX_TERMS_ENV)
     if cap is not None:
-        cfg = replace(cfg, max_terms=max(1, int(cap)))
+        try:
+            cap = int(cap)
+        except ValueError:
+            raise ValueError(
+                f"{MAX_TERMS_ENV} must be an integer, got {cap!r}") from None
+        cfg = replace(cfg, max_terms=max(1, cap))
     return cfg
 
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import Point2, SeriesResult, TruncationConfig, default_config
+from .config import (CONSECUTIVE_SMALL, SAFETY_FACTOR, Point2, SeriesResult,
+                     TruncationConfig, default_config)
 from .errors import ConvergenceError, DomainError
 from .poly2 import BiPoly, UniPoly
 from .specfun import log_gamma, mittag_e
@@ -111,10 +112,10 @@ def fock_cov_kernel(params: FockParams, z: Point2, w: Point2,
         terms = n + 2
         q = abs(delta * x) / (th + n + 2.0)
         if q < 1.0:
-            tail = cfg.safety_factor * abs(term) * q / (1.0 - q)
+            tail = SAFETY_FACTOR * abs(term) * q / (1.0 - q)
             if tail <= cfg.tolerance * max(1.0, abs(total)):
                 small_streak += 1
-                if small_streak >= cfg.consecutive_small:
+                if small_streak >= CONSECUTIVE_SMALL:
                     value = first * total / ab ** (2.0 * th + 2.0)
                     return SeriesResult(value, terms,
                                         abs(first) * tail / ab ** (2.0 * th + 2.0))

@@ -11,7 +11,6 @@ solved per degree block.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -69,30 +68,6 @@ class GramBlocks:
 
     def norm_sq(self, f: BiPoly) -> float:
         return self.inner_product(f, f).real
-
-    def to_json(self) -> dict:
-        return {
-            "space": self.space,
-            "params": self.params,
-            "exact": self.exact,
-            "quad_error": self.quad_error,
-            "blocks": [b.tolist() for b in self.blocks],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GramBlocks":
-        return cls(space=data["space"], params=data["params"],
-                   blocks=[np.asarray(b, dtype=float) for b in data["blocks"]],
-                   exact=data["exact"], quad_error=data.get("quad_error"))
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path) -> "GramBlocks":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 def _degree_vector(f: BiPoly, degree: int):
@@ -213,19 +188,16 @@ def ball_hardy_monomial_norm(beta: float, theta: float, m: int, n: int) -> float
 # numeric Gram blocks (non-integer parameters)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Adaptive order-doubling control.
-
-    Integer theta integrands are polynomial after the angular reduction and
-    converge at the first doubling; non-integer vartheta weights converge
-    spectrally.  Non-integer theta puts an algebraic kink along t1 = t2 that
-    tensor Gauss rules resolve only at an algebraic rate, so such calls may
-    need a relaxed tolerance or a larger max_order."""
-
-    tolerance: float = 1e-10
-    start_order: int = 32
-    max_order: int = 256
+# gram_numeric doubles its quadrature order from QUAD_START_ORDER while it is
+# at most QUAD_MAX_ORDER, until no entry changes by more than QUAD_TOLERANCE
+# of the largest one.  Integer theta integrands are polynomial after the
+# angular reduction and converge at the first doubling; non-integer vartheta
+# weights converge spectrally.  Non-integer theta puts an algebraic kink along
+# t1 = t2 that tensor Gauss rules resolve only at an algebraic rate, so such
+# calls may raise QuadratureError.
+QUAD_TOLERANCE = 1e-10
+QUAD_START_ORDER = 32
+QUAD_MAX_ORDER = 256
 
 
 def _angular_nodes(n: int, theta: float):
@@ -318,11 +290,9 @@ def _fock_blocks_at_order(alpha, beta, theta, max_degree, n):
     return blocks
 
 
-def gram_numeric(space: str, params: dict, max_degree: int,
-                 quad: QuadratureConfig | None = None) -> GramBlocks:
+def gram_numeric(space: str, params: dict, max_degree: int) -> GramBlocks:
     """Gram blocks by adaptive tensor quadrature for arbitrary valid
     parameters; the attached quad_error is the last inter-order change."""
-    quad = quad or QuadratureConfig()
     if space == "bidisk":
         alpha, beta = params["alpha"], params["beta"]
         theta, vartheta = params["theta"], params.get("vartheta", 0.0)
@@ -342,15 +312,15 @@ def gram_numeric(space: str, params: dict, max_degree: int,
     else:
         raise DomainError(f"gram_numeric does not support space {space!r}")
 
-    n = quad.start_order
+    n = QUAD_START_ORDER
     prev = compute(n)
     err = math.inf
-    while n <= quad.max_order:
+    while n <= QUAD_MAX_ORDER:
         n *= 2
         cur = compute(n)
         scale = max(max(np.max(np.abs(b)) for b in cur), 1.0)
         err = max(np.max(np.abs(c - p)) for c, p in zip(cur, prev))
-        if err <= quad.tolerance * scale:
+        if err <= QUAD_TOLERANCE * scale:
             return GramBlocks(space, dict(params), cur, exact=False,
                               quad_error=float(err))
         prev = cur

@@ -201,19 +201,7 @@ class BiPoly:
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
-    # ---- external text / JSON forms -------------------------------------
-
-    def to_json(self) -> list:
-        """[[m, n, re, im], ...] sorted by (m, n)."""
-        return [[m, n, c.real, c.imag]
-                for (m, n), c in sorted(self.coeffs.items())]
-
-    @classmethod
-    def from_json(cls, data: list) -> "BiPoly":
-        out: dict = {}
-        for m, n, re_, im in data:
-            out[(int(m), int(n))] = out.get((int(m), int(n)), 0) + complex(re_, im)
-        return cls(out)
+    # ---- text form -------------------------------------------------------
 
     @classmethod
     def parse(cls, text: str) -> "BiPoly":

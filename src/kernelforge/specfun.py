@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import SeriesResult, TruncationConfig, default_config
+from .config import (CONSECUTIVE_SMALL, SAFETY_FACTOR, SeriesResult,
+                     TruncationConfig, default_config)
 from .errors import ConvergenceError, DomainError
 
 _INT_EPS = 1e-9
@@ -84,10 +85,10 @@ def hyp2f1(a: float, b: float, c: float, x: complex,
         total += term
         # limiting term ratio is x, so a geometric tail bound applies
         q = max(ax, min(abs((a + n + 1) * (b + n + 1) / ((c + n + 1) * (n + 2))) * ax, 0.999))
-        tail = cfg.safety_factor * abs(term) * q / (1.0 - q)
+        tail = SAFETY_FACTOR * abs(term) * q / (1.0 - q)
         if tail <= cfg.tolerance * max(1.0, abs(total)):
             small_streak += 1
-            if small_streak >= cfg.consecutive_small:
+            if small_streak >= CONSECUTIVE_SMALL:
                 return SeriesResult(total, n + 1, tail)
         else:
             small_streak = 0
@@ -142,11 +143,12 @@ def _thomae_step(rep: _Rep3F2, which: int) -> _Rep3F2 | None:
     return _Rep3F2(new_uppers, new_lowers, log_pref, sign)
 
 
-def _rep_candidates(rep: _Rep3F2, depth: int = 2) -> list[_Rep3F2]:
+def _rep_candidates(rep: _Rep3F2) -> list[_Rep3F2]:
+    """rep and the distinct representations within two Thomae steps of it."""
     seen = {}
     frontier = [rep]
     seen[tuple(round(p, 9) for p in rep.uppers + rep.lowers)] = rep
-    for _ in range(depth):
+    for _ in range(2):
         nxt = []
         for r in frontier:
             for which in range(3):
@@ -189,10 +191,10 @@ def _sum_3f2_rep(rep: _Rep3F2, cfg: TruncationConfig) -> SeriesResult:
         if n_stop is not None and n + 1 >= n_stop:
             return SeriesResult(complex(scale * total), n + 1, 0.0)
         # algebraic tail: sum_{m>n} C m^{-(s+1)} ~ |t_n| * n / s
-        tail = cfg.safety_factor * abs(term) * max(n + 1, 1) / max(s, 1e-3)
+        tail = SAFETY_FACTOR * abs(term) * max(n + 1, 1) / max(s, 1e-3)
         if tail <= cfg.tolerance * max(1.0, abs(total)):
             small_streak += 1
-            if small_streak >= cfg.consecutive_small:
+            if small_streak >= CONSECUTIVE_SMALL:
                 return SeriesResult(complex(scale * total), n + 1,
                                     abs(scale) * tail)
         else:
@@ -204,13 +206,12 @@ def _sum_3f2_rep(rep: _Rep3F2, cfg: TruncationConfig) -> SeriesResult:
 
 
 def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float,
-                cfg: TruncationConfig | None = None,
-                accelerate: bool = True) -> SeriesResult:
+                cfg: TruncationConfig | None = None) -> SeriesResult:
     """3F2(a1,a2,a3; b1,b2; 1).
 
     Requires b1+b2-a1-a2-a3 > 0 unless an upper parameter truncates the
-    series. With accelerate=True the cheapest Thomae-equivalent
-    representation is summed instead of the literal series.
+    series.  Sums the cheapest of the representations within two Thomae
+    steps, the literal series among them.
     """
     cfg = cfg or default_config()
     for b in (b1, b2):
@@ -220,8 +221,6 @@ def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float,
     if base.terminating_length() is None and base.excess <= 0:
         raise DomainError(
             f"hyp3f2_unit diverges at x=1: excess {base.excess} <= 0")
-    if not accelerate:
-        return _sum_3f2_rep(base, cfg)
     candidates = _rep_candidates(base)
     best = min(candidates, key=lambda r: _rep_cost(r, cfg.tolerance, cfg.max_terms))
     if math.isinf(_rep_cost(best, cfg.tolerance, cfg.max_terms)):
@@ -246,10 +245,10 @@ def mittag_e(theta: float, x: complex,
         total += term
         q = abs(x) / (theta + n + 2.0)
         if q < 1.0:
-            tail = cfg.safety_factor * abs(term) * q / (1.0 - q)
+            tail = SAFETY_FACTOR * abs(term) * q / (1.0 - q)
             if tail <= cfg.tolerance * max(1.0, abs(total)):
                 small_streak += 1
-                if small_streak >= cfg.consecutive_small:
+                if small_streak >= CONSECUTIVE_SMALL:
                     return SeriesResult(total, n + 1, tail)
             else:
                 small_streak = 0

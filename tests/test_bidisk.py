@@ -11,7 +11,7 @@ from kernelforge.bidisk import (BidiskParams, coeff_a, coeff_b, diag_kernel,
                                 norm_expansion, q_kernel,
                                 restriction_transform, sigma,
                                 sigma_gamma_form, taylor_blocks)
-from kernelforge.config import Point2
+from kernelforge.config import Point2, TruncationConfig
 from kernelforge.errors import DomainError
 from kernelforge.poly2 import BiPoly
 
@@ -226,8 +226,10 @@ def test_hardy_norm_expansion_values():
 def _q_kernel_reference(params, N, z, w, terms):
     """q_kernel's series summed in mpmath to `terms` terms, with c_n from its
     binomial definition sum_j (A)_j/j! (B)_{n-j}/(n-j)! z1^j z2^{n-j}, and
-    the sum of the moduli of those terms."""
-    with mpmath.workdps(40):
+    the sum of the moduli of those terms.  Those binomial sums cancel: at the
+    near-boundary pair below, 40 digits leave an error of 2.8e-11 of the sum
+    of the moduli, and 60, 80 and 100 digits all agree to 2.1e-15."""
+    with mpmath.workdps(80):
         A = mpmath.mpf(params.a) + N
         B = mpmath.mpf(params.b) + N
         s2 = mpmath.mpf(params.s) + 2 * N + 2
@@ -260,26 +262,35 @@ def _q_kernel_reference(params, N, z, w, terms):
 
 
 _R = 0.8
+_PRODUCT = (1.0, 0.5, 0.0, 0.0)
+# (alpha, beta, theta, vartheta), z, w
 _RECURRENCE_PAIRS = {
-    "antipodal": (Point2(cmath.rect(_R, 0.4), -cmath.rect(_R, 0.4)),
+    "antipodal": (_PRODUCT, Point2(cmath.rect(_R, 0.4), -cmath.rect(_R, 0.4)),
                   Point2(cmath.rect(_R, -1.1), -cmath.rect(_R, -1.1))),
-    "near-arguments": (Point2(cmath.rect(_R, 0.3), cmath.rect(0.79, 0.36)),
+    "near-arguments": (_PRODUCT,
+                       Point2(cmath.rect(_R, 0.3), cmath.rect(0.79, 0.36)),
                        Point2(cmath.rect(0.795, -0.2), cmath.rect(_R, -0.15))),
-    "z2-zero": (Point2(cmath.rect(_R, 2.0), 0.0),
+    "z2-zero": (_PRODUCT, Point2(cmath.rect(_R, 2.0), 0.0),
                 Point2(cmath.rect(0.7, 0.5), cmath.rect(_R, -2.5))),
-    "diagonal-z": (Point2(cmath.rect(_R, 1.2), cmath.rect(_R, 1.2)),
+    "diagonal-z": (_PRODUCT, Point2(cmath.rect(_R, 1.2), cmath.rect(_R, 1.2)),
                    Point2(cmath.rect(0.6, -0.4), cmath.rect(_R, 2.2))),
+    # 310 terms at N = 40
+    "near-boundary": ((1.0, 4.0, 1.5, 0.0),
+                      Point2(-0.153 + 0.938j, 0.152 - 0.928j),
+                      Point2(-0.719 - 0.621j, 0.681 + 0.588j)),
 }
+# every pair at N = 0, 3 and 40, the near-boundary one only at N = 40
+_RECURRENCE_CASES = [(pair, N) for pair in sorted(_RECURRENCE_PAIRS)
+                     for N in (0, 3, 40) if pair != "near-boundary" or N == 40]
 
 
-@pytest.mark.parametrize("N", [0, 3, 40])
-@pytest.mark.parametrize("pair", sorted(_RECURRENCE_PAIRS))
+@pytest.mark.parametrize("pair, N", _RECURRENCE_CASES)
 def test_q_kernel_recurrence_against_mpmath(pair, N):
     # the binomial sum for c_n cancels at antipodal points (relative error
     # 2.7e-2 at N=40); the recurrence must stay within rounding of the sum
     # of the moduli of the series' terms
-    p = BidiskParams(1.0, 0.5, 0.0, 0.0)
-    z, w = _RECURRENCE_PAIRS[pair]
+    tup, z, w = _RECURRENCE_PAIRS[pair]
+    p = BidiskParams(*tup)
     got = q_kernel(p, N, z, w)
     ref, moduli = _q_kernel_reference(p, N, z, w, got.terms_used)
     assert abs(got.value - ref) <= 1e-13 * moduli
@@ -334,3 +345,25 @@ def test_full_kernel_terms_per_order(case, monkeypatch):
     monkeypatch.setattr(bidisk, "q_kernel", counted)
     r = full_kernel(BidiskParams(*tup), z, w)
     assert (r.terms_used, len(parts), sum(parts)) == (terms, orders, terms)
+
+
+def test_full_kernel_reads_warmed_sigma(monkeypatch):
+    # a series that ends at order N reads sigma up to order N + 2; after
+    # sigma(p.shifted(k)) for those k it must evaluate no 3F2 (the benchmark's
+    # warm-up relies on this)
+    tup, z, w, _, orders = _TERM_CASES["vartheta"]
+    p = BidiskParams(*tup)
+    cfg = TruncationConfig(max_terms=99_999)  # cache entries of this test only
+    for k in range(orders + 2):
+        sigma(p.shifted(k), cfg)
+    hyp3f2, calls = bidisk.hyp3f2_unit, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return hyp3f2(*args, **kwargs)
+
+    monkeypatch.setattr(bidisk, "hyp3f2_unit", counted)
+    full_kernel(p, z, w, cfg)
+    assert calls == []
+    sigma(p.shifted(orders + 2), cfg)
+    assert len(calls) == 1

@@ -187,3 +187,49 @@ def test_kernel_oracle_degree_follows_pairs(capsys):
         "--pair", "0.9,0.9,0.9,0.9", "--oracle"])
     assert code == cli.EXIT_CONVERGENCE
     assert "oracle" in err
+
+
+_KERNEL = ["kernel", "--space", "bidisk", "--alpha", "0", "--beta", "0",
+           "--pair", "0.3,0.2,0.25,-0.1"]
+# argv, KERNELFORGE_MAX_TERMS, the setting the message must name; before
+# they were checked, 0 was ignored, -1 and abc ended in a traceback with exit
+# code 1 and nan ran 100,000 terms and exited 3
+_BAD_SETTINGS = {
+    "tolerance-zero": (_KERNEL + ["--tolerance", "0"], None, "--tolerance"),
+    "tolerance-negative": (_KERNEL + ["--tolerance", "-1"], None,
+                           "--tolerance"),
+    "tolerance-nan": (_KERNEL + ["--tolerance", "nan"], None, "--tolerance"),
+    "max-terms-not-integer": (_KERNEL, "abc", "KERNELFORGE_MAX_TERMS"),
+    "max-terms-not-integer-verify": (["verify", "ball"], "abc",
+                                     "KERNELFORGE_MAX_TERMS"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SETTINGS))
+def test_bad_setting_is_domain_error(capsys, monkeypatch, case):
+    argv, cap, name = _BAD_SETTINGS[case]
+    if cap is not None:
+        monkeypatch.setenv("KERNELFORGE_MAX_TERMS", cap)
+    code, _, err = run(capsys, argv)
+    assert code == cli.EXIT_DOMAIN
+    assert name in err and len(err.strip().splitlines()) == 1
+
+
+_NORM = ["norm-expand", "--space", "fock", "--alpha", "1", "--beta", "1"]
+# argv with {missing} for a path that does not exist, and the option the
+# message must name; each ended in a traceback with exit code 1
+_MISSING_INPUTS = {
+    "points-file": (["kernel", "--space", "bidisk", "--alpha", "0", "--beta",
+                     "0", "--points-file", "{missing}"], "--points-file"),
+    "poly-file": (_NORM + ["--poly-file", "{missing}"], "--poly-file"),
+    "no-poly": (_NORM, "--poly"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISSING_INPUTS))
+def test_missing_input_is_domain_error(capsys, tmp_path, case):
+    argv, option = _MISSING_INPUTS[case]
+    missing = str(tmp_path / "missing.txt")
+    code, _, err = run(capsys, [a.format(missing=missing) for a in argv])
+    assert code == cli.EXIT_DOMAIN
+    assert option in err and len(err.strip().splitlines()) == 1

@@ -172,13 +172,3 @@ def test_project_qn_norms_sum_to_total():
     total = sum(g.norm_sq(oracle.project(g, f, N)[1])
                 for N in range(f.total_degree + 1))
     assert total == pytest.approx(g.norm_sq(f), rel=1e-12)
-
-
-def test_gram_json_roundtrip(tmp_path):
-    g = oracle.gram_bidisk_exact(0.0, 0.0, 1.0, 3)
-    path = tmp_path / "gram.json"
-    g.save(path)
-    g2 = oracle.GramBlocks.load(path)
-    assert g2.space == g.space and g2.exact
-    for a, b in zip(g.blocks, g2.blocks):
-        assert np.array_equal(a, b)

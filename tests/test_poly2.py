@@ -81,8 +81,3 @@ def test_parse_rejects_garbage():
         BiPoly.parse("z3 + 1")
     with pytest.raises(DomainError):
         BiPoly.parse("")
-
-
-def test_json_roundtrip():
-    f = BiPoly.parse("(1,2)*z1^2 - z2")
-    assert BiPoly.from_json(f.to_json()).coeffs == f.coeffs
