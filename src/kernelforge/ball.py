@@ -30,7 +30,7 @@ class BallParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "theta"):
-            if getattr(self, name) <= -1:
+            if not getattr(self, name) > -1:  # NaN fails too
                 raise DomainError(f"{name} must exceed -1")
 
 

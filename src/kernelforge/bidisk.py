@@ -46,10 +46,12 @@ class BidiskParams:
     vartheta: float = 0.0
 
     def __post_init__(self):
+        # written as `not x > bound` so that NaN fails too
         for name in ("alpha", "beta", "theta", "vartheta"):
-            if getattr(self, name) <= -1:
+            if not getattr(self, name) > -1:
                 raise DomainError(f"{name} must exceed -1")
-        if self.alpha + self.beta + 2 * self.theta + 2 * self.vartheta + 3 <= 0:
+        if not (self.alpha + self.beta + 2 * self.theta + 2 * self.vartheta
+                + 3 > 0):
             raise DomainError(
                 "alpha + beta + 2 theta + 2 vartheta + 3 must be positive")
 

@@ -133,12 +133,18 @@ def _oracle_degree(gram, pairs, results):
         f"bound its truncation by {_ORACLE_TAIL:.0e} relative")
 
 
-def _open(path, option):
+def _read_text(path, option) -> str:
+    """The UTF-8 text of an input file; a file that cannot be read or
+    decoded is a domain error naming its option."""
     try:
-        return open(path)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise DomainError(
             f"{option}: cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{option}: {path} is not UTF-8 text ({exc.reason} "
+                          f"at byte {exc.start})") from None
 
 
 def cmd_kernel(args, cfg) -> int:
@@ -146,10 +152,10 @@ def cmd_kernel(args, cfg) -> int:
     params = space["params"](args)
     pairs = [_parse_pair(t) for t in args.pair or []]
     if args.points_file:
-        with _open(args.points_file, "--points-file") as fh:
-            pairs.extend(_parse_pair(line, f"{args.points_file} line {i}")
-                         for i, line in enumerate(fh, 1)
-                         if line.strip() and not line.startswith("#"))
+        lines = _read_text(args.points_file, "--points-file").split("\n")
+        pairs.extend(_parse_pair(line, f"{args.points_file} line {i}")
+                     for i, line in enumerate(lines, 1)
+                     if line.strip() and not line.startswith("#"))
     if not pairs:
         raise DomainError("no point pairs given (use --pair or --points-file)")
     # a degree-0 table checks the oracle's domain before the library runs and
@@ -182,8 +188,7 @@ def cmd_norm_expand(args, cfg) -> int:
     space = SPACES[args.space]
     params = space["params"](args)
     if args.poly_file:
-        with _open(args.poly_file, "--poly-file") as fh:
-            f = BiPoly.parse(fh.read())
+        f = BiPoly.parse(_read_text(args.poly_file, "--poly-file"))
     elif args.poly is not None:
         f = BiPoly.parse(args.poly)
     else:
@@ -196,8 +201,8 @@ def cmd_norm_expand(args, cfg) -> int:
     if args.oracle:
         gram = space["gram"](args, max(f.total_degree, 0))
         norm = gram.norm_sq(f)
-        refs = [gram.norm_sq(oracle.project(gram, f, N)[1])
-                for N, _ in exp.terms]
+        parts = oracle.order_parts(gram, f)
+        refs = [gram.norm_sq(parts[N]) for N, _ in exp.terms]
         for item, ref in zip(items, refs + [norm]):
             abs_err = abs(item["value"][0] - ref)
             ok = abs_err <= 1e-9 * max(1.0, norm)

@@ -25,9 +25,10 @@ class FockParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
+        # written as `not x > bound` so that NaN fails too
+        if not (self.alpha > 0 and self.beta > 0):
             raise DomainError("alpha and beta must be positive")
-        if self.theta <= -1:
+        if not self.theta > -1:
             raise DomainError("theta must exceed -1")
 
     @property

@@ -118,6 +118,17 @@ def test_norm_expand_with_oracle(capsys):
     assert all(i["passed"] for i in report["items"])
 
 
+def test_norm_expand_oracle_unequal_gaussian_weights(capsys):
+    # the per-order normal matrices of the projections exceeded the
+    # condition limit here and the command exited 4; the Gaussian weight
+    # factors in z1 - z2 and z1 + 10 z2, whose powers are orthogonal
+    code, out, _ = run(capsys, [
+        "norm-expand", "--space", "fock", "--alpha", "1", "--beta", "10",
+        "--theta", "1", "--poly", "z1^12 - 3*z1^5*z2^6 + z2^11", "--oracle"])
+    assert code == 0
+    assert all(i["passed"] for i in json.loads(out)["items"])
+
+
 def test_norm_expand_poly_file(capsys, tmp_path):
     pf = tmp_path / "f.txt"
     pf.write_text("z1 - z2\n")
@@ -231,5 +242,36 @@ def test_missing_input_is_domain_error(capsys, tmp_path, case):
     argv, option = _MISSING_INPUTS[case]
     missing = str(tmp_path / "missing.txt")
     code, _, err = run(capsys, [a.format(missing=missing) for a in argv])
+    assert code == cli.EXIT_DOMAIN
+    assert option in err and len(err.strip().splitlines()) == 1
+
+
+# a NaN weight exponent passed the parameter checks, which were written as
+# `x <= bound`: sigma on the bidisk ended in a ValueError traceback with exit
+# code 1, and the Gaussian and ball kernels ran 100,000 terms and exited 3
+_NAN_WEIGHTS = {
+    "bidisk": ["sigma", "--space", "bidisk", "--alpha", "nan", "--beta", "0"],
+    "ball": ["kernel", "--space", "ball", "--alpha", "nan", "--beta", "0",
+             "--pair", "0.1,0.1,0.1,0.1"],
+    "fock": ["kernel", "--space", "fock", "--alpha", "nan", "--beta", "1",
+             "--pair", "0.1,0.1,0.1,0.1"],
+}
+
+
+@pytest.mark.parametrize("space", sorted(_NAN_WEIGHTS))
+def test_nan_weight_is_domain_error(capsys, space):
+    code, _, err = run(capsys, _NAN_WEIGHTS[space])
+    assert code == cli.EXIT_DOMAIN
+    assert "alpha" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("case", ["points-file", "poly-file"])
+def test_undecodable_input_is_domain_error(capsys, tmp_path, case):
+    # a file that is not UTF-8 text ended in a UnicodeDecodeError traceback
+    # with exit code 1
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xff\xfe0.1,0.1,0.1,0.1\n")
+    argv, option = _MISSING_INPUTS[case]
+    code, _, err = run(capsys, [a.format(missing=path) for a in argv])
     assert code == cli.EXIT_DOMAIN
     assert option in err and len(err.strip().splitlines()) == 1

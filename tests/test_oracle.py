@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -86,22 +87,6 @@ def test_gram_numeric_matches_exact_fock():
         assert np.max(np.abs(a - b)) < 1e-8
 
 
-def test_mc_cross_check_bidisk_entry():
-    params = {"alpha": 0.0, "beta": 0.0, "theta": 1.0, "vartheta": 0.0}
-    exact = oracle.gram_bidisk_exact(0.0, 0.0, 1.0, 1).blocks[1][0, 1]
-    mc, se = oracle.mc_gram_entry("bidisk", params, (1, 0), (0, 1),
-                                  n_samples=100_000, seed=5)
-    assert abs(mc - exact) < 3 * se
-
-
-def test_mc_cross_check_fock_entry():
-    params = {"alpha": 1.0, "beta": 1.0, "theta": 1.0}
-    exact = oracle.gram_fock_exact(1.0, 1.0, 1.0, 0).blocks[0][0, 0]
-    mc, se = oracle.mc_gram_entry("fock", params, (0, 0), (0, 0),
-                                  n_samples=100_000, seed=5)
-    assert abs(mc - exact) < 3 * se
-
-
 def test_kernel_blocks_product_case():
     kb = oracle.gram_kernel_blocks(oracle.gram_bidisk_exact(0.0, 0.5, 0.0, 4))
     for d, blk in enumerate(kb):
@@ -172,3 +157,86 @@ def test_project_qn_norms_sum_to_total():
     total = sum(g.norm_sq(oracle.project(g, f, N)[1])
                 for N in range(f.total_degree + 1))
     assert total == pytest.approx(g.norm_sq(f), rel=1e-12)
+
+
+def test_projection_rejects_ill_conditioned():
+    # the block of test_kernel_blocks_reject_ill_conditioned: z1 - z2 has
+    # norm 1e-15 against monomials of norm 1
+    g = oracle.gram_bidisk_exact(0.0, 0.0, 0.0, 1)
+    g.blocks[1][:] = [[1.0, 1.0], [1.0, 1.0 + 1e-15]]
+    f = BiPoly.parse("z1 + 2*z2")
+    with pytest.raises(ConditioningError):
+        oracle.project(g, f, 1)
+    with pytest.raises(ConditioningError):
+        oracle.order_parts(g, f)
+
+
+def _mp_gram_block(d, theta, moment1, moment2):
+    """The integer-theta Gram block of degree d in the current mpmath
+    precision: |z1-z2|^(2 theta) expanded binomially against the radial
+    moments moment_i(p) of each variable."""
+    block = mpmath.matrix(d + 1, d + 1)
+    for a in range(d + 1):
+        for b in range(d + 1):
+            for i in range(theta + 1):
+                j = i + a - b
+                if 0 <= j <= theta:
+                    block[a, b] += ((-1) ** (i + j) * math.comb(theta, i)
+                                    * math.comb(theta, j) * moment1(a + i)
+                                    * moment2(d - a + theta - i))
+    return block
+
+
+def _mp_order_norms(block, f):
+    """||Q_N f||^2, N = 0..deg f, from the per-order normal systems: in the
+    Gram block block(d) of each degree d of f, P_o f is the least-squares fit
+    of f by the columns (z1-z2)^o z1^j z2^(d-o-j), and
+    ||Q_N f||^2 = ||P_N f||^2 - ||P_N+1 f||^2."""
+    norms = [mpmath.mpf(0)] * (f.total_degree + 1)
+    for d in sorted({m + n for m, n in f.coeffs}):
+        g = block(d)
+        gf = g * mpmath.matrix([f.coeffs.get((m, d - m), 0)
+                                for m in range(d + 1)])
+        p_sq = [mpmath.mpf(0)] * (d + 2)
+        for o in range(d + 1):
+            basis = mpmath.matrix(d + 1, d - o + 1)
+            for j in range(d - o + 1):
+                for i in range(o + 1):
+                    basis[i + j, j] = math.comb(o, i) * (-1) ** (o - i)
+            rhs = basis.T * gf
+            sol = mpmath.lu_solve(basis.T * g * basis, rhs)
+            p_sq[o] = mpmath.re(sum(r * mpmath.conj(x)
+                                    for r, x in zip(rhs, sol)))
+        for o in range(d + 1):
+            norms[o] += p_sq[o] - p_sq[o + 1]
+    return norms
+
+
+@pytest.mark.parametrize("space,al,be,th,degree", [
+    ("bidisk", 2.0, 0.0, 2, 10), ("bidisk", 0.0, 0.0, 0, 14),
+    ("fock", 2.0, 0.5, 2, 10), ("fock", 0.5, 2.0, 0, 10)])
+def test_order_parts_against_mpmath(space, al, be, th, degree):
+    # the reference solves the per-order normal systems at 50 digits, so it
+    # shares no step with the one factorisation per block of order_parts
+    rng = np.random.default_rng(degree)
+    f = BiPoly({(m, d - m): complex(*rng.standard_normal(2))
+                for d in (0, 1, 2, 3, degree - 1, degree)
+                for m in range(d + 1)})
+    with mpmath.workdps(50):
+        if space == "bidisk":
+            g = oracle.gram_bidisk_exact(al, be, th, degree)
+
+            def moments(a):
+                return lambda p: mpmath.factorial(p) / mpmath.rf(a + 2, p)
+        else:
+            g = oracle.gram_fock_exact(al, be, th, degree)
+
+            def moments(a):
+                return lambda p: mpmath.factorial(p) / mpmath.mpf(a) ** (p + 1)
+        ref = _mp_order_norms(
+            lambda d: _mp_gram_block(d, th, moments(al), moments(be)), f)
+        total = float(sum(ref))
+    parts = oracle.order_parts(g, f)
+    assert len(parts) == degree + 1
+    for part, want in zip(parts, ref):
+        assert abs(g.norm_sq(part) - float(want)) <= 1e-12 * total
