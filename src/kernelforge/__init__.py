@@ -15,8 +15,8 @@ from .bidisk import (BidiskParams, NormExpansion, coeff_a, coeff_b,
 from .ball import (BallParams, ball_full_kernel, ball_full_kernel_series,
                    ball_hardy_norm_expansion, ball_norm_expansion,
                    ball_qN_kernel, embed_const)
-from .fock import (FockParams, coeff_c, fock_cov_kernel, fock_diag_kernel,
-                   fock_full_kernel, fock_norm_expansion, fock_q0_kernel,
+from .fock import (FockParams, coeff_c, fock_diag_kernel, fock_full_kernel,
+                   fock_norm_expansion, fock_q0_kernel,
                    fock_restriction_transform, fock_sigma)
 from .oracle import (GramBlocks, ball_monomial_norms, gram_bidisk_exact,
                      gram_fock_exact, gram_hardy_torus_exact,
@@ -34,7 +34,7 @@ __all__ = [
     "UniPoly", "ball_full_kernel", "ball_full_kernel_series",
     "ball_hardy_norm_expansion", "ball_monomial_norms", "ball_norm_expansion",
     "ball_qN_kernel", "coeff_a", "coeff_b", "coeff_c", "default_config",
-    "diag_kernel", "embed_const", "fock_cov_kernel", "fock_diag_kernel",
+    "diag_kernel", "embed_const", "fock_diag_kernel",
     "fock_full_kernel", "fock_norm_expansion", "fock_q0_kernel",
     "fock_restriction_transform", "fock_sigma", "full_kernel",
     "gram_bidisk_exact", "gram_fock_exact", "gram_hardy_torus_exact",

@@ -128,7 +128,6 @@ def diag_kernel(params: BidiskParams, z: Point2, w1: complex,
             * (1.0 - wc * z.z2) ** (-params.b))
 
 
-@lru_cache(maxsize=65536)
 def _c_coeffs(params: BidiskParams, N: int, n: int) -> tuple:
     """Coefficients (a+N)_j / j! * (b+N)_{n-j} / (n-j)! for j = 0..n."""
     a, b = params.a + N, params.b + N

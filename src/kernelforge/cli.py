@@ -52,6 +52,14 @@ def _parse_pair(text: str, source: str = "--pair"):
     return Point2(vals[0], vals[1]), Point2(vals[2], vals[3])
 
 
+def _weights(args):
+    """(alpha, beta, theta) of a space that has no vartheta weight."""
+    if args.vartheta != 0.0:
+        raise DomainError(f"--vartheta applies to the bidisk only, got "
+                          f"{args.vartheta} on {args.space}")
+    return args.alpha, args.beta, args.theta
+
+
 def _bidisk_gram(args, max_degree):
     if args.vartheta != 0.0:
         raise DomainError("oracle comparison requires vartheta = 0")
@@ -76,14 +84,14 @@ SPACES = {
             bidisk.sigma_gamma_form(p) if p.vartheta == 0.0 else None),
     },
     "ball": {
-        "params": lambda a: ball.BallParams(a.alpha, a.beta, a.theta),
+        "params": lambda a: ball.BallParams(*_weights(a)),
         "kernel": lambda p, z, w, cfg: ball.ball_full_kernel(p, z, w, cfg),
         "expand": lambda p, f, cfg: ball.ball_norm_expansion(p, f),
         "gram": lambda a, d: oracle.ball_monomial_norms(a.alpha, a.beta,
                                                         a.theta, d),
     },
     "fock": {
-        "params": lambda a: fock.FockParams(a.alpha, a.beta, a.theta),
+        "params": lambda a: fock.FockParams(*_weights(a)),
         "kernel": lambda p, z, w, cfg: fock.fock_full_kernel(p, z, w, cfg),
         "expand": lambda p, f, cfg: fock.fock_norm_expansion(p, f),
         "gram": lambda a, d: oracle.gram_fock_exact(a.alpha, a.beta,
@@ -253,7 +261,6 @@ def _wrap_report(command, args, items, passed):
         "params": {k: getattr(args, k) for k in
                    ("alpha", "beta", "theta", "vartheta")
                    if hasattr(args, k)},
-        "seed": getattr(args, "seed", None),
         "passed": bool(passed),
         "items": items,
         "wall_time": time.time() - args._t0,
@@ -277,13 +284,12 @@ def _make_cfg(args) -> TruncationConfig:
             f"--tolerance must be positive, got {args.tolerance}") from None
 
 
-def _add_common(sub):
+def _add_format(sub):
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--seed", type=int, default=0)
 
 
 def _add_space_args(sub, spaces=tuple(SPACES)):
-    _add_common(sub)
+    _add_format(sub)
     sub.add_argument("--space", required=True, choices=spaces)
     sub.add_argument("--alpha", type=float, required=True)
     sub.add_argument("--beta", type=float, required=True)
@@ -323,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_sigma)
 
     v = subs.add_parser("verify", help="run a verification suite")
-    _add_common(v)
+    _add_format(v)
+    v.add_argument("--seed", type=int, default=0)
     v.add_argument("suite")
     v.set_defaults(func=cmd_verify)
     return parser

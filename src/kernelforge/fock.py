@@ -1,17 +1,16 @@
 """Gaussian-weighted entire function spaces over C^2 with the extra
 |z1-z2|^{2 theta} factor: sigma constant, kernels, coefficient family c_{k,N},
-restriction transform, norm expansion, and a change-of-variables kernel used
-purely for differential testing.
+restriction transform and norm expansion.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
-from .config import (CONSECUTIVE_SMALL, SAFETY_FACTOR, Point2, SeriesResult,
-                     TruncationConfig, default_config)
-from .errors import ConvergenceError, DomainError
+from .config import Point2, SeriesResult, TruncationConfig, default_config
+from .errors import DomainError
 from .poly2 import BiPoly, UniPoly
 from .specfun import log_gamma, mittag_e
 
@@ -47,14 +46,8 @@ def fock_sigma(params: FockParams) -> float:
 def fock_diag_kernel(params: FockParams, z: Point2, w1: complex) -> complex:
     """P(z, (w1, w1)) = sigma e^{conj(w1)(alpha z1 + beta z2)}."""
     wc = complex(w1).conjugate()
-    return fock_sigma(params) * complex(
-        *_cexp(wc * (params.alpha * z.z1 + params.beta * z.z2)))
-
-
-def _cexp(x: complex):
-    v = complex(x)
-    r = math.exp(v.real)
-    return r * math.cos(v.imag), r * math.sin(v.imag)
+    return fock_sigma(params) * cmath.exp(
+        wc * (params.alpha * z.z1 + params.beta * z.z2))
 
 
 def fock_q0_kernel(params: FockParams, z: Point2, w: Point2) -> complex:
@@ -63,7 +56,7 @@ def fock_q0_kernel(params: FockParams, z: Point2, w: Point2) -> complex:
     al, be = params.alpha, params.beta
     expo = ((al * complex(w.z1).conjugate() + be * complex(w.z2).conjugate())
             * (al * z.z1 + be * z.z2) / (al + be))
-    return fock_sigma(params) * complex(*_cexp(expo))
+    return fock_sigma(params) * cmath.exp(expo)
 
 
 def fock_full_kernel(params: FockParams, z: Point2, w: Point2,
@@ -79,52 +72,8 @@ def fock_full_kernel(params: FockParams, z: Point2, w: Point2,
     arg = al * be * (z.z1 - z.z2) * (wc1 - wc2) / (al + be)
     e = mittag_e(th, arg, cfg)
     pref = (math.exp((th + 1.0) * math.log(al * be) - th * math.log(al + be))
-            * complex(*_cexp(expo)))
+            * cmath.exp(expo))
     return SeriesResult(pref * e.value, e.terms_used, abs(pref) * e.tail_bound)
-
-
-def fock_cov_kernel(params: FockParams, z: Point2, w: Point2,
-                    cfg: TruncationConfig | None = None) -> SeriesResult:
-    """Differential-test path: in the coordinates u1 = (alpha z1 + beta z2) /
-    (alpha+beta), u2 = (z1 - z2)/(alpha+beta) the space separates into a 1D
-    Gaussian space of index alpha+beta and a radially weighted one with
-    monomial norms Gamma(theta+n+1)/delta^{theta+n+1}, delta =
-    alpha beta (alpha+beta).  The kernel is the product of the two 1D kernels,
-    summed here with its own loop and tail bound."""
-    cfg = cfg or default_config()
-    al, be, th = params.alpha, params.beta, params.theta
-    ab = al + be
-    u1 = (al * z.z1 + be * z.z2) / ab
-    u2 = (z.z1 - z.z2) / ab
-    v1 = (al * w.z1 + be * w.z2) / ab
-    v2 = (w.z1 - w.z2) / ab
-    delta = al * be * ab
-    first = ab * complex(*_cexp(ab * u1 * complex(v1).conjugate()))
-    x = u2 * complex(v2).conjugate()
-    # second factor: sum_n delta^{theta+n+1}/Gamma(theta+n+1) x^n
-    term = complex(math.exp((th + 1.0) * math.log(delta) - log_gamma(th + 1.0)))
-    total = term
-    small_streak = 0
-    tail = math.inf
-    terms = 1
-    for n in range(cfg.max_terms):
-        term = term * delta * x / (th + n + 1.0)
-        total += term
-        terms = n + 2
-        q = abs(delta * x) / (th + n + 2.0)
-        if q < 1.0:
-            tail = SAFETY_FACTOR * abs(term) * q / (1.0 - q)
-            if tail <= cfg.tolerance * max(1.0, abs(total)):
-                small_streak += 1
-                if small_streak >= CONSECUTIVE_SMALL:
-                    value = first * total / ab ** (2.0 * th + 2.0)
-                    return SeriesResult(value, terms,
-                                        abs(first) * tail / ab ** (2.0 * th + 2.0))
-            else:
-                small_streak = 0
-    raise ConvergenceError(
-        f"fock_cov_kernel series did not converge in {cfg.max_terms} terms",
-        terms_used=terms, tail_estimate=tail)
 
 
 def coeff_c(params: FockParams, k: int, N: int) -> float:

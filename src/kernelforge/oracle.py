@@ -5,7 +5,8 @@ products vanish).
 Exact blocks exist for integer theta (binomial expansion of |z1-z2|^{2theta}
 against 1D radial moments); everything else goes through dimension-reduced
 adaptive quadrature.  Kernel Taylor blocks are the exact inverses of the Gram
-blocks.
+blocks.  Each builder checks its parameters by constructing the space's
+parameter class, which holds the space's domain.
 
 The orthogonal parts Q_N f of f that vanish to order exactly N along the
 space's variety {u = 0} (u = z1 - z2, or z2 on the ball) all come from one
@@ -31,7 +32,10 @@ import numpy as np
 from scipy.linalg import cho_solve, lapack
 from scipy.special import roots_genlaguerre, roots_jacobi, roots_legendre
 
+from .ball import BallParams
+from .bidisk import BidiskParams
 from .errors import ConditioningError, DomainError, QuadratureError
+from .fock import FockParams
 from .poly2 import BiPoly
 from .specfun import log_gamma
 
@@ -95,7 +99,8 @@ def _degree_vectors(f: BiPoly, max_degree: int) -> list:
 
 
 def _require_integer_theta(theta: float) -> int:
-    if abs(theta - round(theta)) > 1e-12 or theta < 0:
+    # the range test comes first, so that NaN and inf fail before round()
+    if not (0 <= theta < math.inf and abs(theta - round(theta)) <= 1e-12):
         raise DomainError(f"exact Gram blocks need integer theta >= 0, got {theta}")
     return int(round(theta))
 
@@ -125,9 +130,8 @@ def _binomial_gram_block(degree: int, theta: int, moment1, moment2) -> np.ndarra
 def gram_bidisk_exact(alpha: float, beta: float, theta: float,
                       max_degree: int) -> GramBlocks:
     """Exact bidisk Gram blocks for integer theta, vartheta = 0."""
+    BidiskParams(alpha, beta, theta)
     th = _require_integer_theta(theta)
-    if alpha <= -1 or beta <= -1:
-        raise DomainError("alpha, beta must exceed -1")
     blocks = [
         _binomial_gram_block(d, th,
                              lambda p: disk_moment(alpha, p),
@@ -141,9 +145,8 @@ def gram_bidisk_exact(alpha: float, beta: float, theta: float,
 def gram_fock_exact(alpha: float, beta: float, theta: float,
                     max_degree: int) -> GramBlocks:
     """Exact Fock Gram blocks for integer theta."""
+    FockParams(alpha, beta, theta)
     th = _require_integer_theta(theta)
-    if alpha <= 0 or beta <= 0:
-        raise DomainError("alpha, beta must be positive")
     blocks = [
         _binomial_gram_block(d, th,
                              lambda p: fock_moment(alpha, p),
@@ -180,8 +183,7 @@ def ball_monomial_norms(alpha: float, beta: float, theta: float,
                         max_degree: int) -> GramBlocks:
     """Diagonal Gram blocks of the ball space (radial weights make monomials
     orthogonal)."""
-    if alpha <= -1 or beta <= -1 or theta <= -1:
-        raise DomainError("ball parameters must exceed -1")
+    BallParams(alpha, beta, theta)
     blocks = []
     for d in range(max_degree + 1):
         diag = [ball_monomial_norm(alpha, beta, theta, m, d - m)
@@ -308,21 +310,18 @@ def gram_numeric(space: str, params: dict, max_degree: int) -> GramBlocks:
     """Gram blocks by adaptive tensor quadrature for arbitrary valid
     parameters; the attached quad_error is the last inter-order change."""
     if space == "bidisk":
-        alpha, beta = params["alpha"], params["beta"]
-        theta, vartheta = params["theta"], params.get("vartheta", 0.0)
-        if min(alpha, beta, theta, vartheta) <= -1:
-            raise DomainError("bidisk parameters must exceed -1")
+        p = BidiskParams(params["alpha"], params["beta"], params["theta"],
+                         params.get("vartheta", 0.0))
 
         def compute(n):
-            return _bidisk_blocks_at_order(alpha, beta, theta, vartheta,
-                                           max_degree, n)
+            return _bidisk_blocks_at_order(p.alpha, p.beta, p.theta,
+                                           p.vartheta, max_degree, n)
     elif space == "fock":
-        alpha, beta, theta = params["alpha"], params["beta"], params["theta"]
-        if alpha <= 0 or beta <= 0 or theta <= -1:
-            raise DomainError("fock parameters require alpha, beta > 0, theta > -1")
+        p = FockParams(params["alpha"], params["beta"], params["theta"])
 
         def compute(n):
-            return _fock_blocks_at_order(alpha, beta, theta, max_degree, n)
+            return _fock_blocks_at_order(p.alpha, p.beta, p.theta,
+                                         max_degree, n)
     else:
         raise DomainError(f"gram_numeric does not support space {space!r}")
 

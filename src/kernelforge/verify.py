@@ -8,12 +8,16 @@ acceptance tests both consume these.
 
 from __future__ import annotations
 
+import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
+from scipy.special import roots_jacobi
 
 from . import bidisk, ball, fock, oracle
 from .config import Point2, default_config
+from .errors import DomainError
 from .poly2 import BiPoly
 from .specfun import pochhammer
 
@@ -221,6 +225,45 @@ def suite_ball(seed: int = 0) -> dict:
 
 # -- criterion 8 ------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _e_theta_rule(theta: float):
+    """Nodes t and weights of the 64-node Gauss-Jacobi rule for
+    Gamma(theta)^-1 int_0^1 (1-t)^(theta-1) g(t) dt, theta > 0."""
+    x, wx = roots_jacobi(64, theta - 1.0, 0.0)
+    return 0.5 * (x + 1.0), wx / (2.0 ** theta * math.gamma(theta))
+
+
+def _e_theta(theta: float, x: complex) -> complex:
+    """E_theta(x) = sum_n x^n / Gamma(theta+n+1), theta >= 0, not from that
+    series: e^x at theta = 0, else Gamma(theta)^-1 int_0^1 (1-t)^(theta-1)
+    e^(xt) dt by _e_theta_rule."""
+    # within |x| <= 30 the rule agrees with mpmath to 6.4e-13 relative
+    # (theta = 0.5, 1, 2.5); criterion 8 reaches about |x| = 15
+    if not abs(x) <= 30.0:
+        raise DomainError(f"E_theta reference needs |x| <= 30, got {abs(x)}")
+    if theta == 0.0:
+        return cmath.exp(x)
+    t, wt = _e_theta_rule(theta)
+    return complex(wt @ np.exp(x * t))
+
+
+def _fock_reference(params, z: Point2, w: Point2) -> complex:
+    """fock_full_kernel's value by another route.  In u1 = (alpha z1 +
+    beta z2)/(alpha+beta), u2 = (z1 - z2)/(alpha+beta) the weight separates,
+    with dA(z) = (alpha+beta)^2 dA(u): the kernel is (alpha+beta)^-(2 theta+2)
+    times the 1D Gaussian kernel of index alpha+beta in u1 and the kernel
+    delta^(theta+1) E_theta(delta u2 conj(v2)) of |u2|^(2 theta)
+    e^(-delta |u2|^2), delta = alpha beta (alpha+beta)."""
+    al, be, th = params.alpha, params.beta, params.theta
+    ab = al + be
+    u1, u2 = (al * z.z1 + be * z.z2) / ab, (z.z1 - z.z2) / ab
+    v1, v2 = (al * w.z1 + be * w.z2) / ab, (w.z1 - w.z2) / ab
+    delta = al * be * ab
+    first = ab * cmath.exp(ab * u1 * v1.conjugate())
+    second = delta ** (th + 1.0) * _e_theta(th, delta * u2 * v2.conjugate())
+    return first * second / ab ** (2.0 * th + 2.0)
+
+
 def suite_fock(seed: int = 0) -> dict:
     items = []
     rng = np.random.default_rng(seed)
@@ -235,9 +278,9 @@ def suite_fock(seed: int = 0) -> dict:
             z = Point2(complex(pts[0], pts[1]), complex(pts[2], pts[3]))
             w = Point2(complex(pts[4], pts[5]), complex(pts[6], pts[7]))
             items.append(_item(
-                f"cov theta={th} point {count}",
+                f"kernel theta={th} point {count}",
                 fock.fock_full_kernel(p, z, w).value,
-                fock.fock_cov_kernel(p, z, w).value, 1e-9))
+                _fock_reference(p, z, w), 1e-9))
     for th in (0, 1, 2):
         p = fock.FockParams(1.0, 2.0, float(th))
         g = oracle.gram_fock_exact(1.0, 2.0, float(th), 6)

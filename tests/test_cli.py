@@ -275,3 +275,16 @@ def test_undecodable_input_is_domain_error(capsys, tmp_path, case):
     code, _, err = run(capsys, [a.format(missing=path) for a in argv])
     assert code == cli.EXIT_DOMAIN
     assert option in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("space", ["ball", "fock"])
+@pytest.mark.parametrize("vartheta", ["0.7", "nan"])
+def test_vartheta_off_the_bidisk_is_domain_error(capsys, space, vartheta):
+    # only the bidisk weight has a vartheta; the ball and the Gaussian space
+    # returned their vartheta = 0 value and echoed the ignored setting
+    code, _, err = run(capsys, [
+        "kernel", "--space", space, "--alpha", "0.5", "--beta", "0.5",
+        "--vartheta", vartheta, "--pair", "0.1,0.2,0.3,0.1"])
+    assert code == cli.EXIT_DOMAIN
+    assert "--vartheta" in err and len(err.strip().splitlines()) == 1
+

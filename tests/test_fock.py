@@ -1,15 +1,17 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from kernelforge import oracle
+from kernelforge import oracle, verify
 from kernelforge.config import Point2
 from kernelforge.errors import DomainError
-from kernelforge.fock import (FockParams, coeff_c, fock_cov_kernel,
-                              fock_diag_kernel, fock_full_kernel,
-                              fock_norm_expansion, fock_q0_kernel,
-                              fock_restriction_transform, fock_sigma)
+from kernelforge.fock import (FockParams, coeff_c, fock_diag_kernel,
+                              fock_full_kernel, fock_norm_expansion,
+                              fock_q0_kernel, fock_restriction_transform,
+                              fock_sigma)
 from kernelforge.poly2 import BiPoly
 
 
@@ -66,7 +68,7 @@ def test_full_kernel_diagonal_z():
     assert abs(got - expect) < 1e-12 * abs(expect)
 
 
-def test_full_vs_cov_kernel():
+def test_full_kernel_vs_reference():
     rng = np.random.default_rng(8)
     for th in (0.0, 0.5, 1.0, 2.5):
         p = FockParams(1.3, 0.7, th)
@@ -75,8 +77,28 @@ def test_full_vs_cov_kernel():
             z = Point2(complex(pts[0], pts[1]), complex(pts[2], pts[3]))
             w = Point2(complex(pts[4], pts[5]), complex(pts[6], pts[7]))
             a = fock_full_kernel(p, z, w).value
-            b = fock_cov_kernel(p, z, w).value
+            b = verify._fock_reference(p, z, w)
             assert abs(a - b) <= 1e-10 * abs(a)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, 2.5])
+def test_reference_e_theta_against_mpmath(theta):
+    # E_theta(x) = 1F1(1; theta+1; x) / Gamma(theta+1); the largest radius
+    # sits just inside |x| = 30 so that rounding in x cannot cross it
+    for r in (0.0, 1.0, 7.5, 15.0, 29.999):
+        for k in range(16):
+            x = r * cmath.exp(2j * math.pi * k / 16)
+            with mpmath.workdps(30):
+                ref = complex(mpmath.hyp1f1(1, theta + 1, x)
+                              / mpmath.gamma(theta + 1))
+            assert abs(verify._e_theta(theta, x) - ref) <= 1e-11 * abs(ref)
+
+
+@pytest.mark.parametrize("theta,x", [(0.0, 30.5), (1.0, -31.0),
+                                     (2.5, 25j + 25), (1.0, float("nan"))])
+def test_reference_e_theta_refuses_outside_its_range(theta, x):
+    with pytest.raises(DomainError):
+        verify._e_theta(theta, x)
 
 
 def test_full_kernel_against_oracle_blocks():

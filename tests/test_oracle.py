@@ -240,3 +240,32 @@ def test_order_parts_against_mpmath(space, al, be, th, degree):
     assert len(parts) == degree + 1
     for part, want in zip(parts, ref):
         assert abs(g.norm_sq(part) - float(want)) <= 1e-12 * total
+
+
+_NAN = float("nan")
+# builder calls with a NaN parameter; before each builder checked its
+# parameters through the space's parameter class, some returned NaN blocks,
+# some raised a bare ValueError from round(nan), and gram_numeric with a NaN
+# vartheta ran its whole quadrature ladder before a QuadratureError
+_NAN_BUILDS = {
+    "fock-exact-alpha": lambda: oracle.gram_fock_exact(_NAN, 1, 0, 2),
+    "fock-exact-theta": lambda: oracle.gram_fock_exact(1, 1, _NAN, 2),
+    "bidisk-exact-alpha": lambda: oracle.gram_bidisk_exact(_NAN, 0, 1, 2),
+    "bidisk-exact-theta": lambda: oracle.gram_bidisk_exact(0, 0, _NAN, 2),
+    "hardy-theta": lambda: oracle.gram_hardy_torus_exact(_NAN, 2),
+    "hardy-theta-inf": lambda: oracle.gram_hardy_torus_exact(math.inf, 2),
+    "ball-alpha": lambda: oracle.ball_monomial_norms(_NAN, 0, 0, 2),
+    "numeric-bidisk-alpha": lambda: oracle.gram_numeric(
+        "bidisk", {"alpha": _NAN, "beta": 0.0, "theta": 1.0}, 0),
+    "numeric-bidisk-vartheta": lambda: oracle.gram_numeric(
+        "bidisk", {"alpha": 0.0, "beta": 0.0, "theta": 1.0,
+                   "vartheta": _NAN}, 0),
+    "numeric-fock-alpha": lambda: oracle.gram_numeric(
+        "fock", {"alpha": _NAN, "beta": 1.0, "theta": 1.0}, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NAN_BUILDS))
+def test_builders_reject_nan_parameters(case):
+    with pytest.raises(DomainError):
+        _NAN_BUILDS[case]()
