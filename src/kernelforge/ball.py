@@ -137,7 +137,7 @@ def ball_hardy_norm_expansion(beta: float, theta: float,
     """Surface-measure norm expansion: weights 1/[(beta+theta+N+1) (N!)^2],
     1D indices beta+theta+N; the alpha -> -1 limit with the (alpha+1)(alpha+2)
     normalization."""
-    if beta + theta <= -1:
+    if not beta + theta > -1:  # NaN fails too
         raise DomainError("ball_hardy_norm_expansion requires beta + theta > -1")
     return expand(range(f.degree_in(2) + 1), lambda N: _z2_transform(f, N),
                   lambda N: 1.0 / ((beta + theta + N + 1.0)

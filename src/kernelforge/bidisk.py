@@ -351,7 +351,7 @@ def hardy_norm_expansion(theta: float, f: BiPoly) -> NormExpansion:
     """Weighted Hardy norm expansion: weights
     Gamma(2 theta + 2N + 2) / [(2 theta + 2N + 1) Gamma(theta + N + 1)^2],
     1D indices 2 theta + 2N, coefficients b_{k,N}."""
-    if theta <= -0.5:
+    if not theta > -0.5:  # NaN fails too
         raise DomainError("hardy_norm_expansion requires theta > -1/2")
     return expand(
         range(max(f.total_degree, 0) + 1),

@@ -70,9 +70,15 @@ def fock_full_kernel(params: FockParams, z: Point2, w: Point2,
     wc2 = complex(w.z2).conjugate()
     expo = (al * wc1 + be * wc2) * (al * z.z1 + be * z.z2) / (al + be)
     arg = al * be * (z.z1 - z.z2) * (wc1 - wc2) / (al + be)
+    try:
+        pref = (math.exp((th + 1.0) * math.log(al * be)
+                         - th * math.log(al + be)) * cmath.exp(expo))
+    except OverflowError:
+        pref = math.inf
+    if not (cmath.isfinite(arg) and cmath.isfinite(pref)):
+        raise DomainError(f"Fock kernel at z = ({z.z1}, {z.z2}), w = ({w.z1}, "
+                          f"{w.z2}) is not finite in double precision")
     e = mittag_e(th, arg, cfg)
-    pref = (math.exp((th + 1.0) * math.log(al * be) - th * math.log(al + be))
-            * cmath.exp(expo))
     return SeriesResult(pref * e.value, e.terms_used, abs(pref) * e.tail_bound)
 
 

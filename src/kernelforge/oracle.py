@@ -105,68 +105,64 @@ def _require_integer_theta(theta: float) -> int:
     return int(round(theta))
 
 
-def _binomial_gram_block(degree: int, theta: int, moment1, moment2) -> np.ndarray:
-    """Shared expansion of |z1-z2|^{2 theta} against per-variable radial
-    moments; moment_i(p) is the p-th absolute moment of variable i."""
-    size = degree + 1
-    block = np.zeros((size, size))
-    binom = [math.comb(theta, i) for i in range(theta + 1)]
-    for m1 in range(size):
-        n1 = degree - m1
-        for m2 in range(m1, size):
-            shift = m1 - m2
-            total = 0.0
-            for i in range(theta + 1):
-                j = i + shift
-                if 0 <= j <= theta:
-                    sign = -1.0 if (i + j) % 2 else 1.0
-                    total += (sign * binom[i] * binom[j]
-                              * moment1(m1 + i) * moment2(n1 + theta - i))
-            block[m1, m2] = total
-            block[m2, m1] = total
-    return block
+def _binomial_gram_blocks(theta: float, max_degree: int, moment1,
+                          moment2) -> list:
+    """Blocks of degree 0..max_degree for integer theta: |z1-z2|^{2 theta}
+    expanded binomially against per-variable radial moments; moment_i(p) is
+    the p-th absolute moment of variable i."""
+    th = _require_integer_theta(theta)
+    binom = [math.comb(th, i) for i in range(th + 1)]
+    blocks = []
+    for degree in range(max_degree + 1):
+        size = degree + 1
+        block = np.zeros((size, size))
+        for m1 in range(size):
+            n1 = degree - m1
+            for m2 in range(m1, size):
+                shift = m1 - m2
+                total = 0.0
+                for i in range(th + 1):
+                    j = i + shift
+                    if 0 <= j <= th:
+                        sign = -1.0 if (i + j) % 2 else 1.0
+                        total += (sign * binom[i] * binom[j]
+                                  * moment1(m1 + i) * moment2(n1 + th - i))
+                block[m1, m2] = total
+                block[m2, m1] = total
+        blocks.append(block)
+    return blocks
 
 
 def gram_bidisk_exact(alpha: float, beta: float, theta: float,
                       max_degree: int) -> GramBlocks:
     """Exact bidisk Gram blocks for integer theta, vartheta = 0."""
     BidiskParams(alpha, beta, theta)
-    th = _require_integer_theta(theta)
-    blocks = [
-        _binomial_gram_block(d, th,
-                             lambda p: disk_moment(alpha, p),
-                             lambda p: disk_moment(beta, p))
-        for d in range(max_degree + 1)
-    ]
+    blocks = _binomial_gram_blocks(theta, max_degree,
+                                   lambda p: disk_moment(alpha, p),
+                                   lambda p: disk_moment(beta, p))
     return GramBlocks("bidisk", {"alpha": alpha, "beta": beta,
-                                 "theta": float(th), "vartheta": 0.0}, blocks)
+                                 "theta": float(round(theta)), "vartheta": 0.0},
+                      blocks)
 
 
 def gram_fock_exact(alpha: float, beta: float, theta: float,
                     max_degree: int) -> GramBlocks:
     """Exact Fock Gram blocks for integer theta."""
     FockParams(alpha, beta, theta)
-    th = _require_integer_theta(theta)
-    blocks = [
-        _binomial_gram_block(d, th,
-                             lambda p: fock_moment(alpha, p),
-                             lambda p: fock_moment(beta, p))
-        for d in range(max_degree + 1)
-    ]
-    return GramBlocks("fock", {"alpha": alpha, "beta": beta, "theta": float(th)},
-                      blocks)
+    blocks = _binomial_gram_blocks(theta, max_degree,
+                                   lambda p: fock_moment(alpha, p),
+                                   lambda p: fock_moment(beta, p))
+    return GramBlocks("fock", {"alpha": alpha, "beta": beta,
+                               "theta": float(round(theta))}, blocks)
 
 
 def gram_hardy_torus_exact(theta: float, max_degree: int) -> GramBlocks:
     """Torus Gram blocks for the weighted Hardy norm, integer theta.
 
     All torus moments equal 1, so entries are pure binomial sums."""
-    th = _require_integer_theta(theta)
-    blocks = [
-        _binomial_gram_block(d, th, lambda p: 1.0, lambda p: 1.0)
-        for d in range(max_degree + 1)
-    ]
-    return GramBlocks("hardy_bidisk", {"theta": float(th)}, blocks)
+    blocks = _binomial_gram_blocks(theta, max_degree, lambda p: 1.0,
+                                   lambda p: 1.0)
+    return GramBlocks("hardy_bidisk", {"theta": float(round(theta))}, blocks)
 
 
 def ball_monomial_norm(alpha: float, beta: float, theta: float,
@@ -204,16 +200,23 @@ def ball_hardy_monomial_norm(beta: float, theta: float, m: int, n: int) -> float
 # numeric Gram blocks (non-integer parameters)
 # ---------------------------------------------------------------------------
 
-# gram_numeric doubles its quadrature order from QUAD_START_ORDER while it is
-# at most QUAD_MAX_ORDER, until no entry changes by more than QUAD_TOLERANCE
-# of the largest one.  Integer theta integrands are polynomial after the
-# angular reduction and converge at the first doubling; non-integer vartheta
-# weights converge spectrally.  Non-integer theta puts an algebraic kink along
-# t1 = t2 that tensor Gauss rules resolve only at an algebraic rate, so such
-# calls may raise QuadratureError.
+# gram_numeric doubles its quadrature order from QUAD_START_ORDER up to
+# QUAD_MAX_ORDER, the largest order it computes, until no block's entries
+# change by more than QUAD_TOLERANCE of that block's largest entry (or of 1,
+# if larger), so that the small low-degree blocks are held to the same rule
+# as the large high-degree ones.  Integer theta integrands are polynomial
+# after the angular reduction and converge at the first doubling; non-integer
+# vartheta weights converge spectrally.  Non-integer theta puts an algebraic
+# kink along t1 = t2 that tensor Gauss rules resolve only at an algebraic
+# rate.  At degree 6, on the bidisk (alpha, beta) = (0.4, 0.7), theta <= 0.5
+# fails, theta = 0.75 converges only at order 512 and theta >= 1.25 by order
+# 256; on the Gaussian space (1.3, 0.7), theta = 1.5 fails and theta = 2.5
+# converges.  scipy's Gauss-Laguerre rule is not finite at order 512, so a
+# Gaussian-space call that has not converged by order 256 fails there.  Each
+# failure raises QuadratureError.
 QUAD_TOLERANCE = 1e-10
 QUAD_START_ORDER = 32
-QUAD_MAX_ORDER = 256
+QUAD_MAX_ORDER = 512
 
 
 def _angular_nodes(n: int, theta: float):
@@ -251,108 +254,90 @@ def _angular_reduce(t1, t2, psi, wpsi, max_delta, theta, vartheta):
     return cang
 
 
-def _bidisk_blocks_at_order(alpha, beta, theta, vartheta, max_degree, n):
-    xj1, wj1 = roots_jacobi(n, alpha, 0.0)
-    xj2, wj2 = roots_jacobi(n, beta, 0.0)
-    s1 = 0.5 * (xj1 + 1.0)
-    s2 = 0.5 * (xj2 + 1.0)
-    wr1 = wj1 * 2.0 ** (-alpha - 1.0)
-    wr2 = wj2 * 2.0 ** (-beta - 1.0)
-    psi, wpsi = _angular_nodes(2 * n, theta)
-    cang = _angular_reduce(s1 ** 2, s2 ** 2, psi, wpsi, max_degree,
-                           theta, vartheta)
-
-    powers = np.arange(2 * max_degree + 1)
-    r1 = (wr1 * (1.0 + s1) ** alpha) * s1 ** (powers[:, None] + 1.0)
-    r2 = (wr2 * (1.0 + s2) ** beta) * s2 ** (powers[:, None] + 1.0)
-    integrals = 4.0 * np.einsum("ai,bj,dij->abd", r1, r2, cang)
-
-    pref = (alpha + 1.0) * (beta + 1.0) / math.pi
-    blocks = []
-    for d in range(max_degree + 1):
-        size = d + 1
-        block = np.zeros((size, size))
-        for m1 in range(size):
-            for m2 in range(size):
-                block[m1, m2] = pref * integrals[m1 + m2, 2 * d - m1 - m2,
-                                                 abs(m1 - m2)]
-        blocks.append(block)
-    return blocks
+def _bidisk_radial(p: BidiskParams, n: int):
+    """Gauss-Jacobi in r = |z_i| for the disk weights (1 - r^2)^alpha, with
+    the weight's factor (1 + r)^alpha and the area element's r in the
+    weights."""
+    def rule(a):
+        x, w = roots_jacobi(n, a, 0.0)
+        s = 0.5 * (x + 1.0)
+        return s ** 2, w * 2.0 ** (-a - 1.0) * (1.0 + s) ** a * s
+    return (rule(p.alpha), rule(p.beta),
+            4.0 * (p.alpha + 1.0) * (p.beta + 1.0) / math.pi)
 
 
-def _fock_blocks_at_order(alpha, beta, theta, max_degree, n):
-    u1, w1 = roots_genlaguerre(n, 0.0)
-    u2, w2 = roots_genlaguerre(n, 0.0)
-    t1, wt1 = u1 / alpha, w1 / alpha
-    t2, wt2 = u2 / beta, w2 / beta
-    psi, wpsi = _angular_nodes(2 * n, theta)
-    cang = _angular_reduce(t1, t2, psi, wpsi, max_degree, theta, 0.0)
+def _gaussian_radial(p: FockParams, n: int):
+    """Gauss-Laguerre in t = |z_i|^2 for the weights e^{-alpha t} and
+    e^{-beta t}."""
+    u, w = roots_genlaguerre(n, 0.0)
+    return (u / p.alpha, w / p.alpha), (u / p.beta, w / p.beta), 1.0 / math.pi
+
+
+def _blocks_at_order(rule, theta, vartheta, max_degree):
+    """Gram blocks of degree 0..max_degree from a radial rule
+    ((t1, w1), (t2, w2), const) of order n = t1.size: entry (m1, m2) of block
+    d is const sum_ij w1_i w2_j t1_i^{a/2} t2_j^{b/2} cang[|m1-m2|, i, j],
+    a = m1 + m2, b = 2d - a, with the angular reduction at order 2n."""
+    (t1, w1), (t2, w2), const = rule
+    psi, wpsi = _angular_nodes(2 * t1.size, theta)
+    cang = _angular_reduce(t1, t2, psi, wpsi, max_degree, theta, vartheta)
     # cos(delta psi) pairs only with powers (sqrt(t1 t2))^{delta + even} of the
     # angular weight, so t^{a/2} cang[delta] has integral powers of t (a and
     # delta share parity) and plain Laguerre nodes integrate it exactly for
     # integer theta.
+    half = np.arange(2 * max_degree + 1)[:, None] / 2.0
+    integrals = const * np.einsum("ai,bj,dij->abd", w1 * t1 ** half,
+                                  w2 * t2 ** half, cang)
     blocks = []
     for d in range(max_degree + 1):
-        size = d + 1
-        block = np.zeros((size, size))
-        for m1 in range(size):
-            for m2 in range(size):
-                a = m1 + m2
-                b = 2 * d - a
-                r1 = wt1 * t1 ** (a / 2.0)
-                r2 = wt2 * t2 ** (b / 2.0)
-                block[m1, m2] = (r1 @ cang[abs(m1 - m2)] @ r2) / math.pi
-        blocks.append(block)
+        m = np.arange(d + 1)
+        a = m[:, None] + m[None, :]
+        blocks.append(integrals[a, 2 * d - a, np.abs(m[:, None] - m[None, :])])
     return blocks
 
 
 def gram_numeric(space: str, params: dict, max_degree: int) -> GramBlocks:
     """Gram blocks by adaptive tensor quadrature for arbitrary valid
-    parameters; the attached quad_error is the last inter-order change."""
+    parameters; the attached quad_error is the largest entry change at the
+    last doubling of the order."""
     if space == "bidisk":
         p = BidiskParams(params["alpha"], params["beta"], params["theta"],
                          params.get("vartheta", 0.0))
-
-        def compute(n):
-            return _bidisk_blocks_at_order(p.alpha, p.beta, p.theta,
-                                           p.vartheta, max_degree, n)
+        radial, vartheta = _bidisk_radial, p.vartheta
     elif space == "fock":
         p = FockParams(params["alpha"], params["beta"], params["theta"])
-
-        def compute(n):
-            return _fock_blocks_at_order(p.alpha, p.beta, p.theta,
-                                         max_degree, n)
+        radial, vartheta = _gaussian_radial, 0.0
     else:
         raise DomainError(f"gram_numeric does not support space {space!r}")
 
-    n = QUAD_START_ORDER
-    prev = compute(n)
-    err = math.inf
-    while n <= QUAD_MAX_ORDER:
+    def compute(n, err):
+        rule = radial(p, n)
+        if not all(np.isfinite(x).all() for var in rule[:2] for x in var):
+            raise QuadratureError(
+                f"gram_numeric({space}): the radial rule of order {n} is not "
+                f"finite; the last change was {err:.3e}")
+        return _blocks_at_order(rule, p.theta, vartheta, max_degree)
+
+    n, err = QUAD_START_ORDER, math.inf
+    prev = compute(n, err)
+    while n < QUAD_MAX_ORDER:
         n *= 2
-        cur = compute(n)
-        scale = max(max(np.max(np.abs(b)) for b in cur), 1.0)
-        err = max(np.max(np.abs(c - p)) for c, p in zip(cur, prev))
-        if err <= QUAD_TOLERANCE * scale:
+        cur = compute(n, err)
+        diffs = [np.abs(c - q) for c, q in zip(cur, prev)]
+        err = float(np.max([np.max(x) for x in diffs]))
+        # each block against its own largest entry, at least 1; NaN fails
+        scales = [max(np.max(np.abs(c)), 1.0) for c in cur]
+        rel = [np.max(x) / s for x, s in zip(diffs, scales)]
+        if np.max(rel) <= QUAD_TOLERANCE:
             return GramBlocks(space, dict(params), cur, exact=False,
-                              quad_error=float(err))
+                              quad_error=err)
         prev = cur
-    worst = _worst_entry_change(cur, prev)
+    d = int(np.argmax(rel))
+    i, j = np.unravel_index(np.argmax(diffs[d]), diffs[d].shape)
     raise QuadratureError(
-        f"gram_numeric({space}) did not converge: worst entry {worst} "
-        f"changed by {err:.3e} at order {n}")
-
-
-def _worst_entry_change(cur, prev):
-    worst = (0, 0, 0)
-    best = -1.0
-    for d, (c, p) in enumerate(zip(cur, prev)):
-        diff = np.abs(c - p)
-        idx = np.unravel_index(np.argmax(diff), diff.shape)
-        if diff[idx] > best:
-            best = diff[idx]
-            worst = (d, int(idx[0]), int(idx[1]))
-    return worst
+        f"gram_numeric({space}) did not converge: entry {(d, int(i), int(j))} "
+        f"changed by {diffs[d][i, j]:.3e} against its block's scale "
+        f"{scales[d]:.3e} at order {n}")
 
 
 # ---------------------------------------------------------------------------

@@ -233,12 +233,16 @@ _TERM_RE = re.compile(
     r"(?P<z2>\*?z2(\^(?P<n>\d+))?)?$")
 
 
-def _parse_coeff(text: str) -> complex:
+def _parse_coeff(text: str, term: str) -> complex:
     text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        re_, im = text[1:-1].split(",")
-        return complex(float(re_), float(im))
-    return complex(float(text))
+    try:
+        if text.startswith("(") and text.endswith(")"):
+            re_, im = text[1:-1].split(",")
+            return complex(float(re_), float(im))
+        return complex(float(text))
+    except ValueError:
+        raise DomainError(f"cannot parse coefficient {text!r} of polynomial "
+                          f"term {term!r}") from None
 
 
 def _parse_bipoly(text: str) -> BiPoly:
@@ -274,7 +278,7 @@ def _parse_bipoly(text: str) -> BiPoly:
                          and match.group("z2") is None):
             raise DomainError(f"cannot parse polynomial term: {raw!r}")
         coeff_text = match.group("coeff")
-        coeff = _parse_coeff(coeff_text) if coeff_text else complex(1.0)
+        coeff = _parse_coeff(coeff_text, raw) if coeff_text else complex(1.0)
         m = int(match.group("m")) if match.group("m") else (1 if match.group("z1") else 0)
         n = int(match.group("n")) if match.group("n") else (1 if match.group("z2") else 0)
         key = (m, n)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kernelforge import oracle
+from kernelforge import bidisk, oracle
 from kernelforge.ball import (BallParams, ball_full_kernel,
                               ball_full_kernel_series,
                               ball_hardy_norm_expansion, ball_norm_expansion,
@@ -122,6 +122,18 @@ def test_hardy_norm_expansion():
         pytest.approx(0.5)
     with pytest.raises(DomainError):
         ball_hardy_norm_expansion(-0.6, -0.5, BiPoly.parse("1"))
+
+
+@pytest.mark.parametrize("expand", [
+    lambda f: bidisk.hardy_norm_expansion(float("nan"), f),
+    lambda f: ball_hardy_norm_expansion(float("nan"), 0.0, f),
+    lambda f: ball_hardy_norm_expansion(0.0, float("nan"), f)],
+    ids=["bidisk-theta", "ball-beta", "ball-theta"])
+def test_hardy_norm_expansions_reject_nan(expand):
+    # the checks were written as `x <= bound`, which NaN passes, and every
+    # term came out NaN
+    with pytest.raises(DomainError):
+        expand(BiPoly.parse("z1^2 - z2"))
 
 
 def test_hardy_is_limit_of_weighted_norms():

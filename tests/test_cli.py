@@ -288,3 +288,12 @@ def test_vartheta_off_the_bidisk_is_domain_error(capsys, space, vartheta):
     assert code == cli.EXIT_DOMAIN
     assert "--vartheta" in err and len(err.strip().splitlines()) == 1
 
+
+
+@pytest.mark.parametrize("poly", ["1.2.3*z1", "(1,2,3)*z1", "(a,1)*z1"])
+def test_malformed_coefficient_is_domain_error(capsys, poly):
+    # each ended in a ValueError traceback with exit code 1
+    code, _, err = run(capsys, ["norm-expand", "--space", "bidisk", "--alpha",
+                                "0", "--beta", "0", "--poly", poly])
+    assert code == cli.EXIT_DOMAIN
+    assert poly in err and len(err.strip().splitlines()) == 1

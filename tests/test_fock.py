@@ -81,6 +81,15 @@ def test_full_kernel_vs_reference():
             assert abs(a - b) <= 1e-10 * abs(a)
 
 
+@pytest.mark.parametrize("z1,z2,w1,w2", [
+    (math.nan, 0, 0, 0), (math.inf, 0, 0, 0), (30, 30, 30, 30)])
+def test_full_kernel_not_finite_is_domain_error(z1, z2, w1, w2):
+    # NaN and inf summed 100,000 terms of mittag_e before a ConvergenceError;
+    # at (30, 30, 30, 30) the prefactor e^1800 raised OverflowError
+    with pytest.raises(DomainError):
+        fock_full_kernel(FockParams(1, 1), Point2(z1, z2), Point2(w1, w2))
+
+
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, 2.5])
 def test_reference_e_theta_against_mpmath(theta):
     # E_theta(x) = 1F1(1; theta+1; x) / Gamma(theta+1); the largest radius

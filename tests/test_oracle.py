@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from kernelforge import oracle
-from kernelforge.errors import ConditioningError, DomainError
+from kernelforge.bidisk import BidiskParams, sigma
+from kernelforge.errors import ConditioningError, DomainError, QuadratureError
 from kernelforge.poly2 import BiPoly
 
 
@@ -85,6 +86,31 @@ def test_gram_numeric_matches_exact_fock():
     gn = oracle.gram_numeric("fock", {"alpha": 1.0, "beta": 2.0, "theta": 2.0}, 3)
     for a, b in zip(gn.blocks, ge.blocks):
         assert np.max(np.abs(a - b)) < 1e-8
+
+
+def test_gram_numeric_checks_each_block_on_its_own_scale():
+    # the degree-0 entry here is about 5 while the degree-6 block reaches
+    # about 1e4; scaled by the largest entry in the whole table, the call
+    # returned at order 64 with its degree-0 entry 4.8e-9 off 1/fock_sigma
+    with pytest.raises(QuadratureError):
+        oracle.gram_numeric("fock", {"alpha": 1.3, "beta": 0.7,
+                                     "theta": 1.5}, 6)
+
+
+def test_gram_numeric_fractional_theta_bidisk():
+    p = {"alpha": 0.4, "beta": 0.7, "theta": 1.5, "vartheta": 0.5}
+    gn = oracle.gram_numeric("bidisk", p, 6)
+    want = 1.0 / sigma(BidiskParams(**p))
+    assert abs(gn.blocks[0][0, 0] - want) <= 1e-10 * want
+
+
+def test_gram_numeric_non_finite_rule_is_named():
+    # scipy's Gauss-Laguerre rule of order 512 has NaN nodes and weights;
+    # the call ran the whole order-512 quadrature and reported a change of nan
+    with pytest.raises(QuadratureError, match="order 512") as info:
+        oracle.gram_numeric("fock", {"alpha": 1.3, "beta": 0.7,
+                                     "theta": 0.5}, 0)
+    assert "nan" not in str(info.value)
 
 
 def test_kernel_blocks_product_case():
