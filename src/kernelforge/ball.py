@@ -83,7 +83,11 @@ def ball_full_kernel(params: BallParams, z: Point2, w: Point2,
     [Gamma(alpha+1) Gamma(theta+1) (1-z1 conj(w1))^{alpha+beta+theta+3}] times
     [(alpha+theta+2) 2F1(alpha+theta+3, 1; theta+1; x)
       + beta 2F1(alpha+theta+2, 1; theta+1; x)],
-    x = z2 conj(w2) / (1 - z1 conj(w1))."""
+    x = z2 conj(w2) / (1 - z1 conj(w1)).
+
+    The bracket is summed as one series: with F = 2F1(alpha+theta+2, 1;
+    theta+1; x) it equals ([alpha+beta+2 - beta x] F + theta) / (1 - x)
+    (DLMF 15.5), exactly."""
     cfg = cfg or default_config()
     _require_ball(z, w)
     al, be, th = params.alpha, params.beta, params.theta
@@ -93,13 +97,12 @@ def ball_full_kernel(params: BallParams, z: Point2, w: Point2,
         raise DomainError(
             f"kernel argument |x| = {abs(x):.6f} >= 1; distance to the "
             f"boundary sphere is too small for the series form")
-    f1 = hyp2f1(al + th + 3.0, 1.0, th + 1.0, x, cfg)
-    f2 = hyp2f1(al + th + 2.0, 1.0, th + 1.0, x, cfg)
+    f = hyp2f1(al + th + 2.0, 1.0, th + 1.0, x, cfg)
     pref = math.exp(log_gamma(al + th + 2.0) - log_gamma(al + 1.0)
                     - log_gamma(th + 1.0)) * u ** (-(al + be + th + 3.0))
-    value = pref * ((al + th + 2.0) * f1.value + be * f2.value)
-    tail = abs(pref) * ((al + th + 2.0) * f1.tail_bound + abs(be) * f2.tail_bound)
-    return SeriesResult(value, f1.terms_used + f2.terms_used, tail)
+    slope = (al + be + 2.0 - be * x) / (1.0 - x)
+    value = pref * (slope * f.value + th / (1.0 - x))
+    return SeriesResult(value, f.terms_used, abs(pref * slope) * f.tail_bound)
 
 
 def ball_full_kernel_series(params: BallParams, z: Point2, w: Point2,

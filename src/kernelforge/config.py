@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 MAX_TERMS_ENV = "KERNELFORGE_MAX_TERMS"
 
@@ -40,16 +41,21 @@ class TruncationConfig:
 
 def default_config() -> TruncationConfig:
     """Default truncation settings, honoring the KERNELFORGE_MAX_TERMS override."""
-    cfg = TruncationConfig()
-    cap = os.environ.get(MAX_TERMS_ENV)
-    if cap is not None:
-        try:
-            cap = int(cap)
-        except ValueError:
-            raise ValueError(
-                f"{MAX_TERMS_ENV} must be an integer, got {cap!r}") from None
-        cfg = replace(cfg, max_terms=max(1, cap))
-    return cfg
+    return _config_for(os.environ.get(MAX_TERMS_ENV))
+
+
+@lru_cache(maxsize=8)
+def _config_for(cap: str | None) -> TruncationConfig:
+    # Every call without a cfg lands here, so the parse is cached per value of
+    # the variable; a bad value raises, which lru_cache never caches.
+    if cap is None:
+        return TruncationConfig()
+    try:
+        max_terms = int(cap)
+    except ValueError:
+        raise ValueError(
+            f"{MAX_TERMS_ENV} must be an integer, got {cap!r}") from None
+    return TruncationConfig(max_terms=max(1, max_terms))
 
 
 @dataclass(frozen=True)

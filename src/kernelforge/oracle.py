@@ -238,18 +238,21 @@ def _angular_reduce(t1, t2, psi, wpsi, max_delta, theta, vartheta):
     """cang[delta, i, j] = int_0^pi cos(delta psi) W(t1_i, t2_j, psi) dpsi,
     accumulated in angular chunks to bound memory."""
     cross = np.sqrt(np.outer(t1, t2))
+    gap = np.subtract.outer(np.sqrt(t1), np.sqrt(t2)) ** 2
     mix = 1.0 + np.outer(t1, t2)
     deltas = np.arange(max_delta + 1)
     cang = np.zeros((max_delta + 1, t1.size, t2.size))
     chunk = max(1, (1 << 22) // (t1.size * t2.size))
     for k0 in range(0, psi.size, chunk):
-        cosv = np.cos(psi[k0:k0 + chunk])
-        g_diff = (t1[:, None, None] + t2[None, :, None]
-                  - 2.0 * cross[:, :, None] * cosv)
+        ps = psi[k0:k0 + chunk]
+        # |z1 - z2|^2 = t1 + t2 - 2 cross cos(psi), written without the
+        # cancellation that makes it 0 (and 0 ** theta inf for theta < 0)
+        # when t1 == t2 and cos(psi) rounds to 1
+        g_diff = gap[:, :, None] + 4.0 * cross[:, :, None] * np.sin(ps / 2) ** 2
         wgt = g_diff ** theta
         if vartheta != 0.0:
-            wgt = wgt * (mix[:, :, None] - 2.0 * cross[:, :, None] * cosv) ** vartheta
-        cosmat = np.cos(np.outer(deltas, psi[k0:k0 + chunk])) * wpsi[k0:k0 + chunk]
+            wgt = wgt * (mix[:, :, None] - 2.0 * cross[:, :, None] * np.cos(ps)) ** vartheta
+        cosmat = np.cos(np.outer(deltas, ps)) * wpsi[k0:k0 + chunk]
         cang += np.einsum("dk,ijk->dij", cosmat, wgt)
     return cang
 

@@ -76,20 +76,27 @@ def hyp2f1(a: float, b: float, c: float, x: complex,
     if ax >= 1.0:
         raise DomainError(f"hyp2f1 requires |x| < 1, got |x| = {ax}")
 
+    tolerance = cfg.tolerance
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
     small_streak = 0
     tail = math.inf
-    for n in range(cfg.max_terms):
-        term = term * ((a + n) * (b + n)) / ((c + n) * (n + 1)) * x
+    # term is t_n = t_{n-1} * ratio * x, and ratio tends to 1: while
+    # q = |x| max(1, |next ratio|) < 1 a geometric tail bound applies, and
+    # before that no term may count toward the stop
+    ratio = a * b / c
+    for n in range(1, cfg.max_terms + 1):
+        term *= ratio * x
         total += term
-        # limiting term ratio is x, so a geometric tail bound applies
-        q = max(ax, min(abs((a + n + 1) * (b + n + 1) / ((c + n + 1) * (n + 2))) * ax, 0.999))
-        tail = SAFETY_FACTOR * abs(term) * q / (1.0 - q)
-        if tail <= cfg.tolerance * max(1.0, abs(total)):
+        ratio = (a + n) * (b + n) / ((c + n) * (n + 1))
+        q = ax * abs(ratio)
+        if q < ax:
+            q = ax
+        tail = SAFETY_FACTOR * abs(term) * q / (1.0 - q) if q < 1.0 else math.inf
+        if tail <= tolerance or tail <= tolerance * abs(total):
             small_streak += 1
             if small_streak >= CONSECUTIVE_SMALL:
-                return SeriesResult(total, n + 1, tail)
+                return SeriesResult(total, n, tail)
         else:
             small_streak = 0
     raise ConvergenceError(
@@ -236,6 +243,8 @@ def mittag_e(theta: float, x: complex,
     cfg = cfg or default_config()
     if theta <= -1:
         raise DomainError(f"mittag_e requires theta > -1, got {theta}")
+    tolerance = cfg.tolerance
+    ax = abs(x)
     term = complex(math.exp(-math.lgamma(theta + 1.0)))
     total = term
     small_streak = 0
@@ -243,10 +252,10 @@ def mittag_e(theta: float, x: complex,
     for n in range(cfg.max_terms):
         term = term * x / (theta + n + 1.0)
         total += term
-        q = abs(x) / (theta + n + 2.0)
+        q = ax / (theta + n + 2.0)
         if q < 1.0:
             tail = SAFETY_FACTOR * abs(term) * q / (1.0 - q)
-            if tail <= cfg.tolerance * max(1.0, abs(total)):
+            if tail <= tolerance or tail <= tolerance * abs(total):
                 small_streak += 1
                 if small_streak >= CONSECUTIVE_SMALL:
                     return SeriesResult(total, n + 1, tail)

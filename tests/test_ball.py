@@ -1,5 +1,11 @@
+import cmath
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelforge import bidisk, oracle
 from kernelforge.ball import (BallParams, ball_full_kernel,
@@ -184,3 +190,38 @@ def test_hardy_norm_expansion_against_oracle(be, th):
         for N, term in exp.terms:
             assert term == pytest.approx(ref.get(N, 0.0), rel=1e-13)
         assert exp.total == pytest.approx(sum(ref.values()), rel=1e-13)
+
+
+def _ball_kernel_mpmath(p, z, w):
+    """The two-2F1 closed form of ball_full_kernel's docstring, at 30
+    digits."""
+    with mpmath.workdps(30):
+        al, be, th = (mpmath.mpf(v) for v in (p.alpha, p.beta, p.theta))
+        u = 1 - mpmath.mpc(z.z1) * mpmath.conj(w.z1)
+        x = mpmath.mpc(z.z2) * mpmath.conj(w.z2) / u
+        pref = (mpmath.gamma(al + th + 2)
+                / (mpmath.gamma(al + 1) * mpmath.gamma(th + 1))
+                * u ** (-(al + be + th + 3)))
+        return complex(pref * ((al + th + 2) * mpmath.hyp2f1(al + th + 3, 1, th + 1, x)
+                               + be * mpmath.hyp2f1(al + th + 2, 1, th + 1, x)))
+
+
+_index = st.floats(-1.0, 3.0, exclude_min=True)
+_angle = st.floats(0.0, 2.0 * math.pi)
+
+
+@st.composite
+def _ball_point(draw):
+    r = draw(st.floats(0.0, 0.99))
+    split = draw(st.floats(0.0, math.pi / 2))
+    return Point2(cmath.rect(r * math.cos(split), draw(_angle)),
+                  cmath.rect(r * math.sin(split), draw(_angle)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_index, _index, _index, _ball_point(), _ball_point())
+def test_full_kernel_within_tail_bound_of_mpmath(al, be, th, z, w):
+    p = BallParams(al, be, th)
+    got = ball_full_kernel(p, z, w)
+    ref = _ball_kernel_mpmath(p, z, w)
+    assert abs(got.value - ref) <= got.tail_bound + 1e-12 * max(1.0, abs(ref))

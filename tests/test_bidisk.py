@@ -12,7 +12,7 @@ from kernelforge.bidisk import (BidiskParams, coeff_a, coeff_b, diag_kernel,
                                 restriction_transform, sigma,
                                 sigma_gamma_form, taylor_blocks)
 from kernelforge.config import Point2, TruncationConfig
-from kernelforge.errors import DomainError
+from kernelforge.errors import ConvergenceError, DomainError
 from kernelforge.poly2 import BiPoly
 
 
@@ -34,6 +34,17 @@ def test_sigma_trivial_values():
 def test_sigma_matches_gamma_form():
     p = BidiskParams(0.5, 0.25, 1.5, 0.0)
     assert sigma(p) == pytest.approx(sigma_gamma_form(p), rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                   reason="the Thomae form of largest excess (2.02) needs about "
+                   "6e5 terms at 1e-12, so hyp3f2_unit falls back to the "
+                   "literal series (excess 0.48), which stops at the cap")
+def test_sigma_small_excess_converges():
+    p = BidiskParams(-0.6500383019843963, -0.5244096332704579,
+                     0.10474667998505716, 0.04267424608896486)
+    # 1/sigma from mpmath.hyp3f2 at 30 digits (10 s, so kept as a literal)
+    assert sigma(p) == pytest.approx(1.0022654225773930, rel=1e-12)
 
 
 def test_sigma_gamma_form_requires_vartheta_zero():

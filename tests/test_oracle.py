@@ -113,6 +113,16 @@ def test_gram_numeric_non_finite_rule_is_named():
     assert "nan" not in str(info.value)
 
 
+def test_angular_reduce_equal_radii_negative_theta():
+    # t1 == t2 and the graded node nearest 0 has cos(psi) == 1.0: the weight
+    # |z1 - z2|^(2 theta) was 0 ** -0.5 = inf there
+    t = np.array([0.25, 0.5])
+    psi, wpsi = oracle._angular_nodes(32, -0.5)
+    assert math.cos(psi[0]) == 1.0
+    cang = oracle._angular_reduce(t, t, psi, wpsi, 2, -0.5, 0.0)
+    assert np.isfinite(cang).all()
+
+
 def test_kernel_blocks_product_case():
     kb = oracle.gram_kernel_blocks(oracle.gram_bidisk_exact(0.0, 0.5, 0.0, 4))
     for d, blk in enumerate(kb):

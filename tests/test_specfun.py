@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from kernelforge.config import TruncationConfig
@@ -55,6 +56,19 @@ def test_hyp2f1_binomial_identity():
     # 2F1(a, b; b; x) = (1-x)^{-a}
     r = hyp2f1(2.5, 3.0, 3.0, 0.4)
     assert r.value.real == pytest.approx(0.6 ** -2.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("a, b, c, x, tolerance", [
+    (30.0, 1.0, 0.5, 0.97, 1e-12),
+    # (a)_n nearly vanishes from n = 4, then the terms grow by ~1e105
+    # before their ratio falls below 1
+    (-3 + 1e-12, 40.0, 0.5, 0.97, 1e-6),
+])
+def test_hyp2f1_no_stop_while_terms_grow(a, b, c, x, tolerance):
+    r = hyp2f1(a, b, c, x, TruncationConfig(tolerance=tolerance))
+    with mpmath.workdps(30):
+        ref = complex(mpmath.hyp2f1(a, b, c, x))
+    assert abs(r.value - ref) <= r.tail_bound
 
 
 def test_hyp2f1_domain():
