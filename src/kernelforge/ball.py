@@ -30,8 +30,8 @@ class BallParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "theta"):
-            if not getattr(self, name) > -1:  # NaN fails too
-                raise DomainError(f"{name} must exceed -1")
+            if not -1 < getattr(self, name) < math.inf:  # NaN, inf fail too
+                raise DomainError(f"{name} must be finite and exceed -1")
 
 
 def _require_ball(*points: Point2) -> None:
@@ -140,8 +140,9 @@ def ball_hardy_norm_expansion(beta: float, theta: float,
     """Surface-measure norm expansion: weights 1/[(beta+theta+N+1) (N!)^2],
     1D indices beta+theta+N; the alpha -> -1 limit with the (alpha+1)(alpha+2)
     normalization."""
-    if not beta + theta > -1:  # NaN fails too
-        raise DomainError("ball_hardy_norm_expansion requires beta + theta > -1")
+    if not -1 < beta + theta < math.inf:  # NaN and inf fail too
+        raise DomainError(
+            "ball_hardy_norm_expansion requires a finite beta + theta > -1")
     return expand(range(f.degree_in(2) + 1), lambda N: _z2_transform(f, N),
                   lambda N: 1.0 / ((beta + theta + N + 1.0)
                                    * math.factorial(N) ** 2),

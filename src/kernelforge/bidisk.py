@@ -4,10 +4,15 @@ the diagonal, per-degree kernel Taylor blocks, the a/b coefficient families,
 diagonal restriction transforms, and the norm expansions (Bergman and Hardy
 flavors).
 
-Series organization: the subspace kernels are double series whose inner sum
-is bounded term by term by (rz rw)^n where rz = max |z_i|, rw = max |w_i|,
-so a clean geometric tail bound is available; the outer sum over vanishing
-order N is bounded by |z1-z2|^N |w1-w2|^N sigma_N / (1 - rz rw).
+Series organization: the subspace kernels are double series.  The tail
+rules assume that the inner term mu_n c_n(z) conj(c_n(w)) is at most
+(rz rw)^n in modulus, where rz = max |z_i|, rw = max |w_i|, and that the
+order-N term of the outer sum is at most |z1-z2|^N |w1-w2|^N sigma_N /
+(1 - rz rw).  Both assumptions are known to be false: the coefficients of
+c_n sum to 1/mu_n, so the inner term is only bounded by (rz rw)^n / mu_n,
+which grows like n^(s+2N+1).  The tail_bound of q_kernel and full_kernel is
+therefore an estimate, not a bound (ROADMAP, "True tail bounds for the
+bidisk double series").
 
 q_kernel takes the inner coefficients c_n(z), the t^n coefficients of
 (1 - t z1)^-(a+N) (1 - t z2)^-(b+N), from their three-term recurrence in n:
@@ -46,10 +51,10 @@ class BidiskParams:
     vartheta: float = 0.0
 
     def __post_init__(self):
-        # written as `not x > bound` so that NaN fails too
+        # written as `not lo < x < inf` so that NaN and inf fail too
         for name in ("alpha", "beta", "theta", "vartheta"):
-            if not getattr(self, name) > -1:
-                raise DomainError(f"{name} must exceed -1")
+            if not -1 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and exceed -1")
         if not (self.alpha + self.beta + 2 * self.theta + 2 * self.vartheta
                 + 3 > 0):
             raise DomainError(
@@ -170,9 +175,10 @@ def q_kernel(params: BidiskParams, N: int, z: Point2, w: Point2,
     cz = cv = 1.0 + 0.0j
     cz_prev = cv_prev = 0.0j
     tolerance = cfg.tolerance
-    # |mu_n c_n(z) conj(c_n(w))| <= (rz rw)^n since sum_j of the c
-    # coefficients is (s+2N+2)_n / n! = 1/mu_n; tail is the bound on the
-    # terms after n, SAFETY_FACTOR q^(n+1) / (1-q)
+    # tail is SAFETY_FACTOR q^(n+1) / (1-q) for the terms after n, which
+    # assumes |mu_n c_n(z) conj(c_n(w))| <= (rz rw)^n.  That is false: the c
+    # coefficients sum to (s+2N+2)_n / n! = 1/mu_n, so the term is only
+    # bounded by (rz rw)^n / mu_n (see the module docstring)
     tail = SAFETY_FACTOR / (1.0 - q)
     total = 0.0 + 0.0j
     mu = 1.0
@@ -351,8 +357,9 @@ def hardy_norm_expansion(theta: float, f: BiPoly) -> NormExpansion:
     """Weighted Hardy norm expansion: weights
     Gamma(2 theta + 2N + 2) / [(2 theta + 2N + 1) Gamma(theta + N + 1)^2],
     1D indices 2 theta + 2N, coefficients b_{k,N}."""
-    if not theta > -0.5:  # NaN fails too
-        raise DomainError("hardy_norm_expansion requires theta > -1/2")
+    if not -0.5 < theta < math.inf:  # NaN and inf fail too
+        raise DomainError(
+            "hardy_norm_expansion requires a finite theta > -1/2")
     return expand(
         range(max(f.total_degree, 0) + 1),
         lambda N: diagonal_transform(f, N, lambda k: coeff_b(theta, k, N)),

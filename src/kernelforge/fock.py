@@ -24,11 +24,11 @@ class FockParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        # written as `not x > bound` so that NaN fails too
-        if not (self.alpha > 0 and self.beta > 0):
-            raise DomainError("alpha and beta must be positive")
-        if not self.theta > -1:
-            raise DomainError("theta must exceed -1")
+        # written as `not lo < x < inf` so that NaN and inf fail too
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise DomainError("alpha and beta must be finite and positive")
+        if not -1 < self.theta < math.inf:
+            raise DomainError("theta must be finite and exceed -1")
 
     @property
     def gamma(self) -> float:

@@ -272,7 +272,10 @@ def _bidisk_radial(p: BidiskParams, n: int):
 def _gaussian_radial(p: FockParams, n: int):
     """Gauss-Laguerre in t = |z_i|^2 for the weights e^{-alpha t} and
     e^{-beta t}."""
-    u, w = roots_genlaguerre(n, 0.0)
+    # at order 512 scipy's weights overflow; gram_numeric refuses the
+    # non-finite rule, so the overflow warning says nothing more
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, w = roots_genlaguerre(n, 0.0)
     return (u / p.alpha, w / p.alpha), (u / p.beta, w / p.beta), 1.0 / math.pi
 
 

@@ -170,16 +170,11 @@ def _rep_candidates(rep: _Rep3F2) -> list[_Rep3F2]:
     return list(seen.values())
 
 
-def _rep_cost(rep: _Rep3F2, tol: float, cap: int) -> float:
+def _rep_rank(rep: _Rep3F2) -> tuple[int, float]:
+    """Sort key: terminating forms first, shortest first; then the largest
+    excess s, whose terms decay fastest (like n^-(s+1))."""
     n_term = rep.terminating_length()
-    if n_term is not None:
-        return float(n_term)
-    s = rep.excess
-    if s <= 0.05:
-        return math.inf
-    # terms decay like n^{-(s+1)}; tail ~ n^{-s}/s reaches tol at roughly:
-    est = (1.0 / (tol * s)) ** (1.0 / s)
-    return est if est <= cap else math.inf
+    return (0, n_term) if n_term is not None else (1, -rep.excess)
 
 
 def _sum_3f2_rep(rep: _Rep3F2, cfg: TruncationConfig) -> SeriesResult:
@@ -217,8 +212,10 @@ def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float,
     """3F2(a1,a2,a3; b1,b2; 1).
 
     Requires b1+b2-a1-a2-a3 > 0 unless an upper parameter truncates the
-    series.  Sums the cheapest of the representations within two Thomae
-    steps, the literal series among them.
+    series.  Of the representations within two Thomae steps, the literal
+    series among them, sums a terminating one if any (the shortest), else
+    the one with the largest excess; the choice depends on the parameters
+    alone, not on the tolerance or the term cap.
     """
     cfg = cfg or default_config()
     for b in (b1, b2):
@@ -228,13 +225,7 @@ def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float,
     if base.terminating_length() is None and base.excess <= 0:
         raise DomainError(
             f"hyp3f2_unit diverges at x=1: excess {base.excess} <= 0")
-    candidates = _rep_candidates(base)
-    best = min(candidates, key=lambda r: _rep_cost(r, cfg.tolerance, cfg.max_terms))
-    if math.isinf(_rep_cost(best, cfg.tolerance, cfg.max_terms)):
-        # no representation is predicted to converge within the cap; try the
-        # literal series anyway so the failure carries real diagnostics
-        best = base
-    return _sum_3f2_rep(best, cfg)
+    return _sum_3f2_rep(min(_rep_candidates(base), key=_rep_rank), cfg)
 
 
 def mittag_e(theta: float, x: complex,

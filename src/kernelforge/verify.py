@@ -374,13 +374,13 @@ def suite_delta_identities(seed: int = 0) -> dict:
         ratio = al / (al + be)
         worst = 0.0
         for N in range(1, 11):
-            for n in range(N):
+            # n = N too: that sum is c_{N,N} = 1, which fixes coeff_c's scale
+            for n in range(N + 1):
                 total = sum(
-                    (-1.0) ** (N - k) / (math.factorial(k) * math.factorial(N - k))
-                    * ratio ** (N - k)
+                    fock.coeff_c(p, k, N) / math.factorial(N)
                     * math.factorial(n) * math.comb(k, n) * ratio ** (k - n)
                     for k in range(n, N + 1))
-                worst = max(worst, abs(total))
+                worst = max(worst, abs(total - (n == N)))
         items.append(_item(f"fock delta draw {draw}", worst, 0.0, 1e-10,
                            scale=1.0))
     return _report("delta-identities", seed, items)
@@ -401,6 +401,8 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = 0) -> dict:
+    if seed < 0:
+        raise DomainError(f"verify seed must be non-negative, got {seed}")
     if name == "all":
         reports = [fn(seed) for fn in SUITES.values()]
         return {

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelforge import bidisk, oracle
+from kernelforge import bidisk, fock, oracle
 from kernelforge.ball import (BallParams, ball_full_kernel,
                               ball_full_kernel_series,
                               ball_hardy_norm_expansion, ball_norm_expansion,
@@ -140,6 +140,26 @@ def test_hardy_norm_expansions_reject_nan(expand):
     # term came out NaN
     with pytest.raises(DomainError):
         expand(BiPoly.parse("z1^2 - z2"))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: bidisk.BidiskParams(math.inf, 0.0, 0.0),
+    lambda: bidisk.BidiskParams(0.0, 0.0, 0.0, math.inf),
+    lambda: BallParams(math.inf, 0.0, 0.0),
+    lambda: BallParams(0.0, 0.0, math.inf),
+    lambda: fock.FockParams(math.inf, 1.0),
+    lambda: fock.FockParams(1.0, 1.0, math.inf),
+    lambda: bidisk.hardy_norm_expansion(math.inf, BiPoly.parse("z1^2 - z2")),
+    lambda: ball_hardy_norm_expansion(math.inf, 0.0, BiPoly.parse("z1")),
+    lambda: ball_hardy_norm_expansion(0.0, math.inf, BiPoly.parse("z1"))],
+    ids=["bidisk-alpha", "bidisk-vartheta", "ball-alpha", "ball-theta",
+         "fock-alpha", "fock-theta", "hardy-theta", "ball-hardy-beta",
+         "ball-hardy-theta"])
+def test_infinite_parameters_are_refused(make):
+    # the checks were one-sided: the Hardy expansions returned a total of 0.0
+    # or NaN, and the Gaussian space's sigma came out NaN
+    with pytest.raises(DomainError):
+        make()
 
 
 def test_hardy_is_limit_of_weighted_norms():

@@ -152,6 +152,15 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+@pytest.mark.parametrize("suite", ["product-kernel", "sigma-consistency"])
+def test_verify_negative_seed_is_domain_error(capsys, suite):
+    # product-kernel ended in numpy's ValueError traceback with exit code 1,
+    # the code of a failed verification; sigma-consistency passed
+    code, _, err = run(capsys, ["verify", suite, "--seed", "-1"])
+    assert code == cli.EXIT_DOMAIN
+    assert "seed" in err and len(err.strip().splitlines()) == 1
+
+
 def test_csv_format(capsys):
     code, out, _ = run(capsys, [
         "sigma", "--space", "fock", "--alpha", "1", "--beta", "1",
@@ -261,6 +270,24 @@ _NAN_WEIGHTS = {
 @pytest.mark.parametrize("space", sorted(_NAN_WEIGHTS))
 def test_nan_weight_is_domain_error(capsys, space):
     code, _, err = run(capsys, _NAN_WEIGHTS[space])
+    assert code == cli.EXIT_DOMAIN
+    assert "alpha" in err and len(err.strip().splitlines()) == 1
+
+
+# an infinite weight exponent passed the one-sided checks: sigma on the bidisk
+# ended in a ValueError traceback, and the Gaussian sigma and the ball norm
+# expansion exited 0 with NaN
+_INF_WEIGHTS = {
+    "bidisk": ["sigma", "--space", "bidisk", "--alpha", "inf", "--beta", "0"],
+    "fock": ["sigma", "--space", "fock", "--alpha", "inf", "--beta", "1"],
+    "ball": ["norm-expand", "--space", "ball", "--alpha", "inf", "--beta",
+             "0", "--poly", "z1"],
+}
+
+
+@pytest.mark.parametrize("space", sorted(_INF_WEIGHTS))
+def test_infinite_weight_is_domain_error(capsys, space):
+    code, _, err = run(capsys, _INF_WEIGHTS[space])
     assert code == cli.EXIT_DOMAIN
     assert "alpha" in err and len(err.strip().splitlines()) == 1
 

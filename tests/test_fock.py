@@ -126,6 +126,17 @@ def test_coeff_c():
         coeff_c(p, 3, 2)
 
 
+def test_delta_identities_check_coeff_c(monkeypatch):
+    # criterion 10's Gaussian half typed c_{k,N}/N! out inline, so it passed
+    # whatever coeff_c returned
+    monkeypatch.setattr("kernelforge.fock.coeff_c",
+                        lambda p, k, N: 2.0 * coeff_c(p, k, N))
+    report = verify.run_suite("delta-identities")
+    assert not report["passed"]
+    assert all(it["passed"] == it["item"].startswith("bidisk")
+               for it in report["items"])
+
+
 def test_restriction_transform():
     p = FockParams(1, 1, 0)
     assert fock_restriction_transform(p, BiPoly.parse("1"), 0).coeffs == \

@@ -107,6 +107,19 @@ def test_hyp3f2_accelerated_matches_literal():
     assert fast.terms_used <= slow.terms_used
 
 
+def test_hyp3f2_choice_ignores_term_cap():
+    # the 3F2 of the bidisk sigma in test_sigma_small_excess_converges: the
+    # representation summed must not depend on max_terms (at 100,000 the
+    # literal series was summed, and did not converge)
+    al, be, th, vt = (-0.6500383019843963, -0.5244096332704579,
+                      0.10474667998505716, 0.04267424608896486)
+    a, b = al + th + vt + 2.0, be + th + vt + 2.0
+    args = (th + 1.0, a, a, al + th + 2.0, a + b)
+    r1 = hyp3f2_unit(*args, cfg=TruncationConfig(max_terms=100_000))
+    r2 = hyp3f2_unit(*args, cfg=TruncationConfig(max_terms=1_000_000))
+    assert (r1.value, r1.terms_used) == (r2.value, r2.terms_used)
+
+
 def test_hyp3f2_divergent_rejected():
     with pytest.raises(DomainError):
         hyp3f2_unit(2.0, 2.0, 2.0, 1.0, 1.0)  # excess -4
