@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import (CONSECUTIVE_SMALL, MAX_OUTER_TERMS, SAFETY_FACTOR,
+from .config import (CONSECUTIVE_SMALL, EPS, MAX_OUTER_TERMS, SAFETY_FACTOR,
                      Point2, SeriesResult, TruncationConfig, default_config)
 from .errors import ConvergenceError, DomainError
 from .poly2 import BiPoly, UniPoly
@@ -94,13 +94,14 @@ def _sigma_cached(al: float, be: float, th: float, vt: float,
     a = al + th + vt + 2.0
     b = be + th + vt + 2.0
     r = hyp3f2_unit(th + 1.0, a, a, al + th + 2.0, a + b, cfg)
-    pref = ((be + 1.0)
-            * math.exp(log_gamma(al + 2.0) + log_gamma(th + 1.0)
-                       - log_gamma(al + th + 2.0))
+    logs = (log_gamma(al + 2.0), log_gamma(th + 1.0), log_gamma(al + th + 2.0))
+    pref = ((be + 1.0) * math.exp(logs[0] + logs[1] - logs[2])
             / (al + be + 2 * th + 2 * vt + 3.0))
     val = 1.0 / (pref * r.value).real
+    # the prefactor's log-Gammas, exp and four products round too
+    rounding = 4 * EPS * (sum(map(abs, logs)) + 4) * val
     return SeriesResult(complex(val), r.terms_used,
-                        val * val * (pref * r.tail_bound))
+                        val * val * (pref * r.tail_bound) + rounding)
 
 
 def sigma(params: BidiskParams, cfg: TruncationConfig | None = None) -> float:

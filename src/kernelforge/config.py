@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -15,6 +16,8 @@ MAX_TERMS_ENV = "KERNELFORGE_MAX_TERMS"
 MAX_OUTER_TERMS = 500
 CONSECUTIVE_SMALL = 3
 SAFETY_FACTOR = 4.0
+# machine epsilon, the unit of the rounding terms in tail bounds
+EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)

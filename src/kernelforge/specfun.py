@@ -3,18 +3,18 @@ generalized 3F2 at unit argument, and the entire function E_theta.
 
 All series carry explicit truncation-error accounting via SeriesResult.
 The 3F2 at x=1 converges only algebraically (term decay ~ n^{-(s+1)} where
-s is the parameter excess), so for small excess the sum is rewritten via
-Thomae's two-term relation into an equivalent representation with a larger
-excess before summing; the rewriting is exact and its Gamma prefactor is
-evaluated in log space with sign tracking.
+s is the parameter excess), so it is summed in whichever of the ten forms
+that Thomae's relations connect (written out in _thomae_forms) terminates
+soonest or, failing that, has the largest excess.  The rewriting is exact;
+its Gamma prefactor is evaluated in log space with sign tracking, and the
+3F2's tail_bound adds the rounding of that prefactor and of the sum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .config import (CONSECUTIVE_SMALL, SAFETY_FACTOR, SeriesResult,
+from .config import (CONSECUTIVE_SMALL, EPS, SAFETY_FACTOR, SeriesResult,
                      TruncationConfig, default_config)
 from .errors import ConvergenceError, DomainError
 
@@ -104,107 +104,71 @@ def hyp2f1(a: float, b: float, c: float, x: complex,
         terms_used=cfg.max_terms, tail_estimate=tail)
 
 
-@dataclass(frozen=True)
-class _Rep3F2:
-    """One Thomae-equivalent representation of a 3F2(...;1) value."""
-
-    uppers: tuple[float, float, float]
-    lowers: tuple[float, float]
-    log_pref: float
-    sign: float
-
-    @property
-    def excess(self) -> float:
-        return sum(self.lowers) - sum(self.uppers)
-
-    def terminating_length(self) -> int | None:
-        """Number of terms if some upper parameter truncates the series."""
-        hits = [-round(u) for u in self.uppers if _is_nonpositive_integer(u)]
-        return int(min(hits)) + 1 if hits else None
+def _terminating_length(uppers) -> int | None:
+    """Number of terms if some upper parameter truncates the series."""
+    hits = [-round(u) for u in uppers if _is_nonpositive_integer(u)]
+    return int(min(hits)) + 1 if hits else None
 
 
-def _thomae_step(rep: _Rep3F2, which: int) -> _Rep3F2 | None:
-    """Apply Thomae's relation with rep.uppers[which] as distinguished
-    parameter; returns None when a Gamma pole or a lower-parameter pole
-    makes the transformed form unusable."""
-    a = rep.uppers[which]
-    b, c = [u for i, u in enumerate(rep.uppers) if i != which]
-    d, e = rep.lowers
-    s = rep.excess
-    new_uppers = (d - a, e - a, s)
-    new_lowers = (s + b, s + c)
-    if any(_is_nonpositive_integer(l) for l in new_lowers):
-        return None
-    log_pref, sign = rep.log_pref, rep.sign
-    try:
-        for arg in (d, e, s):
-            lg, sg = _signed_log_gamma(arg)
-            log_pref += lg
-            sign *= sg
-        for arg in (a, s + b, s + c):
-            lg, sg = _signed_log_gamma(arg)
-            log_pref -= lg
-            sign *= sg
-    except DomainError:
-        return None
-    return _Rep3F2(new_uppers, new_lowers, log_pref, sign)
+def _thomae_forms(a1: float, a2: float, a3: float, d: float, e: float):
+    """3F2(a1, a2, a3; d, e; 1) and the nine forms that Thomae's relations
+    connect to it (DLMF 16.4), as (uppers, lowers, num, den) with prefactor
+    prod Gamma(num) / prod Gamma(den).  With s the excess, a one upper and
+    b, c the other two:
+
+    - one step: Gamma(d)Gamma(e)Gamma(s) / [Gamma(a)Gamma(s+b)Gamma(s+c)]
+      3F2(d-a, e-a, s; s+b, s+c), of excess a;
+    - two steps: Gamma(f)Gamma(s) / [Gamma(f-a)Gamma(s+a)]
+      3F2(g-c, g-b, a; g, s+a), of excess f-a, for (f, g) = (d, e), (e, d).
+
+    Order: the series, the one-step forms for a1, a2, a3, then the two-step
+    forms for a1 (f = d, then e), a2, a3.  A form whose lower parameter or
+    Gamma argument is a pole is left out."""
+    s = (d + e) - (a1 + a2 + a3)
+    splits = ((a1, a2, a3), (a2, a1, a3), (a3, a1, a2))
+    forms = [((a1, a2, a3), (d, e), (), ())]
+    forms += [((d - a, e - a, s), (s + b, s + c), (d, e, s), (a, s + b, s + c))
+              for a, b, c in splits]
+    forms += [((g - c, g - b, a), (g, s + a), (f, s), (f - a, s + a))
+              for a, b, c in splits for f, g in ((d, e), (e, d))]
+    return [form for form in forms if not any(
+        map(_is_nonpositive_integer, form[1] + form[2] + form[3]))]
 
 
-def _rep_candidates(rep: _Rep3F2) -> list[_Rep3F2]:
-    """rep and the distinct representations within two Thomae steps of it."""
-    seen = {}
-    frontier = [rep]
-    seen[tuple(round(p, 9) for p in rep.uppers + rep.lowers)] = rep
-    for _ in range(2):
-        nxt = []
-        for r in frontier:
-            for which in range(3):
-                t = _thomae_step(r, which)
-                if t is None:
-                    continue
-                key = tuple(round(p, 9) for p in t.uppers + t.lowers)
-                if key not in seen:
-                    seen[key] = t
-                    nxt.append(t)
-        frontier = nxt
-    return list(seen.values())
-
-
-def _rep_rank(rep: _Rep3F2) -> tuple[int, float]:
-    """Sort key: terminating forms first, shortest first; then the largest
-    excess s, whose terms decay fastest (like n^-(s+1))."""
-    n_term = rep.terminating_length()
-    return (0, n_term) if n_term is not None else (1, -rep.excess)
-
-
-def _sum_3f2_rep(rep: _Rep3F2, cfg: TruncationConfig) -> SeriesResult:
-    a1, a2, a3 = rep.uppers
-    b1, b2 = rep.lowers
-    s = rep.excess
+def _sum_3f2_rep(uppers, lowers, prefactor: float,
+                 cfg: TruncationConfig) -> SeriesResult:
+    """prefactor * 3F2(uppers; lowers; 1), summed term by term; the
+    tail_bound adds the summation's rounding, eps (n+2) sum_k |t_k|."""
+    a1, a2, a3 = uppers
+    b1, b2 = lowers
+    s = sum(lowers) - sum(uppers)
     total = 1.0
     term = 1.0
+    abs_sum = 1.0
     small_streak = 0
     tail = math.inf
-    n_stop = rep.terminating_length()
-    scale = rep.sign * math.exp(rep.log_pref)
+    n_stop = _terminating_length(uppers)
+    scale = abs(prefactor)
     for n in range(cfg.max_terms):
         term = term * ((a1 + n) * (a2 + n) * (a3 + n)) / ((b1 + n) * (b2 + n) * (n + 1))
         total += term
+        abs_sum += abs(term)
         if n_stop is not None and n + 1 >= n_stop:
-            return SeriesResult(complex(scale * total), n + 1, 0.0)
+            return SeriesResult(complex(prefactor * total), n + 1,
+                                scale * EPS * (n + 3) * abs_sum)
         # algebraic tail: sum_{m>n} C m^{-(s+1)} ~ |t_n| * n / s
         tail = SAFETY_FACTOR * abs(term) * max(n + 1, 1) / max(s, 1e-3)
         if tail <= cfg.tolerance * max(1.0, abs(total)):
             small_streak += 1
             if small_streak >= CONSECUTIVE_SMALL:
-                return SeriesResult(complex(scale * total), n + 1,
-                                    abs(scale) * tail)
+                return SeriesResult(complex(prefactor * total), n + 1,
+                                    scale * (tail + EPS * (n + 3) * abs_sum))
         else:
             small_streak = 0
     raise ConvergenceError(
-        f"3F2 representation {rep.uppers}/{rep.lowers} did not converge "
+        f"3F2 representation {uppers}/{lowers} did not converge "
         f"in {cfg.max_terms} terms",
-        terms_used=cfg.max_terms, tail_estimate=abs(scale) * tail)
+        terms_used=cfg.max_terms, tail_estimate=scale * tail)
 
 
 def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float,
@@ -212,20 +176,38 @@ def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float,
     """3F2(a1,a2,a3; b1,b2; 1).
 
     Requires b1+b2-a1-a2-a3 > 0 unless an upper parameter truncates the
-    series.  Of the representations within two Thomae steps, the literal
-    series among them, sums a terminating one if any (the shortest), else
-    the one with the largest excess; the choice depends on the parameters
-    alone, not on the tolerance or the term cap.
+    series.  Of the ten Thomae forms (_thomae_forms), sums a terminating one
+    if any (the shortest), else the one with the largest excess, the first
+    in their order on a tie; the choice depends on the parameters alone, not
+    on the tolerance or the term cap.  The tail_bound counts the rounding of
+    the sum and of the prefactor's log-Gammas.
     """
     cfg = cfg or default_config()
     for b in (b1, b2):
         if _is_nonpositive_integer(b):
             raise DomainError(f"hyp3f2_unit: lower parameter {b} is a non-positive integer")
-    base = _Rep3F2((a1, a2, a3), (b1, b2), 0.0, 1.0)
-    if base.terminating_length() is None and base.excess <= 0:
-        raise DomainError(
-            f"hyp3f2_unit diverges at x=1: excess {base.excess} <= 0")
-    return _sum_3f2_rep(min(_rep_candidates(base), key=_rep_rank), cfg)
+    excess = (b1 + b2) - (a1 + a2 + a3)
+    if _terminating_length((a1, a2, a3)) is None and excess <= 0:
+        raise DomainError(f"hyp3f2_unit diverges at x=1: excess {excess} <= 0")
+
+    def rank(form):
+        # terminating forms first, shortest first; then the largest excess
+        # s, whose terms decay fastest (like n^-(s+1))
+        n_stop = _terminating_length(form[0])
+        return (0, n_stop) if n_stop is not None else (1, sum(form[0]) - sum(form[1]))
+
+    uppers, lowers, num, den = min(_thomae_forms(a1, a2, a3, b1, b2), key=rank)
+    log_pref, sign, log_size = 0.0, 1.0, 0.0
+    for args, sense in ((num, 1.0), (den, -1.0)):
+        for x in args:
+            lg, sg = _signed_log_gamma(x)
+            log_pref += sense * lg
+            sign *= sg
+            log_size += abs(lg)
+    r = _sum_3f2_rep(uppers, lowers, sign * math.exp(log_pref), cfg)
+    # each log-Gamma and the exp round relative to the value
+    return SeriesResult(r.value, r.terms_used,
+                        r.tail_bound + 4 * EPS * (log_size + 1) * abs(r.value))
 
 
 def mittag_e(theta: float, x: complex,

@@ -359,13 +359,14 @@ def suite_delta_identities(seed: int = 0) -> dict:
         p = bidisk.BidiskParams(al, be, th, vt)
         worst = 0.0
         for N in range(1, 11):
-            for n in range(N):
+            # n = N too: that sum is a_{N,N} N! = 1, which fixes coeff_a's scale
+            for n in range(N + 1):
                 total = sum(
                     bidisk.coeff_a(p, k, N) * math.factorial(n) * math.comb(k, n)
                     * pochhammer(al + th + vt + n + 2.0, k - n)
                     / pochhammer(al + be + 2 * th + 2 * vt + 2 * n + 4.0, k - n)
                     for k in range(n, N + 1))
-                worst = max(worst, abs(total))
+                worst = max(worst, abs(total - (n == N)))
         items.append(_item(f"bidisk delta draw {draw}", worst, 0.0, 1e-10,
                            scale=1.0))
     for draw in range(5):

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from kernelforge import bidisk, oracle
+from kernelforge import bidisk, oracle, verify
 from kernelforge.bidisk import (BidiskParams, coeff_a, coeff_b, diag_kernel,
                                 full_kernel, hardy_norm_expansion,
                                 norm_expansion, q_kernel,
@@ -44,6 +44,38 @@ def test_sigma_small_excess_converges():
                      0.10474667998505716, 0.04267424608896486)
     # 1/sigma from mpmath.hyp3f2 at 30 digits (10 s, so kept as a literal)
     assert sigma(p) == pytest.approx(1.0022654225773930, rel=1e-12)
+
+
+def _sigma_mpmath(al, be, th, vt):
+    """sigma at 40 digits: the closed Gamma form at vartheta = 0, else 1/sigma
+    = (beta+1) Gamma(alpha+2) Gamma(theta+1) / [(s+1) Gamma(alpha+theta+2)]
+    times 3F2(theta+1, a, a; alpha+theta+2, a+b; 1) from mpmath.hyp3f2."""
+    with mpmath.workdps(40):
+        al, be, th, vt = (mpmath.mpf(x) for x in (al, be, th, vt))
+        if vt == 0:
+            return mpmath.gammaprod(
+                [al + th + 2, be + th + 2, al + be + th + 3],
+                [al + 2, be + 2, th + 1, al + be + 2 * th + 3])
+        a, b = al + th + vt + 2, be + th + vt + 2
+        inv = ((be + 1) * mpmath.gammaprod([al + 2, th + 1], [al + th + 2])
+               / (a + b - 1) * mpmath.hyp3f2(th + 1, a, a, al + th + 2, a + b, 1))
+        return 1 / inv
+
+
+@pytest.mark.parametrize("tup", [
+    (0.5, 0.0, 447.5, 0.0),   # the worst warm-up read: 2.4e-12 off
+    (0.5, 0.0, 1.5, 0.0),
+    (3.0, 1.0, 250.0, 0.0),
+    (0.0, 4.0, 37.0, 0.0),
+    (-0.9, 2.7, 0.3, 0.0),
+    (0.3, 0.7, 445.0, 0.5),   # 3.9e-12 off, mpmath's 3F2 in 0.06 s
+])
+def test_sigma_tail_bound_counts_rounding(tup):
+    # each of these sums a terminating form, or one whose terms underflow to
+    # 0 within six terms, so the truncation error is 0; the bound must still
+    # cover the rounding of the log-Gamma prefactors
+    r = bidisk._sigma_cached(*tup, TruncationConfig())
+    assert abs(r.value.real - float(_sigma_mpmath(*tup))) <= r.tail_bound
 
 
 def test_sigma_gamma_form_requires_vartheta_zero():
@@ -153,6 +185,17 @@ def test_coeff_a_values():
     assert coeff_a(p, 0, 1) == pytest.approx(expect)
     with pytest.raises(DomainError):
         coeff_a(p, 2, 1)
+
+
+def test_delta_identities_check_coeff_a(monkeypatch):
+    # criterion 10's bidisk half summed only n < N, where the inversion sums
+    # are 0 at any scale of coeff_a, so a doubled coeff_a passed
+    monkeypatch.setattr("kernelforge.bidisk.coeff_a",
+                        lambda p, k, N: 2.0 * coeff_a(p, k, N))
+    report = verify.run_suite("delta-identities")
+    assert not report["passed"]
+    assert all(it["passed"] == it["item"].startswith("fock")
+               for it in report["items"])
 
 
 def test_coeff_b_degenerates_from_coeff_a():
@@ -315,9 +358,10 @@ def test_full_kernel_product_case_far_apart():
     assert abs(full_kernel(p, z, w).value - expect) < 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: full_kernel's tail "
-                   "bound misses a factor growing with n and drops the inner "
-                   "tails, so it reports 0.0 against an error of 6.8e-7")
+@pytest.mark.xfail(strict=True, reason="ROADMAP, 'True tail bounds for the "
+                   "bidisk double series': full_kernel's tail bound misses a "
+                   "factor growing with n and drops the inner tails, so it "
+                   "reports 0.0 against an error of 6.8e-7")
 def test_full_kernel_tail_bound_holds_on_diagonal():
     p = BidiskParams(1.0, 0.5, 0.0, 0.0)
     z = Point2(0.7, 0.7)

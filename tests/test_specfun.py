@@ -5,7 +5,7 @@ import pytest
 
 from kernelforge.config import TruncationConfig
 from kernelforge.errors import ConvergenceError, DomainError
-from kernelforge.specfun import (_Rep3F2, _sum_3f2_rep, hyp2f1, hyp3f2_unit,
+from kernelforge.specfun import (_sum_3f2_rep, hyp2f1, hyp3f2_unit,
                                  log_gamma, mittag_e, pochhammer)
 
 
@@ -101,7 +101,7 @@ def test_hyp3f2_accelerated_matches_literal():
     # moderate excess: both paths converge and must agree
     args = (0.7, 1.2, 0.9, 2.0, 4.5)
     fast = hyp3f2_unit(*args)
-    slow = _sum_3f2_rep(_Rep3F2(args[:3], args[3:], 0.0, 1.0),
+    slow = _sum_3f2_rep(args[:3], args[3:], 1.0,
                         TruncationConfig(tolerance=1e-13))
     assert fast.value.real == pytest.approx(slow.value.real, rel=1e-9)
     assert fast.terms_used <= slow.terms_used
@@ -118,6 +118,21 @@ def test_hyp3f2_choice_ignores_term_cap():
     r1 = hyp3f2_unit(*args, cfg=TruncationConfig(max_terms=100_000))
     r2 = hyp3f2_unit(*args, cfg=TruncationConfig(max_terms=1_000_000))
     assert (r1.value, r1.terms_used) == (r2.value, r2.terms_used)
+
+
+@pytest.mark.parametrize("args", [
+    # a two-step form built from 12 log-Gammas was 6.3e-12 and 2.6e-12 off,
+    # against bounds of 1.1e-13 and 3.8e-13
+    (-0.9997137315366746, 0.12123811823822628, -1.2451720471278422,
+     1.6228208798745696, 4.790508861295182),
+    (-2.000766409390101, -0.4974900366960382, 2.570394618943724,
+     3.229306491233219, 4.515336009585204),
+])
+def test_hyp3f2_within_tail_bound_of_mpmath(args):
+    r = hyp3f2_unit(*args)
+    with mpmath.workdps(20):
+        ref = complex(mpmath.hyp3f2(*args, 1))
+    assert abs(r.value - ref) <= r.tail_bound
 
 
 def test_hyp3f2_divergent_rejected():
