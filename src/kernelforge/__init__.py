@@ -6,7 +6,7 @@ Gram-matrix oracle."""
 from .config import Point2, SeriesResult, TruncationConfig, default_config
 from .errors import (ConditioningError, ConvergenceError, DivisibilityError,
                      DomainError, KernelforgeError, QuadratureError)
-from .poly2 import BiPoly, UniPoly
+from .poly2 import BiPoly
 
 from .bidisk import (BidiskParams, NormExpansion, coeff_a, coeff_b,
                      diag_kernel, full_kernel, hardy_norm_expansion,
@@ -31,7 +31,7 @@ __all__ = [
     "ConvergenceError", "DivisibilityError", "DomainError", "FockParams",
     "GramBlocks", "KernelforgeError", "NormExpansion", "Point2",
     "QuadratureError", "SUITES", "SeriesResult", "TruncationConfig",
-    "UniPoly", "ball_full_kernel", "ball_full_kernel_series",
+    "ball_full_kernel", "ball_full_kernel_series",
     "ball_hardy_norm_expansion", "ball_monomial_norms", "ball_norm_expansion",
     "ball_qN_kernel", "coeff_a", "coeff_b", "coeff_c", "default_config",
     "diag_kernel", "embed_const", "fock_diag_kernel",

@@ -10,6 +10,7 @@ the embedding identity ||z2^N g(z1)||^2 = embed_const(N) ||g||^2 literal.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -52,7 +53,7 @@ def embed_const(params: BallParams, N: int) -> float:
 
 
 def _z2_transform(f: BiPoly, N: int):
-    """d^N f / dz2^N restricted to z2 = 0."""
+    """d^N f / dz2^N restricted to z2 = 0, a polynomial in z1."""
     return f.differentiate(2, N).restrict_z2_zero()
 
 
@@ -98,8 +99,14 @@ def ball_full_kernel(params: BallParams, z: Point2, w: Point2,
             f"kernel argument |x| = {abs(x):.6f} >= 1; distance to the "
             f"boundary sphere is too small for the series form")
     f = hyp2f1(al + th + 2.0, 1.0, th + 1.0, x, cfg)
-    pref = math.exp(log_gamma(al + th + 2.0) - log_gamma(al + 1.0)
-                    - log_gamma(th + 1.0)) * u ** (-(al + be + th + 3.0))
+    try:
+        pref = math.exp(log_gamma(al + th + 2.0) - log_gamma(al + 1.0)
+                        - log_gamma(th + 1.0)) * u ** (-(al + be + th + 3.0))
+    except OverflowError:
+        pref = math.inf
+    if not cmath.isfinite(pref):
+        raise DomainError(f"ball kernel at z = ({z.z1}, {z.z2}), w = ({w.z1}, "
+                          f"{w.z2}) is not finite in double precision")
     slope = (al + be + 2.0 - be * x) / (1.0 - x)
     value = pref * (slope * f.value + th / (1.0 - x))
     return SeriesResult(value, f.terms_used, abs(pref * slope) * f.tail_bound)

@@ -36,7 +36,7 @@ import numpy as np
 from .config import (CONSECUTIVE_SMALL, EPS, MAX_OUTER_TERMS, SAFETY_FACTOR,
                      Point2, SeriesResult, TruncationConfig, default_config)
 from .errors import ConvergenceError, DomainError
-from .poly2 import BiPoly, UniPoly
+from .poly2 import BiPoly
 from .specfun import hyp3f2_unit, log_gamma, pochhammer
 
 
@@ -297,27 +297,28 @@ def coeff_b(theta: float, k: int, N: int) -> float:
             / pochhammer(2 * theta + N + k + 1.0, N - k))
 
 
-def diagonal_transform(f: BiPoly, N: int, coeff) -> UniPoly:
-    """sum_k coeff(k) d^{N-k} of the diagonal restriction of d^k f / dz1^k."""
-    out = UniPoly()
+def diagonal_transform(f: BiPoly, N: int, coeff) -> BiPoly:
+    """sum_k coeff(k) d^{N-k} of the diagonal restriction of d^k f / dz1^k,
+    a polynomial in z1."""
+    out = BiPoly()
     for k in range(N + 1):
         restricted = f.differentiate(1, k).restrict_diagonal()
-        out = out + restricted.differentiate(N - k).scale(coeff(k))
+        out = out + restricted.differentiate(1, N - k).scale(coeff(k))
     return out
 
 
-def restriction_transform(params: BidiskParams, f: BiPoly, N: int) -> UniPoly:
-    """The 1D polynomial sum_k a_{k,N} d^{N-k} [d^k f restricted to the
+def restriction_transform(params: BidiskParams, f: BiPoly, N: int) -> BiPoly:
+    """The polynomial in z1 sum_k a_{k,N} d^{N-k} [d^k f restricted to the
     diagonal]; inverts the order-N projection followed by division by
     (z1-z2)^N and diagonal restriction."""
     return diagonal_transform(f, N, lambda k: coeff_a(params, k, N))
 
 
-def disk_norm_sq(p: UniPoly, s: float) -> float:
-    """Norm in the probability-normalized 1D space of index s, via monomial
-    norms m!/(s+2)_m."""
+def disk_norm_sq(p: BiPoly, s: float) -> float:
+    """Norm of a polynomial in z1 in the probability-normalized 1D space of
+    index s, via monomial norms m!/(s+2)_m."""
     total = 0.0
-    for m, c in p.coeffs.items():
+    for (m, _), c in p.coeffs.items():
         total += abs(c) ** 2 * math.factorial(m) / pochhammer(s + 2.0, m)
     return total
 

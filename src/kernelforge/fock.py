@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .config import Point2, SeriesResult, TruncationConfig, default_config
 from .errors import DomainError
-from .poly2 import BiPoly, UniPoly
+from .poly2 import BiPoly
 from .specfun import log_gamma, mittag_e
 
 from .bidisk import NormExpansion, diagonal_transform, expand
@@ -27,6 +27,12 @@ class FockParams:
         # written as `not lo < x < inf` so that NaN and inf fail too
         if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
             raise DomainError("alpha and beta must be finite and positive")
+        # every weight and kernel takes the logs of these two
+        if not (0 < self.alpha * self.beta < math.inf
+                and self.alpha + self.beta < math.inf):
+            raise DomainError(
+                f"alpha beta or alpha + beta is 0 or not finite in double "
+                f"precision at alpha = {self.alpha}, beta = {self.beta}")
         if not -1 < self.theta < math.inf:
             raise DomainError("theta must be finite and exceed -1")
 
@@ -39,8 +45,12 @@ class FockParams:
 def fock_sigma(params: FockParams) -> float:
     """sigma = (alpha beta)^{theta+1} / [(alpha+beta)^theta Gamma(theta+1)]."""
     al, be, th = params.alpha, params.beta, params.theta
-    return math.exp((th + 1.0) * math.log(al * be)
-                    - th * math.log(al + be) - log_gamma(th + 1.0))
+    try:
+        return math.exp((th + 1.0) * math.log(al * be)
+                        - th * math.log(al + be) - log_gamma(th + 1.0))
+    except OverflowError:
+        raise DomainError(f"Gaussian-space sigma at {params} is not finite "
+                          f"in double precision") from None
 
 
 def fock_diag_kernel(params: FockParams, z: Point2, w1: complex) -> complex:
@@ -90,20 +100,21 @@ def coeff_c(params: FockParams, k: int, N: int) -> float:
     return sign * math.comb(N, k) * (params.alpha / params.gamma) ** (N - k)
 
 
-def fock_restriction_transform(params: FockParams, f: BiPoly, N: int) -> UniPoly:
+def fock_restriction_transform(params: FockParams, f: BiPoly, N: int) -> BiPoly:
     """(1/N!) sum_k c_{k,N} d^{N-k} of the diagonal restriction of the k-th
-    z1-derivative of f; inverts projection, division by (z1-z2)^N, and
-    diagonal restriction."""
+    z1-derivative of f, a polynomial in z1; inverts projection, division by
+    (z1-z2)^N, and diagonal restriction."""
     if N < 0:
         raise DomainError("N must be >= 0")
     return diagonal_transform(
         f, N, lambda k: coeff_c(params, k, N) / math.factorial(N))
 
 
-def fock_disk_norm_sq(p: UniPoly, gamma: float) -> float:
-    """1D Gaussian-space norm via monomial norms n!/gamma^{n+1}."""
+def fock_disk_norm_sq(p: BiPoly, gamma: float) -> float:
+    """1D Gaussian-space norm of a polynomial in z1 via monomial norms
+    n!/gamma^{n+1}."""
     total = 0.0
-    for n, c in p.coeffs.items():
+    for (n, _), c in p.coeffs.items():
         total += abs(c) ** 2 * math.exp(log_gamma(n + 1.0)
                                         - (n + 1.0) * math.log(gamma))
     return total
@@ -114,9 +125,16 @@ def fock_norm_expansion(params: FockParams, f: BiPoly) -> NormExpansion:
     (alpha beta)^{theta+N+1}] ||N! transform_N f||^2_{alpha+beta} / (N!)^2,
     i.e. with the transform already carrying the 1/N!."""
     al, be, th = params.alpha, params.beta, params.theta
+
+    def weight(N):
+        try:
+            return math.exp((th + N + 1.0) * math.log((al + be) / (al * be))
+                            + log_gamma(th + N + 1.0))
+        except OverflowError:
+            raise DomainError(f"Gaussian-space norm weight of order {N} at "
+                              f"{params} is not finite in double precision"
+                              ) from None
+
     return expand(range(max(f.total_degree, 0) + 1),
-                  lambda N: fock_restriction_transform(params, f, N),
-                  lambda N: math.exp(
-                      (th + N + 1.0) * math.log((al + be) / (al * be))
-                      + log_gamma(th + N + 1.0)),
+                  lambda N: fock_restriction_transform(params, f, N), weight,
                   lambda t, N: fock_disk_norm_sq(t, params.gamma))

@@ -1,12 +1,14 @@
-"""Sparse complex polynomials in one and two variables.
+"""Sparse complex polynomials in two variables.
 
-These carry every test function f and all diagonal-restriction transforms.
-Arithmetic is exact in double-precision complex; canonical form drops
-exactly-zero coefficients.
+These carry every test function f and all restriction transforms: a function
+on the zero variety is a polynomial in z1, a BiPoly whose keys are all
+(m, 0).  Arithmetic is exact in double-precision complex; canonical form
+drops exactly-zero coefficients.
 """
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass, field
 
@@ -17,68 +19,6 @@ _DIV_TOL = 1e-10
 
 def _clean(coeffs: dict) -> dict:
     return {k: complex(v) for k, v in coeffs.items() if v != 0}
-
-
-@dataclass(frozen=True)
-class UniPoly:
-    """sum_m c_m z^m with sparse coefficient storage."""
-
-    coeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _clean(self.coeffs))
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return max(self.coeffs, default=-1)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0) + c
-        return UniPoly(out)
-
-    def scale(self, factor: complex) -> "UniPoly":
-        return UniPoly({m: factor * c for m, c in self.coeffs.items()})
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        out: dict = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
-        return UniPoly(out)
-
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by z^k."""
-        return UniPoly({m + k: c for m, c in self.coeffs.items()})
-
-    def differentiate(self, order: int = 1) -> "UniPoly":
-        if order < 0:
-            raise DomainError("derivative order must be >= 0")
-        out = self
-        for _ in range(order):
-            out = UniPoly({m - 1: m * c for m, c in out.coeffs.items() if m >= 1})
-        return out
-
-    def evaluate(self, z: complex) -> complex:
-        # Horner over the sparse support
-        total = 0.0 + 0.0j
-        prev = None
-        for m in sorted(self.coeffs, reverse=True):
-            if prev is not None:
-                total *= z ** (prev - m)
-            total += self.coeffs[m]
-            prev = m
-        if prev is not None:
-            total *= z ** prev
-        return total
-
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -127,31 +67,32 @@ class BiPoly:
             raise DomainError("variable must be 1 or 2")
         if order < 0:
             raise DomainError("derivative order must be >= 0")
-        out = self
-        for _ in range(order):
-            new: dict = {}
-            for (m, n), c in out.coeffs.items():
-                if variable == 1 and m >= 1:
-                    new[(m - 1, n)] = new.get((m - 1, n), 0) + m * c
-                elif variable == 2 and n >= 1:
-                    new[(m, n - 1)] = new.get((m, n - 1), 0) + n * c
-            out = BiPoly(new)
-        return out
-
-    def restrict_diagonal(self) -> UniPoly:
-        """f(z1, z2) -> f(z1, z1)."""
         out: dict = {}
         for (m, n), c in self.coeffs.items():
-            out[m + n] = out.get(m + n, 0) + c
-        return UniPoly(out)
+            power = m if variable == 1 else n
+            if power < order:
+                continue
+            # one factor at a time, so each value rounds as it does under
+            # repeated first derivatives
+            for j in range(order):
+                c = (power - j) * c
+            out[(m - order, n) if variable == 1 else (m, n - order)] = c
+        return BiPoly(out)
 
-    def restrict_z2_zero(self) -> UniPoly:
-        """f(z1, z2) -> f(z1, 0)."""
-        return UniPoly({m: c for (m, n), c in self.coeffs.items() if n == 0})
+    def restrict_diagonal(self) -> "BiPoly":
+        """f(z1, z2) -> f(z1, z1), a polynomial in z1."""
+        out: dict = {}
+        for (m, n), c in self.coeffs.items():
+            out[(m + n, 0)] = out.get((m + n, 0), 0) + c
+        return BiPoly(out)
+
+    def restrict_z2_zero(self) -> "BiPoly":
+        """f(z1, z2) -> f(z1, 0), a polynomial in z1."""
+        return BiPoly({(m, 0): c for (m, n), c in self.coeffs.items() if n == 0})
 
     def divide_diag_power(self, power: int) -> "BiPoly":
         """Exact division by (z1 - z2)^power; raises DivisibilityError when
-        the remainder is nonzero."""
+        the remainder, a polynomial in z2, is nonzero."""
         if power < 0:
             raise DomainError("power must be >= 0")
         out = self
@@ -160,43 +101,29 @@ class BiPoly:
         return out
 
     def _divide_diag_once(self) -> "BiPoly":
-        # view as polynomial in z1 with UniPoly-in-z2 coefficients and run
-        # synthetic division by (z1 - z2)
-        scale = max((abs(c) for c in self.coeffs.values()), default=0.0)
-        by_z1: dict[int, UniPoly] = {}
+        # synthetic division by (z1 - z2) in z1; the coefficient of each
+        # power of z1 is a polynomial in z2, kept as an {n: c} dict
+        rows: dict = {}
         for (m, n), c in self.coeffs.items():
-            by_z1[m] = by_z1.get(m, UniPoly()) + UniPoly({n: c})
-        deg1 = max(by_z1, default=-1)
-        quotient: dict[int, UniPoly] = {}
-        carry = UniPoly()
-        for m in range(deg1, 0, -1):
-            carry = by_z1.get(m, UniPoly()) + carry.shift(1)
-            quotient[m - 1] = carry
-        remainder = by_z1.get(0, UniPoly()) + carry.shift(1)
-        if remainder.max_abs_coeff() > _DIV_TOL * max(1.0, scale):
+            rows.setdefault(m, {})[n] = c
+        out: dict = {}
+        carry: dict = {}
+        for m in range(max(rows, default=0), -1, -1):
+            row = dict(rows.get(m, {}))
+            for n, c in carry.items():
+                row[n + 1] = row.get(n + 1, 0) + c
+            carry = row
+            if m:
+                out.update(((m - 1, n), c) for n, c in row.items())
+        remainder = BiPoly({(0, n): c for n, c in carry.items()})
+        if remainder.max_abs_coeff() > _DIV_TOL * max(1.0, self.max_abs_coeff()):
             raise DivisibilityError(
                 "polynomial is not divisible by (z1 - z2)", remainder=remainder)
-        out: dict = {}
-        for m, qpoly in quotient.items():
-            for n, c in qpoly.coeffs.items():
-                out[(m, n)] = out.get((m, n), 0) + c
         return BiPoly(out)
 
     def evaluate(self, z1: complex, z2: complex) -> complex:
-        # Horner in z1 over UniPoly-in-z2 coefficients
-        by_z1: dict[int, UniPoly] = {}
-        for (m, n), c in self.coeffs.items():
-            by_z1[m] = by_z1.get(m, UniPoly()) + UniPoly({n: c})
-        total = 0.0 + 0.0j
-        prev = None
-        for m in sorted(by_z1, reverse=True):
-            if prev is not None:
-                total *= z1 ** (prev - m)
-            total += by_z1[m].evaluate(z2)
-            prev = m
-        if prev is not None:
-            total *= z1 ** prev
-        return total
+        return sum((c * z1 ** m * z2 ** n for (m, n), c in self.coeffs.items()),
+                   0j)
 
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
@@ -238,11 +165,16 @@ def _parse_coeff(text: str, term: str) -> complex:
     try:
         if text.startswith("(") and text.endswith(")"):
             re_, im = text[1:-1].split(",")
-            return complex(float(re_), float(im))
-        return complex(float(text))
+            value = complex(float(re_), float(im))
+        else:
+            value = complex(float(text))
     except ValueError:
         raise DomainError(f"cannot parse coefficient {text!r} of polynomial "
                           f"term {term!r}") from None
+    if not cmath.isfinite(value):
+        raise DomainError(f"coefficient {text!r} of polynomial term {term!r} "
+                          f"is not finite in double precision")
+    return value
 
 
 def _parse_bipoly(text: str) -> BiPoly:

@@ -22,6 +22,8 @@ _INT_EPS = 1e-9
 
 
 def _is_nonpositive_integer(x: float) -> bool:
+    # tolerant, for poles: a parameter this close to one is refused; an
+    # exact zero of a product or a terminating series needs x == round(x)
     return x <= _INT_EPS and abs(x - round(x)) <= _INT_EPS
 
 
@@ -50,7 +52,7 @@ def pochhammer(x: float, n: int) -> float:
     if n == 0:
         return 1.0
     # An integer zero anywhere in the product forces an exact 0.
-    if _is_nonpositive_integer(x) and -round(x) < n:
+    if x <= 0 and x == round(x) and -round(x) < n:
         return 0.0
     if n <= 30:
         out = 1.0
@@ -106,7 +108,7 @@ def hyp2f1(a: float, b: float, c: float, x: complex,
 
 def _terminating_length(uppers) -> int | None:
     """Number of terms if some upper parameter truncates the series."""
-    hits = [-round(u) for u in uppers if _is_nonpositive_integer(u)]
+    hits = [-round(u) for u in uppers if u <= 0 and u == round(u)]
     return int(min(hits)) + 1 if hits else None
 
 

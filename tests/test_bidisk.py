@@ -208,9 +208,9 @@ def test_coeff_b_degenerates_from_coeff_a():
 
 def test_restriction_transform_basics():
     p = BidiskParams(0, 0, 0, 0)
-    assert restriction_transform(p, BiPoly.parse("1"), 0).coeffs == {0: 1.0 + 0j}
+    assert restriction_transform(p, BiPoly.parse("1"), 0).coeffs == {(0, 0): 1.0 + 0j}
     t = restriction_transform(p, BiPoly.parse("z1 - z2"), 1)
-    assert t.coeffs == {0: pytest.approx(1.0 + 0j)}
+    assert t.coeffs == {(0, 0): pytest.approx(1.0 + 0j)}
 
 
 def test_restriction_transform_matches_oracle_projection():
@@ -222,8 +222,8 @@ def test_restriction_transform_matches_oracle_projection():
     pn, _ = oracle.project(g, f, 1)
     ref = pn.divide_diag_power(1).restrict_diagonal()
     t = restriction_transform(p, f, 1)
-    assert t.coeffs[0] == pytest.approx(ref.coeffs[0])
-    assert t.coeffs[0].real == pytest.approx(0.5)
+    assert t.coeffs[(0, 0)] == pytest.approx(ref.coeffs[(0, 0)])
+    assert t.coeffs[(0, 0)].real == pytest.approx(0.5)
 
 
 def test_norm_expansion_trivial():

@@ -317,10 +317,37 @@ def test_vartheta_off_the_bidisk_is_domain_error(capsys, space, vartheta):
 
 
 
-@pytest.mark.parametrize("poly", ["1.2.3*z1", "(1,2,3)*z1", "(a,1)*z1"])
+@pytest.mark.parametrize("poly", ["1.2.3*z1", "(1,2,3)*z1", "(a,1)*z1",
+                                  "(inf,0)*z1", "1e400*z1", "(nan,1)*z2"])
 def test_malformed_coefficient_is_domain_error(capsys, poly):
-    # each ended in a ValueError traceback with exit code 1
+    # the first three ended in a ValueError traceback with exit code 1; the
+    # non-finite ones exited 0 with NaN terms and "passed": true
     code, _, err = run(capsys, ["norm-expand", "--space", "bidisk", "--alpha",
                                 "0", "--beta", "0", "--poly", poly])
     assert code == cli.EXIT_DOMAIN
     assert poly in err and len(err.strip().splitlines()) == 1
+
+
+# alpha beta underflowing or overflowing, and weights or kernels past the
+# double range, ended in tracebacks or in a NaN sigma with exit code 0
+_EXTREME_WEIGHTS = {
+    "fock-kernel-tiny": ["kernel", "--space", "fock", "--alpha", "1e-300",
+                         "--beta", "1e-300", "--pair", "0.1,0,0.1,0"],
+    "fock-sigma-tiny": ["sigma", "--space", "fock", "--alpha", "1e-300",
+                        "--beta", "1e-300", "--theta", "2"],
+    "fock-sigma-huge": ["sigma", "--space", "fock", "--alpha", "1e308",
+                        "--beta", "1e308"],
+    "fock-sigma-overflow": ["sigma", "--space", "fock", "--alpha", "1e100",
+                            "--beta", "1e100", "--theta", "10"],
+    "fock-norm-weight": ["norm-expand", "--space", "fock", "--alpha", "1",
+                         "--beta", "1", "--theta", "1e300", "--poly", "z1"],
+    "ball-kernel": ["kernel", "--space", "ball", "--alpha", "0", "--beta",
+                    "1e300", "--pair", "0.1,0.1,0.1,0.1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXTREME_WEIGHTS))
+def test_extreme_weights_are_domain_errors(capsys, case):
+    code, _, err = run(capsys, _EXTREME_WEIGHTS[case])
+    assert code == cli.EXIT_DOMAIN
+    assert "double precision" in err and len(err.strip().splitlines()) == 1

@@ -140,11 +140,11 @@ def test_delta_identities_check_coeff_c(monkeypatch):
 def test_restriction_transform():
     p = FockParams(1, 1, 0)
     assert fock_restriction_transform(p, BiPoly.parse("1"), 0).coeffs == \
-        {0: 1.0 + 0j}
+        {(0, 0): 1.0 + 0j}
     assert fock_restriction_transform(p, BiPoly.parse("z1"), 0).coeffs == \
-        {1: 1.0 + 0j}
+        {(1, 0): 1.0 + 0j}
     t = fock_restriction_transform(p, BiPoly.parse("z1 - z2"), 1)
-    assert t.coeffs == {0: pytest.approx(1.0 + 0j)}
+    assert t.coeffs == {(0, 0): pytest.approx(1.0 + 0j)}
 
 
 def test_restriction_transform_matches_oracle_projection():

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from kernelforge import oracle
-from kernelforge.bidisk import BidiskParams, sigma
+from kernelforge.bidisk import BidiskParams, restriction_transform, sigma
 from kernelforge.errors import ConditioningError, DomainError, QuadratureError
+from kernelforge.fock import FockParams, fock_restriction_transform
 from kernelforge.poly2 import BiPoly
 
 
@@ -193,6 +194,32 @@ def test_project_qn_norms_sum_to_total():
     total = sum(g.norm_sq(oracle.project(g, f, N)[1])
                 for N in range(f.total_degree + 1))
     assert total == pytest.approx(g.norm_sq(f), rel=1e-12)
+
+
+@pytest.mark.parametrize("space,al,be,th", [
+    ("bidisk", 0.5, 1.0, 1), ("bidisk", 0.0, 2.0, 0), ("fock", 1.0, 2.0, 1)])
+def test_restriction_transforms_match_projection_at_every_order(space, al, be,
+                                                                th):
+    # the paper's definition: project onto the functions vanishing to order
+    # N along z1 = z2, divide by (z1 - z2)^N and restrict to the diagonal
+    if space == "bidisk":
+        g = oracle.gram_bidisk_exact(al, be, th, 5)
+        params, transform = BidiskParams(al, be, th, 0.0), restriction_transform
+    else:
+        g = oracle.gram_fock_exact(al, be, th, 5)
+        params, transform = FockParams(al, be, th), fock_restriction_transform
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        degree = int(rng.integers(1, 6))
+        f = BiPoly({(m, d - m): complex(*rng.standard_normal(2))
+                    for d in range(degree + 1) for m in range(d + 1)})
+        for N in range(degree + 1):
+            ref = oracle.project(g, f, N)[0].divide_diag_power(N)
+            ref = ref.restrict_diagonal().coeffs
+            got = transform(params, f, N).coeffs
+            for key in set(ref) | set(got):
+                assert abs(got.get(key, 0) - ref.get(key, 0)) <= \
+                    1e-10 * f.max_abs_coeff()
 
 
 def test_projection_rejects_ill_conditioned():

@@ -1,25 +1,25 @@
 import pytest
 
 from kernelforge.errors import DivisibilityError, DomainError
-from kernelforge.poly2 import BiPoly, UniPoly
+from kernelforge.poly2 import BiPoly
 
 
-def test_unipoly_arithmetic():
-    p = UniPoly({0: 1, 2: 3})
-    q = UniPoly({1: 2})
-    assert (p + q).coeffs == {0: 1, 1: 2, 2: 3}
-    assert (p * q).coeffs == {1: 2, 3: 6}
-    assert p.scale(2).coeffs == {0: 2, 2: 6}
-    assert p.degree == 2
-    assert UniPoly().degree == -1
+def test_polynomial_in_z1_arithmetic():
+    p = BiPoly({(0, 0): 1, (2, 0): 3})
+    q = BiPoly({(1, 0): 2})
+    assert (p + q).coeffs == {(0, 0): 1, (1, 0): 2, (2, 0): 3}
+    assert (p * q).coeffs == {(1, 0): 2, (3, 0): 6}
+    assert p.scale(2).coeffs == {(0, 0): 2, (2, 0): 6}
+    assert p.degree_in(1) == 2
+    assert BiPoly().degree_in(1) == -1
 
 
-def test_unipoly_differentiate_and_evaluate():
-    p = UniPoly({3: 2.0, 1: 1.0})       # 2z^3 + z
-    assert p.differentiate().coeffs == {2: 6.0, 0: 1.0}
-    assert p.differentiate(4).is_zero()
-    assert p.evaluate(2.0) == pytest.approx(18.0)
-    assert p.evaluate(0.0) == 0.0
+def test_polynomial_in_z1_differentiate_and_evaluate():
+    p = BiPoly({(3, 0): 2.0, (1, 0): 1.0})       # 2z^3 + z
+    assert p.differentiate(1).coeffs == {(2, 0): 6.0, (0, 0): 1.0}
+    assert p.differentiate(1, 4).is_zero()
+    assert p.evaluate(2.0, 0.0) == pytest.approx(18.0)
+    assert p.evaluate(0.0, 0.0) == 0.0
 
 
 def test_bipoly_basics():
@@ -32,13 +32,13 @@ def test_bipoly_basics():
 def test_diagonal_restriction():
     f = BiPoly.parse("z1^2*z2 + z1 - z2")
     g = f.restrict_diagonal()
-    assert g.coeffs == {3: 1.0 + 0j}
-    assert BiPoly.parse("3").restrict_diagonal().coeffs == {0: 3.0 + 0j}
+    assert g.coeffs == {(3, 0): 1.0 + 0j}
+    assert BiPoly.parse("3").restrict_diagonal().coeffs == {(0, 0): 3.0 + 0j}
 
 
 def test_restrict_z2_zero():
     f = BiPoly.parse("z1^2*z2 + 4*z1 - z2")
-    assert f.restrict_z2_zero().coeffs == {1: 4.0 + 0j}
+    assert f.restrict_z2_zero().coeffs == {(1, 0): 4.0 + 0j}
 
 
 def test_divide_diag_power():

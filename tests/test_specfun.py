@@ -42,6 +42,13 @@ def test_pochhammer_negative_x_large_n_sign():
     assert pochhammer(-0.5, 40) == pytest.approx(direct, rel=1e-10)
 
 
+def test_pochhammer_near_integer_is_not_zero():
+    # -3 + 1e-10 is not a non-positive integer, so no factor is exactly 0
+    with mpmath.workdps(40):
+        ref = float(mpmath.rf(mpmath.mpf(-3 + 1e-10), 5))
+    assert pochhammer(-3 + 1e-10, 5) == pytest.approx(ref, rel=1e-12)
+
+
 def test_hyp2f1_log_identity():
     # 2F1(1,1;2;x) = -log(1-x)/x
     import cmath
@@ -127,6 +134,9 @@ def test_hyp3f2_choice_ignores_term_cap():
      1.6228208798745696, 4.790508861295182),
     (-2.000766409390101, -0.4974900366960382, 2.570394618943724,
      3.229306491233219, 4.515336009585204),
+    # an upper parameter 5e-10 from -2 does not end the series after three
+    # terms; doing so left the value 2.5e-13 off against a bound of 2.1e-15
+    (-2 + 5e-10, 1.5, 1.0, 3.0, 4.0),
 ])
 def test_hyp3f2_within_tail_bound_of_mpmath(args):
     r = hyp3f2_unit(*args)
