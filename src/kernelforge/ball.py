@@ -74,8 +74,18 @@ def ball_qN_kernel(params: BallParams, N: int, z: Point2, w: Point2) -> complex:
     _require_ball(z, w)
     al, be, th = params.alpha, params.beta, params.theta
     x = z.z1 * complex(w.z1).conjugate()
-    return ((z.z2 * complex(w.z2).conjugate()) ** N / embed_const(params, N)
-            * (1.0 - x) ** (-(al + be + th + N + 3.0)))
+    try:
+        value = ((z.z2 * complex(w.z2).conjugate()) ** N
+                 / embed_const(params, N)
+                 * (1.0 - x) ** (-(al + be + th + N + 3.0)))
+    except (OverflowError, ZeroDivisionError):
+        # ZeroDivisionError: embed_const underflows to 0
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise DomainError(f"ball order-{N} kernel at z = ({z.z1}, {z.z2}), "
+                          f"w = ({w.z1}, {w.z2}) is not finite in double "
+                          f"precision")
+    return value
 
 
 def ball_full_kernel(params: BallParams, z: Point2, w: Point2,

@@ -53,11 +53,24 @@ def fock_sigma(params: FockParams) -> float:
                           f"in double precision") from None
 
 
+def _sigma_exp(params: FockParams, expo: complex, z, w) -> complex:
+    """sigma e^expo, the kernel at z and w, or DomainError when that is not
+    finite in double precision."""
+    try:
+        value = fock_sigma(params) * cmath.exp(expo)
+    except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise DomainError(f"Fock kernel at z = {z}, w = {w} is not finite in "
+                          f"double precision")
+    return value
+
+
 def fock_diag_kernel(params: FockParams, z: Point2, w1: complex) -> complex:
     """P(z, (w1, w1)) = sigma e^{conj(w1)(alpha z1 + beta z2)}."""
     wc = complex(w1).conjugate()
-    return fock_sigma(params) * cmath.exp(
-        wc * (params.alpha * z.z1 + params.beta * z.z2))
+    return _sigma_exp(params, wc * (params.alpha * z.z1 + params.beta * z.z2),
+                      z, w1)
 
 
 def fock_q0_kernel(params: FockParams, z: Point2, w: Point2) -> complex:
@@ -66,7 +79,7 @@ def fock_q0_kernel(params: FockParams, z: Point2, w: Point2) -> complex:
     al, be = params.alpha, params.beta
     expo = ((al * complex(w.z1).conjugate() + be * complex(w.z2).conjugate())
             * (al * z.z1 + be * z.z2) / (al + be))
-    return fock_sigma(params) * cmath.exp(expo)
+    return _sigma_exp(params, expo, z, w)
 
 
 def fock_full_kernel(params: FockParams, z: Point2, w: Point2,

@@ -21,6 +21,10 @@ orthogonal there.  A fixed v fails: scaled to a unit diagonal, the basis's
 Gram matrix reaches condition number 1.7e12 at bidisk degree 14 with
 v = z2, and 1e17 with v = z1 + z2 on the Gaussian space at alpha = 1,
 beta = 100, theta = 1, degree 10.
+
+scipy, for the Gauss rules and LAPACK's Cholesky and triangular solves, is
+imported inside the functions that call it, on first use, so that importing
+kernelforge and summing the series kernels never load it.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, lapack
-from scipy.special import roots_genlaguerre, roots_jacobi, roots_legendre
 
 from .ball import BallParams
 from .bidisk import BidiskParams
@@ -222,6 +224,7 @@ QUAD_MAX_ORDER = 512
 def _angular_nodes(n: int, theta: float):
     """Nodes/weights on (0, pi); graded toward 0 when the angular factor has
     an integrable singularity there (theta < 0)."""
+    from scipy.special import roots_legendre
     x, w = roots_legendre(n)
     u = 0.5 * (x + 1.0)
     wu = 0.5 * w
@@ -261,6 +264,8 @@ def _bidisk_radial(p: BidiskParams, n: int):
     """Gauss-Jacobi in r = |z_i| for the disk weights (1 - r^2)^alpha, with
     the weight's factor (1 + r)^alpha and the area element's r in the
     weights."""
+    from scipy.special import roots_jacobi
+
     def rule(a):
         x, w = roots_jacobi(n, a, 0.0)
         s = 0.5 * (x + 1.0)
@@ -272,6 +277,7 @@ def _bidisk_radial(p: BidiskParams, n: int):
 def _gaussian_radial(p: FockParams, n: int):
     """Gauss-Laguerre in t = |z_i|^2 for the weights e^{-alpha t} and
     e^{-beta t}."""
+    from scipy.special import roots_genlaguerre
     # at order 512 scipy's weights overflow; gram_numeric refuses the
     # non-finite rule, so the overflow warning says nothing more
     with np.errstate(over="ignore", invalid="ignore"):
@@ -355,6 +361,7 @@ def gram_kernel_blocks(gram: GramBlocks) -> list:
 
     Because the Gram table is block-diagonal by total degree, these inverses
     are the exact Taylor blocks of the true kernel, not truncation artifacts."""
+    from scipy.linalg import cho_solve
     return [cho_solve((_cholesky(g, f"Gram block degree {d}"), False),
                       np.eye(d + 1))
             for d, g in enumerate(gram.blocks)]
@@ -379,6 +386,7 @@ def _check_conditioning(m: np.ndarray, what: str) -> None:
 def _cholesky(m: np.ndarray, what: str) -> np.ndarray:
     """The upper Cholesky factor R, m = R^T R, of the real symmetric m, after
     _check_conditioning(m, what)."""
+    from scipy.linalg import lapack
     _check_conditioning(m, what)
     r, info = lapack.dpotrf(m)
     if info:
@@ -493,6 +501,7 @@ def order_parts(gram: GramBlocks, f: BiPoly) -> list:
     of Q_{d-i} f is <f, w_i> w_i.  Each order's normal matrix is a leading
     submatrix of E^T G_d E, no worse conditioned after scaling than the whole
     (eigenvalue interlacing), so one check covers them all."""
+    from scipy.linalg import lapack
     if f.total_degree > gram.max_degree:
         raise DomainError("polynomial degree exceeds the Gram table")
     # the variety is {u = 0}: u = z2 on the ball, z1 - z2 elsewhere

@@ -190,6 +190,14 @@ def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float,
             raise DomainError(f"hyp3f2_unit: lower parameter {b} is a non-positive integer")
     excess = (b1 + b2) - (a1 + a2 + a3)
     if _terminating_length((a1, a2, a3)) is None and excess <= 0:
+        size = abs(a1) + abs(a2) + abs(a3) + abs(b1) + abs(b2)
+        # the subtraction, or the caller's own sums, may have rounded a
+        # positive excess away
+        if -excess <= 8 * EPS * size:
+            raise DomainError(
+                f"hyp3f2_unit at x=1: the excess {excess} is within rounding "
+                f"of parameters of size {size:.3g} and cannot be resolved in "
+                f"double precision")
         raise DomainError(f"hyp3f2_unit diverges at x=1: excess {excess} <= 0")
 
     def rank(form):

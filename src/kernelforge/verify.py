@@ -3,7 +3,9 @@ seeded check returning a deterministic report dict.
 
 Each suite returns {"suite", "seed", "passed", "items"} where items carry
 (item, value, oracle, abs_err, rel_err, tol, passed).  The CLI and the
-acceptance tests both consume these.
+acceptance tests both consume these.  Of this module's own code only
+criterion 8's Gauss-Jacobi rule (_e_theta_rule) uses scipy, and it imports it
+on first use, as kernelforge.oracle does.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from . import bidisk, ball, fock, oracle
 from .config import Point2, default_config
@@ -229,6 +230,7 @@ def suite_ball(seed: int = 0) -> dict:
 def _e_theta_rule(theta: float):
     """Nodes t and weights of the 64-node Gauss-Jacobi rule for
     Gamma(theta)^-1 int_0^1 (1-t)^(theta-1) g(t) dt, theta > 0."""
+    from scipy.special import roots_jacobi
     x, wx = roots_jacobi(64, theta - 1.0, 0.0)
     return 0.5 * (x + 1.0), wx / (2.0 ** theta * math.gamma(theta))
 

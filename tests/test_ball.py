@@ -162,6 +162,26 @@ def test_infinite_parameters_are_refused(make):
         make()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ball_qN_kernel(BallParams(0, 1e300, 0), 0, Point2(0.1, 0.1),
+                           Point2(0.1, 0.1)),
+    lambda: ball_qN_kernel(BallParams(1000, 0, 1000), 0, Point2(0.1, 0.1),
+                           Point2(0.1, 0.1)),
+    lambda: fock.fock_q0_kernel(fock.FockParams(1, 1, 0), Point2(30, 30),
+                                Point2(30, 30)),
+    lambda: fock.fock_q0_kernel(fock.FockParams(100, 100, 5),
+                                Point2(1.87, 1.87), Point2(1.87, 1.87)),
+    lambda: fock.fock_diag_kernel(fock.FockParams(1, 1, 0), Point2(800, 800),
+                                  800)],
+    ids=["ball-qN-power", "ball-qN-embed-underflow", "fock-q0-exp",
+         "fock-q0-product", "fock-diag-exp"])
+def test_kernels_past_double_range_are_domain_errors(call):
+    # these raised OverflowError or ZeroDivisionError, or returned inf when
+    # only the product of two finite factors overflowed
+    with pytest.raises(DomainError, match="double precision"):
+        call()
+
+
 def test_hardy_is_limit_of_weighted_norms():
     # (alpha+1)(alpha+2) ||f||^2 tends to the surface norm as alpha -> -1
     f = BiPoly.parse("z1^2*z2 - z2^2 + 2")

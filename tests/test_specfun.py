@@ -3,6 +3,7 @@ import math
 import mpmath
 import pytest
 
+from kernelforge import bidisk
 from kernelforge.config import TruncationConfig
 from kernelforge.errors import ConvergenceError, DomainError
 from kernelforge.specfun import (_sum_3f2_rep, hyp2f1, hyp3f2_unit,
@@ -146,8 +147,18 @@ def test_hyp3f2_within_tail_bound_of_mpmath(args):
 
 
 def test_hyp3f2_divergent_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="diverges"):
         hyp3f2_unit(2.0, 2.0, 2.0, 1.0, 1.0)  # excess -4
+
+
+def test_hyp3f2_excess_lost_to_rounding_is_not_called_divergent():
+    # sigma's 3F2 at theta = 1e300 has excess beta + 1 = 1, rounded to 0 in
+    # (b1 + b2) - (a1 + a2 + a3); the message blamed divergence
+    with pytest.raises(DomainError, match="cannot be resolved in double "
+                                          "precision"):
+        bidisk.sigma(bidisk.BidiskParams(0, 0, 1e300, 0))
+    with pytest.raises(DomainError, match="cannot be resolved"):
+        hyp3f2_unit(1e17, 1.0, 1.0, 1e17, 1.5)  # excess 0.5, rounds to 0
 
 
 def test_mittag_theta_zero_is_exp():
