@@ -52,17 +52,17 @@ def embed_const(params: BallParams, N: int) -> float:
                     - log_gamma(al + th + N + 2.0)) / (al + be + th + N + 2.0)
 
 
-def _z2_transform(f: BiPoly, N: int):
-    """d^N f / dz2^N restricted to z2 = 0, a polynomial in z1."""
-    return f.differentiate(2, N).restrict_z2_zero()
+def _z2_coefficient(f: BiPoly, N: int) -> BiPoly:
+    """f's order-N part along z2 = 0 over z2^N, a polynomial in z1."""
+    return BiPoly({(m, 0): c for (m, n), c in f.coeffs.items() if n == N})
 
 
 def ball_norm_expansion(params: BallParams, f: BiPoly) -> NormExpansion:
-    """||f||^2 = sum_N [embed_const(N)/(N!)^2] ||d^N f/dz2^N at z2=0||^2
-    in the 1D space of index alpha+beta+theta+N+1."""
+    """||f||^2 = sum_N embed_const(N) ||f_N||^2 in the 1D space of index
+    alpha+beta+theta+N+1, where f_N is f's coefficient of z2^N."""
     s_base = params.alpha + params.beta + params.theta + 1.0
-    return expand(range(f.degree_in(2) + 1), lambda N: _z2_transform(f, N),
-                  lambda N: embed_const(params, N) / math.factorial(N) ** 2,
+    return expand(range(f.degree_in(2) + 1), lambda N: _z2_coefficient(f, N),
+                  lambda N: embed_const(params, N),
                   lambda g, N: disk_norm_sq(g, s_base + N))
 
 
@@ -154,13 +154,12 @@ def ball_full_kernel_series(params: BallParams, z: Point2, w: Point2,
 
 def ball_hardy_norm_expansion(beta: float, theta: float,
                               f: BiPoly) -> NormExpansion:
-    """Surface-measure norm expansion: weights 1/[(beta+theta+N+1) (N!)^2],
-    1D indices beta+theta+N; the alpha -> -1 limit with the (alpha+1)(alpha+2)
-    normalization."""
+    """Surface-measure norm expansion: weights 1/(beta+theta+N+1) on f's
+    coefficients of z2^N, 1D indices beta+theta+N; the alpha -> -1 limit with
+    the (alpha+1)(alpha+2) normalization."""
     if not -1 < beta + theta < math.inf:  # NaN and inf fail too
         raise DomainError(
             "ball_hardy_norm_expansion requires a finite beta + theta > -1")
-    return expand(range(f.degree_in(2) + 1), lambda N: _z2_transform(f, N),
-                  lambda N: 1.0 / ((beta + theta + N + 1.0)
-                                   * math.factorial(N) ** 2),
+    return expand(range(f.degree_in(2) + 1), lambda N: _z2_coefficient(f, N),
+                  lambda N: 1.0 / (beta + theta + N + 1.0),
                   lambda g, N: disk_norm_sq(g, beta + theta + N))

@@ -12,6 +12,7 @@ import csv
 import functools
 import io
 import json
+import re
 import sys
 import time
 from dataclasses import replace
@@ -311,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     k = subs.add_parser("kernel", help="evaluate the reproducing kernel")
     _add_space_args(k)
     k.add_argument("--pair", action="append",
-                   help="z1,z2,w1,w2 (reals) or re,im x4 (complex); repeatable")
+                   help="z1,z2,w1,w2 (reals) or re,im x4 (complex); "
+                        "negative numbers are fine; repeatable")
     k.add_argument("--points-file", help="file with one pair per line")
     k.add_argument("--oracle", action="store_true",
                    help="compare against the exact Gram-oracle kernel")
@@ -338,6 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a separate --pair value starting with "-" as an option
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--pair" and re.match(r"-[0-9.]", argv[i]):
+            argv[i - 1:i + 1] = [f"--pair={argv[i]}"]
     args = parser.parse_args(argv)
     args._t0 = time.time()
     try:
@@ -351,6 +358,10 @@ def main(argv=None) -> int:
     except ConditioningError as exc:
         print(f"conditioning failure: {exc}", file=sys.stderr)
         return EXIT_CONDITIONING
+    except (OverflowError, ZeroDivisionError) as exc:
+        print(f"domain error: a value is not finite in double precision "
+              f"({exc})", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

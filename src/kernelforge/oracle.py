@@ -2,11 +2,12 @@
 total degree (rotation invariance of every weight makes cross-degree inner
 products vanish).
 
-Exact blocks exist for integer theta (binomial expansion of |z1-z2|^{2theta}
-against 1D radial moments); everything else goes through dimension-reduced
-adaptive quadrature.  Kernel Taylor blocks are the exact inverses of the Gram
-blocks.  Each builder checks its parameters by constructing the space's
-parameter class, which holds the space's domain.
+Exact blocks exist for integer theta, as B^T M B: B holds the monomials times
+(z1-z2)^theta, and the diagonal M their moments in the theta = 0 product
+space.  Everything else goes through dimension-reduced adaptive quadrature.
+Kernel Taylor blocks are the exact inverses of the Gram blocks.  Each builder
+checks its parameters by constructing the space's parameter class, which
+holds the space's domain.
 
 The orthogonal parts Q_N f of f that vanish to order exactly N along the
 space's variety {u = 0} (u = z1 - z2, or z2 on the ball) all come from one
@@ -109,29 +110,21 @@ def _require_integer_theta(theta: float) -> int:
 
 def _binomial_gram_blocks(theta: float, max_degree: int, moment1,
                           moment2) -> list:
-    """Blocks of degree 0..max_degree for integer theta: |z1-z2|^{2 theta}
-    expanded binomially against per-variable radial moments; moment_i(p) is
-    the p-th absolute moment of variable i."""
+    """Blocks of degree 0..max_degree for integer theta: (z1-z2)^theta maps
+    the space isometrically into the theta = 0 product space, whose monomials
+    z1^k z2^(d+theta-k) are orthogonal with norms mu_k = moment1(k)
+    moment2(d+theta-k), moment_i(p) being the p-th absolute moment of
+    variable i.  So G_d = B^T diag(mu) B, column m of B holding the
+    coefficients of z1^m z2^(d-m) (z1-z2)^theta."""
     th = _require_integer_theta(theta)
-    binom = [math.comb(th, i) for i in range(th + 1)]
+    u = _powers(np.array([-1.0, 1.0]), th)[-1]
+    mom1, mom2 = (np.array([mom(p) for p in range(max_degree + th + 1)])
+                  for mom in (moment1, moment2))
     blocks = []
-    for degree in range(max_degree + 1):
-        size = degree + 1
-        block = np.zeros((size, size))
-        for m1 in range(size):
-            n1 = degree - m1
-            for m2 in range(m1, size):
-                shift = m1 - m2
-                total = 0.0
-                for i in range(th + 1):
-                    j = i + shift
-                    if 0 <= j <= th:
-                        sign = -1.0 if (i + j) % 2 else 1.0
-                        total += (sign * binom[i] * binom[j]
-                                  * moment1(m1 + i) * moment2(n1 + th - i))
-                block[m1, m2] = total
-                block[m2, m1] = total
-        blocks.append(block)
+    for d in range(max_degree + 1):
+        b = np.array([np.convolve(mono, u) for mono in np.eye(d + 1)]).T
+        g = b.T @ ((mom1[:d + th + 1] * mom2[d + th::-1])[:, None] * b)
+        blocks.append(0.5 * (g + g.T))  # exactly symmetric
     return blocks
 
 

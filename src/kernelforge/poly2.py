@@ -86,10 +86,6 @@ class BiPoly:
             out[(m + n, 0)] = out.get((m + n, 0), 0) + c
         return BiPoly(out)
 
-    def restrict_z2_zero(self) -> "BiPoly":
-        """f(z1, z2) -> f(z1, 0), a polynomial in z1."""
-        return BiPoly({(m, 0): c for (m, n), c in self.coeffs.items() if n == 0})
-
     def divide_diag_power(self, power: int) -> "BiPoly":
         """Exact division by (z1 - z2)^power; raises DivisibilityError when
         the remainder, a polynomial in z2, is nonzero."""

@@ -130,6 +130,21 @@ def test_hardy_norm_expansion():
         ball_hardy_norm_expansion(-0.6, -0.5, BiPoly.parse("1"))
 
 
+@pytest.mark.parametrize("expand,oracle_norm,exact", [
+    (lambda f: ball_norm_expansion(BallParams(0, 0, 0), f),
+     lambda: oracle.ball_monomial_norm(0, 0, 0, 0, 120), 1 / (121 * 122)),
+    (lambda f: ball_hardy_norm_expansion(0, 0, f),
+     lambda: oracle.ball_hardy_monomial_norm(0, 0, 0, 120), 1 / 121),
+], ids=["bergman", "hardy"])
+def test_norm_expansions_at_high_z2_order(expand, oracle_norm, exact):
+    # dividing by the integer (N!)^2 overflowed the float range from N = 99
+    # on; the closed forms exponentiate log-Gamma differences near 460,
+    # which carry about 1e-13 of relative rounding at N = 120
+    total = expand(BiPoly.parse("z2^120")).total
+    assert total == pytest.approx(oracle_norm(), rel=2e-13)
+    assert total == pytest.approx(exact, rel=2e-13)
+
+
 @pytest.mark.parametrize("expand", [
     lambda f: bidisk.hardy_norm_expansion(float("nan"), f),
     lambda f: ball_hardy_norm_expansion(float("nan"), 0.0, f),

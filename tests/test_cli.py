@@ -351,3 +351,50 @@ def test_extreme_weights_are_domain_errors(capsys, case):
     code, _, err = run(capsys, _EXTREME_WEIGHTS[case])
     assert code == cli.EXIT_DOMAIN
     assert "double precision" in err and len(err.strip().splitlines()) == 1
+
+
+# values past the double range whose Python exception left cli.main as a
+# traceback with exit code 1
+_PAST_DOUBLE_RANGE = {
+    "bidisk-norm-degree": ["norm-expand", "--space", "bidisk", "--alpha",
+                           "0", "--beta", "0", "--poly", "z1^200"],
+    "bidisk-norm-coeff": ["norm-expand", "--space", "bidisk", "--alpha", "0",
+                          "--beta", "0", "--poly", "(1e200,0)*z1^2"],
+    "bidisk-sigma-theta": ["sigma", "--space", "bidisk", "--alpha", "0",
+                           "--beta", "0", "--theta", "600"],
+    "bidisk-kernel-theta": ["kernel", "--space", "bidisk", "--alpha", "0",
+                            "--beta", "0", "--theta", "600", "--pair",
+                            "0.1,0.2,0.1,0.1"],
+    "bidisk-sigma-weights": ["sigma", "--space", "bidisk", "--alpha", "600",
+                             "--beta", "600", "--theta", "600"],
+    "fock-norm-coeff": ["norm-expand", "--space", "fock", "--alpha", "3",
+                        "--beta", "3", "--poly", "(1e200,0)*z1^2"],
+    "fock-norm-degree": ["norm-expand", "--space", "fock", "--alpha", "3",
+                         "--beta", "3", "--poly", "z1^200"],
+    "fock-sigma-theta": ["sigma", "--space", "fock", "--alpha", "3",
+                         "--beta", "3", "--theta", "600"],
+    "bidisk-norm-weights": ["norm-expand", "--space", "bidisk", "--alpha",
+                            "1e5", "--beta", "1e5", "--poly", "z1^60"],
+    "bidisk-oracle-remainder": ["kernel", "--space", "bidisk", "--alpha",
+                                "-0.999999", "--beta", "1e5", "--pair",
+                                "0.1,0.2,0.1,0.1", "--oracle"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PAST_DOUBLE_RANGE))
+def test_past_double_range_is_domain_error(capsys, case):
+    code, _, err = run(capsys, _PAST_DOUBLE_RANGE[case])
+    assert code == cli.EXIT_DOMAIN
+    assert "double precision" in err and len(err.strip().splitlines()) == 1
+
+
+def test_kernel_pair_negative_first_coordinate(capsys):
+    # argparse read "-0.3,..." as an option and exited 2
+    base = ["kernel", "--space", "bidisk", "--alpha", "1", "--beta", "0.5"]
+    reports = []
+    for pair in (["--pair", "-0.3,0.2,0.1,0.4"], ["--pair=-0.3,0.2,0.1,0.4"]):
+        code, out, _ = run(capsys, base + pair)
+        assert code == 0
+        reports.append(json.loads(out))
+        del reports[-1]["wall_time"]
+    assert reports[0] == reports[1]

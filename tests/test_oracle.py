@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -56,6 +57,34 @@ def test_hardy_torus_values():
     assert g0.norm_sq(BiPoly.parse("z1-z2")) == pytest.approx(2.0)
     g1 = oracle.gram_hardy_torus_exact(1.0, 3)
     assert g1.norm_sq(BiPoly.parse("z1*z2")) == pytest.approx(2.0)
+
+
+def _binomial_block(th, d, moment):
+    """Block d of the Gram matrix for weight |z1-z2|^(2 th) against the
+    product moments moment(p) moment(q), in exact rationals: entry (m1, m2)
+    pairs z1^m1 z2^(d-m1) (z1-z2)^th with z1^m2 z2^(d-m2) (z1-z2)^th term
+    by term, c[i] being the coefficient of z1^i z2^(th-i) in (z1-z2)^th."""
+    c = [(-1) ** (th - i) * math.comb(th, i) for i in range(th + 1)]
+    return [[sum(c[i] * c[j] * moment(m1 + i) * moment(d - m1 + th - i)
+                 for i in range(th + 1) for j in range(th + 1)
+                 if m1 + i == m2 + j)
+             for m2 in range(d + 1)] for m1 in range(d + 1)]
+
+
+# disk_moment(0, p) is 1/(p+1) up to about 10 ulp of log-Gamma rounding, so
+# the reference takes the double the builder uses exactly: the test checks
+# how the blocks are assembled from the moments, within 4 ulp
+@pytest.mark.parametrize("build,moment", [
+    (lambda th, d: oracle.gram_bidisk_exact(0.0, 0.0, th, d),
+     lambda p: Fraction(oracle.disk_moment(0.0, p))),
+    (oracle.gram_hardy_torus_exact, lambda p: Fraction(1)),
+], ids=["bidisk", "torus"])
+@pytest.mark.parametrize("th", range(4))
+def test_exact_blocks_match_rational_binomial_sums(build, moment, th):
+    for d, block in enumerate(build(th, 8).blocks):
+        ref = np.array(_binomial_block(th, d, moment), dtype=float)
+        assert np.array_equal(block, block.T)
+        assert np.max(np.abs(block - ref)) <= 4 * np.spacing(np.max(np.abs(ref)))
 
 
 def test_ball_monomial_norms():

@@ -36,11 +36,6 @@ def test_diagonal_restriction():
     assert BiPoly.parse("3").restrict_diagonal().coeffs == {(0, 0): 3.0 + 0j}
 
 
-def test_restrict_z2_zero():
-    f = BiPoly.parse("z1^2*z2 + 4*z1 - z2")
-    assert f.restrict_z2_zero().coeffs == {(1, 0): 4.0 + 0j}
-
-
 def test_divide_diag_power():
     f = BiPoly.parse("z1^2 - z2^2")
     q = f.divide_diag_power(1)
