@@ -274,53 +274,58 @@ def taylor_blocks(params: BidiskParams, max_degree: int,
     return blocks
 
 
-def coeff_a(params: BidiskParams, k: int, N: int) -> float:
-    """a_{k,N} = (-1)^{N-k}/(k!(N-k)!) (a+k)_{N-k} / (s+N+k+2)_{N-k}
-    written with the underlying weight exponents."""
+def _coeff(a: float, s: float, k: int, N: int) -> float:
+    """(-1)^{N-k}/(k!(N-k)!) (a+k)_{N-k} / (s+N+k+1)_{N-k}."""
     if not 0 <= k <= N:
         raise DomainError(f"need 0 <= k <= N, got k={k}, N={N}")
-    al, be, th, vt = params.alpha, params.beta, params.theta, params.vartheta
     sign = -1.0 if (N - k) % 2 else 1.0
     return (sign / (math.factorial(k) * math.factorial(N - k))
-            * pochhammer(al + th + vt + k + 2.0, N - k)
-            / pochhammer(al + be + 2 * th + 2 * vt + N + k + 3.0, N - k))
+            * pochhammer(a + k, N - k) / pochhammer(s + N + k + 1.0, N - k))
+
+
+def coeff_a(params: BidiskParams, k: int, N: int) -> float:
+    """a_{k,N} = (-1)^{N-k}/(k!(N-k)!) (a+k)_{N-k} / (s+N+k+1)_{N-k}."""
+    return _coeff(params.a, params.s, k, N)
 
 
 def coeff_b(theta: float, k: int, N: int) -> float:
-    """Hardy-limit coefficients b_{k,N}; the alpha = beta = -1, vartheta = 0
-    degeneration of a_{k,N}."""
-    if not 0 <= k <= N:
-        raise DomainError(f"need 0 <= k <= N, got k={k}, N={N}")
-    sign = -1.0 if (N - k) % 2 else 1.0
-    return (sign / (math.factorial(k) * math.factorial(N - k))
-            * pochhammer(theta + k + 1.0, N - k)
-            / pochhammer(2 * theta + N + k + 1.0, N - k))
+    """Hardy-limit coefficients b_{k,N}: a_{k,N} at alpha = beta = -1,
+    vartheta = 0, where a = theta + 1 and s = 2 theta."""
+    return _coeff(theta + 1.0, 2.0 * theta, k, N)
 
 
-def diagonal_transform(f: BiPoly, N: int, coeff) -> BiPoly:
-    """sum_k coeff(k) d^{N-k} of the diagonal restriction of d^k f / dz1^k,
-    a polynomial in z1."""
+def _vandermonde(coeff, b: float, s: float, N: int):
+    """diagonal_transform's weight(j) = sum_{k<=j} coeff(k) C(N-k, j-k) for
+    coeff(k) = a_{k,N} of a weight with these b and s (a + b = s + 2): by
+    Chu-Vandermonde (DLMF 15.4.24) it is a_{j,N} (b+N-j)_j / (s+N+1)_j."""
+    return lambda j: (coeff(j) * pochhammer(b + N - j, j)
+                      / pochhammer(s + N + 1.0, j))
+
+
+def diagonal_transform(f: BiPoly, N: int, weight) -> BiPoly:
+    """sum_j weight(j) d1^j d2^(N-j) f restricted once to the diagonal, a
+    polynomial in z1: as d/dz1 after the restriction is d1 + d2 before it,
+    sum_k c_k d^{N-k} [d1^k f restricted] when weight(j) = sum_{k<=j} c_k
+    C(N-k, j-k), without that sum's terms, which grow like 2^N times it."""
     out = BiPoly()
-    for k in range(N + 1):
-        restricted = f.differentiate(1, k).restrict_diagonal()
-        out = out + restricted.differentiate(1, N - k).scale(coeff(k))
-    return out
+    for j in range(N + 1):
+        out += f.differentiate(1, j).differentiate(2, N - j).scale(weight(j))
+    return out.restrict_diagonal()
 
 
 def restriction_transform(params: BidiskParams, f: BiPoly, N: int) -> BiPoly:
     """The polynomial in z1 sum_k a_{k,N} d^{N-k} [d^k f restricted to the
-    diagonal]; inverts the order-N projection followed by division by
-    (z1-z2)^N and diagonal restriction."""
-    return diagonal_transform(f, N, lambda k: coeff_a(params, k, N))
+    diagonal], taken as one operator restricted once; inverts the order-N
+    projection followed by division by (z1-z2)^N and diagonal restriction."""
+    return diagonal_transform(f, N, _vandermonde(
+        lambda k: coeff_a(params, k, N), params.b, params.s, N))
 
 
 def disk_norm_sq(p: BiPoly, s: float) -> float:
     """Norm of a polynomial in z1 in the probability-normalized 1D space of
     index s, via monomial norms m!/(s+2)_m."""
-    total = 0.0
-    for (m, _), c in p.coeffs.items():
-        total += abs(c) ** 2 * math.factorial(m) / pochhammer(s + 2.0, m)
-    return total
+    return sum(abs(c) ** 2 * math.factorial(m) / pochhammer(s + 2.0, m)
+               for (m, _), c in p.coeffs.items())
 
 
 @dataclass(frozen=True)
@@ -364,7 +369,8 @@ def hardy_norm_expansion(theta: float, f: BiPoly) -> NormExpansion:
             "hardy_norm_expansion requires a finite theta > -1/2")
     return expand(
         range(max(f.total_degree, 0) + 1),
-        lambda N: diagonal_transform(f, N, lambda k: coeff_b(theta, k, N)),
+        lambda N: diagonal_transform(f, N, _vandermonde(
+            lambda k: coeff_b(theta, k, N), theta + 1.0, 2.0 * theta, N)),
         lambda N: math.exp(log_gamma(2 * theta + 2 * N + 2.0)
                            - 2.0 * log_gamma(theta + N + 1.0))
         / (2 * theta + 2 * N + 1.0),

@@ -42,6 +42,12 @@ class FockParams:
         return self.alpha + self.beta
 
 
+def fock_moment(gamma: float, p: float) -> float:
+    """int |z|^{2p} e^{-gamma |z|^2} dA over C = Gamma(p+1) / gamma^{p+1}, for
+    real p > -1."""
+    return math.exp(log_gamma(p + 1.0) - (p + 1.0) * math.log(gamma))
+
+
 def fock_sigma(params: FockParams) -> float:
     """sigma = (alpha beta)^{theta+1} / [(alpha+beta)^theta Gamma(theta+1)]."""
     al, be, th = params.alpha, params.beta, params.theta
@@ -116,33 +122,31 @@ def coeff_c(params: FockParams, k: int, N: int) -> float:
 def fock_restriction_transform(params: FockParams, f: BiPoly, N: int) -> BiPoly:
     """(1/N!) sum_k c_{k,N} d^{N-k} of the diagonal restriction of the k-th
     z1-derivative of f, a polynomial in z1; inverts projection, division by
-    (z1-z2)^N, and diagonal restriction."""
+    (z1-z2)^N, and diagonal restriction.  By the binomial theorem it is
+    ((beta d1 - alpha d2)/gamma)^N f / N! restricted once."""
     if N < 0:
         raise DomainError("N must be >= 0")
+    ratio = params.beta / params.gamma
     return diagonal_transform(
-        f, N, lambda k: coeff_c(params, k, N) / math.factorial(N))
+        f, N, lambda j: coeff_c(params, j, N) * ratio ** j / math.factorial(N))
 
 
 def fock_disk_norm_sq(p: BiPoly, gamma: float) -> float:
     """1D Gaussian-space norm of a polynomial in z1 via monomial norms
     n!/gamma^{n+1}."""
-    total = 0.0
-    for (n, _), c in p.coeffs.items():
-        total += abs(c) ** 2 * math.exp(log_gamma(n + 1.0)
-                                        - (n + 1.0) * math.log(gamma))
-    return total
+    return sum(abs(c) ** 2 * fock_moment(gamma, n)
+               for (n, _), c in p.coeffs.items())
 
 
 def fock_norm_expansion(params: FockParams, f: BiPoly) -> NormExpansion:
-    """||f||^2 = sum_N [(alpha+beta)^{theta+N+1} Gamma(theta+N+1) /
-    (alpha beta)^{theta+N+1}] ||N! transform_N f||^2_{alpha+beta} / (N!)^2,
-    i.e. with the transform already carrying the 1/N!."""
-    al, be, th = params.alpha, params.beta, params.theta
+    """||f||^2 = sum_N fock_moment(delta, theta + N) ||transform_N f||^2 in
+    the 1D space of index alpha+beta, delta = alpha beta / (alpha+beta): the
+    weight is Gamma(theta+N+1) / delta^{theta+N+1}."""
+    delta = params.alpha * params.beta / params.gamma
 
     def weight(N):
         try:
-            return math.exp((th + N + 1.0) * math.log((al + be) / (al * be))
-                            + log_gamma(th + N + 1.0))
+            return fock_moment(delta, params.theta + N)
         except OverflowError:
             raise DomainError(f"Gaussian-space norm weight of order {N} at "
                               f"{params} is not finite in double precision"

@@ -2,12 +2,14 @@
 total degree (rotation invariance of every weight makes cross-degree inner
 products vanish).
 
-Exact blocks exist for integer theta, as B^T M B: B holds the monomials times
-(z1-z2)^theta, and the diagonal M their moments in the theta = 0 product
-space.  Everything else goes through dimension-reduced adaptive quadrature.
-Kernel Taylor blocks are the exact inverses of the Gram blocks.  Each builder
-checks its parameters by constructing the space's parameter class, which
-holds the space's domain.
+Exact blocks are G_d = B^T diag(mu) B: column m of B holds z1^m z2^(d-m) in
+an orthogonal basis with norms mu.  On the Gaussian space this holds at
+every theta, the weight separating in u = z1 - z2 and v = (alpha z1 +
+beta z2)/(alpha + beta); on the bidisk and the torus at integer theta, where
+(z1-z2)^theta maps into the theta = 0 product space.  Other bidisk
+parameters go through dimension-reduced adaptive quadrature.  Kernel Taylor
+blocks are the exact inverses of the Gram blocks.  Each builder checks its
+parameters by constructing the space's parameter class.
 
 The orthogonal parts Q_N f of f that vanish to order exactly N along the
 space's variety {u = 0} (u = z1 - z2, or z2 on the ball) all come from one
@@ -38,7 +40,7 @@ import numpy as np
 from .ball import BallParams
 from .bidisk import BidiskParams
 from .errors import ConditioningError, DomainError, QuadratureError
-from .fock import FockParams
+from .fock import FockParams, fock_moment
 from .poly2 import BiPoly
 from .specfun import log_gamma
 
@@ -50,11 +52,6 @@ def disk_moment(alpha: float, p: int) -> float:
     """int |z|^{2p} dA_alpha over the unit disk = p! / (alpha+2)_p."""
     return math.exp(log_gamma(p + 1.0) + log_gamma(alpha + 2.0)
                     - log_gamma(alpha + 2.0 + p))
-
-
-def fock_moment(gamma: float, p: int) -> float:
-    """int |z|^{2p} e^{-gamma |z|^2} dA over C = p! / gamma^{p+1}."""
-    return math.exp(log_gamma(p + 1.0) - (p + 1.0) * math.log(gamma))
 
 
 @dataclass
@@ -101,21 +98,19 @@ def _degree_vectors(f: BiPoly, max_degree: int) -> list:
     return vecs
 
 
-def _require_integer_theta(theta: float) -> int:
+def _require_integer_theta(theta: float, what: str = "exact Gram blocks") -> int:
     # the range test comes first, so that NaN and inf fail before round()
     if not (0 <= theta < math.inf and abs(theta - round(theta)) <= 1e-12):
-        raise DomainError(f"exact Gram blocks need integer theta >= 0, got {theta}")
+        raise DomainError(f"{what} need integer theta >= 0, got {theta}")
     return int(round(theta))
 
 
 def _binomial_gram_blocks(theta: float, max_degree: int, moment1,
                           moment2) -> list:
-    """Blocks of degree 0..max_degree for integer theta: (z1-z2)^theta maps
-    the space isometrically into the theta = 0 product space, whose monomials
-    z1^k z2^(d+theta-k) are orthogonal with norms mu_k = moment1(k)
-    moment2(d+theta-k), moment_i(p) being the p-th absolute moment of
-    variable i.  So G_d = B^T diag(mu) B, column m of B holding the
-    coefficients of z1^m z2^(d-m) (z1-z2)^theta."""
+    """Blocks for integer theta: the orthogonal basis is z1^k z2^(d+theta-k)
+    in the theta = 0 product space, with norms mu_k = moment1(k)
+    moment2(d+theta-k) (moment_i(p) the p-th absolute moment of variable i),
+    and column m of B holds z1^m z2^(d-m) (z1-z2)^theta."""
     th = _require_integer_theta(theta)
     u = _powers(np.array([-1.0, 1.0]), th)[-1]
     mom1, mom2 = (np.array([mom(p) for p in range(max_degree + th + 1)])
@@ -142,19 +137,31 @@ def gram_bidisk_exact(alpha: float, beta: float, theta: float,
 
 def gram_fock_exact(alpha: float, beta: float, theta: float,
                     max_degree: int) -> GramBlocks:
-    """Exact Fock Gram blocks for integer theta."""
-    FockParams(alpha, beta, theta)
-    blocks = _binomial_gram_blocks(theta, max_degree,
-                                   lambda p: fock_moment(alpha, p),
-                                   lambda p: fock_moment(beta, p))
-    return GramBlocks("fock", {"alpha": alpha, "beta": beta,
-                               "theta": float(round(theta))}, blocks)
+    """Exact Gaussian-space Gram blocks for every theta > -1.  With gamma =
+    alpha + beta and delta = alpha beta / gamma, alpha |z1|^2 + beta |z2|^2 =
+    gamma |v|^2 + delta |u|^2 and the Jacobian is 1, so the u^i v^(d-i) have
+    norms mu_i = fock_moment(delta, i + theta) fock_moment(gamma, d - i), and
+    column m of C holds z1^m z2^(d-m) = (v + (beta/gamma) u)^m
+    (v - (alpha/gamma) u)^(d-m) in powers of u."""
+    gamma = FockParams(alpha, beta, theta).gamma
+    pow1, pow2 = (_powers(np.array([1.0, c]), max_degree)
+                  for c in (beta / gamma, -alpha / gamma))
+    mom_u, mom_v = (np.array([fock_moment(g, i + t)
+                              for i in range(max_degree + 1)])
+                    for g, t in ((alpha * beta / gamma, theta), (gamma, 0.0)))
+    blocks = []
+    for d in range(max_degree + 1):
+        c = np.column_stack([np.convolve(pow1[m], pow2[d - m])
+                             for m in range(d + 1)])
+        g = c.T @ ((mom_u[:d + 1] * mom_v[d::-1])[:, None] * c)
+        blocks.append(0.5 * (g + g.T))  # exactly symmetric
+    return GramBlocks("fock", {"alpha": alpha, "beta": beta, "theta": theta},
+                      blocks)
 
 
 def gram_hardy_torus_exact(theta: float, max_degree: int) -> GramBlocks:
-    """Torus Gram blocks for the weighted Hardy norm, integer theta.
-
-    All torus moments equal 1, so entries are pure binomial sums."""
+    """Torus Gram blocks for the weighted Hardy norm, integer theta: all torus
+    moments equal 1, so entries are pure binomial sums."""
     blocks = _binomial_gram_blocks(theta, max_degree, lambda p: 1.0,
                                    lambda p: 1.0)
     return GramBlocks("hardy_bidisk", {"theta": float(round(theta))}, blocks)
@@ -192,23 +199,19 @@ def ball_hardy_monomial_norm(beta: float, theta: float, m: int, n: int) -> float
 
 
 # ---------------------------------------------------------------------------
-# numeric Gram blocks (non-integer parameters)
+# numeric Gram blocks (bidisk, non-integer parameters)
 # ---------------------------------------------------------------------------
 
 # gram_numeric doubles its quadrature order from QUAD_START_ORDER up to
 # QUAD_MAX_ORDER, the largest order it computes, until no block's entries
 # change by more than QUAD_TOLERANCE of that block's largest entry (or of 1,
 # if larger), so that the small low-degree blocks are held to the same rule
-# as the large high-degree ones.  Integer theta integrands are polynomial
-# after the angular reduction and converge at the first doubling; non-integer
-# vartheta weights converge spectrally.  Non-integer theta puts an algebraic
-# kink along t1 = t2 that tensor Gauss rules resolve only at an algebraic
-# rate.  At degree 6, on the bidisk (alpha, beta) = (0.4, 0.7), theta <= 0.5
-# fails, theta = 0.75 converges only at order 512 and theta >= 1.25 by order
-# 256; on the Gaussian space (1.3, 0.7), theta = 1.5 fails and theta = 2.5
-# converges.  scipy's Gauss-Laguerre rule is not finite at order 512, so a
-# Gaussian-space call that has not converged by order 256 fails there.  Each
-# failure raises QuadratureError.
+# as the large high-degree ones.  Integer theta integrands converge at the
+# first doubling; non-integer vartheta weights converge spectrally.
+# Non-integer theta puts an algebraic kink along t1 = t2 that tensor Gauss
+# rules resolve only at an algebraic rate: at degree 6 and (alpha, beta) =
+# (0.4, 0.7), theta <= 0.5 fails, theta = 0.75 converges only at order 512
+# and theta >= 1.25 by order 256.  Each failure raises QuadratureError.
 QUAD_TOLERANCE = 1e-10
 QUAD_START_ORDER = 32
 QUAD_MAX_ORDER = 512
@@ -267,17 +270,6 @@ def _bidisk_radial(p: BidiskParams, n: int):
             4.0 * (p.alpha + 1.0) * (p.beta + 1.0) / math.pi)
 
 
-def _gaussian_radial(p: FockParams, n: int):
-    """Gauss-Laguerre in t = |z_i|^2 for the weights e^{-alpha t} and
-    e^{-beta t}."""
-    from scipy.special import roots_genlaguerre
-    # at order 512 scipy's weights overflow; gram_numeric refuses the
-    # non-finite rule, so the overflow warning says nothing more
-    with np.errstate(over="ignore", invalid="ignore"):
-        u, w = roots_genlaguerre(n, 0.0)
-    return (u / p.alpha, w / p.alpha), (u / p.beta, w / p.beta), 1.0 / math.pi
-
-
 def _blocks_at_order(rule, theta, vartheta, max_degree):
     """Gram blocks of degree 0..max_degree from a radial rule
     ((t1, w1), (t2, w2), const) of order n = t1.size: entry (m1, m2) of block
@@ -288,8 +280,7 @@ def _blocks_at_order(rule, theta, vartheta, max_degree):
     cang = _angular_reduce(t1, t2, psi, wpsi, max_degree, theta, vartheta)
     # cos(delta psi) pairs only with powers (sqrt(t1 t2))^{delta + even} of the
     # angular weight, so t^{a/2} cang[delta] has integral powers of t (a and
-    # delta share parity) and plain Laguerre nodes integrate it exactly for
-    # integer theta.
+    # delta share parity).
     half = np.arange(2 * max_degree + 1)[:, None] / 2.0
     integrals = const * np.einsum("ai,bj,dij->abd", w1 * t1 ** half,
                                   w2 * t2 ** half, cang)
@@ -302,26 +293,23 @@ def _blocks_at_order(rule, theta, vartheta, max_degree):
 
 
 def gram_numeric(space: str, params: dict, max_degree: int) -> GramBlocks:
-    """Gram blocks by adaptive tensor quadrature for arbitrary valid
+    """Bidisk Gram blocks by adaptive tensor quadrature for arbitrary valid
     parameters; the attached quad_error is the largest entry change at the
-    last doubling of the order."""
-    if space == "bidisk":
-        p = BidiskParams(params["alpha"], params["beta"], params["theta"],
-                         params.get("vartheta", 0.0))
-        radial, vartheta = _bidisk_radial, p.vartheta
-    elif space == "fock":
-        p = FockParams(params["alpha"], params["beta"], params["theta"])
-        radial, vartheta = _gaussian_radial, 0.0
-    else:
-        raise DomainError(f"gram_numeric does not support space {space!r}")
+    last doubling of the order.  The Gaussian space needs no quadrature:
+    gram_fock_exact is exact at every theta."""
+    if space != "bidisk":
+        raise DomainError(f"gram_numeric serves the bidisk only, not {space!r}; "
+                          f"gram_fock_exact is exact at every theta")
+    p = BidiskParams(params["alpha"], params["beta"], params["theta"],
+                     params.get("vartheta", 0.0))
 
     def compute(n, err):
-        rule = radial(p, n)
+        rule = _bidisk_radial(p, n)
         if not all(np.isfinite(x).all() for var in rule[:2] for x in var):
             raise QuadratureError(
                 f"gram_numeric({space}): the radial rule of order {n} is not "
                 f"finite; the last change was {err:.3e}")
-        return _blocks_at_order(rule, p.theta, vartheta, max_degree)
+        return _blocks_at_order(rule, p.theta, p.vartheta, max_degree)
 
     n, err = QUAD_START_ORDER, math.inf
     prev = compute(n, err)
@@ -405,15 +393,16 @@ def kernel_remainders(gram: GramBlocks, z1, z2, w1, w2,
     d > D of bounds b_d on |K_d(z, w)|.
 
     ball: b_d sums the moduli of the orthogonal monomial terms.  bidisk
-    (vartheta = 0) and fock: f of degree d has the norm of (z1-z2)^theta f in
-    the theta = 0 product space, whose degree-n kernel is at most c_n on the
-    unit polydisk (c_n = (alpha+beta+4)_n / n! for the bidisk and
-    alpha beta (alpha+beta)^n / n! for fock), so Bernstein's inequality on
-    the circle gives b_d = C(d+theta, theta)^2 c_{d+theta} q^d with
-    q = max|z_i| max|w_i|.  Past the first b_{d+1} < b_d beyond max_degree
-    the rest is bounded geometrically: a bound for bidisk and fock, whose
-    ratio b_{d+1}/b_d decreases in d, an estimate for the ball.  inf if b_d
-    still grows at degree _REMAINDER_TERMS."""
+    (vartheta = 0) and fock, integer theta only (DomainError otherwise): f
+    of degree d has the norm of (z1-z2)^theta f in the theta = 0 product
+    space, whose degree-n kernel is at most c_n on the unit polydisk (c_n =
+    (alpha+beta+4)_n / n! for the bidisk and alpha beta (alpha+beta)^n / n!
+    for fock), so Bernstein's inequality on the circle gives b_d =
+    C(d+theta, theta)^2 c_{d+theta} q^d with q = max|z_i| max|w_i|.  Past
+    the first b_{d+1} < b_d beyond max_degree the rest is bounded
+    geometrically: a bound for bidisk and fock, whose ratio b_{d+1}/b_d
+    decreases in d, an estimate for the ball.  inf if b_d still grows at
+    degree _REMAINDER_TERMS."""
     p = gram.params
     al, be, th = p["alpha"], p["beta"], p["theta"]
     if gram.space == "ball":
@@ -425,7 +414,7 @@ def kernel_remainders(gram: GramBlocks, z1, z2, w1, w2,
                        for m in range(d + 1))
     elif gram.space in ("bidisk", "fock") and p.get("vartheta", 0.0) == 0.0:
         q = max(abs(z1), abs(z2)) * max(abs(w1), abs(w2))
-        t = int(th)
+        t = _require_integer_theta(th, "Taylor remainder bounds")
 
         def bound(d):
             n = d + t
@@ -459,7 +448,8 @@ def kernel_section(kernel_blocks: list, w1, w2) -> BiPoly:
 
 def _powers(form: np.ndarray, n: int) -> list:
     """Coefficient vectors of form^0, ..., form^n for a linear form
-    [coefficient of z2, coefficient of z1] (index m is the power of z1)."""
+    [coefficient of z2, coefficient of z1] (index m is the power of z1; v
+    and u take the places of z2 and z1 in gram_fock_exact)."""
     out = [np.ones(1)]
     for _ in range(n):
         out.append(np.convolve(out[-1], form))

@@ -276,6 +276,35 @@ def test_hardy_norm_expansion_values():
         hardy_norm_expansion(-0.5, BiPoly.parse("1"))
 
 
+@pytest.mark.parametrize("n", [20, 40, 80, 120])
+def test_high_power_totals_do_not_cancel(n):
+    # the transforms summed a_{k,N} d^{N-k} [d1^k f restricted] over k, terms
+    # that alternate and grow like 2^N times the result: z1^40 came out 66.50
+    # (true 1/41) on the bidisk and 47,150 (true 1) on the torus
+    f = BiPoly.parse(f"z1^{n}")
+    for al in (0.0, 1.5):
+        want = float(mpmath.factorial(n) / mpmath.rf(al + 2, n))
+        got = norm_expansion(BidiskParams(al, 0.7, 0, 0), f).total
+        assert abs(got - want) <= 1e-12 * want
+    for th in (0.0, 0.5, 1.0):
+        want = float(mpmath.gamma(2 * th + 1) / mpmath.gamma(th + 1) ** 2)
+        assert abs(hardy_norm_expansion(th, f).total - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("th", [0, 1, 2])
+def test_norm_expansion_terms_match_order_parts_at_degree_18(th):
+    # each term is ||Q_N f||^2; the alternating transform sums were off by
+    # up to 3e-11 of ||f||^2 at this degree
+    rng = np.random.default_rng(18)
+    g = oracle.gram_bidisk_exact(0.5, 1.0, th, 18)
+    f = BiPoly({(m, d - m): complex(*rng.standard_normal(2))
+                for d in range(19) for m in range(d + 1)})
+    norm = g.norm_sq(f)
+    parts = oracle.order_parts(g, f)
+    for N, term in norm_expansion(BidiskParams(0.5, 1.0, th, 0), f).terms:
+        assert abs(term - g.norm_sq(parts[N])) <= 1e-12 * norm
+
+
 def _q_kernel_reference(params, N, z, w, terms):
     """q_kernel's series summed in mpmath to `terms` terms, with c_n from its
     binomial definition sum_j (A)_j/j! (B)_{n-j}/(n-j)! z1^j z2^{n-j}, and

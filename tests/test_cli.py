@@ -129,6 +129,25 @@ def test_norm_expand_oracle_unequal_gaussian_weights(capsys):
     assert all(i["passed"] for i in json.loads(out)["items"])
 
 
+def test_norm_expand_oracle_fractional_gaussian_theta(capsys):
+    # the Gaussian Gram blocks are exact at every theta; this exited 2
+    code, out, _ = run(capsys, [
+        "norm-expand", "--space", "fock", "--alpha", "1.3", "--beta", "0.7",
+        "--theta", "0.5", "--poly", "z1^3-2*z1*z2^2+(0,1)*z2^5", "--oracle"])
+    assert code == 0
+    assert all(i["passed"] for i in json.loads(out)["items"])
+
+
+def test_kernel_oracle_fractional_gaussian_theta_names_the_bound(capsys):
+    # the Taylor remainder bound holds for integer theta only; a fractional
+    # theta must not be truncated to the bound of theta = 0
+    code, _, err = run(capsys, [
+        "kernel", "--space", "fock", "--alpha", "1.3", "--beta", "0.7",
+        "--theta", "0.5", "--pair", "0.3,0.2,0.1,-0.4", "--oracle"])
+    assert code == 2
+    assert "Taylor remainder bounds need integer theta" in err
+
+
 def test_norm_expand_poly_file(capsys, tmp_path):
     pf = tmp_path / "f.txt"
     pf.write_text("z1 - z2\n")

@@ -179,6 +179,30 @@ def test_norm_expansion_against_oracle():
                 g.norm_sq(f), rel=1e-11)
 
 
+@pytest.mark.parametrize("n", [20, 40, 80, 120])
+def test_high_power_totals_do_not_cancel(n):
+    # ||z1^n||^2 = n! / (alpha^(n+1) beta) at theta = 0; the alternating
+    # transform sums were off by 2.4e-6 relative at alpha = beta = 3, n = 40
+    f = BiPoly.parse(f"z1^{n}")
+    for al, be in ((3.0, 3.0), (1.3, 0.7)):
+        want = float(mpmath.factorial(n) / (mpmath.mpf(al) ** (n + 1) * be))
+        got = fock_norm_expansion(FockParams(al, be, 0.0), f).total
+        assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("th", [0.0, 0.5, 1.5])
+def test_norm_expansion_terms_match_order_parts_at_degree_18(th):
+    # fractional theta is compared with the exact (u, v) Gram blocks
+    rng = np.random.default_rng(18)
+    g = oracle.gram_fock_exact(1.3, 0.7, th, 18)
+    f = BiPoly({(m, d - m): complex(*rng.standard_normal(2))
+                for d in range(19) for m in range(d + 1)})
+    norm = g.norm_sq(f)
+    parts = oracle.order_parts(g, f)
+    for N, term in fock_norm_expansion(FockParams(1.3, 0.7, th), f).terms:
+        assert abs(term - g.norm_sq(parts[N])) <= 1e-12 * norm
+
+
 def test_restriction_inequality():
     # the N=0 term alone is a lower bound for the norm
     from kernelforge.fock import fock_disk_norm_sq

@@ -5,10 +5,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from kernelforge import oracle
+from kernelforge import oracle, verify
 from kernelforge.bidisk import BidiskParams, restriction_transform, sigma
+from kernelforge.config import Point2
 from kernelforge.errors import ConditioningError, DomainError, QuadratureError
-from kernelforge.fock import FockParams, fock_restriction_transform
+from kernelforge.fock import FockParams, fock_restriction_transform, fock_sigma
 from kernelforge.poly2 import BiPoly
 
 
@@ -38,8 +39,16 @@ def test_bidisk_theta_one_entries():
 def test_exact_grams_need_integer_theta():
     with pytest.raises(DomainError):
         oracle.gram_bidisk_exact(0.0, 0.0, 0.5, 2)
-    with pytest.raises(DomainError):
-        oracle.gram_fock_exact(1.0, 1.0, 1.5, 2)
+
+
+@pytest.mark.parametrize("th", [-0.5, 0.5, 1.5, 2.5])
+def test_fock_exact_blocks_at_fractional_theta(th):
+    # the weight separates in u = z1 - z2 and v = (alpha z1 + beta z2)/gamma
+    # at every theta, so the Gaussian space has exact blocks here too
+    g = oracle.gram_fock_exact(1.3, 0.7, th, 4)
+    assert g.params["theta"] == th
+    want = 1.0 / fock_sigma(FockParams(1.3, 0.7, th))
+    assert abs(g.blocks[0][0, 0] - want) <= 1e-14 * want
 
 
 def test_fock_exact_values():
@@ -111,20 +120,60 @@ def test_gram_numeric_matches_exact_bidisk():
         assert np.max(np.abs(a - b)) < 1e-8
 
 
-def test_gram_numeric_matches_exact_fock():
-    ge = oracle.gram_fock_exact(1.0, 2.0, 2.0, 3)
-    gn = oracle.gram_numeric("fock", {"alpha": 1.0, "beta": 2.0, "theta": 2.0}, 3)
-    for a, b in zip(gn.blocks, ge.blocks):
-        assert np.max(np.abs(a - b)) < 1e-8
+@pytest.mark.parametrize("al,be", [(1.0, 1.0), (1.3, 0.7), (1.0, 100.0),
+                                   (0.2, 3.5), (5.0, 0.5)])
+def test_fock_exact_blocks_match_binomial_assembly(al, be):
+    # at integer theta the (u, v) blocks agree with the binomial assembly
+    # through (z1 - z2)^theta and the theta = 0 product moments
+    for th in range(4):
+        ref = oracle._binomial_gram_blocks(
+            th, 12, lambda p: oracle.fock_moment(al, p),
+            lambda p: oracle.fock_moment(be, p))
+        for block, want in zip(oracle.gram_fock_exact(al, be, th, 12).blocks,
+                               ref):
+            assert np.array_equal(block, block.T)
+            assert np.max(np.abs(block - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def test_gram_numeric_checks_each_block_on_its_own_scale():
-    # the degree-0 entry here is about 5 while the degree-6 block reaches
-    # about 1e4; scaled by the largest entry in the whole table, the call
-    # returned at order 64 with its degree-0 entry 4.8e-9 off 1/fock_sigma
-    with pytest.raises(QuadratureError):
+@pytest.mark.parametrize("th", [0.5, 1.5])
+def test_fock_exact_kernel_matches_reference_at_fractional_theta(th):
+    # the quadrature raised QuadratureError at these theta; the inverted
+    # exact blocks give the kernel of verify's separated-coordinates form
+    p = FockParams(1.3, 0.7, th)
+    kb = oracle.gram_kernel_blocks(oracle.gram_fock_exact(1.3, 0.7, th, 30))
+    rng = np.random.default_rng(8)
+    for _ in range(6):
+        x = rng.uniform(-0.35, 0.35, 8)
+        z = Point2(complex(x[0], x[1]), complex(x[2], x[3]))
+        w = Point2(complex(x[4], x[5]), complex(x[6], x[7]))
+        want = verify._fock_reference(p, z, w)
+        got = oracle.kernel_from_blocks(kb, z.z1, z.z2, w.z1, w.z2)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_gram_numeric_refuses_the_gaussian_space(monkeypatch):
+    def no_quadrature(*args):
+        raise AssertionError("gram_numeric ran a quadrature")
+    monkeypatch.setattr(oracle, "_blocks_at_order", no_quadrature)
+    with pytest.raises(DomainError, match="gram_fock_exact"):
         oracle.gram_numeric("fock", {"alpha": 1.3, "beta": 0.7,
-                                     "theta": 1.5}, 6)
+                                     "theta": 0.5}, 2)
+
+
+def test_gram_numeric_checks_each_block_on_its_own_scale(monkeypatch):
+    # block 0 holds a stable 1e4 and block 1 entries near 1 that change by
+    # 1e-8 per doubling: against the largest entry of the whole table the
+    # changes look like 1e-12 and the call would return; against block 1's
+    # own scale they are 1e-8 and it must not
+    def blocks(rule, theta, vartheta, max_degree):
+        n = rule[0][0].size
+        return [np.array([[1e4]]),
+                np.full((2, 2), 1.0 + 1e-8 * math.log2(n))]
+    monkeypatch.setattr(oracle, "_blocks_at_order", blocks)
+    assert 1e-8 / 1e4 <= oracle.QUAD_TOLERANCE < 1e-8
+    with pytest.raises(QuadratureError, match="against its block's scale"):
+        oracle.gram_numeric("bidisk", {"alpha": 0.4, "beta": 0.7,
+                                       "theta": 1.0}, 1)
 
 
 def test_gram_numeric_fractional_theta_bidisk():
@@ -134,12 +183,18 @@ def test_gram_numeric_fractional_theta_bidisk():
     assert abs(gn.blocks[0][0, 0] - want) <= 1e-10 * want
 
 
-def test_gram_numeric_non_finite_rule_is_named():
-    # scipy's Gauss-Laguerre rule of order 512 has NaN nodes and weights;
-    # the call ran the whole order-512 quadrature and reported a change of nan
-    with pytest.raises(QuadratureError, match="order 512") as info:
-        oracle.gram_numeric("fock", {"alpha": 1.3, "beta": 0.7,
-                                     "theta": 0.5}, 0)
+def test_gram_numeric_non_finite_rule_is_named(monkeypatch):
+    # a rule with NaN weights at order 128 and above: the call names the
+    # order at once rather than run the quadrature and report a change of nan
+    radial = oracle._bidisk_radial
+
+    def nan_radial(p, n):
+        (t1, w1), var2, const = radial(p, n)
+        return (t1, w1 * math.nan if n >= 128 else w1), var2, const
+    monkeypatch.setattr(oracle, "_bidisk_radial", nan_radial)
+    with pytest.raises(QuadratureError, match="order 128") as info:
+        oracle.gram_numeric("bidisk", {"alpha": 0.4, "beta": 0.7,
+                                       "theta": 0.5}, 0)
     assert "nan" not in str(info.value)
 
 
@@ -352,8 +407,6 @@ _NAN_BUILDS = {
     "numeric-bidisk-vartheta": lambda: oracle.gram_numeric(
         "bidisk", {"alpha": 0.0, "beta": 0.0, "theta": 1.0,
                    "vartheta": _NAN}, 0),
-    "numeric-fock-alpha": lambda: oracle.gram_numeric(
-        "fock", {"alpha": _NAN, "beta": 1.0, "theta": 1.0}, 0),
 }
 
 
