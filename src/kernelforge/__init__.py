@@ -9,7 +9,8 @@ from .errors import (ConditioningError, ConvergenceError, DivisibilityError,
 from .poly2 import BiPoly
 
 from .bidisk import (BidiskParams, NormExpansion, coeff_a, coeff_b,
-                     diag_kernel, full_kernel, hardy_norm_expansion,
+                     diag_kernel, full_kernel, full_kernels,
+                     hardy_norm_expansion,
                      norm_expansion, q_kernel, restriction_transform, sigma,
                      sigma_gamma_form, taylor_blocks)
 from .ball import (BallParams, ball_full_kernel, ball_full_kernel_series,
@@ -36,7 +37,7 @@ __all__ = [
     "ball_qN_kernel", "coeff_a", "coeff_b", "coeff_c", "default_config",
     "diag_kernel", "embed_const", "fock_diag_kernel",
     "fock_full_kernel", "fock_norm_expansion", "fock_q0_kernel",
-    "fock_restriction_transform", "fock_sigma", "full_kernel",
+    "fock_restriction_transform", "fock_sigma", "full_kernel", "full_kernels",
     "gram_bidisk_exact", "gram_fock_exact", "gram_hardy_torus_exact",
     "gram_kernel_blocks", "gram_numeric", "hardy_norm_expansion",
     "kernel_from_blocks", "norm_expansion", "project", "q_kernel",

@@ -68,16 +68,16 @@ def _bidisk_gram(args, max_degree):
                                     max_degree)
 
 
-# What the commands use of each space: params(args), kernel(params, z, w,
-# cfg), expand(params, f, cfg), the exact oracle gram(args, max_degree) and
-# sigma(params, cfg) -> (sigma, closed form or None).  Every entry looks its
-# function up on the module when called, so that wrappers installed on
-# module attributes see each call.
+# What the commands use of each space: params(args), kernels(params, pairs,
+# cfg) -> one SeriesResult per (z, w) pair, expand(params, f, cfg), the exact
+# oracle gram(args, max_degree) and sigma(params, cfg) -> (sigma, closed form
+# or None).  Every entry looks its function up on the module when called, so
+# that wrappers installed on module attributes see each call.
 SPACES = {
     "bidisk": {
         "params": lambda a: bidisk.BidiskParams(a.alpha, a.beta, a.theta,
                                                 a.vartheta),
-        "kernel": lambda p, z, w, cfg: bidisk.full_kernel(p, z, w, cfg),
+        "kernels": lambda p, pairs, cfg: bidisk.full_kernels(p, pairs, cfg),
         "expand": lambda p, f, cfg: bidisk.norm_expansion(p, f, cfg),
         "gram": _bidisk_gram,
         "sigma": lambda p, cfg: (
@@ -86,14 +86,16 @@ SPACES = {
     },
     "ball": {
         "params": lambda a: ball.BallParams(*_weights(a)),
-        "kernel": lambda p, z, w, cfg: ball.ball_full_kernel(p, z, w, cfg),
+        "kernels": lambda p, pairs, cfg: [ball.ball_full_kernel(p, z, w, cfg)
+                                          for z, w in pairs],
         "expand": lambda p, f, cfg: ball.ball_norm_expansion(p, f),
         "gram": lambda a, d: oracle.ball_monomial_norms(a.alpha, a.beta,
                                                         a.theta, d),
     },
     "fock": {
         "params": lambda a: fock.FockParams(*_weights(a)),
-        "kernel": lambda p, z, w, cfg: fock.fock_full_kernel(p, z, w, cfg),
+        "kernels": lambda p, pairs, cfg: [fock.fock_full_kernel(p, z, w, cfg)
+                                          for z, w in pairs],
         "expand": lambda p, f, cfg: fock.fock_norm_expansion(p, f),
         "gram": lambda a, d: oracle.gram_fock_exact(a.alpha, a.beta,
                                                     a.theta, d),
@@ -167,10 +169,13 @@ def cmd_kernel(args, cfg) -> int:
                      if line.strip() and not line.startswith("#"))
     if not pairs:
         raise DomainError("no point pairs given (use --pair or --points-file)")
-    # a degree-0 table checks the oracle's domain before the library runs and
-    # carries the parameters of its remainder bound
+    # a degree-0 table and a remainder bound at the origin check the oracle's
+    # domain before any kernel runs; the table carries the parameters of the
+    # bound
     gram = space["gram"](args, 0) if args.oracle else None
-    results = [space["kernel"](params, z, w, cfg) for z, w in pairs]
+    if gram is not None:
+        oracle.kernel_remainders(gram, 0.0, 0.0, 0.0, 0.0, 0)
+    results = space["kernels"](params, pairs, cfg)
     items = [{"item": f"pair {i}", "value": [res.value.real, res.value.imag],
               "terms_used": res.terms_used, "tail_bound": res.tail_bound}
              for i, res in enumerate(results)]

@@ -7,12 +7,13 @@ import pytest
 
 from kernelforge import bidisk, oracle, verify
 from kernelforge.bidisk import (BidiskParams, coeff_a, coeff_b, diag_kernel,
-                                full_kernel, hardy_norm_expansion,
+                                full_kernel, full_kernels,
+                                hardy_norm_expansion,
                                 norm_expansion, q_kernel,
                                 restriction_transform, sigma,
                                 sigma_gamma_form, taylor_blocks)
 from kernelforge.config import Point2, TruncationConfig
-from kernelforge.errors import DomainError
+from kernelforge.errors import ConvergenceError, DomainError
 from kernelforge.poly2 import BiPoly
 
 
@@ -450,3 +451,113 @@ def test_full_kernel_reads_warmed_sigma(monkeypatch):
     assert calls == []
     sigma(p.shifted(orders + 2), cfg)
     assert len(calls) == 1
+
+
+def _batch_pairs():
+    """The pairs of _TERM_CASES, pairs on the diagonal (dz = 0), a
+    near-antipodal pair and random pairs up to radius 0.95: costs from 60 to
+    about 96,000 terms, and from 3 to more than one block of orders."""
+    pairs = [(z, w) for _, z, w, _, _ in _TERM_CASES.values()]
+    pairs += [(Point2(0.6, 0.6), Point2(0.3j, 0.3j)),
+              (Point2(0.5 - 0.2j, 0.5 - 0.2j), Point2(0.9, -0.1)),
+              (Point2(0.93, -0.93), Point2(0.93j, -0.93j)),
+              (Point2(0.9 + 0.1j, -0.9), Point2(-0.5j, 0.6j))]
+    rng = np.random.default_rng(20061)
+    for _ in range(12):
+        c = (0.95 * np.sqrt(rng.uniform(size=4))
+             * np.exp(2j * np.pi * rng.uniform(size=4)))
+        pairs.append((Point2(complex(c[0]), complex(c[1])),
+                      Point2(complex(c[2]), complex(c[3]))))
+    return pairs
+
+
+def _orders_of(monkeypatch, run):
+    """run() and the orders that each outer rule it made took, in order."""
+    rules, init = [], bidisk._OuterRule.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        rules.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(bidisk._OuterRule, "__init__", recorded)
+        out = run()
+    return out, [rule.order for rule in rules]
+
+
+@pytest.mark.parametrize("tup", sorted({c[0] for c in _TERM_CASES.values()}))
+def test_full_kernels_match_full_kernel(tup, monkeypatch):
+    p = BidiskParams(*tup)
+    pairs = _batch_pairs()
+    ref, ref_orders = _orders_of(
+        monkeypatch, lambda: [full_kernel(p, z, w) for z, w in pairs])
+
+    def no_q_kernel(*args):
+        raise AssertionError("the array path calls no q_kernel")
+
+    monkeypatch.setattr(bidisk, "q_kernel", no_q_kernel)
+    got, orders = _orders_of(monkeypatch, lambda: full_kernels(p, pairs))
+    assert orders == ref_orders
+    assert max(orders) > bidisk._ORDER_BLOCK and min(orders) == 3
+    for r, g in zip(ref, got):
+        assert (g.terms_used, g.tail_bound) == (r.terms_used, r.tail_bound)
+        assert abs(g.value - r.value) <= 1e-12 * max(1.0, abs(r.value))
+
+
+def test_full_kernels_reads_warmed_sigma(monkeypatch):
+    # as test_full_kernel_reads_warmed_sigma: the orders past the last one a
+    # pair's outer rule takes may run in the arrays, but read no sigma
+    tup = _TERM_CASES["vartheta"][0]
+    p = BidiskParams(*tup)
+    pairs = _batch_pairs()
+    _, orders = _orders_of(monkeypatch, lambda: [
+        full_kernel(p, z, w, TruncationConfig(max_terms=99_997))
+        for z, w in pairs])
+    cfg = TruncationConfig(max_terms=99_998)  # cache entries of this test only
+    for k in range(max(orders) + 2):
+        sigma(p.shifted(k), cfg)
+    hyp3f2, calls = bidisk.hyp3f2_unit, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return hyp3f2(*args, **kwargs)
+
+    monkeypatch.setattr(bidisk, "hyp3f2_unit", counted)
+    monkeypatch.setattr(bidisk, "q_kernel", None)   # the array path only
+    full_kernels(p, pairs, cfg)
+    assert calls == []
+    sigma(p.shifted(max(orders) + 2), cfg)
+    assert len(calls) == 1
+
+
+def test_full_kernels_check_every_pair_first(monkeypatch):
+    def no_series(*args):
+        raise AssertionError("a series ran before every pair was checked")
+
+    monkeypatch.setattr(bidisk, "q_kernel", no_series)
+    monkeypatch.setattr(bidisk, "_inner_sums", no_series)
+    pairs = _batch_pairs()
+    pairs.insert(9, (Point2(0.2, 0.1), Point2(1.0, 0.0)))
+    with pytest.raises(DomainError):
+        full_kernels(BidiskParams(1.0, 0.5, 0.0, 0.0), pairs)
+
+
+def test_full_kernels_raise_the_first_failing_pairs_error():
+    # with 100 terms per inner series four pairs fail, each with its own
+    # tail estimate; the batch raises what a loop over full_kernel raises
+    p = BidiskParams(1.0, 0.5, 0.0, 0.0)
+    cfg = TruncationConfig(max_terms=100)
+    pairs = _batch_pairs()[4:]
+    failures = []
+    for z, w in pairs:
+        try:
+            full_kernel(p, z, w, cfg)
+        except ConvergenceError as exc:
+            failures.append(exc)
+    assert len(failures) >= 2
+    with pytest.raises(ConvergenceError) as info:
+        full_kernels(p, pairs, cfg)
+    assert str(info.value) == str(failures[0])
+    assert info.value.terms_used == failures[0].terms_used
+    assert info.value.tail_estimate == pytest.approx(
+        failures[0].tail_estimate, rel=1e-12)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kernelforge import cli
+from kernelforge import bidisk, cli, fock
 
 
 def run(capsys, argv):
@@ -46,14 +46,40 @@ def test_kernel_pair_complex_form(capsys):
     assert v4 == pytest.approx(v8)
 
 
+# near-antipodal, diagonal, complex and cheap pairs: enough (pair, order)
+# cells for the array path of bidisk.full_kernels
+_POINTS = ["0.8,-0.8,-0.3,0.3", "0.2,0.1,0.4,-0.1", "0.1,0.1,0.1,0.1",
+           "0.5,0.1,-0.6,0.2,0.3,-0.7,0.1,0.4", "-0.7,0.6,0.65,-0.7"]
+
+
 def test_kernel_points_file(capsys, tmp_path):
     pts = tmp_path / "points.txt"
-    pts.write_text("# comment line\n0.2,0.1,0.4,-0.1\n0.1,0.1,0.1,0.1\n")
+    pts.write_text("# comment line\n" + "\n".join(_POINTS) + "\n")
     code, out, _ = run(capsys, [
-        "kernel", "--space", "bidisk", "--alpha", "0", "--beta", "0",
-        "--points-file", str(pts)])
+        "kernel", "--space", "bidisk", "--alpha", "1", "--beta", "0.5",
+        "--theta", "0.5", "--points-file", str(pts)])
     assert code == 0
-    assert len(json.loads(out)["items"]) == 2
+    items = json.loads(out)["items"]
+    assert len(items) == len(_POINTS)
+    params = bidisk.BidiskParams(1.0, 0.5, 0.5)
+    for item, text in zip(items, _POINTS):
+        ref = bidisk.full_kernel(params, *cli._parse_pair(text))
+        assert (item["terms_used"], item["tail_bound"]) == \
+            (ref.terms_used, ref.tail_bound)
+        assert abs(complex(*item["value"]) - ref.value) <= \
+            1e-12 * max(1.0, abs(ref.value))
+
+
+def test_kernel_points_file_term_cap_is_convergence_failure(
+        capsys, tmp_path, monkeypatch):
+    pts = tmp_path / "points.txt"
+    pts.write_text("\n".join(_POINTS) + "\n")
+    monkeypatch.setenv("KERNELFORGE_MAX_TERMS", "3")
+    code, out, err = run(capsys, [
+        "kernel", "--space", "bidisk", "--alpha", "1", "--beta", "0.5",
+        "--points-file", str(pts)])
+    assert code == cli.EXIT_CONVERGENCE
+    assert out == "" and "did not converge in 3 terms" in err
 
 
 def test_kernel_parser_reused_without_state(capsys):
@@ -141,6 +167,18 @@ def test_norm_expand_oracle_fractional_gaussian_theta(capsys):
 def test_kernel_oracle_fractional_gaussian_theta_names_the_bound(capsys):
     # the Taylor remainder bound holds for integer theta only; a fractional
     # theta must not be truncated to the bound of theta = 0
+    code, _, err = run(capsys, [
+        "kernel", "--space", "fock", "--alpha", "1.3", "--beta", "0.7",
+        "--theta", "0.5", "--pair", "0.3,0.2,0.1,-0.4", "--oracle"])
+    assert code == 2
+    assert "Taylor remainder bounds need integer theta" in err
+
+
+def test_refused_kernel_oracle_runs_no_kernel(capsys, monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran before the oracle refused")
+
+    monkeypatch.setattr(fock, "fock_full_kernel", no_kernel)
     code, _, err = run(capsys, [
         "kernel", "--space", "fock", "--alpha", "1.3", "--beta", "0.7",
         "--theta", "0.5", "--pair", "0.3,0.2,0.1,-0.4", "--oracle"])

@@ -28,6 +28,10 @@ _SCIPY_STAYS_UNLOADED = textwrap.dedent("""
     for argv in (
             ["kernel", "--space", "bidisk", "--alpha", "1", "--beta", "0.5",
              "--pair", "0.3,0.2,0.1,0.4"],
+            # enough pairs for the array path of bidisk.full_kernels
+            ["kernel", "--space", "bidisk", "--alpha", "1", "--beta", "0.5",
+             "--pair", "0.8,-0.8,-0.3,0.3", "--pair", "0.2,0.1,0.4,-0.1",
+             "--pair", "0.1,0.1,0.1,0.1", "--pair", "-0.7,0.6,0.65,-0.7"],
             ["sigma", "--space", "bidisk", "--alpha", "0", "--beta", "0"],
             ["norm-expand", "--space", "ball", "--alpha", "0", "--beta", "0",
              "--theta", "1", "--poly", "z1 - z2"]):
