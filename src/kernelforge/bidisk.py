@@ -31,7 +31,8 @@ numpy recurrence with q_kernel's steps and stopping rule, and each pair's
 outer rule, the one full_kernel uses, reads the per-order sums.  A list of
 few cells, where numpy's cost per array operation outweighs the work, runs
 pair by pair through full_kernel.  full_kernel and q_kernel stay the
-per-pair reference, and the verify suites call them.
+per-pair reference that the tests hold full_kernels to; the CLI and the
+verify suites call full_kernels.
 """
 
 from __future__ import annotations

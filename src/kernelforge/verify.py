@@ -126,14 +126,14 @@ def suite_product_kernel(seed: int = 0) -> dict:
     """theta = vartheta = 0 full kernel against the product closed form."""
     rng = np.random.default_rng(seed)
     p = bidisk.BidiskParams(1.0, 0.5, 0.0, 0.0)
+    pairs = [tuple(Point2(_rand_point(rng, 0.7), _rand_point(rng, 0.7))
+                   for _ in range(2)) for _ in range(100)]
+    results = bidisk.full_kernels(p, pairs)
     items = []
-    for i in range(100):
-        z = Point2(_rand_point(rng, 0.7), _rand_point(rng, 0.7))
-        w = Point2(_rand_point(rng, 0.7), _rand_point(rng, 0.7))
-        got = bidisk.full_kernel(p, z, w).value
+    for i, ((z, w), got) in enumerate(zip(pairs, results)):
         ref = ((1.0 - np.conj(w.z1) * z.z1) ** (-3.0)
                * (1.0 - np.conj(w.z2) * z.z2) ** (-2.5))
-        items.append(_item(f"pair {i}", got, ref, 1e-10))
+        items.append(_item(f"pair {i}", got.value, ref, 1e-10))
     return _report("product-kernel", seed, items)
 
 
@@ -296,15 +296,6 @@ def suite_fock(seed: int = 0) -> dict:
 
 # -- criterion 9 ------------------------------------------------------------
 
-def _kernel_matrix(eval_kernel, points):
-    n = len(points)
-    mat = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            mat[i, j] = eval_kernel(points[i], points[j])
-    return mat
-
-
 def suite_structural(seed: int = 0) -> dict:
     """Hermitian symmetry and positive semidefiniteness of kernel matrices."""
     rng = np.random.default_rng(seed)
@@ -317,23 +308,27 @@ def suite_structural(seed: int = 0) -> dict:
                                     rng.uniform(0, 2), rng.uniform(0, 1))
             pts = [Point2(_rand_point(rng, 0.55), _rand_point(rng, 0.55))
                    for _ in range(10)]
-            mat = _kernel_matrix(
-                lambda z, w: bidisk.full_kernel(p, z, w, cfg).value, pts)
         elif space == "ball":
             p = ball.BallParams(rng.uniform(-0.5, 2), rng.uniform(-0.5, 2),
                                 rng.uniform(-0.5, 2))
             pts = [Point2(_rand_point(rng, 0.45), _rand_point(rng, 0.45))
                    for _ in range(10)]
-            mat = _kernel_matrix(
-                lambda z, w: ball.ball_full_kernel(p, z, w, cfg).value, pts)
+            kernel = ball.ball_full_kernel
         else:
             p = fock.FockParams(rng.uniform(0.5, 2), rng.uniform(0.5, 2),
                                 rng.uniform(-0.5, 2.5))
             pts = [Point2(complex(*rng.uniform(-1.5, 1.5, 2)),
                           complex(*rng.uniform(-1.5, 1.5, 2)))
                    for _ in range(10)]
-            mat = _kernel_matrix(
-                lambda z, w: fock.fock_full_kernel(p, z, w, cfg).value, pts)
+            kernel = fock.fock_full_kernel
+        # row i holds K(pts[i], pts[j]) for j = 0, 1, ...
+        pairs = [(z, w) for z in pts for w in pts]
+        if space == "bidisk":
+            results = bidisk.full_kernels(p, pairs, cfg)
+        else:
+            results = [kernel(p, z, w, cfg) for z, w in pairs]
+        mat = np.array([r.value for r in results],
+                       dtype=complex).reshape(len(pts), len(pts))
         scale = np.max(np.abs(mat))
         herm = np.max(np.abs(mat - mat.conj().T)) / scale
         eigs = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))

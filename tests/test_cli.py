@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kernelforge import bidisk, cli, fock
+from kernelforge import bidisk, cli, fock, verify
 
 
 def run(capsys, argv):
@@ -455,3 +455,14 @@ def test_kernel_pair_negative_first_coordinate(capsys):
         reports.append(json.loads(out))
         del reports[-1]["wall_time"]
     assert reports[0] == reports[1]
+
+
+def test_verify_keyerror_inside_a_suite_propagates(capsys, monkeypatch):
+    # it used to be reported as an unknown suite name, exit 2
+    def broken(seed):
+        raise KeyError("inside the suite")
+
+    monkeypatch.setitem(verify.SUITES, "hardy", broken)
+    with pytest.raises(KeyError, match="inside the suite"):
+        cli.main(["verify", "hardy"])
+    assert "unknown suite" not in capsys.readouterr().err
