@@ -506,38 +506,65 @@ def coeff_b(theta: float, k: int, N: int) -> float:
     return _coeff(theta + 1.0, 2.0 * theta, k, N)
 
 
-def _vandermonde(coeff, b: float, s: float, N: int):
-    """diagonal_transform's weight(j) = sum_{k<=j} coeff(k) C(N-k, j-k) for
-    coeff(k) = a_{k,N} of a weight with these b and s (a + b = s + 2): by
-    Chu-Vandermonde (DLMF 15.4.24) it is a_{j,N} (b+N-j)_j / (s+N+1)_j."""
-    return lambda j: (coeff(j) * pochhammer(b + N - j, j)
-                      / pochhammer(s + N + 1.0, j))
+def _binomial_weights(a: float, b: float, s: float, N: int) -> np.ndarray:
+    """diagonal_transform's weights (-1)^(N-j) (a+j)_(N-j) (b+N-j)_j /
+    [(s+N+j+1)_(N-j) (s+N+1)_j] for these a, b and s, as running products."""
+    i = np.arange(N)
+    den = s + N + 1.0 + i
+    return (np.cumprod(np.concatenate((-(a + i) / den, [1.0]))[::-1])[::-1]
+            * np.cumprod(np.concatenate(([1.0], (b + N - 1.0 - i) / den))))
 
 
-def diagonal_transform(f: BiPoly, N: int, weight) -> BiPoly:
-    """sum_j weight(j) d1^j d2^(N-j) f restricted once to the diagonal, a
-    polynomial in z1: as d/dz1 after the restriction is d1 + d2 before it,
-    sum_k c_k d^{N-k} [d1^k f restricted] when weight(j) = sum_{k<=j} c_k
-    C(N-k, j-k), without that sum's terms, which grow like 2^N times it."""
-    out = BiPoly()
-    for j in range(N + 1):
-        out += f.differentiate(1, j).differentiate(2, N - j).scale(weight(j))
-    return out.restrict_diagonal()
+# C(m, j) as floats for 0 <= m, j < its size, grown by diagonal_transform
+_binomials = np.ones((1, 1))
+
+
+def diagonal_transform(f: BiPoly, N: int, weights) -> BiPoly:
+    """sum_j w_j d1^j d2^(N-j) f restricted once to the diagonal, from
+    weights[j] = j! (N-j)! w_j: c z1^m z2^n goes to c M[m, n] z1^(m+n-N),
+    M[m, n] = sum_j weights[j] C(m, j) C(n, N-j).  With d/dz1 = d1 + d2 on
+    the diagonal it is sum_k c_k d^{N-k} [d1^k f restricted] for w_j =
+    sum_{k<=j} c_k C(N-k, j-k), whose terms grow like 2^N times it."""
+    global _binomials
+    if N < 0:
+        raise DomainError("N must be >= 0")
+    size = max(f.total_degree, N) + 1
+    binom = _binomials
+    if len(binom) < size:  # by Pascal's rule, past double range from m = 1030
+        binom = np.zeros((size, size))
+        binom[:, 0] = 1.0
+        with np.errstate(over="ignore"):
+            for m in range(1, size):
+                binom[m, 1:] = binom[m - 1, 1:] + binom[m - 1, :-1]
+        if not np.isfinite(binom).all():
+            raise DomainError(f"binomial coefficients C({size - 1}, j) are "
+                              f"not finite in double precision")
+        _binomials = binom
+    binom = binom[:size]
+    M = ((binom[:, :N + 1] * weights) @ binom[:, N::-1].T).tolist()
+    out: dict = {}
+    for (m, n), c in f.coeffs.items():
+        if m + n >= N:
+            out[m + n - N, 0] = out.get((m + n - N, 0), 0) + c * M[m][n]
+    return BiPoly(out)
 
 
 def restriction_transform(params: BidiskParams, f: BiPoly, N: int) -> BiPoly:
     """The polynomial in z1 sum_k a_{k,N} d^{N-k} [d^k f restricted to the
     diagonal], taken as one operator restricted once; inverts the order-N
     projection followed by division by (z1-z2)^N and diagonal restriction."""
-    return diagonal_transform(f, N, _vandermonde(
-        lambda k: coeff_a(params, k, N), params.b, params.s, N))
+    return diagonal_transform(
+        f, N, _binomial_weights(params.a, params.b, params.s, N))
 
 
 def disk_norm_sq(p: BiPoly, s: float) -> float:
     """Norm of a polynomial in z1 in the probability-normalized 1D space of
-    index s, via monomial norms m!/(s+2)_m."""
-    return sum(abs(c) ** 2 * math.factorial(m) / pochhammer(s + 2.0, m)
-               for (m, _), c in p.coeffs.items())
+    index s, via monomial norms m!/(s+2)_m taken as running products."""
+    total, norm = 0.0, 1.0
+    for m in range(p.degree_in(1) + 1):
+        total += abs(p.coeffs.get((m, 0), 0)) ** 2 * norm
+        norm *= (m + 1.0) / (s + 2.0 + m)
+    return total
 
 
 @dataclass(frozen=True)
@@ -581,8 +608,8 @@ def hardy_norm_expansion(theta: float, f: BiPoly) -> NormExpansion:
             "hardy_norm_expansion requires a finite theta > -1/2")
     return expand(
         range(max(f.total_degree, 0) + 1),
-        lambda N: diagonal_transform(f, N, _vandermonde(
-            lambda k: coeff_b(theta, k, N), theta + 1.0, 2.0 * theta, N)),
+        lambda N: diagonal_transform(f, N, _binomial_weights(
+            theta + 1.0, theta + 1.0, 2.0 * theta, N)),
         lambda N: math.exp(log_gamma(2 * theta + 2 * N + 2.0)
                            - 2.0 * log_gamma(theta + N + 1.0))
         / (2 * theta + 2 * N + 1.0),

@@ -122,13 +122,11 @@ def coeff_c(params: FockParams, k: int, N: int) -> float:
 def fock_restriction_transform(params: FockParams, f: BiPoly, N: int) -> BiPoly:
     """(1/N!) sum_k c_{k,N} d^{N-k} of the diagonal restriction of the k-th
     z1-derivative of f, a polynomial in z1; inverts projection, division by
-    (z1-z2)^N, and diagonal restriction.  By the binomial theorem it is
-    ((beta d1 - alpha d2)/gamma)^N f / N! restricted once."""
-    if N < 0:
-        raise DomainError("N must be >= 0")
-    ratio = params.beta / params.gamma
+    (z1-z2)^N, and diagonal restriction: ((beta d1 - alpha d2)/gamma)^N f / N!
+    restricted once, weights (-alpha/gamma)^(N-j) (beta/gamma)^j."""
+    u, v = -params.alpha / params.gamma, params.beta / params.gamma
     return diagonal_transform(
-        f, N, lambda j: coeff_c(params, j, N) * ratio ** j / math.factorial(N))
+        f, N, [u ** (N - j) * v ** j for j in range(N + 1)])
 
 
 def fock_disk_norm_sq(p: BiPoly, gamma: float) -> float:

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from kernelforge import bidisk, oracle, verify
+from kernelforge import bidisk, cli, oracle, verify
 from kernelforge.bidisk import (BidiskParams, coeff_a, coeff_b, diag_kernel,
                                 full_kernel, full_kernels,
                                 hardy_norm_expansion,
@@ -14,7 +14,10 @@ from kernelforge.bidisk import (BidiskParams, coeff_a, coeff_b, diag_kernel,
                                 sigma_gamma_form, taylor_blocks)
 from kernelforge.config import Point2, TruncationConfig
 from kernelforge.errors import ConvergenceError, DomainError
+from kernelforge.fock import (FockParams, coeff_c, fock_norm_expansion,
+                              fock_restriction_transform)
 from kernelforge.poly2 import BiPoly
+from kernelforge.specfun import pochhammer
 
 
 def test_params_validation():
@@ -290,6 +293,67 @@ def test_high_power_totals_do_not_cancel(n):
     for th in (0.0, 0.5, 1.0):
         want = float(mpmath.gamma(2 * th + 1) / mpmath.gamma(th + 1) ** 2)
         assert abs(hardy_norm_expansion(th, f).total - want) <= 1e-12 * want
+
+
+def _derivative_transform(f, N, w):
+    """sum_j w[j] d1^j d2^(N-j) f restricted to the diagonal, derivative by
+    derivative: the reference for diagonal_transform's binomial form."""
+    out = BiPoly()
+    for j in range(N + 1):
+        out += f.differentiate(1, j).differentiate(2, N - j).scale(w[j])
+    return out.restrict_diagonal()
+
+
+def test_transforms_match_derivative_arithmetic():
+    # the weights w_j of each family in their factorial form: a_{j,N}
+    # (b+N-j)_j / (s+N+1)_j on the bidisk and the torus, c_{j,N}
+    # (beta/gamma)^j / N! on the Gaussian space
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        d = int(rng.integers(0, 13))
+        keys = {(int(m), int(rng.integers(0, d - m + 1)))
+                for m in rng.integers(0, d + 1, size=8)}
+        f = BiPoly({k: complex(*rng.standard_normal(2)) for k in keys})
+        p = BidiskParams(*rng.uniform(-0.9, 3, 2), float(rng.integers(0, 3)),
+                         float(rng.choice([0.0, 0.5])))
+        th = float(rng.uniform(-0.4, 3))
+        q = FockParams(*rng.uniform(0.2, 3, 2), float(rng.uniform(-0.5, 3)))
+        for N in range(f.total_degree + 2):
+            cases = (
+                (restriction_transform(p, f, N),
+                 [coeff_a(p, j, N) * pochhammer(p.b + N - j, j)
+                  / pochhammer(p.s + N + 1.0, j) for j in range(N + 1)]),
+                (bidisk.diagonal_transform(f, N, bidisk._binomial_weights(
+                    th + 1.0, th + 1.0, 2.0 * th, N)),
+                 [coeff_b(th, j, N) * pochhammer(th + 1.0 + N - j, j)
+                  / pochhammer(2.0 * th + N + 1.0, j) for j in range(N + 1)]),
+                (fock_restriction_transform(q, f, N),
+                 [coeff_c(q, j, N) * (q.beta / q.gamma) ** j
+                  / math.factorial(N) for j in range(N + 1)]),
+            )
+            for got, w in cases:
+                ref = _derivative_transform(f, N, w)
+                assert ((got - ref).max_abs_coeff()
+                        <= 1e-13 * ref.max_abs_coeff())
+
+
+def test_expansions_take_no_derivatives(capsys, monkeypatch):
+    # the transforms read one binomial matrix product per order; a path
+    # that falls back to derivative arithmetic is several times slower
+    def no_derivatives(*args, **kwargs):
+        raise AssertionError("BiPoly.differentiate called")
+
+    monkeypatch.setattr(BiPoly, "differentiate", no_derivatives)
+    f = BiPoly.parse("z1^3 - 2*z1*z2^2 + (0,1)*z2^5 + 0.5*z1^2*z2^2")
+    assert norm_expansion(BidiskParams(0.5, 1.0, 1.0), f).total > 0
+    assert hardy_norm_expansion(0.5, f).total > 0
+    assert fock_norm_expansion(FockParams(1.3, 0.7, 1.0), f).total > 0
+    for space in ("bidisk", "ball", "fock"):
+        code = cli.main(["norm-expand", "--space", space, "--alpha", "1.3",
+                         "--beta", "0.7", "--theta", "1", "--poly", f.format(),
+                         "--oracle"])
+        assert code == cli.EXIT_OK
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("th", [0, 1, 2])

@@ -1,5 +1,6 @@
 import json
 
+import mpmath
 import pytest
 
 from kernelforge import bidisk, cli, fock, verify
@@ -413,8 +414,9 @@ def test_extreme_weights_are_domain_errors(capsys, case):
 # values past the double range whose Python exception left cli.main as a
 # traceback with exit code 1
 _PAST_DOUBLE_RANGE = {
+    # C(1100, j) is past double range for the middle j
     "bidisk-norm-degree": ["norm-expand", "--space", "bidisk", "--alpha",
-                           "0", "--beta", "0", "--poly", "z1^200"],
+                           "0", "--beta", "0", "--poly", "z1^1100"],
     "bidisk-norm-coeff": ["norm-expand", "--space", "bidisk", "--alpha", "0",
                           "--beta", "0", "--poly", "(1e200,0)*z1^2"],
     "bidisk-sigma-theta": ["sigma", "--space", "bidisk", "--alpha", "0",
@@ -430,8 +432,6 @@ _PAST_DOUBLE_RANGE = {
                          "--beta", "3", "--poly", "z1^200"],
     "fock-sigma-theta": ["sigma", "--space", "fock", "--alpha", "3",
                          "--beta", "3", "--theta", "600"],
-    "bidisk-norm-weights": ["norm-expand", "--space", "bidisk", "--alpha",
-                            "1e5", "--beta", "1e5", "--poly", "z1^60"],
     "bidisk-oracle-remainder": ["kernel", "--space", "bidisk", "--alpha",
                                 "-0.999999", "--beta", "1e5", "--pair",
                                 "0.1,0.2,0.1,0.1", "--oracle"],
@@ -443,6 +443,27 @@ def test_past_double_range_is_domain_error(capsys, case):
     code, _, err = run(capsys, _PAST_DOUBLE_RANGE[case])
     assert code == cli.EXIT_DOMAIN
     assert "double precision" in err and len(err.strip().splitlines()) == 1
+
+
+# norms whose factorials and Pochhammer symbols leave double range on their
+# own, though the norm does not: ||z1^n||^2 = n!/(alpha+2)_n
+_NORMS_NEAR_DOUBLE_RANGE = {
+    "bidisk-norm-degree": ("0", "z1^200", 1e-12),
+    "bidisk-norm-weights": ("1e5", "z1^60", 1e-9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NORMS_NEAR_DOUBLE_RANGE))
+def test_norms_near_double_range_match_closed_forms(capsys, case):
+    weight, poly, rel = _NORMS_NEAR_DOUBLE_RANGE[case]
+    code, out, _ = run(capsys, ["norm-expand", "--space", "bidisk", "--alpha",
+                                weight, "--beta", weight, "--poly", poly])
+    assert code == cli.EXIT_OK
+    n = int(poly[3:])
+    with mpmath.workdps(40):
+        exact = float(mpmath.factorial(n) / mpmath.rf(float(weight) + 2, n))
+    total = json.loads(out)["items"][-1]["value"][0]
+    assert total == pytest.approx(exact, rel=rel, abs=0)
 
 
 def test_kernel_pair_negative_first_coordinate(capsys):
