@@ -515,22 +515,15 @@ def _binomial_weights(a: float, b: float, s: float, N: int) -> np.ndarray:
             * np.cumprod(np.concatenate(([1.0], (b + N - 1.0 - i) / den))))
 
 
-# C(m, j) as floats for 0 <= m, j < its size, grown by diagonal_transform
+# C(m, j) as floats for 0 <= m, j < its size, grown by _binomial_table
 _binomials = np.ones((1, 1))
 
 
-def diagonal_transform(f: BiPoly, N: int, weights) -> BiPoly:
-    """sum_j w_j d1^j d2^(N-j) f restricted once to the diagonal, from
-    weights[j] = j! (N-j)! w_j: c z1^m z2^n goes to c M[m, n] z1^(m+n-N),
-    M[m, n] = sum_j weights[j] C(m, j) C(n, N-j).  With d/dz1 = d1 + d2 on
-    the diagonal it is sum_k c_k d^{N-k} [d1^k f restricted] for w_j =
-    sum_{k<=j} c_k C(N-k, j-k), whose terms grow like 2^N times it."""
+def _binomial_table(size: int) -> np.ndarray:
+    """C(m, j) as floats for 0 <= m, j < size, by Pascal's rule; exact while
+    finite, which they are below m = 1030 (DomainError from there)."""
     global _binomials
-    if N < 0:
-        raise DomainError("N must be >= 0")
-    size = max(f.total_degree, N) + 1
-    binom = _binomials
-    if len(binom) < size:  # by Pascal's rule, past double range from m = 1030
+    if len(_binomials) < size:
         binom = np.zeros((size, size))
         binom[:, 0] = 1.0
         with np.errstate(over="ignore"):
@@ -540,7 +533,18 @@ def diagonal_transform(f: BiPoly, N: int, weights) -> BiPoly:
             raise DomainError(f"binomial coefficients C({size - 1}, j) are "
                               f"not finite in double precision")
         _binomials = binom
-    binom = binom[:size]
+    return _binomials[:size, :size]
+
+
+def diagonal_transform(f: BiPoly, N: int, weights) -> BiPoly:
+    """sum_j w_j d1^j d2^(N-j) f restricted once to the diagonal, from
+    weights[j] = j! (N-j)! w_j: c z1^m z2^n goes to c M[m, n] z1^(m+n-N),
+    M[m, n] = sum_j weights[j] C(m, j) C(n, N-j).  With d/dz1 = d1 + d2 on
+    the diagonal it is sum_k c_k d^{N-k} [d1^k f restricted] for w_j =
+    sum_{k<=j} c_k C(N-k, j-k), whose terms grow like 2^N times it."""
+    if N < 0:
+        raise DomainError("N must be >= 0")
+    binom = _binomial_table(max(f.total_degree, N) + 1)
     M = ((binom[:, :N + 1] * weights) @ binom[:, N::-1].T).tolist()
     out: dict = {}
     for (m, n), c in f.coeffs.items():
@@ -606,11 +610,19 @@ def hardy_norm_expansion(theta: float, f: BiPoly) -> NormExpansion:
     if not -0.5 < theta < math.inf:  # NaN and inf fail too
         raise DomainError(
             "hardy_norm_expansion requires a finite theta > -1/2")
+
+    def weight(N):
+        try:
+            return math.exp(log_gamma(2 * theta + 2 * N + 2.0)
+                            - 2.0 * log_gamma(theta + N + 1.0)
+                            ) / (2 * theta + 2 * N + 1.0)
+        except OverflowError:
+            raise DomainError(f"Hardy norm weight of order {N} at theta = "
+                              f"{theta} is not finite in double precision"
+                              ) from None
+
     return expand(
         range(max(f.total_degree, 0) + 1),
         lambda N: diagonal_transform(f, N, _binomial_weights(
             theta + 1.0, theta + 1.0, 2.0 * theta, N)),
-        lambda N: math.exp(log_gamma(2 * theta + 2 * N + 2.0)
-                           - 2.0 * log_gamma(theta + N + 1.0))
-        / (2 * theta + 2 * N + 1.0),
-        lambda t, N: disk_norm_sq(t, 2 * theta + 2.0 * N))
+        weight, lambda t, N: disk_norm_sq(t, 2 * theta + 2.0 * N))

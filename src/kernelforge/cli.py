@@ -214,9 +214,8 @@ def cmd_norm_expand(args, cfg) -> int:
     passed = True
     if args.oracle:
         gram = space["gram"](args, max(f.total_degree, 0))
-        norm = gram.norm_sq(f)
-        parts = oracle.order_parts(gram, f)
-        refs = [gram.norm_sq(parts[N]) for N, _ in exp.terms]
+        norm, part_norms = oracle.order_norms(gram, f)
+        refs = [part_norms[N] for N, _ in exp.terms]
         for item, ref in zip(items, refs + [norm]):
             abs_err = abs(item["value"][0] - ref)
             ok = abs_err <= 1e-9 * max(1.0, norm)

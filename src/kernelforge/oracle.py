@@ -13,7 +13,8 @@ parameters by constructing the space's parameter class.
 
 The orthogonal parts Q_N f of f that vanish to order exactly N along the
 space's variety {u = 0} (u = z1 - z2, or z2 on the ball) all come from one
-Cholesky factorisation per degree block.  Within total degree d the
+Cholesky factorisation per degree block, taken for all of f's degree blocks
+at once on a stack padded with the identity.  Within total degree d the
 subspaces of order at least o are nested, and the basis u^k v^(d-k),
 k = d..0, spans each of them with its first d-o+1 columns, so
 orthonormalising it in order gives every Q_N f at once.  The complement v
@@ -25,7 +26,7 @@ Gram matrix reaches condition number 1.7e12 at bidisk degree 14 with
 v = z2, and 1e17 with v = z1 + z2 on the Gaussian space at alpha = 1,
 beta = 100, theta = 1, degree 10.
 
-scipy, for the Gauss rules and LAPACK's Cholesky and triangular solves, is
+scipy, for the Gauss rules and the kernel blocks' LAPACK Cholesky, is
 imported inside the functions that call it, on first use, so that importing
 kernelforge and summing the series kernels never load it.
 """
@@ -36,9 +37,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .ball import BallParams
-from .bidisk import BidiskParams
+from .bidisk import BidiskParams, _binomial_table
 from .errors import ConditioningError, DomainError, QuadratureError
 from .fock import FockParams, fock_moment
 from .poly2 import BiPoly
@@ -74,9 +76,10 @@ class GramBlocks:
         if deg > self.max_degree:
             raise DomainError(
                 f"degree {deg} exceeds Gram table max degree {self.max_degree}")
+        fvecs = _degree_vectors(f, deg)
         total = 0.0 + 0.0j
-        for block, fv, gv in zip(self.blocks, _degree_vectors(f, deg),
-                                 _degree_vectors(g, deg)):
+        for block, fv, gv in zip(self.blocks, fvecs, fvecs if g is f
+                                 else _degree_vectors(g, deg)):
             if fv is not None and gv is not None:
                 total += fv @ (block @ np.conj(gv))
         return total
@@ -115,9 +118,15 @@ def _binomial_gram_blocks(theta: float, max_degree: int, moment1,
     u = _powers(np.array([-1.0, 1.0]), th)[-1]
     mom1, mom2 = (np.array([mom(p) for p in range(max_degree + th + 1)])
                   for mom in (moment1, moment2))
+    # B[r, m] = u[r - m]: B's first d + th + 1 rows and d + 1 columns are
+    # the B of degree d
+    shift = np.subtract.outer(np.arange(max_degree + th + 1),
+                              np.arange(max_degree + 1))
+    big_b = np.where((shift >= 0) & (shift <= th),
+                     u[np.clip(shift, 0, th)], 0.0)
     blocks = []
     for d in range(max_degree + 1):
-        b = np.array([np.convolve(mono, u) for mono in np.eye(d + 1)]).T
+        b = big_b[:d + th + 1, :d + 1]
         g = b.T @ ((mom1[:d + th + 1] * mom2[d + th::-1])[:, None] * b)
         blocks.append(0.5 * (g + g.T))  # exactly symmetric
     return blocks
@@ -182,13 +191,25 @@ def ball_monomial_norms(alpha: float, beta: float, theta: float,
     """Diagonal Gram blocks of the ball space (radial weights make monomials
     orthogonal)."""
     BallParams(alpha, beta, theta)
-    blocks = []
-    for d in range(max_degree + 1):
-        diag = [ball_monomial_norm(alpha, beta, theta, m, d - m)
-                for m in range(d + 1)]
-        blocks.append(np.diag(diag))
+    # ball_monomial_norm's six log-Gamma terms from tables over m, n and
+    # m + n, their arguments and sum formed in its order, so that every
+    # entry is the same double
+    idx = range(max_degree + 1)
+    lg_m = np.array([log_gamma(m + 1.0) for m in idx])
+    lg_mid = np.array([log_gamma(n + theta + alpha + beta + 2.0)
+                       for n in idx])
+    lg_sum = np.array([log_gamma(d + theta + alpha + beta + 3.0)
+                       for d in idx])
+    lg_n = np.array([log_gamma(n + theta + 1.0) for n in idx])
+    lg_last = np.array([log_gamma(n + theta + alpha + 2.0) for n in idx])
+    deg, m = np.tril_indices(max_degree + 1)  # entry m of block deg, in order
+    n = deg - m
+    norms = [math.exp(x) for x in (
+        lg_m[m] + lg_mid[n] - lg_sum[deg] + lg_n[n] + log_gamma(alpha + 1.0)
+        - lg_last[n]).tolist()]
     return GramBlocks("ball", {"alpha": alpha, "beta": beta, "theta": theta},
-                      blocks)
+                      [np.diag(norms[d * (d + 1) // 2:(d + 1) * (d + 2) // 2])
+                       for d in idx])
 
 
 def ball_hardy_monomial_norm(beta: float, theta: float, m: int, n: int) -> float:
@@ -342,38 +363,36 @@ def gram_kernel_blocks(gram: GramBlocks) -> list:
 
     Because the Gram table is block-diagonal by total degree, these inverses
     are the exact Taylor blocks of the true kernel, not truncation artifacts."""
-    from scipy.linalg import cho_solve
-    return [cho_solve((_cholesky(g, f"Gram block degree {d}"), False),
-                      np.eye(d + 1))
-            for d, g in enumerate(gram.blocks)]
+    from scipy.linalg import cho_solve, lapack
+    out = []
+    for d, g in enumerate(gram.blocks):
+        _check_conditioning(g[None], "Gram block", [d])
+        r, info = lapack.dpotrf(g)
+        if info:
+            raise ConditioningError(f"Gram block degree {d}: Cholesky "
+                                    f"factorisation failed at column {info}")
+        out.append(cho_solve((r, False), np.eye(d + 1)))
+    return out
 
 
-def _check_conditioning(m: np.ndarray, what: str) -> None:
-    """ConditioningError naming `what` unless the real symmetric m, scaled to
-    a unit diagonal, is positive definite with condition number at most
-    COND_LIMIT.  The scaled number is the one that matters: it bounds how far
-    relative rounding in m's entries moves what is solved with m, and
-    Cholesky's accuracy, whatever the spread of m's diagonal."""
-    s = 1.0 / np.sqrt(np.diag(m))
-    eig = np.linalg.eigvalsh(m * np.outer(s, s))
-    # false when the least eigenvalue is not positive (the largest is, as
+def _check_conditioning(m: np.ndarray, what: str, degrees) -> None:
+    """ConditioningError naming `what` and the degree degrees[i] of the first
+    m[i] that fails, unless every real symmetric matrix of the stack m,
+    scaled to a unit diagonal, is positive definite with condition number at
+    most COND_LIMIT.  The scaled number is the one that matters: it bounds
+    how far relative rounding in m's entries moves what is solved with m,
+    and Cholesky's accuracy, whatever the spread of m's diagonal.  Padding a
+    block with the identity keeps its verdict: the eigenvalues of a unit
+    diagonal matrix bracket 1, so the padding moves neither extreme."""
+    s = 1.0 / np.sqrt(np.diagonal(m, axis1=1, axis2=2))
+    eig = np.linalg.eigvalsh(m * (s[:, :, None] * s[:, None, :]))
+    # true where the least eigenvalue is not positive (the largest is, as
     # the trace is) and for NaN
-    if not eig[-1] <= COND_LIMIT * eig[0]:
+    bad = ~(eig[:, -1] <= COND_LIMIT * eig[:, 0])
+    if bad.any():
         raise ConditioningError(
-            f"{what} is not positive definite with condition number at most "
-            f"{COND_LIMIT:.0e}")
-
-
-def _cholesky(m: np.ndarray, what: str) -> np.ndarray:
-    """The upper Cholesky factor R, m = R^T R, of the real symmetric m, after
-    _check_conditioning(m, what)."""
-    from scipy.linalg import lapack
-    _check_conditioning(m, what)
-    r, info = lapack.dpotrf(m)
-    if info:
-        raise ConditioningError(f"{what}: Cholesky factorisation failed at "
-                                f"column {info}")
-    return r
+            f"{what} degree {degrees[np.argmax(bad)]} is not positive "
+            f"definite with condition number at most {COND_LIMIT:.0e}")
 
 
 def kernel_from_blocks(kernel_blocks: list, z1, z2, w1, w2) -> complex:
@@ -456,58 +475,128 @@ def _powers(form: np.ndarray, n: int) -> list:
     return out
 
 
-def _flag_basis(upow: list, g: np.ndarray) -> np.ndarray:
-    """Basis of the degree-d block, d = len(g) - 1, adapted to vanishing
-    along {u = 0}, given upow = _powers(u, n) for some n >= d: column i is
-    u^{d-i} v^i, so the first d-o+1 columns span the block's functions that
-    vanish to order o.  The complement v is the linear form for which
-    u^{d-1} v is g-orthogonal to u^d (see the module docstring)."""
-    d = len(g) - 1
-    if d:
-        gu, prev = g @ upow[d], upow[d - 1]
-        v = np.array([gu[1:] @ prev, -(gu[:-1] @ prev)])
-        vpow = _powers(v / v[np.argmax(np.abs(v))], d)
-    else:
-        vpow = upow
-    return np.column_stack([np.convolve(upow[d - i], vpow[i])
-                            for i in range(d + 1)])
+def _form_powers(form: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """out[..., a, j] = C(a, j) form[..., 1]^j form[..., 0]^(a-j) for a, j <
+    len(binom): row a holds the coefficients of form^a, for a stack of
+    linear forms [coefficient of z2, coefficient of z1]."""
+    a = np.arange(len(binom))
+    pow0, pow1 = (form[..., i, None] ** a for i in (0, 1))
+    # the exponent a - j is clipped to 0 where j > a and C(a, j) = 0, so
+    # that 0.0 ** -1 never forms
+    return (binom * pow1[..., None, :]
+            * pow0[..., np.maximum(a[:, None] - a, 0)])
+
+
+def _solve_lower(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """low^{-1} rhs for a stack of lower triangular matrices with positive
+    diagonals, by forward substitution on the whole stack at once."""
+    out = np.empty_like(rhs)
+    for i in range(rhs.shape[1]):
+        out[:, i] = (rhs[:, i] - np.einsum("bj,bjc->bc", low[:, i, :i],
+                                          out[:, :i])) / low[:, i, i, None]
+    return out
+
+
+def _order_pass(gram: GramBlocks, f: BiPoly):
+    """(g, fv, degrees, parts) for the degrees d_0 < ... < d_{k-1} that f
+    has: g[b] is block d_b of the Gram table and fv[b] f's coefficient
+    vector of degree d_b, both padded with the identity and with zeros to
+    size n = max(deg f, 0) + 1, and parts[b, i] is the degree-d_b component
+    of Q_{d_b-i} f (zero for i > d_b).
+
+    In each block the basis E has column i = u^{d-i} v^i, so its first
+    d-o+1 columns span the block's functions that vanish to order o; the
+    complement v makes u^{d-1} v g-orthogonal to u^d (see the module
+    docstring).  With E^T G E = L L^T the rows w_i of L^{-1} E^T are
+    G-orthonormal and w_0..w_j span what the first j+1 columns of E span, so
+    the part is <f, w_i> w_i.  Each order's normal matrix is a leading
+    submatrix of E^T G E, no worse conditioned after scaling than the whole
+    (eigenvalue interlacing), so one check covers them all.  Every step runs
+    on the whole stack at once."""
+    if f.total_degree > gram.max_degree:
+        raise DomainError("polynomial degree exceeds the Gram table")
+    n = max(f.total_degree, 0) + 1
+    degrees = sorted({m + k for m, k in f.coeffs})
+    slot = {d: b for b, d in enumerate(degrees)}
+    g = np.eye(n)[None].repeat(len(degrees), 0)
+    for b, d in enumerate(degrees):
+        g[b, :d + 1, :d + 1] = gram.blocks[d]
+    fv = np.zeros((len(degrees), n), dtype=complex)
+    for (m, k), c in f.coeffs.items():
+        fv[slot[m + k], m] = c
+    # the Gram block's own conditioning bounds how far the rounding in its
+    # entries moves the parts (this catches a near-null direction that the
+    # flag basis isolates and so scales away)
+    _check_conditioning(g, "Gram block", degrees)
+    binom = _binomial_table(n)
+    # the variety is {u = 0}: u = z2 on the ball, z1 - z2 elsewhere; a row
+    # of zeros after the powers of u stands for the columns past degree d
+    u = np.array([1.0, 0.0] if gram.space == "ball" else [-1.0, 1.0])
+    upow = np.vstack([_form_powers(u, binom), np.zeros(n)])
+    deg = np.array(degrees, dtype=int)
+    gu = np.einsum("bmn,bn->bm", g, upow[deg])
+    prev = upow[deg - 1, :-1]
+    v = np.stack([np.einsum("bm,bm->b", gu[:, 1:], prev),
+                  -np.einsum("bm,bm->b", gu[:, :-1], prev)], axis=1)
+    v[deg == 0] = u  # a degree-0 block has no complement; E = [1] there
+    v /= np.where(abs(v[:, 0]) >= abs(v[:, 1]), v[:, 0], v[:, 1])[:, None]
+    # E[b, m, i] = sum_j upow[d_b - i, j] vpow[b, i, m - j]: one product
+    # with a Hankel view of the powers of v behind n - 1 zeros (entry (m, j)
+    # is vpow[b, i, m - n + 1 + j]) against the powers of u reversed, and
+    # the identity in the padding
+    upow_exp = deg[:, None] - np.arange(n)
+    vpow = np.zeros((len(degrees), n, 2 * n - 1))
+    vpow[:, :, n - 1:] = _form_powers(v, binom)
+    hankel = as_strided(vpow, vpow.shape[:2] + (n, n),
+                        vpow.strides + vpow.strides[2:], writeable=False)
+    basis = (np.einsum("bij,bimj->bmi",
+                       upow[np.where(upow_exp < 0, n, upow_exp), ::-1], hankel)
+             + (upow_exp < 0)[:, None, :] * np.eye(n))
+    basis_t = basis.transpose(0, 2, 1)
+    normal = basis_t @ g @ basis
+    _check_conditioning(normal, "projection block", degrees)
+    try:
+        low = np.linalg.cholesky(normal)
+    except np.linalg.LinAlgError:
+        # the factorisation fails for the whole stack; name the block
+        for d, block in zip(degrees, normal):
+            try:
+                np.linalg.cholesky(block)
+            except np.linalg.LinAlgError:
+                raise ConditioningError(f"projection block degree {d}: "
+                                        f"Cholesky factorisation failed"
+                                        ) from None
+        raise
+    rows = _solve_lower(low, basis_t)
+    coef = np.einsum("bim,bm->bi", rows, np.einsum("bmn,bn->bm", g, fv))
+    return g, fv, degrees, coef[:, :, None] * rows
 
 
 def order_parts(gram: GramBlocks, f: BiPoly) -> list:
     """[Q_0 f, ..., Q_D f] with D = max(deg f, 0): the orthogonal parts of f
     that vanish to order exactly N along the space's variety, so that
-    f = sum_N Q_N f and ||f||^2 = sum_N ||Q_N f||^2.
-
-    One Cholesky factorisation per degree block d: with E = _flag_basis and
-    E^T G_d E = R^T R, the rows w_i of R^{-T} E^T are G_d-orthonormal and
-    w_0..w_j span what the first j+1 columns of E span, so the degree-d part
-    of Q_{d-i} f is <f, w_i> w_i.  Each order's normal matrix is a leading
-    submatrix of E^T G_d E, no worse conditioned after scaling than the whole
-    (eigenvalue interlacing), so one check covers them all."""
-    from scipy.linalg import lapack
-    if f.total_degree > gram.max_degree:
-        raise DomainError("polynomial degree exceeds the Gram table")
-    # the variety is {u = 0}: u = z2 on the ball, z1 - z2 elsewhere
-    upow = _powers(np.array([1.0, 0.0] if gram.space == "ball"
-                            else [-1.0, 1.0]), f.total_degree)
-    parts = [{} for _ in range(max(f.total_degree, 0) + 1)]
-    for d, fv in enumerate(_degree_vectors(f, f.total_degree)):
-        if fv is None:
-            continue
-        g = gram.blocks[d]
-        # the Gram block's own conditioning bounds how far the rounding in
-        # its entries moves the parts (this catches a near-null direction
-        # that the flag basis isolates and so scales away)
-        _check_conditioning(g, f"Gram block degree {d}")
-        basis = _flag_basis(upow, g)
-        r = _cholesky(basis.T @ g @ basis, f"projection block degree {d}")
-        # r has a positive diagonal, so this solve cannot fail
-        rows = lapack.dtrtrs(r, basis.T, trans=1)[0]
-        coef = rows @ (g @ fv)
+    f = sum_N Q_N f and ||f||^2 = sum_N ||Q_N f||^2 (see _order_pass)."""
+    _, _, degrees, parts = _order_pass(gram, f)
+    out = [{} for _ in range(max(f.total_degree, 0) + 1)]
+    for d, block in zip(degrees, parts):
         keys = [(m, d - m) for m in range(d + 1)]
-        for i, row in enumerate((coef[:, None] * rows).tolist()):
-            parts[d - i].update(zip(keys, row))
-    return [BiPoly(p) for p in parts]
+        for i, row in enumerate(block[:d + 1, :d + 1].tolist()):
+            out[d - i].update(zip(keys, row))
+    return [BiPoly(p) for p in out]
+
+
+def order_norms(gram: GramBlocks, f: BiPoly) -> tuple[float, list]:
+    """(||f||^2, [||Q_0 f||^2, ..., ||Q_D f||^2]), D = max(deg f, 0): the
+    norms of f and of order_parts(gram, f) in the space, each the sum over
+    degrees d of p G_d conj(p) for its degree-d components p."""
+    g, fv, degrees, parts = _order_pass(gram, f)
+    total = np.einsum("bm,bm->", np.einsum("bmn,bn->bm", g, fv),
+                      fv.conj()).real
+    norms = np.einsum("bim,bim->bi", parts @ g, parts.conj()).real
+    order = np.array(degrees, dtype=int)[:, None] - np.arange(g.shape[-1])
+    by_order = np.zeros(max(f.total_degree, 0) + 1)
+    np.add.at(by_order, order[order >= 0], norms[order >= 0])
+    return float(total), by_order.tolist()
 
 
 def project(gram: GramBlocks, f: BiPoly, order: int) -> tuple[BiPoly, BiPoly]:

@@ -295,6 +295,16 @@ def test_high_power_totals_do_not_cancel(n):
         assert abs(hardy_norm_expansion(th, f).total - want) <= 1e-12 * want
 
 
+def test_hardy_weight_past_double_range_is_domain_error():
+    # z1^505 is the last power whose order-N weights Gamma(2N+2)/N!^2 stay
+    # finite; at z1^510 the weight of order 510 overflowed in math.exp and
+    # escaped as a bare OverflowError
+    total = hardy_norm_expansion(0.0, BiPoly.parse("z1^505")).total
+    assert abs(total - 1.0) <= 1e-12
+    with pytest.raises(DomainError, match="order 510"):
+        hardy_norm_expansion(0.0, BiPoly.parse("z1^510"))
+
+
 def _derivative_transform(f, N, w):
     """sum_j w[j] d1^j d2^(N-j) f restricted to the diagonal, derivative by
     derivative: the reference for diagonal_transform's binomial form."""

@@ -96,6 +96,47 @@ def test_exact_blocks_match_rational_binomial_sums(build, moment, th):
         assert np.max(np.abs(block - ref)) <= 4 * np.spacing(np.max(np.abs(ref)))
 
 
+@pytest.mark.parametrize("th", range(4))
+def test_binomial_blocks_equal_convolution_assembly(th):
+    # the reference builds column m of B as e_m convolved with the
+    # coefficients of (z1 - z2)^th, one np.convolve per column
+    mom = [oracle.disk_moment(0.5, p) for p in range(12 + th + 1)]
+    u = np.array([(-1.0) ** (th - i) * math.comb(th, i)
+                  for i in range(th + 1)])
+    for d, block in enumerate(oracle.gram_bidisk_exact(0.5, 0.5, th,
+                                                       12).blocks):
+        b = np.array([np.convolve(mono, u) for mono in np.eye(d + 1)]).T
+        g = b.T @ ((np.array(mom[:d + th + 1]) * mom[d + th::-1])[:, None]
+                   * b)
+        assert np.array_equal(block, 0.5 * (g + g.T))
+
+
+@pytest.mark.parametrize("al,be,th", [(0.0, 0.0, 0.0), (0.5, 1.0, 0.25),
+                                      (1.5, -0.5, 2.0), (-0.9, 3.0, 0.7)])
+def test_ball_monomial_norms_equal_single_entries(al, be, th):
+    for d, block in enumerate(oracle.ball_monomial_norms(al, be, th,
+                                                         12).blocks):
+        want = [oracle.ball_monomial_norm(al, be, th, m, d - m)
+                for m in range(d + 1)]
+        assert np.array_equal(block, np.diag(want))
+
+
+def test_norm_sq_equals_inner_product():
+    rng = np.random.default_rng(4)
+    for g in (oracle.gram_bidisk_exact(0.3, 0.9, 2.0, 6),
+              oracle.ball_monomial_norms(0.5, 1.0, 0.25, 6),
+              oracle.gram_fock_exact(1.5, 0.5, 1.0, 6)):
+        for _ in range(5):
+            f = BiPoly({(m, d - m): complex(*rng.standard_normal(2))
+                        for d in range(7) for m in range(d + 1)
+                        if rng.random() < 0.5})
+            # a copy of f takes inner_product's general path, which builds
+            # the degree vectors of each argument on its own
+            assert g.norm_sq(f) == g.inner_product(f, BiPoly(f.coeffs)).real
+    with pytest.raises(DomainError):
+        g.norm_sq(BiPoly.parse("z1^7"))
+
+
 def test_ball_monomial_norms():
     assert oracle.ball_monomial_norm(0, 0, 0, 0, 0) == pytest.approx(0.5)
     assert oracle.ball_monomial_norm(0, 0, 0, 0, 1) == pytest.approx(1 / 6)
@@ -316,6 +357,74 @@ def test_projection_rejects_ill_conditioned():
         oracle.project(g, f, 1)
     with pytest.raises(ConditioningError):
         oracle.order_parts(g, f)
+
+
+def _middle_degree_gram(block2):
+    """The theta = 0 bidisk Gram table up to degree 3 with block 2
+    replaced."""
+    g = oracle.gram_bidisk_exact(0.0, 0.0, 0.0, 3)
+    g.blocks[2] = block2
+    return g
+
+
+_DEGREES_0_TO_3 = BiPoly.parse("1 + z1 + z2^2 + z1*z2 + z1^3")
+
+
+def test_gram_check_names_a_middle_degree():
+    # (z1 - z2)^2 has norm about 1e-8 against monomials of norm 1
+    u2 = np.array([1.0, -2.0, 1.0]) / math.sqrt(6.0)
+    g = _middle_degree_gram(np.eye(3) - (1 - 1e-16) * np.outer(u2, u2))
+    for fn in (oracle.order_parts, oracle.order_norms):
+        with pytest.raises(ConditioningError, match="Gram block degree 2"):
+            fn(g, _DEGREES_0_TO_3)
+
+
+def test_projection_check_names_a_middle_degree():
+    # q is a rotation rounded to two decimals: scaled, the block
+    # q diag(1, 1e-9, 1e-10) q^T has condition number 3.5e9 and passes, but
+    # its flag basis gives a normal matrix of condition number 3.1e12
+    q = np.array([[-0.31, 0.34, 0.89], [0.27, -0.86, 0.43],
+                  [0.91, 0.37, 0.18]])
+    g = _middle_degree_gram(q @ np.diag([1.0, 1e-9, 1e-10]) @ q.T)
+    for fn in (oracle.order_parts, oracle.order_norms):
+        with pytest.raises(ConditioningError,
+                           match="projection block degree 2 is not"):
+            fn(g, _DEGREES_0_TO_3)
+
+
+def test_failed_factorisation_names_its_block(monkeypatch):
+    # the stacked Cholesky fails for the whole stack; with the checks off,
+    # an indefinite block 2 must still be named
+    monkeypatch.setattr(oracle, "_check_conditioning", lambda *args: None)
+    g = _middle_degree_gram(np.diag([1.0, -1.0, 1.0]))
+    with pytest.raises(ConditioningError,
+                       match="projection block degree 2: Cholesky"):
+        oracle.order_norms(g, _DEGREES_0_TO_3)
+
+
+_NORM_POLYS = {
+    "zero": "0",
+    "constant": "(2,-1)",
+    "sparse": "(1,2)*z2^5 + 3*z1^2 - (0,1)*z1*z2^4 + 0.5",
+    "top-only": "z1^3*z2^3 - 2*z1^6",
+}
+
+
+@pytest.mark.parametrize("space", ["bidisk", "ball", "fock"])
+@pytest.mark.parametrize("th", [0, 1, 2])
+@pytest.mark.parametrize("poly", sorted(_NORM_POLYS))
+def test_order_norms_agree_with_norms_of_order_parts(space, th, poly):
+    build = {"bidisk": oracle.gram_bidisk_exact,
+             "ball": oracle.ball_monomial_norms,
+             "fock": oracle.gram_fock_exact}[space]
+    g = build(0.5, 1.5, float(th), 7)
+    f = BiPoly.parse(_NORM_POLYS[poly])
+    total, norms = oracle.order_norms(g, f)
+    want = [g.norm_sq(p) for p in oracle.order_parts(g, f)]
+    assert len(norms) == len(want) == max(f.total_degree, 0) + 1
+    tol = 1e-13 * g.norm_sq(f)
+    assert abs(total - g.norm_sq(f)) <= tol
+    assert all(abs(a - b) <= tol for a, b in zip(norms, want))
 
 
 def _mp_gram_block(d, theta, moment1, moment2):

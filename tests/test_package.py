@@ -34,7 +34,10 @@ _SCIPY_STAYS_UNLOADED = textwrap.dedent("""
              "--pair", "0.1,0.1,0.1,0.1", "--pair", "-0.7,0.6,0.65,-0.7"],
             ["sigma", "--space", "bidisk", "--alpha", "0", "--beta", "0"],
             ["norm-expand", "--space", "ball", "--alpha", "0", "--beta", "0",
-             "--theta", "1", "--poly", "z1 - z2"]):
+             "--theta", "1", "--poly", "z1 - z2"],
+            # the exact Gram blocks and the stacked order pass are numpy only
+            ["norm-expand", "--space", "bidisk", "--alpha", "1", "--beta",
+             "0.5", "--theta", "2", "--poly", "z1^3 - z2 + 2", "--oracle"]):
         with contextlib.redirect_stdout(io.StringIO()):
             assert kernelforge.cli.main(argv) == 0, argv
     z, w = Point2(0.3, 0.1), Point2(0.2, -0.4)
