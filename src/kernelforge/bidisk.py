@@ -14,25 +14,19 @@ which grows like n^(s+2N+1).  The tail_bound of q_kernel and full_kernel is
 therefore an estimate, not a bound (ROADMAP, "True tail bounds for the
 bidisk double series").
 
-q_kernel takes the inner coefficients c_n(z), the t^n coefficients of
-(1 - t z1)^-(a+N) (1 - t z2)^-(b+N), from their three-term recurrence in n:
-O(1) per term, and no cancellation when z1 and z2 point apart, unlike the
-binomial sum (_c_coeffs, which only taylor_blocks uses).  The recurrence's
-coefficients and the geometric tail advance by one addition or product per
-term.  sigma has one cache, keyed by the weight's four exponents and the
-truncation settings, so sigma(params.shifted(N)) and the order-N reads of
-q_kernel and full_kernel share entries and a warm series builds no
-BidiskParams.
-
-A list of pairs goes to full_kernels, which returns what full_kernel returns
-pair by pair: the same terms_used and tail_bound, and values within
-rounding.  It runs the inner series of every (pair, order) cell as one
-numpy recurrence with q_kernel's steps and stopping rule, and each pair's
-outer rule, the one full_kernel uses, reads the per-order sums.  A list of
-few cells, where numpy's cost per array operation outweighs the work, runs
-pair by pair through full_kernel.  full_kernel and q_kernel stay the
-per-pair reference that the tests hold full_kernels to; the CLI and the
-verify suites call full_kernels.
+The inner coefficients c_n(z), the t^n coefficients of (1 - t z1)^-(a+N)
+(1 - t z2)^-(b+N), come from their three-term recurrence in n: O(1) per
+term, and no cancellation when z1 and z2 point apart, unlike the binomial
+sum (_c_coeffs, which only taylor_blocks uses).  _inner_sums is the one loop
+that sums the inner series: it runs the recurrence of many (pair, order)
+cells as one numpy array recurrence, whose coefficients and geometric tail
+advance by one addition or product per term.  full_kernels feeds it blocks
+of orders for every pair of a list, and each pair's outer rule (_OuterRule)
+reads the per-order sums; full_kernel is full_kernels at one pair, and
+q_kernel is one cell of _inner_sums times its prefactor.  sigma has one
+cache, keyed by the weight's four exponents and the truncation settings, so
+sigma(params.shifted(N)) and the order-N reads of the kernels share entries
+and a warm series builds no BidiskParams.
 """
 
 from __future__ import annotations
@@ -103,10 +97,16 @@ def _sigma_cached(al: float, be: float, th: float, vt: float,
     a+b; 1).  The order-N subspace's sigma_N is the entry at theta + N."""
     a = al + th + vt + 2.0
     b = be + th + vt + 2.0
-    r = hyp3f2_unit(th + 1.0, a, a, al + th + 2.0, a + b, cfg)
-    logs = (log_gamma(al + 2.0), log_gamma(th + 1.0), log_gamma(al + th + 2.0))
-    pref = ((be + 1.0) * math.exp(logs[0] + logs[1] - logs[2])
-            / (al + be + 2 * th + 2 * vt + 3.0))
+    try:
+        r = hyp3f2_unit(th + 1.0, a, a, al + th + 2.0, a + b, cfg)
+        logs = (log_gamma(al + 2.0), log_gamma(th + 1.0),
+                log_gamma(al + th + 2.0))
+        pref = ((be + 1.0) * math.exp(logs[0] + logs[1] - logs[2])
+                / (al + be + 2 * th + 2 * vt + 3.0))
+    except OverflowError:
+        raise DomainError(f"the 3F2 form of bidisk sigma at (alpha, beta, "
+                          f"theta, vartheta) = ({al}, {be}, {th}, {vt}) is "
+                          f"not finite in double precision") from None
     val = 1.0 / (pref * r.value).real
     # the prefactor's log-Gammas, exp and four products round too
     rounding = 4 * EPS * (sum(map(abs, logs)) + 4) * val
@@ -156,11 +156,19 @@ def _c_coeffs(params: BidiskParams, N: int, n: int) -> tuple:
     return tuple(left[j] * right[n - j] for j in range(n + 1))
 
 
+def _inner_error(cfg: TruncationConfig, tail_estimate: float):
+    """The error of an inner series that has not stopped in cfg.max_terms
+    terms."""
+    return ConvergenceError(
+        f"q_kernel inner series did not converge in {cfg.max_terms} terms",
+        terms_used=cfg.max_terms, tail_estimate=tail_estimate)
+
+
 def q_kernel(params: BidiskParams, N: int, z: Point2, w: Point2,
              cfg: TruncationConfig | None = None) -> SeriesResult:
     """Kernel of the order-N subspace as the double series
     (z1-z2)^N (conj(w1)-conj(w2))^N sigma_N sum_n [n!/(s+2N+2)_n]
-    c_n(z) conj(c_n(w))."""
+    c_n(z) conj(c_n(w)): the prefactor times one cell of _inner_sums."""
     cfg = cfg or default_config()
     if N < 0:
         raise DomainError("N must be >= 0")
@@ -170,52 +178,11 @@ def q_kernel(params: BidiskParams, N: int, z: Point2, w: Point2,
     pref = ((z.z1 - z.z2) ** N
             * (complex(w.z1).conjugate() - complex(w.z2).conjugate()) ** N
             * sN.value.real)
-    s2 = params.s + 2.0 * N + 2.0
-    rz = max(abs(z.z1), abs(z.z2))
-    rw = max(abs(w.z1), abs(w.z2))
-    q = rz * rw
-    # (n+1) c_{n+1} = P_n c_n - R_n c_{n-1} with P_n = (A+n) z1 + (B+n) z2
-    # and R_n = (A+B+n-1) z1 z2, so P and R advance by z1+z2 and z1 z2 per
-    # step; conj(c_n(w)) follows the same recurrence on (conj(w1), conj(w2))
-    A, B = params.a + N, params.b + N
-    z1, z2 = complex(z.z1), complex(z.z2)
-    v1, v2 = complex(w.z1).conjugate(), complex(w.z2).conjugate()
-    zs, zz, vs, vv = z1 + z2, z1 * z2, v1 + v2, v1 * v2
-    Pz, Pv = A * z1 + B * z2, A * v1 + B * v2
-    Rz, Rv = (A + B - 1.0) * zz, (A + B - 1.0) * vv
-    cz = cv = 1.0 + 0.0j
-    cz_prev = cv_prev = 0.0j
-    tolerance = cfg.tolerance
-    # tail is SAFETY_FACTOR q^(n+1) / (1-q) for the terms after n, which
-    # assumes |mu_n c_n(z) conj(c_n(w))| <= (rz rw)^n.  That is false: the c
-    # coefficients sum to (s+2N+2)_n / n! = 1/mu_n, so the term is only
-    # bounded by (rz rw)^n / mu_n (see the module docstring)
-    tail = SAFETY_FACTOR / (1.0 - q)
-    total = 0.0 + 0.0j
-    mu = 1.0
-    small_streak = 0
-    for n in range(cfg.max_terms):
-        total += mu * cz * cv
-        tail *= q
-        if tail <= tolerance or tail <= tolerance * abs(total):
-            small_streak += 1
-            if small_streak >= CONSECUTIVE_SMALL:
-                break
-        else:
-            small_streak = 0
-        m = n + 1.0
-        mu *= m / (s2 + n)
-        cz, cz_prev = (Pz * cz - Rz * cz_prev) / m, cz
-        cv, cv_prev = (Pv * cv - Rv * cv_prev) / m, cv
-        Pz += zs
-        Pv += vs
-        Rz += zz
-        Rv += vv
-    else:
-        raise ConvergenceError(
-            f"q_kernel inner series did not converge in {cfg.max_terms} terms",
-            terms_used=cfg.max_terms, tail_estimate=abs(pref) * tail)
-    return SeriesResult(pref * total, n + 1,
+    (total,), (terms,), (tail,) = (
+        a.tolist() for a in _inner_sums(params, [(z, w)], [N], [1], cfg))
+    if terms < 0:
+        raise _inner_error(cfg, abs(pref) * tail)
+    return SeriesResult(pref * total, terms,
                         abs(pref) * tail + abs(sN.tail_bound) * abs(total))
 
 
@@ -227,8 +194,8 @@ def _sigma_reader(params: BidiskParams, cfg: TruncationConfig):
 
 
 class _OuterRule:
-    """full_kernel's outer rule for one pair: it takes the order-N parts in
-    the order N = 0, 1, ... and stops after CONSECUTIVE_SMALL orders whose
+    """The outer rule of one pair in full_kernels: it takes the order-N parts
+    in the order N = 0, 1, ... and stops after CONSECUTIVE_SMALL orders whose
     tail estimate is within tolerance, or raises at MAX_OUTER_TERMS orders.
     The estimate SAFETY_FACTOR head / (1 - ratio) takes the next order's term
     as head = |dz dw|^(N+1) sigma_(N+1) / (1 - rz rw), which assumes an inner
@@ -276,34 +243,25 @@ class _OuterRule:
 
 def full_kernel(params: BidiskParams, z: Point2, w: Point2,
                 cfg: TruncationConfig | None = None) -> SeriesResult:
-    """Reproducing kernel as the sum over vanishing orders N of q_kernel."""
-    cfg = cfg or default_config()
-    _require_bidisk(z, w)
-    outer = _OuterRule(z, w, _sigma_reader(params, cfg), cfg.tolerance)
-    result = None
-    while result is None:
-        part = q_kernel(params, outer.order, z, w, cfg)
-        result = outer.add(part.value, part.terms_used)
-    return result
+    """Reproducing kernel as the sum over vanishing orders N of q_kernel:
+    full_kernels at the one pair."""
+    return full_kernels(params, [(z, w)], cfg)[0]
 
 
 # full_kernels runs at most _CHUNK_PAIRS pairs at a time, and a pair at most
-# _ORDER_BLOCK orders at a time, so that its arrays stay small.  A chunk of
-# fewer than _MIN_BATCH_CELLS (pair, order) cells in its first block goes pair
-# by pair through full_kernel: there numpy's fixed cost per array operation
-# loses to the scalar loop.
+# _ORDER_BLOCK orders at a time, so that its arrays stay small
 _ORDER_BLOCK = 64
 _CHUNK_PAIRS = 256
-_MIN_BATCH_CELLS = 48
 
 
 def full_kernels(params: BidiskParams, pairs,
                  cfg: TruncationConfig | None = None) -> list:
-    """full_kernel at every (z, w) in pairs, in order: the same terms_used,
-    orders and tail_bound, and values within rounding.  The inner series of
-    all (pair, order) cells run as one array recurrence.  Every pair is
-    checked before any series runs; of the pairs that raise, the first
-    one's error is raised, as a loop over full_kernel would raise it."""
+    """The reproducing kernel at every (z, w) in pairs, in order, each the
+    sum over vanishing orders N of q_kernel(params, N, z, w).  The inner
+    series of all (pair, order) cells run as one array recurrence, and each
+    pair's outer rule reads their sums.  Every pair is checked before any
+    series runs; of the pairs that raise, the first one's error is raised,
+    as a loop over the pairs would raise it."""
     cfg = cfg or default_config()
     pairs = list(pairs)
     for z, w in pairs:
@@ -334,8 +292,6 @@ def _full_kernels_chunk(params: BidiskParams, pairs: list,
     orders; a pair whose rule has not stopped at the end of its block gets
     _ORDER_BLOCK more orders."""
     counts = [_first_block(z, w, cfg.tolerance) for z, w in pairs]
-    if sum(counts) < _MIN_BATCH_CELLS:
-        return [full_kernel(params, z, w, cfg) for z, w in pairs]
     # every pair reads the same sigma_N, so each is looked up once
     sigma = cache(_sigma_reader(params, cfg))
     rules = [_OuterRule(z, w, sigma, cfg.tolerance) for z, w in pairs]
@@ -358,10 +314,7 @@ def _full_kernels_chunk(params: BidiskParams, pairs: list,
                     # q_kernel's prefactor, as q_kernel forms it
                     pref = rule.dz ** N * rule.dw ** N * sigma(N)
                     if terms[k] < 0:
-                        raise ConvergenceError(
-                            "q_kernel inner series did not converge in "
-                            f"{cfg.max_terms} terms", terms_used=cfg.max_terms,
-                            tail_estimate=abs(pref) * tails[k])
+                        raise _inner_error(cfg, abs(pref) * tails[k])
                     results[i] = rule.add(pref * sums[k], terms[k])
                     if results[i] is not None:
                         break
@@ -382,9 +335,10 @@ def _inner_sums(params: BidiskParams, pairs: list, firsts: list,
     """q_kernel's inner sum, before the prefactor, for pair i at the orders
     firsts[i] .. firsts[i] + counts[i] - 1, as flat arrays of these cells in
     that order: the sums, the terms each used (-1 where cfg.max_terms terms
-    did not converge) and the tail estimate at the last term.  The
-    recurrence, its step order and the stopping rule are q_kernel's; a cell
-    drops out of the arrays once it has stopped."""
+    did not converge) and the tail estimate at the last term.  A cell stops
+    after CONSECUTIVE_SMALL terms whose tail is within tolerance, relative
+    to its sum where that exceeds 1, and drops out of the arrays once it has
+    stopped."""
     z1, z2, w1, w2 = np.array([(z.z1, z.z2, w.z1, w.z2) for z, w in pairs],
                               dtype=complex).T
     # cell j is pair pair_of[j] at order order[j]; the recurrence runs on
@@ -398,10 +352,17 @@ def _inner_sums(params: BidiskParams, pairs: list, firsts: list,
     B = np.tile(params.b + order, 2)
     s2 = params.s + 2.0 * order + 2.0
     q = (np.maximum(abs(z1), abs(z2)) * np.maximum(abs(w1), abs(w2)))[pair_of]
+    # (n+1) c_{n+1} = P_n c_n - R_n c_{n-1} with P_n = (A+n) x1 + (B+n) x2
+    # and R_n = (A+B+n-1) x1 x2, so P and R advance by x1+x2 and x1 x2 per
+    # step
     xs, xx = x1 + x2, x1 * x2
     P, R = A * x1 + B * x2, (A + B - 1.0) * xx
     c = np.ones_like(P)
     c_prev = np.zeros_like(P)
+    # tail is SAFETY_FACTOR q^(n+1) / (1-q) for the terms after n, which
+    # assumes |mu_n c_n(z) conj(c_n(w))| <= (rz rw)^n.  That is false: the c
+    # coefficients sum to (s+2N+2)_n / n! = 1/mu_n, so the term is only
+    # bounded by (rz rw)^n / mu_n (see the module docstring)
     tail = SAFETY_FACTOR / (1.0 - q)
     total = np.zeros_like(q, dtype=complex)
     mu = np.ones_like(q)
@@ -413,8 +374,8 @@ def _inner_sums(params: BidiskParams, pairs: list, firsts: list,
     terms = np.full(q.size, -1, dtype=np.int64)
     tails = np.zeros(q.size)
     tolerance = cfg.tolerance
-    # Python's complex arithmetic runs on through inf and nan without a
-    # warning, so the arrays do too
+    # inf and nan run on through the arrays without a warning, as through
+    # Python's complex arithmetic
     with np.errstate(all="ignore"):
         for n in range(cfg.max_terms):
             term = mu * c[:cell.size]
@@ -447,7 +408,8 @@ def _inner_sums(params: BidiskParams, pairs: list, firsts: list,
             mu *= m / (s2 + n)
             c_next = P * c
             c_next -= R * c_prev
-            # dividing the float view by m rounds as Python's complex / float
+            # dividing the float view by m divides each part by the real m,
+            # where a complex array / m would divide by complex(m)
             parts = c_next.view(float)
             parts /= m
             c, c_prev = c_next, c

@@ -26,9 +26,9 @@ Gram matrix reaches condition number 1.7e12 at bidisk degree 14 with
 v = z2, and 1e17 with v = z1 + z2 on the Gaussian space at alpha = 1,
 beta = 100, theta = 1, degree 10.
 
-scipy, for the Gauss rules and the kernel blocks' LAPACK Cholesky, is
-imported inside the functions that call it, on first use, so that importing
-kernelforge and summing the series kernels never load it.
+scipy, for the Gauss rules of the quadrature, is imported inside the
+functions that call it, on first use, so that importing kernelforge, summing
+the series kernels and inverting exact Gram blocks never load it.
 """
 
 from __future__ import annotations
@@ -246,12 +246,8 @@ def _angular_nodes(n: int, theta: float):
     u = 0.5 * (x + 1.0)
     wu = 0.5 * w
     if theta < 0:
-        psi = math.pi * u ** 3
-        wpsi = wu * 3.0 * math.pi * u ** 2
-    else:
-        psi = math.pi * u
-        wpsi = wu * math.pi
-    return psi, wpsi
+        return math.pi * u ** 3, wu * 3.0 * math.pi * u ** 2
+    return math.pi * u, wu * math.pi
 
 
 def _angular_reduce(t1, t2, psi, wpsi, max_delta, theta, vartheta):
@@ -363,16 +359,14 @@ def gram_kernel_blocks(gram: GramBlocks) -> list:
 
     Because the Gram table is block-diagonal by total degree, these inverses
     are the exact Taylor blocks of the true kernel, not truncation artifacts."""
-    from scipy.linalg import cho_solve, lapack
-    out = []
-    for d, g in enumerate(gram.blocks):
-        _check_conditioning(g[None], "Gram block", [d])
-        r, info = lapack.dpotrf(g)
-        if info:
-            raise ConditioningError(f"Gram block degree {d}: Cholesky "
-                                    f"factorisation failed at column {info}")
-        out.append(cho_solve((r, False), np.eye(d + 1)))
-    return out
+    n = len(gram.blocks)
+    g = np.eye(n)[None].repeat(n, 0)  # block d, padded with the identity
+    for d, block in enumerate(gram.blocks):
+        g[d, :d + 1, :d + 1] = block
+    inv_low = _solve_lower(_cholesky(g, "Gram block", range(n)),
+                           np.broadcast_to(np.eye(n), g.shape))
+    kernel = inv_low.transpose(0, 2, 1) @ inv_low
+    return [kernel[d, :d + 1, :d + 1] for d in range(n)]
 
 
 def _check_conditioning(m: np.ndarray, what: str, degrees) -> None:
@@ -384,11 +378,14 @@ def _check_conditioning(m: np.ndarray, what: str, degrees) -> None:
     and Cholesky's accuracy, whatever the spread of m's diagonal.  Padding a
     block with the identity keeps its verdict: the eigenvalues of a unit
     diagonal matrix bracket 1, so the padding moves neither extreme."""
-    s = 1.0 / np.sqrt(np.diagonal(m, axis1=1, axis2=2))
-    eig = np.linalg.eigvalsh(m * (s[:, :, None] * s[:, None, :]))
-    # true where the least eigenvalue is not positive (the largest is, as
-    # the trace is) and for NaN
-    bad = ~(eig[:, -1] <= COND_LIMIT * eig[:, 0])
+    diag = np.diagonal(m, axis1=1, axis2=2)
+    bad = ~(diag > 0).all(axis=1)  # fails unscaled: not positive, or NaN
+    if not bad.any():
+        s = 1.0 / np.sqrt(diag)
+        eig = np.linalg.eigvalsh(m * (s[:, :, None] * s[:, None, :]))
+        # true where the least eigenvalue is not positive (the largest is,
+        # as the trace is) and for NaN
+        bad = ~(eig[:, -1] <= COND_LIMIT * eig[:, 0])
     if bad.any():
         raise ConditioningError(
             f"{what} degree {degrees[np.argmax(bad)]} is not positive "
@@ -459,9 +456,7 @@ def kernel_section(kernel_blocks: list, w1, w2) -> BiPoly:
     coeffs: dict = {}
     for d, kd in enumerate(kernel_blocks):
         mw = np.conj(np.array([w1 ** m * w2 ** (d - m) for m in range(d + 1)]))
-        vec = kd @ mw
-        for m in range(d + 1):
-            coeffs[(m, d - m)] = coeffs.get((m, d - m), 0) + vec[m]
+        coeffs.update(zip([(m, d - m) for m in range(d + 1)], kd @ mw))
     return BiPoly(coeffs)
 
 
@@ -485,6 +480,24 @@ def _form_powers(form: np.ndarray, binom: np.ndarray) -> np.ndarray:
     # that 0.0 ** -1 never forms
     return (binom * pow1[..., None, :]
             * pow0[..., np.maximum(a[:, None] - a, 0)])
+
+
+def _cholesky(m: np.ndarray, what: str, degrees) -> np.ndarray:
+    """The lower Cholesky factors of the stack m, or ConditioningError naming
+    `what` and the degree degrees[i] of the first m[i] that fails
+    _check_conditioning or has none."""
+    _check_conditioning(m, what, degrees)
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        # the factorisation fails for the whole stack; name the block
+        for d, block in zip(degrees, m):
+            try:
+                np.linalg.cholesky(block)
+            except np.linalg.LinAlgError:
+                raise ConditioningError(f"{what} degree {d}: Cholesky "
+                                        f"factorisation failed") from None
+        raise
 
 
 def _solve_lower(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -554,20 +567,7 @@ def _order_pass(gram: GramBlocks, f: BiPoly):
              + (upow_exp < 0)[:, None, :] * np.eye(n))
     basis_t = basis.transpose(0, 2, 1)
     normal = basis_t @ g @ basis
-    _check_conditioning(normal, "projection block", degrees)
-    try:
-        low = np.linalg.cholesky(normal)
-    except np.linalg.LinAlgError:
-        # the factorisation fails for the whole stack; name the block
-        for d, block in zip(degrees, normal):
-            try:
-                np.linalg.cholesky(block)
-            except np.linalg.LinAlgError:
-                raise ConditioningError(f"projection block degree {d}: "
-                                        f"Cholesky factorisation failed"
-                                        ) from None
-        raise
-    rows = _solve_lower(low, basis_t)
+    rows = _solve_lower(_cholesky(normal, "projection block", degrees), basis_t)
     coef = np.einsum("bim,bm->bi", rows, np.einsum("bmn,bn->bm", g, fv))
     return g, fv, degrees, coef[:, :, None] * rows
 

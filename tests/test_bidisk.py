@@ -82,6 +82,15 @@ def test_sigma_tail_bound_counts_rounding(tup):
     assert abs(r.value.real - float(_sigma_mpmath(*tup))) <= r.tail_bound
 
 
+def test_sigma_past_double_range_is_domain_error():
+    # the 3F2's prefactor overflows from theta = 514 at alpha = beta = 0,
+    # and the order-510 sigma of a norm expansion reads that entry
+    with pytest.raises(DomainError, match=r"\(0, 0, 514, 0.0\)"):
+        sigma(BidiskParams(0, 0, 514))
+    with pytest.raises(DomainError, match=r"\(0, 0, 514, 0.0\)"):
+        norm_expansion(BidiskParams(0, 0, 510), BiPoly.parse("z1^4"))
+
+
 def test_sigma_gamma_form_requires_vartheta_zero():
     with pytest.raises(DomainError):
         sigma_gamma_form(BidiskParams(0, 0, 0, 0.5))
@@ -488,21 +497,28 @@ _TERM_CASES = {
 }
 
 
+def _orders_of(monkeypatch, run):
+    """run() and the orders that each outer rule it made took, in order."""
+    rules, init = [], bidisk._OuterRule.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        rules.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(bidisk._OuterRule, "__init__", recorded)
+        out = run()
+    return out, [rule.order for rule in rules]
+
+
 @pytest.mark.parametrize("case", sorted(_TERM_CASES))
 def test_full_kernel_terms_per_order(case, monkeypatch):
-    # full_kernel calls the module-level q_kernel once per order, so that a
-    # wrapper installed there sees every order and its terms
+    # the terms of full_kernel are those of q_kernel at the orders it took
     tup, z, w, terms, orders = _TERM_CASES[case]
-    parts = []
-
-    def counted(*args, **kwargs):
-        out = q_kernel(*args, **kwargs)
-        parts.append(out.terms_used)
-        return out
-
-    monkeypatch.setattr(bidisk, "q_kernel", counted)
-    r = full_kernel(BidiskParams(*tup), z, w)
-    assert (r.terms_used, len(parts), sum(parts)) == (terms, orders, terms)
+    p = BidiskParams(*tup)
+    r, taken = _orders_of(monkeypatch, lambda: full_kernel(p, z, w))
+    assert (r.terms_used, taken) == (terms, [orders])
+    assert sum(q_kernel(p, N, z, w).terms_used for N in range(orders)) == terms
 
 
 def test_full_kernel_reads_warmed_sigma(monkeypatch):
@@ -545,37 +561,25 @@ def _batch_pairs():
     return pairs
 
 
-def _orders_of(monkeypatch, run):
-    """run() and the orders that each outer rule it made took, in order."""
-    rules, init = [], bidisk._OuterRule.__init__
-
-    def recorded(self, *args):
-        init(self, *args)
-        rules.append(self)
-
-    with monkeypatch.context() as m:
-        m.setattr(bidisk._OuterRule, "__init__", recorded)
-        out = run()
-    return out, [rule.order for rule in rules]
-
-
 @pytest.mark.parametrize("tup", sorted({c[0] for c in _TERM_CASES.values()}))
 def test_full_kernels_match_full_kernel(tup, monkeypatch):
+    # a pair's result does not depend on the pairs that share its batch
     p = BidiskParams(*tup)
     pairs = _batch_pairs()
     ref, ref_orders = _orders_of(
         monkeypatch, lambda: [full_kernel(p, z, w) for z, w in pairs])
-
-    def no_q_kernel(*args):
-        raise AssertionError("the array path calls no q_kernel")
-
-    monkeypatch.setattr(bidisk, "q_kernel", no_q_kernel)
     got, orders = _orders_of(monkeypatch, lambda: full_kernels(p, pairs))
     assert orders == ref_orders
     assert max(orders) > bidisk._ORDER_BLOCK and min(orders) == 3
-    for r, g in zip(ref, got):
-        assert (g.terms_used, g.tail_bound) == (r.terms_used, r.tail_bound)
-        assert abs(g.value - r.value) <= 1e-12 * max(1.0, abs(r.value))
+    assert got == ref
+
+
+def test_full_kernels_match_full_kernel_across_chunks(monkeypatch):
+    p = BidiskParams(*_TERM_CASES["vartheta"][0])
+    pairs = _batch_pairs()
+    ref = [full_kernel(p, z, w) for z, w in pairs]
+    monkeypatch.setattr(bidisk, "_CHUNK_PAIRS", 5)
+    assert full_kernels(p, pairs) == ref
 
 
 def test_full_kernels_reads_warmed_sigma(monkeypatch):
@@ -597,7 +601,6 @@ def test_full_kernels_reads_warmed_sigma(monkeypatch):
         return hyp3f2(*args, **kwargs)
 
     monkeypatch.setattr(bidisk, "hyp3f2_unit", counted)
-    monkeypatch.setattr(bidisk, "q_kernel", None)   # the array path only
     full_kernels(p, pairs, cfg)
     assert calls == []
     sigma(p.shifted(max(orders) + 2), cfg)
@@ -608,7 +611,6 @@ def test_full_kernels_check_every_pair_first(monkeypatch):
     def no_series(*args):
         raise AssertionError("a series ran before every pair was checked")
 
-    monkeypatch.setattr(bidisk, "q_kernel", no_series)
     monkeypatch.setattr(bidisk, "_inner_sums", no_series)
     pairs = _batch_pairs()
     pairs.insert(9, (Point2(0.2, 0.1), Point2(1.0, 0.0)))

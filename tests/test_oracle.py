@@ -392,6 +392,17 @@ def test_projection_check_names_a_middle_degree():
             fn(g, _DEGREES_0_TO_3)
 
 
+def test_non_positive_diagonal_is_named_without_a_warning():
+    # the check scales by 1/sqrt of the diagonal, which an entry <= 0 must
+    # not reach
+    g = oracle.gram_bidisk_exact(0.0, 0.0, 0.0, 1)
+    g.blocks[1] = np.diag([1.0, -1.0])
+    with pytest.raises(ConditioningError, match="Gram block degree 1 is not"):
+        oracle.order_norms(g, BiPoly.parse("z1 + 2*z2"))
+    with pytest.raises(ConditioningError, match="Gram block degree 1 is not"):
+        oracle.gram_kernel_blocks(g)
+
+
 def test_failed_factorisation_names_its_block(monkeypatch):
     # the stacked Cholesky fails for the whole stack; with the checks off,
     # an indefinite block 2 must still be named

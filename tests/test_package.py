@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -14,8 +15,43 @@ def test_public_names_resolve_once():
         assert hasattr(kernelforge, name), name
 
 
+def _definitions(tree: ast.Module):
+    """The names that a module defines at module level, and the methods of
+    its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            yield node.target.id
+        if isinstance(node, ast.ClassDef):
+            yield from (n.name for n in node.body
+                        if isinstance(n, ast.FunctionDef))
+
+
+def test_every_private_name_is_used():
+    # a private name that no code of the package reads, calls or imports is
+    # dead: its own definition does not count as a use
+    src = Path(kernelforge.__file__).resolve().parent
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    used = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    # dunder names are not private
+    defined = {name for tree in trees for name in _definitions(tree)
+               if name.startswith("_") and not name.endswith("__")}
+    assert sorted(defined - used) == []
+
+
 # scipy costs a process about 0.3 s and 24 MB to import, and only the Gram
-# oracle's quadrature and LAPACK calls and verify's E_theta rule need it
+# oracle's quadrature and verify's E_theta rule need it
 _SCIPY_STAYS_UNLOADED = textwrap.dedent("""
     import contextlib, io, sys
     import kernelforge, kernelforge.cli
@@ -28,10 +64,13 @@ _SCIPY_STAYS_UNLOADED = textwrap.dedent("""
     for argv in (
             ["kernel", "--space", "bidisk", "--alpha", "1", "--beta", "0.5",
              "--pair", "0.3,0.2,0.1,0.4"],
-            # enough pairs for the array path of bidisk.full_kernels
+            # several pairs in one array recurrence
             ["kernel", "--space", "bidisk", "--alpha", "1", "--beta", "0.5",
              "--pair", "0.8,-0.8,-0.3,0.3", "--pair", "0.2,0.1,0.4,-0.1",
              "--pair", "0.1,0.1,0.1,0.1", "--pair", "-0.7,0.6,0.65,-0.7"],
+            # exact Gram blocks inverted by the stacked Cholesky pass
+            ["kernel", "--space", "bidisk", "--alpha", "1", "--beta", "0.5",
+             "--theta", "1", "--pair", "0.3,0.2,0.1,0.4", "--oracle"],
             ["sigma", "--space", "bidisk", "--alpha", "0", "--beta", "0"],
             ["norm-expand", "--space", "ball", "--alpha", "0", "--beta", "0",
              "--theta", "1", "--poly", "z1 - z2"],
