@@ -22,11 +22,11 @@ that sums the inner series: it runs the recurrence of many (pair, order)
 cells as one numpy array recurrence, whose coefficients and geometric tail
 advance by one addition or product per term.  full_kernels feeds it blocks
 of orders for every pair of a list, and each pair's outer rule (_OuterRule)
-reads the per-order sums; full_kernel is full_kernels at one pair, and
-q_kernel is one cell of _inner_sums times its prefactor.  sigma has one
-cache, keyed by the weight's four exponents and the truncation settings, so
-sigma(params.shifted(N)) and the order-N reads of the kernels share entries
-and a warm series builds no BidiskParams.
+reads the per-order sums.  q_kernel is one cell of _inner_sums times its
+prefactor, and full_kernel runs the same outer rule over q_kernel one order
+at a time.  sigma has one cache, keyed by the weight's four exponents and
+the truncation settings, so sigma(params.shifted(N)) and the order-N reads
+of the kernels share entries and a warm series builds no BidiskParams.
 """
 
 from __future__ import annotations
@@ -194,9 +194,10 @@ def _sigma_reader(params: BidiskParams, cfg: TruncationConfig):
 
 
 class _OuterRule:
-    """The outer rule of one pair in full_kernels: it takes the order-N parts
-    in the order N = 0, 1, ... and stops after CONSECUTIVE_SMALL orders whose
-    tail estimate is within tolerance, or raises at MAX_OUTER_TERMS orders.
+    """The outer rule of one pair in full_kernel and full_kernels: it takes
+    the order-N parts in the order N = 0, 1, ... and stops after
+    CONSECUTIVE_SMALL orders whose tail estimate is within tolerance, or
+    raises at MAX_OUTER_TERMS orders.
     The estimate SAFETY_FACTOR head / (1 - ratio) takes the next order's term
     as head = |dz dw|^(N+1) sigma_(N+1) / (1 - rz rw), which assumes an inner
     sum of at most 1/(1 - rz rw), and the decay ratio from the next two
@@ -243,9 +244,17 @@ class _OuterRule:
 
 def full_kernel(params: BidiskParams, z: Point2, w: Point2,
                 cfg: TruncationConfig | None = None) -> SeriesResult:
-    """Reproducing kernel as the sum over vanishing orders N of q_kernel:
-    full_kernels at the one pair."""
-    return full_kernels(params, [(z, w)], cfg)[0]
+    """Reproducing kernel as the sum over vanishing orders N of q_kernel."""
+    cfg = cfg or default_config()
+    _require_bidisk(z, w)
+    outer = _OuterRule(z, w, _sigma_reader(params, cfg), cfg.tolerance)
+    result = None
+    while result is None:
+        # by its module-global name, so that a wrapper installed there
+        # (bench/tracer.py) sees every order and its terms
+        part = q_kernel(params, outer.order, z, w, cfg)
+        result = outer.add(part.value, part.terms_used)
+    return result
 
 
 # full_kernels runs at most _CHUNK_PAIRS pairs at a time, and a pair at most

@@ -246,8 +246,12 @@ def _angular_nodes(n: int, theta: float):
     u = 0.5 * (x + 1.0)
     wu = 0.5 * w
     if theta < 0:
-        return math.pi * u ** 3, wu * 3.0 * math.pi * u ** 2
-    return math.pi * u, wu * math.pi
+        psi = math.pi * u ** 3
+        wpsi = wu * 3.0 * math.pi * u ** 2
+    else:
+        psi = math.pi * u
+        wpsi = wu * math.pi
+    return psi, wpsi
 
 
 def _angular_reduce(t1, t2, psi, wpsi, max_delta, theta, vartheta):
@@ -379,13 +383,11 @@ def _check_conditioning(m: np.ndarray, what: str, degrees) -> None:
     block with the identity keeps its verdict: the eigenvalues of a unit
     diagonal matrix bracket 1, so the padding moves neither extreme."""
     diag = np.diagonal(m, axis1=1, axis2=2)
-    bad = ~(diag > 0).all(axis=1)  # fails unscaled: not positive, or NaN
-    if not bad.any():
-        s = 1.0 / np.sqrt(diag)
-        eig = np.linalg.eigvalsh(m * (s[:, :, None] * s[:, None, :]))
-        # true where the least eigenvalue is not positive (the largest is,
-        # as the trace is) and for NaN
-        bad = ~(eig[:, -1] <= COND_LIMIT * eig[:, 0])
+    s = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
+    eig = np.linalg.eigvalsh(m * (s[:, :, None] * s[:, None, :]))
+    # true where a diagonal entry or the least eigenvalue is not positive
+    # (the largest then is, as the trace is) and for NaN
+    bad = ~(diag > 0).all(axis=1) | ~(eig[:, -1] <= COND_LIMIT * eig[:, 0])
     if bad.any():
         raise ConditioningError(
             f"{what} degree {degrees[np.argmax(bad)]} is not positive "
@@ -456,7 +458,9 @@ def kernel_section(kernel_blocks: list, w1, w2) -> BiPoly:
     coeffs: dict = {}
     for d, kd in enumerate(kernel_blocks):
         mw = np.conj(np.array([w1 ** m * w2 ** (d - m) for m in range(d + 1)]))
-        coeffs.update(zip([(m, d - m) for m in range(d + 1)], kd @ mw))
+        vec = kd @ mw
+        for m in range(d + 1):
+            coeffs[(m, d - m)] = coeffs.get((m, d - m), 0) + vec[m]
     return BiPoly(coeffs)
 
 

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from kernelforge import verify
+from kernelforge import bidisk, verify
 
 CRITERIA = [
     (1, "sigma-consistency", 1.0,
@@ -50,3 +50,25 @@ def test_criterion(number, suite, budget, label):
         pytest.fail(f"suite {suite} failed items: {bad}")
     assert elapsed < budget, f"suite {suite} exceeded {budget}s ({elapsed:.2f}s)"
 
+
+@pytest.mark.parametrize("suite", ["product-kernel", "structural"])
+def test_bidisk_kernels_run_through_the_array_path(suite, monkeypatch):
+    def no_q_kernel(*args):
+        raise AssertionError("criteria 4 and 9 call no q_kernel")
+
+    monkeypatch.setattr(bidisk, "q_kernel", no_q_kernel)
+    assert verify.run_suite(suite, seed=0)["passed"]
+
+
+@pytest.mark.parametrize("suite", ["product-kernel", "structural"])
+def test_bidisk_kernels_agree_with_full_kernel(suite, monkeypatch):
+    # full_kernel, the per-pair path, still meets criteria 4 and 9
+    batch = verify.run_suite(suite, seed=0)
+    monkeypatch.setattr(bidisk, "full_kernels", lambda p, pairs, cfg=None: [
+        bidisk.full_kernel(p, z, w, cfg) for z, w in pairs])
+    scalar = verify.run_suite(suite, seed=0)
+    assert scalar["passed"] == batch["passed"]
+    for b, s in zip(batch["items"], scalar["items"], strict=True):
+        assert (s["item"], s["passed"]) == (b["item"], b["passed"])
+        vb, vs = complex(*b["value"]), complex(*s["value"])
+        assert abs(vs - vb) <= 1e-13 * max(1.0, abs(vb))

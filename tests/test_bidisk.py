@@ -497,28 +497,21 @@ _TERM_CASES = {
 }
 
 
-def _orders_of(monkeypatch, run):
-    """run() and the orders that each outer rule it made took, in order."""
-    rules, init = [], bidisk._OuterRule.__init__
-
-    def recorded(self, *args):
-        init(self, *args)
-        rules.append(self)
-
-    with monkeypatch.context() as m:
-        m.setattr(bidisk._OuterRule, "__init__", recorded)
-        out = run()
-    return out, [rule.order for rule in rules]
-
-
 @pytest.mark.parametrize("case", sorted(_TERM_CASES))
 def test_full_kernel_terms_per_order(case, monkeypatch):
-    # the terms of full_kernel are those of q_kernel at the orders it took
+    # full_kernel calls the module-level q_kernel once per order, so that a
+    # wrapper installed there sees every order and its terms
     tup, z, w, terms, orders = _TERM_CASES[case]
-    p = BidiskParams(*tup)
-    r, taken = _orders_of(monkeypatch, lambda: full_kernel(p, z, w))
-    assert (r.terms_used, taken) == (terms, [orders])
-    assert sum(q_kernel(p, N, z, w).terms_used for N in range(orders)) == terms
+    parts = []
+
+    def counted(*args, **kwargs):
+        out = q_kernel(*args, **kwargs)
+        parts.append(out.terms_used)
+        return out
+
+    monkeypatch.setattr(bidisk, "q_kernel", counted)
+    r = full_kernel(BidiskParams(*tup), z, w)
+    assert (r.terms_used, len(parts), sum(parts)) == (terms, orders, terms)
 
 
 def test_full_kernel_reads_warmed_sigma(monkeypatch):
@@ -561,25 +554,46 @@ def _batch_pairs():
     return pairs
 
 
+def _orders_of(monkeypatch, run):
+    """run() and the orders that each outer rule it made took, in order."""
+    rules, init = [], bidisk._OuterRule.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        rules.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(bidisk._OuterRule, "__init__", recorded)
+        out = run()
+    return out, [rule.order for rule in rules]
+
+
 @pytest.mark.parametrize("tup", sorted({c[0] for c in _TERM_CASES.values()}))
 def test_full_kernels_match_full_kernel(tup, monkeypatch):
-    # a pair's result does not depend on the pairs that share its batch
     p = BidiskParams(*tup)
     pairs = _batch_pairs()
     ref, ref_orders = _orders_of(
         monkeypatch, lambda: [full_kernel(p, z, w) for z, w in pairs])
+
+    def no_q_kernel(*args):
+        raise AssertionError("the array path calls no q_kernel")
+
+    monkeypatch.setattr(bidisk, "q_kernel", no_q_kernel)
     got, orders = _orders_of(monkeypatch, lambda: full_kernels(p, pairs))
     assert orders == ref_orders
     assert max(orders) > bidisk._ORDER_BLOCK and min(orders) == 3
-    assert got == ref
+    for r, g in zip(ref, got):
+        assert (g.terms_used, g.tail_bound) == (r.terms_used, r.tail_bound)
+        assert abs(g.value - r.value) <= 1e-12 * max(1.0, abs(r.value))
 
 
-def test_full_kernels_match_full_kernel_across_chunks(monkeypatch):
+def test_full_kernels_are_the_same_in_chunks(monkeypatch):
+    # a pair's result does not depend on the pairs that share its chunk
     p = BidiskParams(*_TERM_CASES["vartheta"][0])
     pairs = _batch_pairs()
-    ref = [full_kernel(p, z, w) for z, w in pairs]
+    one_by_one = [full_kernels(p, [pair])[0] for pair in pairs]
     monkeypatch.setattr(bidisk, "_CHUNK_PAIRS", 5)
-    assert full_kernels(p, pairs) == ref
+    assert full_kernels(p, pairs) == one_by_one
 
 
 def test_full_kernels_reads_warmed_sigma(monkeypatch):
@@ -588,9 +602,8 @@ def test_full_kernels_reads_warmed_sigma(monkeypatch):
     tup = _TERM_CASES["vartheta"][0]
     p = BidiskParams(*tup)
     pairs = _batch_pairs()
-    _, orders = _orders_of(monkeypatch, lambda: [
-        full_kernel(p, z, w, TruncationConfig(max_terms=99_997))
-        for z, w in pairs])
+    _, orders = _orders_of(monkeypatch, lambda: full_kernels(
+        p, pairs, TruncationConfig(max_terms=99_997)))
     cfg = TruncationConfig(max_terms=99_998)  # cache entries of this test only
     for k in range(max(orders) + 2):
         sigma(p.shifted(k), cfg)

@@ -401,6 +401,14 @@ def test_non_positive_diagonal_is_named_without_a_warning():
         oracle.order_norms(g, BiPoly.parse("z1 + 2*z2"))
     with pytest.raises(ConditioningError, match="Gram block degree 1 is not"):
         oracle.gram_kernel_blocks(g)
+    # the first block that fails is named, whichever way it fails
+    g = oracle.gram_bidisk_exact(0.0, 0.0, 0.0, 2)
+    g.blocks[1] = np.array([[1.0, 1.0 - 1e-14], [1.0 - 1e-14, 1.0]])
+    g.blocks[2] = np.diag([1.0, 1.0, -1.0])
+    with pytest.raises(ConditioningError, match="Gram block degree 1 is not"):
+        oracle.order_norms(g, BiPoly.parse("z1 + z1^2"))
+    with pytest.raises(ConditioningError, match="Gram block degree 1 is not"):
+        oracle.gram_kernel_blocks(g)
 
 
 def test_failed_factorisation_names_its_block(monkeypatch):
