@@ -559,7 +559,7 @@ def expand(orders, transform, weight, norm1d) -> NormExpansion:
     for N in orders:
         t = transform(N)
         terms.append((N, 0.0 if t.is_zero() else weight(N) * norm1d(t, N)))
-    return NormExpansion(tuple(terms), sum(v for _, v in terms))
+    return NormExpansion(tuple(terms), sum((v for _, v in terms), 0.0))
 
 
 def norm_expansion(params: BidiskParams, f: BiPoly,

@@ -169,12 +169,9 @@ def cmd_kernel(args, cfg) -> int:
                      if line.strip() and not line.startswith("#"))
     if not pairs:
         raise DomainError("no point pairs given (use --pair or --points-file)")
-    # a degree-0 table and a remainder bound at the origin check the oracle's
-    # domain before any kernel runs; the table carries the parameters of the
-    # bound
+    # a degree-0 table checks the oracle's domain before any kernel runs and
+    # carries the parameters of the remainder bound
     gram = space["gram"](args, 0) if args.oracle else None
-    if gram is not None:
-        oracle.kernel_remainders(gram, 0.0, 0.0, 0.0, 0.0, 0)
     results = space["kernels"](params, pairs, cfg)
     items = [{"item": f"pair {i}", "value": [res.value.real, res.value.imag],
               "terms_used": res.terms_used, "tail_bound": res.tail_bound}
@@ -283,8 +280,8 @@ def _make_cfg(args) -> TruncationConfig:
     try:
         return replace(cfg, tolerance=args.tolerance)
     except ValueError:
-        raise DomainError(
-            f"--tolerance must be positive, got {args.tolerance}") from None
+        raise DomainError(f"--tolerance must be positive and finite, got "
+                          f"{args.tolerance}") from None
 
 
 def _add_format(sub):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -35,9 +36,9 @@ class TruncationConfig:
 
     def __post_init__(self):
         # written so that a NaN tolerance is refused too
-        if not self.tolerance > 0:
+        if not 0 < self.tolerance < math.inf:
             raise ValueError(
-                f"tolerance must be positive, got {self.tolerance}")
+                f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
 

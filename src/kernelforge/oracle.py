@@ -9,7 +9,7 @@ beta z2)/(alpha + beta); on the bidisk and the torus at integer theta, where
 (z1-z2)^theta maps into the theta = 0 product space.  Other bidisk
 parameters go through dimension-reduced adaptive quadrature.  Kernel Taylor
 blocks are the exact inverses of the Gram blocks.  Each builder checks its
-parameters by constructing the space's parameter class.
+parameters by constructing the space's parameter class, or takes one.
 
 The orthogonal parts Q_N f of f that vanish to order exactly N along the
 space's variety {u = 0} (u = z1 - z2, or z2 on the ball) all come from one
@@ -34,7 +34,7 @@ the series kernels and inverting exact Gram blocks never load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -63,8 +63,12 @@ class GramBlocks:
     space: str
     params: dict
     blocks: list = field(default_factory=list)
-    exact: bool = True
     quad_error: float | None = None
+
+    @property
+    def exact(self) -> bool:
+        """True for closed-form blocks, False for quadrature ones."""
+        return self.quad_error is None
 
     @property
     def max_degree(self) -> int:
@@ -101,10 +105,11 @@ def _degree_vectors(f: BiPoly, max_degree: int) -> list:
     return vecs
 
 
-def _require_integer_theta(theta: float, what: str = "exact Gram blocks") -> int:
+def _require_integer_theta(theta: float) -> int:
     # the range test comes first, so that NaN and inf fail before round()
     if not (0 <= theta < math.inf and abs(theta - round(theta)) <= 1e-12):
-        raise DomainError(f"{what} need integer theta >= 0, got {theta}")
+        raise DomainError(f"exact Gram blocks need integer theta >= 0, got "
+                          f"{theta}")
     return int(round(theta))
 
 
@@ -115,7 +120,7 @@ def _binomial_gram_blocks(theta: float, max_degree: int, moment1,
     moment2(d+theta-k) (moment_i(p) the p-th absolute moment of variable i),
     and column m of B holds z1^m z2^(d-m) (z1-z2)^theta."""
     th = _require_integer_theta(theta)
-    u = _powers(np.array([-1.0, 1.0]), th)[-1]
+    u = _form_powers(np.array([-1.0, 1.0]), _binomial_table(th + 1))[-1]
     mom1, mom2 = (np.array([mom(p) for p in range(max_degree + th + 1)])
                   for mom in (moment1, moment2))
     # B[r, m] = u[r - m]: B's first d + th + 1 rows and d + 1 columns are
@@ -153,14 +158,16 @@ def gram_fock_exact(alpha: float, beta: float, theta: float,
     column m of C holds z1^m z2^(d-m) = (v + (beta/gamma) u)^m
     (v - (alpha/gamma) u)^(d-m) in powers of u."""
     gamma = FockParams(alpha, beta, theta).gamma
-    pow1, pow2 = (_powers(np.array([1.0, c]), max_degree)
+    binom = _binomial_table(max_degree + 1)
+    pow1, pow2 = (_form_powers(np.array([1.0, c]), binom)
                   for c in (beta / gamma, -alpha / gamma))
     mom_u, mom_v = (np.array([fock_moment(g, i + t)
                               for i in range(max_degree + 1)])
                     for g, t in ((alpha * beta / gamma, theta), (gamma, 0.0)))
     blocks = []
     for d in range(max_degree + 1):
-        c = np.column_stack([np.convolve(pow1[m], pow2[d - m])
+        c = np.column_stack([np.convolve(pow1[m, :m + 1],
+                                         pow2[d - m, :d - m + 1])
                              for m in range(d + 1)])
         g = c.T @ ((mom_u[:d + 1] * mom_v[d::-1])[:, None] * c)
         blocks.append(0.5 * (g + g.T))  # exactly symmetric
@@ -176,14 +183,21 @@ def gram_hardy_torus_exact(theta: float, max_degree: int) -> GramBlocks:
     return GramBlocks("hardy_bidisk", {"theta": float(round(theta))}, blocks)
 
 
+def _ball_log_norms(alpha: float, beta: float, theta: float):
+    """Functions a, b, c of an index with log ||z1^m z2^n||^2 = a(m) + b(n) -
+    c(m + n) in the weighted ball space."""
+    return (lambda m: log_gamma(m + 1.0),
+            lambda n: (log_gamma(n + theta + alpha + beta + 2.0)
+                       + log_gamma(n + theta + 1.0) + log_gamma(alpha + 1.0)
+                       - log_gamma(n + theta + alpha + 2.0)),
+            lambda d: log_gamma(d + theta + alpha + beta + 3.0))
+
+
 def ball_monomial_norm(alpha: float, beta: float, theta: float,
                        m: int, n: int) -> float:
     """||z1^m z2^n||^2 in the weighted ball space (2D norm unnormalized)."""
-    return math.exp(
-        log_gamma(m + 1.0) + log_gamma(n + theta + alpha + beta + 2.0)
-        - log_gamma(m + n + theta + alpha + beta + 3.0)
-        + log_gamma(n + theta + 1.0) + log_gamma(alpha + 1.0)
-        - log_gamma(n + theta + alpha + 2.0))
+    a, b, c = _ball_log_norms(alpha, beta, theta)
+    return math.exp(a(m) + b(n) - c(m + n))
 
 
 def ball_monomial_norms(alpha: float, beta: float, theta: float,
@@ -191,25 +205,14 @@ def ball_monomial_norms(alpha: float, beta: float, theta: float,
     """Diagonal Gram blocks of the ball space (radial weights make monomials
     orthogonal)."""
     BallParams(alpha, beta, theta)
-    # ball_monomial_norm's six log-Gamma terms from tables over m, n and
-    # m + n, their arguments and sum formed in its order, so that every
-    # entry is the same double
-    idx = range(max_degree + 1)
-    lg_m = np.array([log_gamma(m + 1.0) for m in idx])
-    lg_mid = np.array([log_gamma(n + theta + alpha + beta + 2.0)
-                       for n in idx])
-    lg_sum = np.array([log_gamma(d + theta + alpha + beta + 3.0)
-                       for d in idx])
-    lg_n = np.array([log_gamma(n + theta + 1.0) for n in idx])
-    lg_last = np.array([log_gamma(n + theta + alpha + 2.0) for n in idx])
+    # ball_monomial_norm's terms and sum, so that every entry is its double
+    a, b, c = (np.array([f(k) for k in range(max_degree + 1)])
+               for f in _ball_log_norms(alpha, beta, theta))
     deg, m = np.tril_indices(max_degree + 1)  # entry m of block deg, in order
-    n = deg - m
-    norms = [math.exp(x) for x in (
-        lg_m[m] + lg_mid[n] - lg_sum[deg] + lg_n[n] + log_gamma(alpha + 1.0)
-        - lg_last[n]).tolist()]
+    norms = [math.exp(x) for x in (a[m] + b[deg - m] - c[deg]).tolist()]
     return GramBlocks("ball", {"alpha": alpha, "beta": beta, "theta": theta},
                       [np.diag(norms[d * (d + 1) // 2:(d + 1) * (d + 2) // 2])
-                       for d in idx])
+                       for d in range(max_degree + 1)])
 
 
 def ball_hardy_monomial_norm(beta: float, theta: float, m: int, n: int) -> float:
@@ -313,24 +316,19 @@ def _blocks_at_order(rule, theta, vartheta, max_degree):
     return blocks
 
 
-def gram_numeric(space: str, params: dict, max_degree: int) -> GramBlocks:
+def gram_numeric(params: BidiskParams, max_degree: int) -> GramBlocks:
     """Bidisk Gram blocks by adaptive tensor quadrature for arbitrary valid
     parameters; the attached quad_error is the largest entry change at the
     last doubling of the order.  The Gaussian space needs no quadrature:
     gram_fock_exact is exact at every theta."""
-    if space != "bidisk":
-        raise DomainError(f"gram_numeric serves the bidisk only, not {space!r}; "
-                          f"gram_fock_exact is exact at every theta")
-    p = BidiskParams(params["alpha"], params["beta"], params["theta"],
-                     params.get("vartheta", 0.0))
-
     def compute(n, err):
-        rule = _bidisk_radial(p, n)
+        rule = _bidisk_radial(params, n)
         if not all(np.isfinite(x).all() for var in rule[:2] for x in var):
             raise QuadratureError(
-                f"gram_numeric({space}): the radial rule of order {n} is not "
-                f"finite; the last change was {err:.3e}")
-        return _blocks_at_order(rule, p.theta, p.vartheta, max_degree)
+                f"gram_numeric: the radial rule of order {n} is not finite; "
+                f"the last change was {err:.3e}")
+        return _blocks_at_order(rule, params.theta, params.vartheta,
+                                max_degree)
 
     n, err = QUAD_START_ORDER, math.inf
     prev = compute(n, err)
@@ -343,13 +341,12 @@ def gram_numeric(space: str, params: dict, max_degree: int) -> GramBlocks:
         scales = [max(np.max(np.abs(c)), 1.0) for c in cur]
         rel = [np.max(x) / s for x, s in zip(diffs, scales)]
         if np.max(rel) <= QUAD_TOLERANCE:
-            return GramBlocks(space, dict(params), cur, exact=False,
-                              quad_error=err)
+            return GramBlocks("bidisk", asdict(params), cur, quad_error=err)
         prev = cur
     d = int(np.argmax(rel))
     i, j = np.unravel_index(np.argmax(diffs[d]), diffs[d].shape)
     raise QuadratureError(
-        f"gram_numeric({space}) did not converge: entry {(d, int(i), int(j))} "
+        f"gram_numeric did not converge: entry {(d, int(i), int(j))} "
         f"changed by {diffs[d][i, j]:.3e} against its block's scale "
         f"{scales[d]:.3e} at order {n}")
 
@@ -408,44 +405,54 @@ def kernel_remainders(gram: GramBlocks, z1, z2, w1, w2,
                       max_degree: int) -> list:
     """r[D], D = 0..max_degree, bounds the truncation error of
     kernel_from_blocks with this space's blocks up to degree D: the sum over
-    d > D of bounds b_d on |K_d(z, w)|.
+    d > D of bounds b_d = sum_{i+j=d} x^i y^j / mu(i, j) on |K_d(z, w)|,
+    formed in logs.
 
-    ball: b_d sums the moduli of the orthogonal monomial terms.  bidisk
-    (vartheta = 0) and fock, integer theta only (DomainError otherwise): f
-    of degree d has the norm of (z1-z2)^theta f in the theta = 0 product
-    space, whose degree-n kernel is at most c_n on the unit polydisk (c_n =
-    (alpha+beta+4)_n / n! for the bidisk and alpha beta (alpha+beta)^n / n!
-    for fock), so Bernstein's inequality on the circle gives b_d =
-    C(d+theta, theta)^2 c_{d+theta} q^d with q = max|z_i| max|w_i|.  Past
-    the first b_{d+1} < b_d beyond max_degree the rest is bounded
-    geometrically: a bound for bidisk and fock, whose ratio b_{d+1}/b_d
-    decreases in d, an estimate for the ball.  inf if b_d still grows at
+    ball and fock: the monomials in (z1, z2) on the ball and in (u, v) on
+    the Gaussian space (gram_fock_exact) are orthogonal with norms mu(i, j),
+    and x, y are |z1 w1|, |z2 w2| or |u(z) u(w)|, |v(z) v(w)|.  Exact bidisk
+    tables (integer theta, vartheta = 0): f of degree d has the norm of
+    (z1-z2)^theta f in the theta = 0 product space, whose degree-n kernel is
+    at most c_n = (alpha+beta+4)_n / n! on the unit polydisk, so Bernstein's
+    inequality on the circle gives b_d = C(d+theta, theta)^2 c_{d+theta}
+    q^d, q = max|z_i| max|w_i|: the form above at (x, y) = (q, 0).  Past the
+    first b_{d+1} < b_d beyond max_degree the rest is bounded geometrically:
+    a bound where b_{d+1}/b_d does not increase, on the bidisk and on the
+    Gaussian space, whose b_d convolves the log-concave x^i / mu_u(i) and
+    y^j / mu_v(j) (each mu a Gamma function over a geometric factor) and so
+    is log-concave; an estimate on the ball.  inf if b_d still grows at
     degree _REMAINDER_TERMS."""
-    p = gram.params
-    al, be, th = p["alpha"], p["beta"], p["theta"]
+    al, be, th = map(gram.params.get, ("alpha", "beta", "theta"))
+    log_b = log_c = lambda k: 0.0  # log mu(i, j) = a(i) + b(j) - c(i + j)
     if gram.space == "ball":
         x, y = abs(z1 * w1), abs(z2 * w2)
-
-        def bound(d):
-            return sum(x ** m * y ** (d - m)
-                       / ball_monomial_norm(al, be, th, m, d - m)
-                       for m in range(d + 1))
-    elif gram.space in ("bidisk", "fock") and p.get("vartheta", 0.0) == 0.0:
-        q = max(abs(z1), abs(z2)) * max(abs(w1), abs(w2))
-        t = _require_integer_theta(th, "Taylor remainder bounds")
-
-        def bound(d):
-            n = d + t
-            log_c = (math.log(al * be) + n * math.log(al + be)
-                     if gram.space == "fock" else
-                     log_gamma(al + be + 4.0 + n) - log_gamma(al + be + 4.0))
-            return (q ** d * math.comb(n, t) ** 2
-                    * math.exp(log_c - log_gamma(n + 1.0)))
+        log_a, log_b, log_c = _ball_log_norms(al, be, th)
+    elif gram.space == "fock":
+        g = al + be
+        x = abs((z1 - z2) * (w1 - w2))
+        y = abs((al * z1 + be * z2) * (al * w1 + be * w2)) / g ** 2
+        # log fock_moment(delta, i + theta) and log fock_moment(gamma, j)
+        log_delta, log_g = math.log(al * be / g), math.log(g)
+        log_a = lambda i: log_gamma(i + th + 1.0) - (i + th + 1.0) * log_delta
+        log_b = lambda j: log_gamma(j + 1.0) - (j + 1.0) * log_g
+    elif gram.space == "bidisk" and gram.exact:
+        x, y, t = max(abs(z1), abs(z2)) * max(abs(w1), abs(w2)), 0.0, int(th)
+        s = al + be + 4.0  # 1/mu(d, 0) = C(d+t, t)^2 (s)_{d+t} / (d+t)!
+        log_a = lambda d: (log_gamma(d + t + 1.0) - log_gamma(s + d + t)
+                           + log_gamma(s) - 2 * math.log(math.comb(d + t, t)))
     else:
-        raise DomainError(f"no Taylor remainder bound for {gram.space!r}")
+        kind = "exact" if gram.exact else "quadrature"
+        raise DomainError(f"no Taylor remainder bound for {kind} "
+                          f"{gram.space!r} blocks")
+    lx, ly = (math.log(v) if v else -math.inf for v in (x, y))
+    la, lb = np.empty(_REMAINDER_TERMS), np.empty(_REMAINDER_TERMS)
     terms, tail = [], math.inf
     for d in range(_REMAINDER_TERMS):
-        terms.append(bound(d))
+        # d log x - log mu_x(d), where x^0 = 1 also at x = 0
+        la[d] = (d * lx if d else 0.0) - log_a(d)
+        lb[d] = (d * ly if d else 0.0) - log_b(d)
+        terms.append(math.exp(np.logaddexp.reduce(la[:d + 1] + lb[d::-1])
+                              + log_c(d)))
         if d > max_degree and (terms[-1] < terms[-2] or not terms[-1]):
             ratio = terms[-1] / terms[-2] if terms[-1] else 0.0
             tail = terms[-1] * ratio / (1.0 - ratio)
@@ -462,16 +469,6 @@ def kernel_section(kernel_blocks: list, w1, w2) -> BiPoly:
         for m in range(d + 1):
             coeffs[(m, d - m)] = coeffs.get((m, d - m), 0) + vec[m]
     return BiPoly(coeffs)
-
-
-def _powers(form: np.ndarray, n: int) -> list:
-    """Coefficient vectors of form^0, ..., form^n for a linear form
-    [coefficient of z2, coefficient of z1] (index m is the power of z1; v
-    and u take the places of z2 and z1 in gram_fock_exact)."""
-    out = [np.ones(1)]
-    for _ in range(n):
-        out.append(np.convolve(out[-1], form))
-    return out
 
 
 def _form_powers(form: np.ndarray, binom: np.ndarray) -> np.ndarray:

@@ -90,9 +90,7 @@ def suite_sigma_integral(seed: int = 0) -> dict:
                            1.0 / bidisk.sigma(p), g.blocks[0][0, 0], 1e-12))
     for vt in (0.5, 1.3):
         p = bidisk.BidiskParams(0.3, 0.6, 1.0, vt)
-        gn = oracle.gram_numeric("bidisk",
-                                 {"alpha": 0.3, "beta": 0.6, "theta": 1.0,
-                                  "vartheta": vt}, 0)
+        gn = oracle.gram_numeric(p, 0)
         tol = max(gn.quad_error or 0.0, 1e-8)
         items.append(_item(f"1/sigma numeric vartheta={vt}",
                            1.0 / bidisk.sigma(p), gn.blocks[0][0, 0], tol))

@@ -53,6 +53,9 @@ def test_norm_expansion_examples():
     sep = (ball_norm_expansion(p, BiPoly.parse("z1")).total
            + ball_norm_expansion(p, BiPoly.parse("z2")).total)
     assert cross == pytest.approx(sep, rel=1e-12)
+    # f = 0 has no vanishing orders, and its total was the int 0
+    zero = ball_norm_expansion(p, BiPoly.parse("0")).total
+    assert type(zero) is float and zero == 0.0
 
 
 def test_norm_expansion_against_oracle():

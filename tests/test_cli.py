@@ -3,7 +3,7 @@ import json
 import mpmath
 import pytest
 
-from kernelforge import bidisk, cli, fock, verify
+from kernelforge import bidisk, cli, verify
 
 
 def run(capsys, argv):
@@ -165,26 +165,32 @@ def test_norm_expand_oracle_fractional_gaussian_theta(capsys):
     assert all(i["passed"] for i in json.loads(out)["items"])
 
 
-def test_kernel_oracle_fractional_gaussian_theta_names_the_bound(capsys):
-    # the Taylor remainder bound holds for integer theta only; a fractional
-    # theta must not be truncated to the bound of theta = 0
-    code, _, err = run(capsys, [
-        "kernel", "--space", "fock", "--alpha", "1.3", "--beta", "0.7",
-        "--theta", "0.5", "--pair", "0.3,0.2,0.1,-0.4", "--oracle"])
-    assert code == 2
-    assert "Taylor remainder bounds need integer theta" in err
+def test_kernel_oracle_fractional_gaussian_theta(capsys):
+    # the Gaussian remainder sums the orthogonal (u, v) terms at every
+    # theta; the Bernstein bound it used needed integer theta, and this
+    # exited 2
+    for th in ("-0.5", "0.5", "1.5", "2.5"):
+        code, out, _ = run(capsys, [
+            "kernel", "--space", "fock", "--alpha", "1.3", "--beta", "0.7",
+            "--theta", th, "--pair", "0.3,0.2,0.1,-0.4",
+            "--pair", "0.5,-0.6,-0.2,0.55", "--oracle"])
+        assert code == 0
+        items = json.loads(out)["items"]
+        assert len(items) == 2 and all(i["passed"] for i in items)
 
 
 def test_refused_kernel_oracle_runs_no_kernel(capsys, monkeypatch):
     def no_kernel(*args):
         raise AssertionError("a kernel ran before the oracle refused")
 
-    monkeypatch.setattr(fock, "fock_full_kernel", no_kernel)
-    code, _, err = run(capsys, [
-        "kernel", "--space", "fock", "--alpha", "1.3", "--beta", "0.7",
-        "--theta", "0.5", "--pair", "0.3,0.2,0.1,-0.4", "--oracle"])
-    assert code == 2
-    assert "Taylor remainder bounds need integer theta" in err
+    monkeypatch.setattr(bidisk, "full_kernels", no_kernel)
+    base = ["kernel", "--space", "bidisk", "--alpha", "1.3", "--beta", "0.7",
+            "--pair", "0.3,0.2,0.1,-0.4", "--oracle"]
+    for option, message in ((["--theta", "0.5"], "need integer theta"),
+                            (["--vartheta", "0.3"], "vartheta = 0")):
+        code, _, err = run(capsys, base + option)
+        assert code == 2
+        assert message in err
 
 
 def test_norm_expand_poly_file(capsys, tmp_path):
@@ -277,6 +283,8 @@ _BAD_SETTINGS = {
     "tolerance-negative": (_KERNEL + ["--tolerance", "-1"], None,
                            "--tolerance"),
     "tolerance-nan": (_KERNEL + ["--tolerance", "nan"], None, "--tolerance"),
+    # accepted, then a bare OverflowError from math.ceil(inf)
+    "tolerance-inf": (_KERNEL + ["--tolerance", "inf"], None, "--tolerance"),
     "max-terms-not-integer": (_KERNEL, "abc", "KERNELFORGE_MAX_TERMS"),
     "max-terms-not-integer-verify": (["verify", "ball"], "abc",
                                      "KERNELFORGE_MAX_TERMS"),

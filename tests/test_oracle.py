@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from kernelforge import oracle, verify
-from kernelforge.bidisk import BidiskParams, restriction_transform, sigma
+from kernelforge.ball import BallParams, ball_full_kernel
+from kernelforge.bidisk import (BidiskParams, full_kernels,
+                                restriction_transform, sigma)
 from kernelforge.config import Point2
 from kernelforge.errors import ConditioningError, DomainError, QuadratureError
-from kernelforge.fock import FockParams, fock_restriction_transform, fock_sigma
+from kernelforge.fock import (FockParams, fock_full_kernel,
+                              fock_restriction_transform, fock_sigma)
 from kernelforge.poly2 import BiPoly
 
 
@@ -154,9 +157,8 @@ def test_blocks_hermitian_positive():
 
 def test_gram_numeric_matches_exact_bidisk():
     ge = oracle.gram_bidisk_exact(0.4, 0.7, 1.0, 3)
-    gn = oracle.gram_numeric("bidisk", {"alpha": 0.4, "beta": 0.7,
-                                        "theta": 1.0, "vartheta": 0.0}, 3)
-    assert not gn.exact and gn.quad_error is not None
+    gn = oracle.gram_numeric(BidiskParams(0.4, 0.7, 1.0), 3)
+    assert ge.exact and not gn.exact and gn.quad_error is not None
     for a, b in zip(gn.blocks, ge.blocks):
         assert np.max(np.abs(a - b)) < 1e-8
 
@@ -192,13 +194,49 @@ def test_fock_exact_kernel_matches_reference_at_fractional_theta(th):
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def test_gram_numeric_refuses_the_gaussian_space(monkeypatch):
-    def no_quadrature(*args):
-        raise AssertionError("gram_numeric ran a quadrature")
-    monkeypatch.setattr(oracle, "_blocks_at_order", no_quadrature)
-    with pytest.raises(DomainError, match="gram_fock_exact"):
-        oracle.gram_numeric("fock", {"alpha": 1.3, "beta": 0.7,
-                                     "theta": 0.5}, 2)
+# (Gram table to degree 16, library kernels over a list of pairs, largest
+# real and imaginary part of the points' coordinates)
+_REMAINDER_CASES = {
+    "ball": (lambda: oracle.ball_monomial_norms(0.5, 1.0, 0.25, 16),
+             lambda pairs: [ball_full_kernel(BallParams(0.5, 1.0, 0.25), z, w)
+                            for z, w in pairs], 0.45),
+    **{f"fock-theta={th}": (
+        lambda th=th: oracle.gram_fock_exact(1.3, 0.7, th, 16),
+        lambda pairs, th=th: [fock_full_kernel(FockParams(1.3, 0.7, th), z, w)
+                              for z, w in pairs], 0.6)
+       for th in (-0.5, 0.5, 1.0, 2.5)},
+    **{f"bidisk-theta={th}": (
+        lambda th=th: oracle.gram_bidisk_exact(1.0, 0.5, th, 16),
+        lambda pairs, th=th: full_kernels(BidiskParams(1.0, 0.5, th), pairs),
+        0.5) for th in (0, 1, 2)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REMAINDER_CASES))
+def test_kernel_remainders_bound_the_truncation(case):
+    # r[D] against |K - K_D|, K_D the inverted Gram blocks' Taylor sum to
+    # degree D and K the library kernel, up to a rounding floor
+    gram, kernels, radius = _REMAINDER_CASES[case]
+    g = gram()
+    blocks = oracle.gram_kernel_blocks(g)
+    rng = np.random.default_rng(11)
+    pairs = [(Point2(*x[:2]), Point2(*x[2:]))
+             for x in rng.uniform(-radius, radius, (8, 4, 2)) @ [1, 1j]]
+    for (z, w), res in zip(pairs, kernels(pairs)):
+        r = oracle.kernel_remainders(g, z.z1, z.z2, w.z1, w.z2, 16)
+        for D in (4, 8, 12, 16):
+            k_d = oracle.kernel_from_blocks(blocks[:D + 1], z.z1, z.z2,
+                                            w.z1, w.z2)
+            assert abs(res.value - k_d) <= r[D] + 1e-13 * abs(res.value)
+
+
+def test_kernel_remainders_refuse_tables_without_a_bound():
+    for g in (oracle.gram_hardy_torus_exact(1.0, 2),
+              oracle.GramBlocks("bidisk", {"alpha": 0.4, "beta": 0.7,
+                                           "theta": 0.5, "vartheta": 0.0},
+                                quad_error=1e-12)):
+        with pytest.raises(DomainError, match="no Taylor remainder bound"):
+            oracle.kernel_remainders(g, 0.1, 0.2, 0.1, 0.2, 4)
 
 
 def test_gram_numeric_checks_each_block_on_its_own_scale(monkeypatch):
@@ -213,14 +251,13 @@ def test_gram_numeric_checks_each_block_on_its_own_scale(monkeypatch):
     monkeypatch.setattr(oracle, "_blocks_at_order", blocks)
     assert 1e-8 / 1e4 <= oracle.QUAD_TOLERANCE < 1e-8
     with pytest.raises(QuadratureError, match="against its block's scale"):
-        oracle.gram_numeric("bidisk", {"alpha": 0.4, "beta": 0.7,
-                                       "theta": 1.0}, 1)
+        oracle.gram_numeric(BidiskParams(0.4, 0.7, 1.0), 1)
 
 
 def test_gram_numeric_fractional_theta_bidisk():
-    p = {"alpha": 0.4, "beta": 0.7, "theta": 1.5, "vartheta": 0.5}
-    gn = oracle.gram_numeric("bidisk", p, 6)
-    want = 1.0 / sigma(BidiskParams(**p))
+    p = BidiskParams(0.4, 0.7, 1.5, 0.5)
+    gn = oracle.gram_numeric(p, 6)
+    want = 1.0 / sigma(p)
     assert abs(gn.blocks[0][0, 0] - want) <= 1e-10 * want
 
 
@@ -234,8 +271,7 @@ def test_gram_numeric_non_finite_rule_is_named(monkeypatch):
         return (t1, w1 * math.nan if n >= 128 else w1), var2, const
     monkeypatch.setattr(oracle, "_bidisk_radial", nan_radial)
     with pytest.raises(QuadratureError, match="order 128") as info:
-        oracle.gram_numeric("bidisk", {"alpha": 0.4, "beta": 0.7,
-                                       "theta": 0.5}, 0)
+        oracle.gram_numeric(BidiskParams(0.4, 0.7, 0.5), 0)
     assert "nan" not in str(info.value)
 
 
@@ -531,10 +567,9 @@ _NAN_BUILDS = {
     "hardy-theta-inf": lambda: oracle.gram_hardy_torus_exact(math.inf, 2),
     "ball-alpha": lambda: oracle.ball_monomial_norms(_NAN, 0, 0, 2),
     "numeric-bidisk-alpha": lambda: oracle.gram_numeric(
-        "bidisk", {"alpha": _NAN, "beta": 0.0, "theta": 1.0}, 0),
+        BidiskParams(_NAN, 0.0, 1.0), 0),
     "numeric-bidisk-vartheta": lambda: oracle.gram_numeric(
-        "bidisk", {"alpha": 0.0, "beta": 0.0, "theta": 1.0,
-                   "vartheta": _NAN}, 0),
+        BidiskParams(0.0, 0.0, 1.0, _NAN), 0),
 }
 
 

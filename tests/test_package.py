@@ -71,6 +71,9 @@ _SCIPY_STAYS_UNLOADED = textwrap.dedent("""
             # exact Gram blocks inverted by the stacked Cholesky pass
             ["kernel", "--space", "bidisk", "--alpha", "1", "--beta", "0.5",
              "--theta", "1", "--pair", "0.3,0.2,0.1,0.4", "--oracle"],
+            # the Gaussian remainder's orthogonal terms at fractional theta
+            ["kernel", "--space", "fock", "--alpha", "1.3", "--beta", "0.7",
+             "--theta", "0.5", "--pair", "0.3,0.2,0.1,-0.4", "--oracle"],
             ["sigma", "--space", "bidisk", "--alpha", "0", "--beta", "0"],
             ["norm-expand", "--space", "ball", "--alpha", "0", "--beta", "0",
              "--theta", "1", "--poly", "z1 - z2"],
@@ -83,7 +86,7 @@ _SCIPY_STAYS_UNLOADED = textwrap.dedent("""
     kernelforge.ball_full_kernel(kernelforge.BallParams(1, 0.5, 0.5), z, w)
     kernelforge.fock_full_kernel(kernelforge.FockParams(1, 1, 0.5), z, w)
     assert not scipy_loaded(), scipy_loaded()
-    oracle.gram_numeric("bidisk", {"alpha": 0, "beta": 0, "theta": 1}, 0)
+    oracle.gram_numeric(kernelforge.BidiskParams(0, 0, 1), 0)
     assert scipy_loaded() == {"scipy.special", "scipy.linalg"}, scipy_loaded()
 """)
 
