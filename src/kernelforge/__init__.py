@@ -3,7 +3,7 @@ weighted holomorphic Hilbert spaces in two complex variables (bidisk, unit
 ball, and Gaussian-weighted entire functions), backed by an independent
 Gram-matrix oracle."""
 
-from .config import Point2, SeriesResult, TruncationConfig, default_config
+from .config import Point2, SeriesResult, TruncationConfig
 from .errors import (ConditioningError, ConvergenceError, DivisibilityError,
                      DomainError, KernelforgeError, QuadratureError)
 from .poly2 import BiPoly
@@ -34,7 +34,7 @@ __all__ = [
     "QuadratureError", "SUITES", "SeriesResult", "TruncationConfig",
     "ball_full_kernel", "ball_full_kernel_series",
     "ball_hardy_norm_expansion", "ball_monomial_norms", "ball_norm_expansion",
-    "ball_qN_kernel", "coeff_a", "coeff_b", "coeff_c", "default_config",
+    "ball_qN_kernel", "coeff_a", "coeff_b", "coeff_c",
     "diag_kernel", "embed_const", "fock_diag_kernel",
     "fock_full_kernel", "fock_norm_expansion", "fock_q0_kernel",
     "fock_restriction_transform", "fock_sigma", "full_kernel", "full_kernels",

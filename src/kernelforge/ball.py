@@ -14,8 +14,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .config import (CONSECUTIVE_SMALL, MAX_OUTER_TERMS, SAFETY_FACTOR,
-                     Point2, SeriesResult, TruncationConfig, default_config)
+from .config import (CONSECUTIVE_SMALL, DEFAULT_CONFIG, MAX_OUTER_TERMS,
+                     SAFETY_FACTOR, Point2, SeriesResult, TruncationConfig)
 from .errors import ConvergenceError, DomainError
 from .poly2 import BiPoly
 from .specfun import hyp2f1, log_gamma
@@ -89,7 +89,7 @@ def ball_qN_kernel(params: BallParams, N: int, z: Point2, w: Point2) -> complex:
 
 
 def ball_full_kernel(params: BallParams, z: Point2, w: Point2,
-                     cfg: TruncationConfig | None = None) -> SeriesResult:
+                     cfg: TruncationConfig = DEFAULT_CONFIG) -> SeriesResult:
     """Closed-form reproducing kernel: Gamma(alpha+theta+2) /
     [Gamma(alpha+1) Gamma(theta+1) (1-z1 conj(w1))^{alpha+beta+theta+3}] times
     [(alpha+theta+2) 2F1(alpha+theta+3, 1; theta+1; x)
@@ -99,7 +99,6 @@ def ball_full_kernel(params: BallParams, z: Point2, w: Point2,
     The bracket is summed as one series: with F = 2F1(alpha+theta+2, 1;
     theta+1; x) it equals ([alpha+beta+2 - beta x] F + theta) / (1 - x)
     (DLMF 15.5), exactly."""
-    cfg = cfg or default_config()
     _require_ball(z, w)
     al, be, th = params.alpha, params.beta, params.theta
     u = 1.0 - z.z1 * complex(w.z1).conjugate()
@@ -123,10 +122,10 @@ def ball_full_kernel(params: BallParams, z: Point2, w: Point2,
 
 
 def ball_full_kernel_series(params: BallParams, z: Point2, w: Point2,
-                            cfg: TruncationConfig | None = None) -> SeriesResult:
+                            cfg: TruncationConfig = DEFAULT_CONFIG
+                            ) -> SeriesResult:
     """Cross-check path: direct summation of ball_qN_kernel over N with a
     geometric tail bound."""
-    cfg = cfg or default_config()
     _require_ball(z, w)
     u = 1.0 - z.z1 * complex(w.z1).conjugate()
     x = z.z2 * complex(w.z2).conjugate() / u

@@ -37,8 +37,9 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .config import (CONSECUTIVE_SMALL, EPS, MAX_OUTER_TERMS, SAFETY_FACTOR,
-                     Point2, SeriesResult, TruncationConfig, default_config)
+from .config import (CONSECUTIVE_SMALL, DEFAULT_CONFIG, EPS, MAX_OUTER_TERMS,
+                     MAX_TERMS, SAFETY_FACTOR, Point2, SeriesResult,
+                     TruncationConfig)
 from .errors import ConvergenceError, DomainError
 from .poly2 import BiPoly
 from .specfun import hyp3f2_unit, log_gamma, pochhammer
@@ -114,11 +115,12 @@ def _sigma_cached(al: float, be: float, th: float, vt: float,
                         val * val * (pref * r.tail_bound) + rounding)
 
 
-def sigma(params: BidiskParams, cfg: TruncationConfig | None = None) -> float:
+def sigma(params: BidiskParams,
+          cfg: TruncationConfig = DEFAULT_CONFIG) -> float:
     """The kernel value at the origin, i.e. the reciprocal total mass of the
     weight."""
     return _sigma_cached(params.alpha, params.beta, params.theta,
-                         params.vartheta, cfg or default_config()).value.real
+                         params.vartheta, cfg).value.real
 
 
 def sigma_gamma_form(params: BidiskParams) -> float:
@@ -134,7 +136,7 @@ def sigma_gamma_form(params: BidiskParams) -> float:
 
 
 def diag_kernel(params: BidiskParams, z: Point2, w1: complex,
-                cfg: TruncationConfig | None = None) -> complex:
+                cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
     """Kernel against a diagonal point: P(z, (w1, w1)) =
     sigma / [(1 - conj(w1) z1)^a (1 - conj(w1) z2)^b]."""
     _require_bidisk(z, Point2(w1, w1))
@@ -156,20 +158,19 @@ def _c_coeffs(params: BidiskParams, N: int, n: int) -> tuple:
     return tuple(left[j] * right[n - j] for j in range(n + 1))
 
 
-def _inner_error(cfg: TruncationConfig, tail_estimate: float):
-    """The error of an inner series that has not stopped in cfg.max_terms
+def _inner_error(tail_estimate: float):
+    """The error of an inner series that has not stopped in MAX_TERMS
     terms."""
     return ConvergenceError(
-        f"q_kernel inner series did not converge in {cfg.max_terms} terms",
-        terms_used=cfg.max_terms, tail_estimate=tail_estimate)
+        f"q_kernel inner series did not converge in {MAX_TERMS} terms",
+        terms_used=MAX_TERMS, tail_estimate=tail_estimate)
 
 
 def q_kernel(params: BidiskParams, N: int, z: Point2, w: Point2,
-             cfg: TruncationConfig | None = None) -> SeriesResult:
+             cfg: TruncationConfig = DEFAULT_CONFIG) -> SeriesResult:
     """Kernel of the order-N subspace as the double series
     (z1-z2)^N (conj(w1)-conj(w2))^N sigma_N sum_n [n!/(s+2N+2)_n]
     c_n(z) conj(c_n(w)): the prefactor times one cell of _inner_sums."""
-    cfg = cfg or default_config()
     if N < 0:
         raise DomainError("N must be >= 0")
     _require_bidisk(z, w)
@@ -181,7 +182,7 @@ def q_kernel(params: BidiskParams, N: int, z: Point2, w: Point2,
     (total,), (terms,), (tail,) = (
         a.tolist() for a in _inner_sums(params, [(z, w)], [N], [1], cfg))
     if terms < 0:
-        raise _inner_error(cfg, abs(pref) * tail)
+        raise _inner_error(abs(pref) * tail)
     return SeriesResult(pref * total, terms,
                         abs(pref) * tail + abs(sN.tail_bound) * abs(total))
 
@@ -243,9 +244,8 @@ class _OuterRule:
 
 
 def full_kernel(params: BidiskParams, z: Point2, w: Point2,
-                cfg: TruncationConfig | None = None) -> SeriesResult:
+                cfg: TruncationConfig = DEFAULT_CONFIG) -> SeriesResult:
     """Reproducing kernel as the sum over vanishing orders N of q_kernel."""
-    cfg = cfg or default_config()
     _require_bidisk(z, w)
     outer = _OuterRule(z, w, _sigma_reader(params, cfg), cfg.tolerance)
     result = None
@@ -264,14 +264,13 @@ _CHUNK_PAIRS = 256
 
 
 def full_kernels(params: BidiskParams, pairs,
-                 cfg: TruncationConfig | None = None) -> list:
+                 cfg: TruncationConfig = DEFAULT_CONFIG) -> list:
     """The reproducing kernel at every (z, w) in pairs, in order, each the
     sum over vanishing orders N of q_kernel(params, N, z, w).  The inner
     series of all (pair, order) cells run as one array recurrence, and each
     pair's outer rule reads their sums.  Every pair is checked before any
     series runs; of the pairs that raise, the first one's error is raised,
     as a loop over the pairs would raise it."""
-    cfg = cfg or default_config()
     pairs = list(pairs)
     for z, w in pairs:
         _require_bidisk(z, w)
@@ -323,7 +322,7 @@ def _full_kernels_chunk(params: BidiskParams, pairs: list,
                     # q_kernel's prefactor, as q_kernel forms it
                     pref = rule.dz ** N * rule.dw ** N * sigma(N)
                     if terms[k] < 0:
-                        raise _inner_error(cfg, abs(pref) * tails[k])
+                        raise _inner_error(abs(pref) * tails[k])
                     results[i] = rule.add(pref * sums[k], terms[k])
                     if results[i] is not None:
                         break
@@ -343,7 +342,7 @@ def _inner_sums(params: BidiskParams, pairs: list, firsts: list,
                 counts: list, cfg: TruncationConfig):
     """q_kernel's inner sum, before the prefactor, for pair i at the orders
     firsts[i] .. firsts[i] + counts[i] - 1, as flat arrays of these cells in
-    that order: the sums, the terms each used (-1 where cfg.max_terms terms
+    that order: the sums, the terms each used (-1 where MAX_TERMS terms
     did not converge) and the tail estimate at the last term.  A cell stops
     after CONSECUTIVE_SMALL terms whose tail is within tolerance, relative
     to its sum where that exceeds 1, and drops out of the arrays once it has
@@ -386,7 +385,7 @@ def _inner_sums(params: BidiskParams, pairs: list, firsts: list,
     # inf and nan run on through the arrays without a warning, as through
     # Python's complex arithmetic
     with np.errstate(all="ignore"):
-        for n in range(cfg.max_terms):
+        for n in range(MAX_TERMS):
             term = mu * c[:cell.size]
             term *= c[cell.size:]
             total += term
@@ -431,12 +430,11 @@ def _inner_sums(params: BidiskParams, pairs: list, firsts: list,
 
 
 def taylor_blocks(params: BidiskParams, max_degree: int,
-                  cfg: TruncationConfig | None = None) -> list:
+                  cfg: TruncationConfig = DEFAULT_CONFIG) -> list:
     """Per-degree Taylor coefficient matrices K_d of the full kernel:
     K_d = sum_{N <= d} sigma_N [(d-N)!/(s+2N+2)_{d-N}] v_N v_N^T with v_N the
     monomial coefficient vector of (z1-z2)^N c_{d-N}(z).  Finite and exact
     apart from sigma evaluation; positive semidefinite by construction."""
-    cfg = cfg or default_config()
     if max_degree < 0:
         raise DomainError("max_degree must be >= 0")
     blocks = []
@@ -563,11 +561,10 @@ def expand(orders, transform, weight, norm1d) -> NormExpansion:
 
 
 def norm_expansion(params: BidiskParams, f: BiPoly,
-                   cfg: TruncationConfig | None = None) -> NormExpansion:
+                   cfg: TruncationConfig = DEFAULT_CONFIG) -> NormExpansion:
     """||f||^2 = sum_N (1/sigma_N) || transform_N f ||^2 in the 1D space of
     index s + 2N; finite for polynomials since transforms of order beyond
     deg f vanish."""
-    cfg = cfg or default_config()
     return expand(range(max(f.total_degree, 0) + 1),
                   lambda N: restriction_transform(params, f, N),
                   lambda N: 1.0 / sigma(params.shifted(N), cfg),

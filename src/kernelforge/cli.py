@@ -15,10 +15,9 @@ import json
 import re
 import sys
 import time
-from dataclasses import replace
 
 from . import ball, bidisk, fock, oracle, verify
-from .config import Point2, TruncationConfig, default_config
+from .config import Point2, TruncationConfig
 from .errors import ConditioningError, ConvergenceError, DomainError
 from .poly2 import BiPoly
 
@@ -166,7 +165,7 @@ def cmd_kernel(args, cfg) -> int:
         lines = _read_text(args.points_file, "--points-file").split("\n")
         pairs.extend(_parse_pair(line, f"{args.points_file} line {i}")
                      for i, line in enumerate(lines, 1)
-                     if line.strip() and not line.startswith("#"))
+                     if line.strip() and not line.lstrip().startswith("#"))
     if not pairs:
         raise DomainError("no point pairs given (use --pair or --points-file)")
     # a degree-0 table checks the oracle's domain before any kernel runs and
@@ -241,7 +240,7 @@ def cmd_sigma(args, cfg) -> int:
 
 
 def cmd_verify(args, cfg) -> int:
-    # cfg is not passed on: the suites read the same settings themselves
+    # verify takes no --tolerance, so cfg holds the defaults the suites use
     if args.suite != "all" and args.suite not in verify.SUITES:
         names = ", ".join(sorted(verify.SUITES) + ["all"])
         print(f"unknown suite {args.suite!r}; choose from: {names}",
@@ -269,16 +268,12 @@ def _wrap_report(command, args, items, passed):
 
 
 def _make_cfg(args) -> TruncationConfig:
-    """The truncation settings of a command; a bad setting is a domain error
-    whose message names it."""
-    try:
-        cfg = default_config()
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
+    """The truncation settings of a command; a bad --tolerance is a domain
+    error whose message names it."""
     if getattr(args, "tolerance", None) is None:
-        return cfg
+        return TruncationConfig()
     try:
-        return replace(cfg, tolerance=args.tolerance)
+        return TruncationConfig(tolerance=args.tolerance)
     except ValueError:
         raise DomainError(f"--tolerance must be positive and finite, got "
                           f"{args.tolerance}") from None

@@ -3,18 +3,16 @@
 from __future__ import annotations
 
 import math
-import os
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
-
-MAX_TERMS_ENV = "KERNELFORGE_MAX_TERMS"
 
 # The stopping policy that every series loop shares.  A series stops after
 # CONSECUTIVE_SMALL consecutive terms whose tail estimate, SAFETY_FACTOR times
 # the ratio-based one, is within tolerance; the series over vanishing orders N
-# stop after at most MAX_OUTER_TERMS orders.
+# stop after at most MAX_OUTER_TERMS orders, and every other series after at
+# most MAX_TERMS terms.
 MAX_OUTER_TERMS = 500
+MAX_TERMS = 100_000
 CONSECUTIVE_SMALL = 3
 SAFETY_FACTOR = 4.0
 # machine epsilon, the unit of the rounding terms in tail bounds
@@ -23,43 +21,20 @@ EPS = sys.float_info.epsilon
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """The two settable controls of every infinite series in the library.
-
-    tolerance  target bound on the truncation error of a sum (CLI
-               --tolerance)
-    max_terms  hard cap on the terms of each inner series
-               (KERNELFORGE_MAX_TERMS)
-    """
+    """The settable control of every infinite series in the library: the
+    target bound on the truncation error of a sum (CLI --tolerance)."""
 
     tolerance: float = 1e-12
-    max_terms: int = 100_000
 
     def __post_init__(self):
         # written so that a NaN tolerance is refused too
         if not 0 < self.tolerance < math.inf:
             raise ValueError(
                 f"tolerance must be positive and finite, got {self.tolerance}")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
 
 
-def default_config() -> TruncationConfig:
-    """Default truncation settings, honoring the KERNELFORGE_MAX_TERMS override."""
-    return _config_for(os.environ.get(MAX_TERMS_ENV))
-
-
-@lru_cache(maxsize=8)
-def _config_for(cap: str | None) -> TruncationConfig:
-    # Every call without a cfg lands here, so the parse is cached per value of
-    # the variable; a bad value raises, which lru_cache never caches.
-    if cap is None:
-        return TruncationConfig()
-    try:
-        max_terms = int(cap)
-    except ValueError:
-        raise ValueError(
-            f"{MAX_TERMS_ENV} must be an integer, got {cap!r}") from None
-    return TruncationConfig(max_terms=max(1, max_terms))
+# the settings of every call that passes none
+DEFAULT_CONFIG = TruncationConfig()
 
 
 @dataclass(frozen=True)

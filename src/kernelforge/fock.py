@@ -9,7 +9,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .config import Point2, SeriesResult, TruncationConfig, default_config
+from .config import DEFAULT_CONFIG, Point2, SeriesResult, TruncationConfig
 from .errors import DomainError
 from .poly2 import BiPoly
 from .specfun import log_gamma, mittag_e
@@ -89,11 +89,10 @@ def fock_q0_kernel(params: FockParams, z: Point2, w: Point2) -> complex:
 
 
 def fock_full_kernel(params: FockParams, z: Point2, w: Point2,
-                     cfg: TruncationConfig | None = None) -> SeriesResult:
+                     cfg: TruncationConfig = DEFAULT_CONFIG) -> SeriesResult:
     """Full kernel sigma Gamma(theta+1) e^{...} E_theta(alpha beta
     (z1-z2)(conj(w1)-conj(w2))/(alpha+beta)) with E_theta evaluated by its
     entire series."""
-    cfg = cfg or default_config()
     al, be, th = params.alpha, params.beta, params.theta
     wc1 = complex(w.z1).conjugate()
     wc2 = complex(w.z2).conjugate()

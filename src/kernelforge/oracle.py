@@ -416,12 +416,12 @@ def kernel_remainders(gram: GramBlocks, z1, z2, w1, w2,
     at most c_n = (alpha+beta+4)_n / n! on the unit polydisk, so Bernstein's
     inequality on the circle gives b_d = C(d+theta, theta)^2 c_{d+theta}
     q^d, q = max|z_i| max|w_i|: the form above at (x, y) = (q, 0).  Past the
-    first b_{d+1} < b_d beyond max_degree the rest is bounded geometrically:
-    a bound where b_{d+1}/b_d does not increase, on the bidisk and on the
-    Gaussian space, whose b_d convolves the log-concave x^i / mu_u(i) and
-    y^j / mu_v(j) (each mu a Gamma function over a geometric factor) and so
-    is log-concave; an estimate on the ball.  inf if b_d still grows at
-    degree _REMAINDER_TERMS."""
+    first b_{d+1} < (1 - 1e-9) b_d beyond max_degree the rest is bounded
+    geometrically: a bound where b_{d+1}/b_d does not increase, on the
+    bidisk and on the Gaussian space, whose b_d convolves the log-concave
+    x^i / mu_u(i) and y^j / mu_v(j) (each mu a Gamma function over a
+    geometric factor) and so is log-concave; an estimate on the ball.  inf
+    if b_d still grows at degree _REMAINDER_TERMS."""
     al, be, th = map(gram.params.get, ("alpha", "beta", "theta"))
     log_b = log_c = lambda k: 0.0  # log mu(i, j) = a(i) + b(j) - c(i + j)
     if gram.space == "ball":
@@ -453,7 +453,11 @@ def kernel_remainders(gram: GramBlocks, z1, z2, w1, w2,
         lb[d] = (d * ly if d else 0.0) - log_b(d)
         terms.append(math.exp(np.logaddexp.reduce(la[:d + 1] + lb[d::-1])
                               + log_c(d)))
-        if d > max_degree and (terms[-1] < terms[-2] or not terms[-1]):
+        # a decrease must exceed the terms' rounding (about d eps |log b_d|),
+        # or near a flat peak the last bits decide where the continuation
+        # starts and r[D] moves by orders of magnitude between nearby points
+        if d > max_degree and (terms[-1] < (1.0 - 1e-9) * terms[-2]
+                               or not terms[-1]):
             ratio = terms[-1] / terms[-2] if terms[-1] else 0.0
             tail = terms[-1] * ratio / (1.0 - ratio)
             break

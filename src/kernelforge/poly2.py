@@ -129,7 +129,10 @@ class BiPoly:
     @classmethod
     def parse(cls, text: str) -> "BiPoly":
         """Parse "c*z1^m*z2^n + ..."; coefficients are plain reals or
-        "(re,im)" pairs; bare z1/z2 mean exponent 1."""
+        "(re,im)" pairs; bare z1/z2 mean exponent 1.  A term is at most one
+        coefficient times powers of z1 and z2 in any order, and the powers
+        of a variable multiply: "z2*z1^2*3*z1" is 3 z1^3 z2.  Whitespace is
+        ignored."""
         return _parse_bipoly(text)
 
     def format(self) -> str:
@@ -150,10 +153,11 @@ class BiPoly:
         return " + ".join(parts)
 
 
-_TERM_RE = re.compile(
-    r"^(?P<coeff>\([^)]*\)|[+-]?[0-9.eE+-]+)?"
-    r"(?P<z1>\*?z1(\^(?P<m>\d+))?)?"
-    r"(?P<z2>\*?z2(\^(?P<n>\d+))?)?$")
+# one factor of a term: a power of z1 or z2, with or without a "*" before
+# it, or the coefficient, with a "*" before it unless it leads the term
+_FACTOR_RE = re.compile(
+    r"\*?z(?P<var>[12])(\^(?P<power>\d+))?"
+    r"|(?P<star>\*)?(?P<coeff>\([^)]*\)|[0-9.eE+-]+)")
 
 
 def _parse_coeff(text: str, term: str) -> complex:
@@ -174,7 +178,7 @@ def _parse_coeff(text: str, term: str) -> complex:
 
 
 def _parse_bipoly(text: str) -> BiPoly:
-    cleaned = text.replace(" ", "")
+    cleaned = "".join(text.split())
     if not cleaned:
         raise DomainError("empty polynomial text")
     # split into signed terms at top level (parens only hold coefficients)
@@ -201,14 +205,20 @@ def _parse_bipoly(text: str) -> BiPoly:
             if term[0] == "-":
                 sign = -sign
             term = term[1:]
-        match = _TERM_RE.match(term)
-        if not match or (match.group("coeff") is None and match.group("z1") is None
-                         and match.group("z2") is None):
+        coeffs, powers, pos = [], [0, 0], 0
+        while pos < len(term):
+            match = _FACTOR_RE.match(term, pos)
+            if not match or (match["coeff"] is not None
+                             and bool(pos) != bool(match["star"])):
+                raise DomainError(f"cannot parse polynomial term: {raw!r}")
+            if match["var"]:
+                powers[int(match["var"]) - 1] += int(match["power"] or 1)
+            else:
+                coeffs.append(match["coeff"])
+            pos = match.end()
+        if not term or len(coeffs) > 1:
             raise DomainError(f"cannot parse polynomial term: {raw!r}")
-        coeff_text = match.group("coeff")
-        coeff = _parse_coeff(coeff_text, raw) if coeff_text else complex(1.0)
-        m = int(match.group("m")) if match.group("m") else (1 if match.group("z1") else 0)
-        n = int(match.group("n")) if match.group("n") else (1 if match.group("z2") else 0)
-        key = (m, n)
+        coeff = _parse_coeff(coeffs[0], raw) if coeffs else complex(1.0)
+        key = tuple(powers)
         out[key] = out.get(key, 0) + sign * coeff
     return BiPoly(out)

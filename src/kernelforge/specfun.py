@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 
-from .config import (CONSECUTIVE_SMALL, EPS, SAFETY_FACTOR, SeriesResult,
-                     TruncationConfig, default_config)
+from .config import (CONSECUTIVE_SMALL, DEFAULT_CONFIG, EPS, MAX_TERMS,
+                     SAFETY_FACTOR, SeriesResult, TruncationConfig)
 from .errors import ConvergenceError, DomainError
 
 _INT_EPS = 1e-9
@@ -69,9 +69,8 @@ def pochhammer(x: float, n: int) -> float:
 
 
 def hyp2f1(a: float, b: float, c: float, x: complex,
-           cfg: TruncationConfig | None = None) -> SeriesResult:
+           cfg: TruncationConfig = DEFAULT_CONFIG) -> SeriesResult:
     """Gauss hypergeometric series sum_n (a)_n (b)_n / ((c)_n n!) x^n, |x| < 1."""
-    cfg = cfg or default_config()
     if _is_nonpositive_integer(c):
         raise DomainError(f"hyp2f1: c = {c} is a non-positive integer")
     ax = abs(x)
@@ -87,7 +86,7 @@ def hyp2f1(a: float, b: float, c: float, x: complex,
     # q = |x| max(1, |next ratio|) < 1 a geometric tail bound applies, and
     # before that no term may count toward the stop
     ratio = a * b / c
-    for n in range(1, cfg.max_terms + 1):
+    for n in range(1, MAX_TERMS + 1):
         term *= ratio * x
         total += term
         ratio = (a + n) * (b + n) / ((c + n) * (n + 1))
@@ -102,8 +101,8 @@ def hyp2f1(a: float, b: float, c: float, x: complex,
         else:
             small_streak = 0
     raise ConvergenceError(
-        f"hyp2f1({a},{b},{c},{x}) did not converge in {cfg.max_terms} terms",
-        terms_used=cfg.max_terms, tail_estimate=tail)
+        f"hyp2f1({a},{b},{c},{x}) did not converge in {MAX_TERMS} terms",
+        terms_used=MAX_TERMS, tail_estimate=tail)
 
 
 def _terminating_length(uppers) -> int | None:
@@ -151,7 +150,7 @@ def _sum_3f2_rep(uppers, lowers, prefactor: float,
     tail = math.inf
     n_stop = _terminating_length(uppers)
     scale = abs(prefactor)
-    for n in range(cfg.max_terms):
+    for n in range(MAX_TERMS):
         term = term * ((a1 + n) * (a2 + n) * (a3 + n)) / ((b1 + n) * (b2 + n) * (n + 1))
         total += term
         abs_sum += abs(term)
@@ -169,12 +168,12 @@ def _sum_3f2_rep(uppers, lowers, prefactor: float,
             small_streak = 0
     raise ConvergenceError(
         f"3F2 representation {uppers}/{lowers} did not converge "
-        f"in {cfg.max_terms} terms",
-        terms_used=cfg.max_terms, tail_estimate=scale * tail)
+        f"in {MAX_TERMS} terms",
+        terms_used=MAX_TERMS, tail_estimate=scale * tail)
 
 
 def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float,
-                cfg: TruncationConfig | None = None) -> SeriesResult:
+                cfg: TruncationConfig = DEFAULT_CONFIG) -> SeriesResult:
     """3F2(a1,a2,a3; b1,b2; 1).
 
     Requires b1+b2-a1-a2-a3 > 0 unless an upper parameter truncates the
@@ -184,7 +183,6 @@ def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float,
     on the tolerance or the term cap.  The tail_bound counts the rounding of
     the sum and of the prefactor's log-Gammas.
     """
-    cfg = cfg or default_config()
     for b in (b1, b2):
         if _is_nonpositive_integer(b):
             raise DomainError(f"hyp3f2_unit: lower parameter {b} is a non-positive integer")
@@ -221,9 +219,8 @@ def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float,
 
 
 def mittag_e(theta: float, x: complex,
-             cfg: TruncationConfig | None = None) -> SeriesResult:
+             cfg: TruncationConfig = DEFAULT_CONFIG) -> SeriesResult:
     """Entire function sum_N x^N / Gamma(theta + N + 1) for theta > -1."""
-    cfg = cfg or default_config()
     if theta <= -1:
         raise DomainError(f"mittag_e requires theta > -1, got {theta}")
     tolerance = cfg.tolerance
@@ -232,7 +229,7 @@ def mittag_e(theta: float, x: complex,
     total = term
     small_streak = 0
     tail = math.inf
-    for n in range(cfg.max_terms):
+    for n in range(MAX_TERMS):
         term = term * x / (theta + n + 1.0)
         total += term
         q = ax / (theta + n + 2.0)
@@ -245,5 +242,5 @@ def mittag_e(theta: float, x: complex,
             else:
                 small_streak = 0
     raise ConvergenceError(
-        f"mittag_e({theta}, {x}) did not converge in {cfg.max_terms} terms",
-        terms_used=cfg.max_terms, tail_estimate=tail)
+        f"mittag_e({theta}, {x}) did not converge in {MAX_TERMS} terms",
+        terms_used=MAX_TERMS, tail_estimate=tail)

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import bidisk, ball, fock, oracle
-from .config import Point2, default_config
+from .config import Point2
 from .errors import DomainError
 from .poly2 import BiPoly
 from .specfun import pochhammer
@@ -296,7 +296,6 @@ def suite_fock(seed: int = 0) -> dict:
 def suite_structural(seed: int = 0) -> dict:
     """Hermitian symmetry and positive semidefiniteness of kernel matrices."""
     rng = np.random.default_rng(seed)
-    cfg = default_config()
     items = []
     for draw in range(10):
         space = ("bidisk", "ball", "fock")[draw % 3]
@@ -321,9 +320,9 @@ def suite_structural(seed: int = 0) -> dict:
         # row i holds K(pts[i], pts[j]) for j = 0, 1, ...
         pairs = [(z, w) for z in pts for w in pts]
         if space == "bidisk":
-            results = bidisk.full_kernels(p, pairs, cfg)
+            results = bidisk.full_kernels(p, pairs)
         else:
-            results = [kernel(p, z, w, cfg) for z, w in pairs]
+            results = [kernel(p, z, w) for z, w in pairs]
         mat = np.array([r.value for r in results],
                        dtype=complex).reshape(len(pts), len(pts))
         scale = np.max(np.abs(mat))

@@ -64,8 +64,8 @@ def test_bidisk_kernels_run_through_the_array_path(suite, monkeypatch):
 def test_bidisk_kernels_agree_with_full_kernel(suite, monkeypatch):
     # full_kernel, the per-pair path, still meets criteria 4 and 9
     batch = verify.run_suite(suite, seed=0)
-    monkeypatch.setattr(bidisk, "full_kernels", lambda p, pairs, cfg=None: [
-        bidisk.full_kernel(p, z, w, cfg) for z, w in pairs])
+    monkeypatch.setattr(bidisk, "full_kernels", lambda p, pairs: [
+        bidisk.full_kernel(p, z, w) for z, w in pairs])
     scalar = verify.run_suite(suite, seed=0)
     assert scalar["passed"] == batch["passed"]
     for b, s in zip(batch["items"], scalar["items"], strict=True):

@@ -520,9 +520,9 @@ def test_full_kernel_reads_warmed_sigma(monkeypatch):
     # warm-up relies on this)
     tup, z, w, _, orders = _TERM_CASES["vartheta"]
     p = BidiskParams(*tup)
-    cfg = TruncationConfig(max_terms=99_999)  # cache entries of this test only
+    bidisk._sigma_cached.cache_clear()
     for k in range(orders + 2):
-        sigma(p.shifted(k), cfg)
+        sigma(p.shifted(k))
     hyp3f2, calls = bidisk.hyp3f2_unit, []
 
     def counted(*args, **kwargs):
@@ -530,9 +530,9 @@ def test_full_kernel_reads_warmed_sigma(monkeypatch):
         return hyp3f2(*args, **kwargs)
 
     monkeypatch.setattr(bidisk, "hyp3f2_unit", counted)
-    full_kernel(p, z, w, cfg)
+    full_kernel(p, z, w)
     assert calls == []
-    sigma(p.shifted(orders + 2), cfg)
+    sigma(p.shifted(orders + 2))
     assert len(calls) == 1
 
 
@@ -602,11 +602,10 @@ def test_full_kernels_reads_warmed_sigma(monkeypatch):
     tup = _TERM_CASES["vartheta"][0]
     p = BidiskParams(*tup)
     pairs = _batch_pairs()
-    _, orders = _orders_of(monkeypatch, lambda: full_kernels(
-        p, pairs, TruncationConfig(max_terms=99_997)))
-    cfg = TruncationConfig(max_terms=99_998)  # cache entries of this test only
+    _, orders = _orders_of(monkeypatch, lambda: full_kernels(p, pairs))
+    bidisk._sigma_cached.cache_clear()
     for k in range(max(orders) + 2):
-        sigma(p.shifted(k), cfg)
+        sigma(p.shifted(k))
     hyp3f2, calls = bidisk.hyp3f2_unit, []
 
     def counted(*args, **kwargs):
@@ -614,9 +613,9 @@ def test_full_kernels_reads_warmed_sigma(monkeypatch):
         return hyp3f2(*args, **kwargs)
 
     monkeypatch.setattr(bidisk, "hyp3f2_unit", counted)
-    full_kernels(p, pairs, cfg)
+    full_kernels(p, pairs)
     assert calls == []
-    sigma(p.shifted(max(orders) + 2), cfg)
+    sigma(p.shifted(max(orders) + 2))
     assert len(calls) == 1
 
 
@@ -631,21 +630,21 @@ def test_full_kernels_check_every_pair_first(monkeypatch):
         full_kernels(BidiskParams(1.0, 0.5, 0.0, 0.0), pairs)
 
 
-def test_full_kernels_raise_the_first_failing_pairs_error():
+def test_full_kernels_raise_the_first_failing_pairs_error(monkeypatch):
     # with 100 terms per inner series four pairs fail, each with its own
     # tail estimate; the batch raises what a loop over full_kernel raises
     p = BidiskParams(1.0, 0.5, 0.0, 0.0)
-    cfg = TruncationConfig(max_terms=100)
+    monkeypatch.setattr(bidisk, "MAX_TERMS", 100)
     pairs = _batch_pairs()[4:]
     failures = []
     for z, w in pairs:
         try:
-            full_kernel(p, z, w, cfg)
+            full_kernel(p, z, w)
         except ConvergenceError as exc:
             failures.append(exc)
     assert len(failures) >= 2
     with pytest.raises(ConvergenceError) as info:
-        full_kernels(p, pairs, cfg)
+        full_kernels(p, pairs)
     assert str(info.value) == str(failures[0])
     assert info.value.terms_used == failures[0].terms_used
     assert info.value.tail_estimate == pytest.approx(

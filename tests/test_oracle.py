@@ -230,6 +230,17 @@ def test_kernel_remainders_bound_the_truncation(case):
             assert abs(res.value - k_d) <= r[D] + 1e-13 * abs(res.value)
 
 
+def test_kernel_remainders_do_not_follow_rounding():
+    # near z = w = (0.7, 0.7) on the ball the terms b_d have a flat peak
+    # past degree 80; where the continuation started at the first b_{d+1} <
+    # b_d, r[80] over these points ran from 6.79e6 to 2.41e16
+    g = oracle.ball_monomial_norms(0.0, 0.0, 0.0, 80)
+    rng = np.random.default_rng(0)
+    points = 0.7 + 1e-12 * rng.uniform(-1, 1, (200, 4))
+    tails = [oracle.kernel_remainders(g, *p, 80)[80] for p in points]
+    assert max(tails) - min(tails) <= 1e-6 * min(tails)
+
+
 def test_kernel_remainders_refuse_tables_without_a_bound():
     for g in (oracle.gram_hardy_torus_exact(1.0, 2),
               oracle.GramBlocks("bidisk", {"alpha": 0.4, "beta": 0.7,

@@ -31,11 +31,17 @@ def _definitions(tree: ast.Module):
                         if isinstance(n, ast.FunctionDef))
 
 
+def _package_trees() -> dict:
+    """The syntax tree of each module of the package, by file name."""
+    src = Path(kernelforge.__file__).resolve().parent
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted(src.glob("*.py"))}
+
+
 def test_every_private_name_is_used():
     # a private name that no code of the package reads, calls or imports is
     # dead: its own definition does not count as a use
-    src = Path(kernelforge.__file__).resolve().parent
-    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    trees = list(_package_trees().values())
     used = set()
     for node in (n for tree in trees for n in ast.walk(tree)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -48,6 +54,28 @@ def test_every_private_name_is_used():
     defined = {name for tree in trees for name in _definitions(tree)
                if name.startswith("_") and not name.endswith("__")}
     assert sorted(defined - used) == []
+
+
+_ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_setting_comes_from_the_environment():
+    # every setting is an argument or a constant, so that a result depends
+    # on the call alone
+    reads = []
+    for name, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            reads += [f"{name}:{node.lineno} os.{n}" for n in names
+                      if n in _ENVIRONMENT_READS]
+    assert reads == []
 
 
 # scipy costs a process about 0.3 s and 24 MB to import, and only the Gram

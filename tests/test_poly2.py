@@ -71,8 +71,19 @@ def test_parse_complex_coefficient():
     assert f.coeffs == {(1, 0): complex(1, -2)}
 
 
+@pytest.mark.parametrize("text, coeffs", [
+    # each was refused as "cannot parse polynomial term"
+    ("z2*z1", {(1, 1): 1}),
+    ("z1*z1", {(2, 0): 1}),
+    ("2*z2^2*z1", {(1, 2): 2}),
+    ("z1*2", {(1, 0): 2}),
+    ("z2*z1^2*(0,3)*z1 - z1^3*z2", {(3, 1): complex(-1, 3)}),
+])
+def test_parse_factors_in_any_order(text, coeffs):
+    assert BiPoly.parse(text).coeffs == coeffs
+
+
 def test_parse_rejects_garbage():
-    with pytest.raises(DomainError):
-        BiPoly.parse("z3 + 1")
-    with pytest.raises(DomainError):
-        BiPoly.parse("")
+    for text in ("z3 + 1", "", "2*3*z1", "z12", "z1 +"):
+        with pytest.raises(DomainError):
+            BiPoly.parse(text)
