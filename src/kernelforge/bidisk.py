@@ -20,20 +20,22 @@ term, and no cancellation when z1 and z2 point apart, unlike the binomial
 sum (_c_coeffs, which only taylor_blocks uses).  _inner_sums is the one loop
 that sums the inner series: it runs the recurrence of many (pair, order)
 cells as one numpy array recurrence, whose coefficients and geometric tail
-advance by one addition or product per term.  full_kernels feeds it blocks
-of orders for every pair of a list, and each pair's outer rule (_OuterRule)
-reads the per-order sums.  q_kernel is one cell of _inner_sums times its
-prefactor, and full_kernel runs the same outer rule over q_kernel one order
-at a time.  sigma has one cache, keyed by the weight's four exponents and
-the truncation settings, so sigma(params.shifted(N)) and the order-N reads
-of the kernels share entries and a warm series builds no BidiskParams.
+advance by one addition or product per term.  _outer_tails bounds each
+pair's orders from sigma_N before any series runs, full_kernels runs those
+orders of all its pairs in one _inner_sums pass, and _outer_stops applies
+the outer rule to all of them at once.  q_kernel is one cell of _inner_sums
+times its prefactor, and full_kernel calls it one order at a time under the
+same tails and stop test.  sigma has one cache, keyed by the weight's four
+exponents and the truncation settings, so sigma(params.shifted(N)) and the
+order-N reads of the kernels share entries and a warm series builds no
+BidiskParams.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -179,87 +181,98 @@ def q_kernel(params: BidiskParams, N: int, z: Point2, w: Point2,
     pref = ((z.z1 - z.z2) ** N
             * (complex(w.z1).conjugate() - complex(w.z2).conjugate()) ** N
             * sN.value.real)
-    (total,), (terms,), (tail,) = (
-        a.tolist() for a in _inner_sums(params, [(z, w)], [N], [1], cfg))
+    (total,), (terms,), (tail,) = (a.tolist() for a in _inner_sums(
+        params, [(z, w)], np.array([0]), np.array([N]), cfg))
     if terms < 0:
         raise _inner_error(abs(pref) * tail)
     return SeriesResult(pref * total, terms,
                         abs(pref) * tail + abs(sN.tail_bound) * abs(total))
 
 
-def _sigma_reader(params: BidiskParams, cfg: TruncationConfig):
-    """N -> sigma_N of the weight, read from the cache under the key that
-    q_kernel uses."""
+def _outer_tails(params: BidiskParams, pairs: list, cfg: TruncationConfig):
+    """Each pair's outer tail estimates t_N, N = 0 .. N_hi, and the sigma_N
+    they read.  t_N = SAFETY_FACTOR head / (1 - ratio) takes the next
+    order's term as head = |dz dw|^(N+1) sigma_(N+1) / (1 - rz rw), which
+    assumes an inner sum of at most 1/(1 - rz rw), and the decay ratio from
+    the next two sigma_N.  N_hi ends the first CONSECUTIVE_SMALL orders in a
+    row with t_N <= tolerance (or is MAX_OUTER_TERMS - 1): the rule's
+    threshold tolerance max(1, |sum|) is never below the tolerance, as
+    max(1.0, nan) is 1.0, so the rule stops at or before N_hi."""
     al, be, th, vt = params.alpha, params.beta, params.theta, params.vartheta
-    return lambda N: _sigma_cached(al, be, th + N, vt, cfg).value.real
+    sig = [_sigma_cached(al, be, th + N, vt, cfg).value.real for N in (0, 1)]
+    out = []
+    for z, w in pairs:
+        dzdw = abs((z.z1 - z.z2)
+                   * (complex(w.z1).conjugate() - complex(w.z2).conjugate()))
+        inner_bound = 1.0 / (1.0 - max(abs(z.z1), abs(z.z2))
+                             * max(abs(w.z1), abs(w.z2)))
+        tails, streak = [], 0
+        for N in range(MAX_OUTER_TERMS):
+            if len(sig) == N + 2:
+                sig.append(
+                    _sigma_cached(al, be, th + N + 2, vt, cfg).value.real)
+            head = dzdw ** (N + 1) * sig[N + 1] * inner_bound
+            # the outer terms decay at the asymptotic ratio |dz dw|/4 < 1;
+            # the ratio is capped at 0.999, and a nan ratio stays nan
+            ratio = dzdw * sig[N + 2] / sig[N + 1]
+            tails.append(SAFETY_FACTOR * head
+                         / (1.0 - (0.999 if ratio > 0.999 else ratio)))
+            streak = streak + 1 if tails[-1] <= cfg.tolerance else 0
+            if streak == CONSECUTIVE_SMALL:
+                break
+        out.append(tails)
+    return out, sig
 
 
-class _OuterRule:
-    """The outer rule of one pair in full_kernel and full_kernels: it takes
-    the order-N parts in the order N = 0, 1, ... and stops after
-    CONSECUTIVE_SMALL orders whose tail estimate is within tolerance, or
-    raises at MAX_OUTER_TERMS orders.
-    The estimate SAFETY_FACTOR head / (1 - ratio) takes the next order's term
-    as head = |dz dw|^(N+1) sigma_(N+1) / (1 - rz rw), which assumes an inner
-    sum of at most 1/(1 - rz rw), and the decay ratio from the next two
-    sigma_N.  At order N it reads sigma_(N+2), and nothing past it."""
+def _outer_stops(tails, parts, terms, tolerance: float):
+    """The outer rule on pairs x orders arrays of the tail estimates, the
+    order-N parts and their terms: each pair's stop, the first order that
+    ends CONSECUTIVE_SMALL orders in a row whose tail is within tolerance
+    max(1, |sum|) (-1 where none does), and the sums and terms up to each
+    order."""
+    # inf and nan pass without a warning, as in Python's complex arithmetic
+    with np.errstate(all="ignore"):
+        totals = np.cumsum(parts, axis=1)
+        small = tails <= tolerance * np.fmax(1.0, np.abs(totals))
+    # run[:, j]: orders j .. j + CONSECUTIVE_SMALL - 1 are all small; the
+    # column after the last such j is True, so that argmax always finds one
+    width = max(small.shape[1] - CONSECUTIVE_SMALL + 1, 0)
+    run = np.ones((len(small), width + 1), dtype=bool)
+    for k in range(CONSECUTIVE_SMALL):
+        run[:, :width] &= small[:, k:k + width]
+    first = run.argmax(axis=1)
+    stops = np.where(first < width, first + CONSECUTIVE_SMALL - 1, -1)
+    return stops, totals, np.cumsum(terms, axis=1)
 
-    def __init__(self, z: Point2, w: Point2, sigma, tolerance: float):
-        self.sigma, self.tolerance = sigma, tolerance
-        self.dz = z.z1 - z.z2
-        self.dw = complex(w.z1).conjugate() - complex(w.z2).conjugate()
-        self.dzdw = abs(self.dz * self.dw)
-        rz = max(abs(z.z1), abs(z.z2))
-        rw = max(abs(w.z1), abs(w.z2))
-        self.inner_bound = 1.0 / (1.0 - rz * rw)
-        self.order = 0
-        self.total = 0.0 + 0.0j
-        self.terms = 0
-        self.small_streak = 0
-        self.sig_next = sigma(1)
 
-    def add(self, value: complex, terms: int) -> SeriesResult | None:
-        """Take the part of the next order; the sum once it has stopped."""
-        N = self.order
-        self.order += 1
-        self.total += value
-        self.terms += terms
-        sig_after = self.sigma(N + 2)
-        head = self.dzdw ** (N + 1) * self.sig_next * self.inner_bound
-        # the outer terms decay at the asymptotic ratio |dz dw|/4 < 1
-        ratio = min(self.dzdw * sig_after / self.sig_next, 0.999)
-        tail = SAFETY_FACTOR * head / (1.0 - ratio)
-        self.sig_next = sig_after
-        if tail <= self.tolerance * max(1.0, abs(self.total)):
-            self.small_streak += 1
-            if self.small_streak >= CONSECUTIVE_SMALL:
-                return SeriesResult(self.total, self.terms, tail)
-        else:
-            self.small_streak = 0
-        if self.order >= MAX_OUTER_TERMS:
-            raise ConvergenceError(
-                f"full_kernel did not converge in {MAX_OUTER_TERMS} outer "
-                "terms", terms_used=self.terms, tail_estimate=tail)
-        return None
+def _outer_error(terms: int, tail_estimate: float):
+    """The error of an outer series that has not stopped in MAX_OUTER_TERMS
+    orders."""
+    return ConvergenceError(
+        f"full_kernel did not converge in {MAX_OUTER_TERMS} outer terms",
+        terms_used=terms, tail_estimate=tail_estimate)
 
 
 def full_kernel(params: BidiskParams, z: Point2, w: Point2,
                 cfg: TruncationConfig = DEFAULT_CONFIG) -> SeriesResult:
     """Reproducing kernel as the sum over vanishing orders N of q_kernel."""
     _require_bidisk(z, w)
-    outer = _OuterRule(z, w, _sigma_reader(params, cfg), cfg.tolerance)
-    result = None
-    while result is None:
+    (tails,), _ = _outer_tails(params, [(z, w)], cfg)
+    parts = []
+    for N in range(len(tails)):
         # by its module-global name, so that a wrapper installed there
         # (bench/tracer.py) sees every order and its terms
-        part = q_kernel(params, outer.order, z, w, cfg)
-        result = outer.add(part.value, part.terms_used)
-    return result
+        parts.append(q_kernel(params, N, z, w, cfg))
+        (stop,), totals, used = _outer_stops(
+            np.array([tails[:N + 1]]), np.array([[p.value for p in parts]]),
+            np.array([[p.terms_used for p in parts]]), cfg.tolerance)
+        if stop >= 0:
+            return SeriesResult(complex(totals[0, N]), int(used[0, N]),
+                                tails[N])
+    raise _outer_error(sum(p.terms_used for p in parts), tails[-1])
 
 
-# full_kernels runs at most _CHUNK_PAIRS pairs at a time, and a pair at most
-# _ORDER_BLOCK orders at a time, so that its arrays stay small
-_ORDER_BLOCK = 64
+# full_kernels runs at most _CHUNK_PAIRS pairs at a time, to keep arrays small
 _CHUNK_PAIRS = 256
 
 
@@ -267,10 +280,10 @@ def full_kernels(params: BidiskParams, pairs,
                  cfg: TruncationConfig = DEFAULT_CONFIG) -> list:
     """The reproducing kernel at every (z, w) in pairs, in order, each the
     sum over vanishing orders N of q_kernel(params, N, z, w).  The inner
-    series of all (pair, order) cells run as one array recurrence, and each
-    pair's outer rule reads their sums.  Every pair is checked before any
-    series runs; of the pairs that raise, the first one's error is raised,
-    as a loop over the pairs would raise it."""
+    series of all (pair, order) cells run as one array recurrence, and the
+    outer rule reads their sums as one pairs x orders array.  Every pair is
+    checked before any series runs; of the pairs that raise, the first one's
+    error is raised, as a loop over the pairs would raise it."""
     pairs = list(pairs)
     for z, w in pairs:
         _require_bidisk(z, w)
@@ -281,79 +294,64 @@ def full_kernels(params: BidiskParams, pairs,
     return out
 
 
-def _first_block(z: Point2, w: Point2, tolerance: float) -> int:
-    """The orders of a pair's first block.  Its outer terms fall about like
-    (|dz dw|/4)^N times a power of N, and of 288 random pairs (8 weights,
-    radii 0.5 to 0.95) the outer rule stopped within 2 log(tol) /
-    log(|dz dw|/4) + 4 orders on all but one, which needed more than
-    _ORDER_BLOCK.  A guess that falls short costs a second block, never a
-    different result."""
-    dzdw = abs((z.z1 - z.z2) * (complex(w.z1) - complex(w.z2)))
-    guess = (2.0 * math.log(tolerance) / math.log(dzdw / 4.0)
-             if dzdw else 0.0)
-    return max(CONSECUTIVE_SMALL, min(_ORDER_BLOCK, math.ceil(guess) + 4))
-
-
 def _full_kernels_chunk(params: BidiskParams, pairs: list,
                         cfg: TruncationConfig) -> list:
-    """Each pair's outer rule reads its per-order inner sums from blocks of
-    orders; a pair whose rule has not stopped at the end of its block gets
-    _ORDER_BLOCK more orders."""
-    counts = [_first_block(z, w, cfg.tolerance) for z, w in pairs]
-    # every pair reads the same sigma_N, so each is looked up once
-    sigma = cache(_sigma_reader(params, cfg))
-    rules = [_OuterRule(z, w, sigma, cfg.tolerance) for z, w in pairs]
-    results = [None] * len(pairs)
-    errors = {}
-    pending = list(range(len(pairs)))
-    while pending:
-        firsts = [rules[i].order for i in pending]
-        counts = [min(count, MAX_OUTER_TERMS - first)
-                  for count, first in zip(counts, firsts)]
-        sums, terms, tails = (a.tolist() for a in _inner_sums(
-            params, [pairs[i] for i in pending], firsts, counts, cfg))
-        still = []
-        start = 0
-        for i, first, count in zip(pending, firsts, counts):
-            rule = rules[i]
-            try:
-                for k in range(start, start + count):
-                    N = first + k - start
-                    # q_kernel's prefactor, as q_kernel forms it
-                    pref = rule.dz ** N * rule.dw ** N * sigma(N)
-                    if terms[k] < 0:
-                        raise _inner_error(abs(pref) * tails[k])
-                    results[i] = rule.add(pref * sums[k], terms[k])
-                    if results[i] is not None:
-                        break
-                else:
-                    still.append(i)
-            except ConvergenceError as exc:
-                errors[i] = exc
-            start += count
-        pending = still
-        counts = [_ORDER_BLOCK] * len(pending)
-    if errors:
-        raise errors[min(errors)]
-    return results
+    """One _inner_sums pass over the orders 0 .. N_hi of every pair, past
+    which its outer rule cannot run (_outer_tails), and the rule over those
+    cells as pairs x orders arrays."""
+    tails, sig = _outer_tails(params, pairs, cfg)
+    counts = np.array([len(t) for t in tails])
+    # cell (i, N) for N < counts[i]; the cells past a pair's count are never
+    # small and add nothing
+    cells = np.arange(counts.max()) < counts[:, None]
+    pair_of, order = np.nonzero(cells)
+    sums, terms, inner_tails = _inner_sums(params, pairs, pair_of, order, cfg)
+    # q_kernel's prefactors and parts as Python forms them, so that they
+    # round as full_kernel's do: numpy's complex ** and products can differ
+    # in the last bits, which cancelling parts magnify
+    dz = [z.z1 - z.z2 for z, _ in pairs]
+    dw = [complex(w.z1).conjugate() - complex(w.z2).conjugate()
+          for _, w in pairs]
+    prefs = [dz[i] ** N * dw[i] ** N * sig[N]
+             for i, N in zip(pair_of.tolist(), order.tolist())]
+    outer = np.full(cells.shape, np.nan)
+    outer[cells] = np.concatenate(tails)
+    parts = np.zeros(cells.shape, dtype=complex)
+    parts[cells] = [p * s for p, s in zip(prefs, sums.tolist())]
+    cell_terms = np.zeros(cells.shape, dtype=np.int64)
+    cell_terms[cells] = terms
+    stops, totals, used = _outer_stops(outer, parts, cell_terms, cfg.tolerance)
+    # a pair that has not stopped raises at its last order, and an inner
+    # series that did not converge raises when the rule reaches it
+    ends = np.where(stops >= 0, stops, counts - 1)
+    failed = cell_terms < 0
+    fails = np.where(failed.any(axis=1), failed.argmax(axis=1), counts)
+    raising = (fails <= ends) | (stops < 0)
+    if raising.any():
+        i = raising.argmax()
+        if fails[i] <= ends[i]:
+            k = counts[:i].sum() + fails[i]
+            raise _inner_error(abs(prefs[k]) * float(inner_tails[k]))
+        raise _outer_error(int(used[i, ends[i]]), float(outer[i, ends[i]]))
+    rows = np.arange(len(pairs))
+    return [SeriesResult(*result) for result in zip(
+        totals[rows, ends].tolist(), used[rows, ends].tolist(),
+        outer[rows, ends].tolist())]
 
 
-def _inner_sums(params: BidiskParams, pairs: list, firsts: list,
-                counts: list, cfg: TruncationConfig):
-    """q_kernel's inner sum, before the prefactor, for pair i at the orders
-    firsts[i] .. firsts[i] + counts[i] - 1, as flat arrays of these cells in
-    that order: the sums, the terms each used (-1 where MAX_TERMS terms
-    did not converge) and the tail estimate at the last term.  A cell stops
-    after CONSECUTIVE_SMALL terms whose tail is within tolerance, relative
-    to its sum where that exceeds 1, and drops out of the arrays once it has
+def _inner_sums(params: BidiskParams, pairs: list, pair_of, order,
+                cfg: TruncationConfig):
+    """q_kernel's inner sum, before the prefactor, of each cell j, pair
+    pair_of[j] at order order[j] (integer arrays), as flat arrays over the
+    cells: the sums, the terms each used (-1 where MAX_TERMS terms did not
+    converge) and the tail estimate at the last term.  A cell stops after
+    CONSECUTIVE_SMALL terms whose tail is within tolerance, relative to its
+    sum where that exceeds 1, and drops out of the arrays once it has
     stopped."""
     z1, z2, w1, w2 = np.array([(z.z1, z.z2, w.z1, w.z2) for z, w in pairs],
                               dtype=complex).T
-    # cell j is pair pair_of[j] at order order[j]; the recurrence runs on
-    # both halves of one array, c_n(z) of every cell, then conj(c_n(w))
-    pair_of = np.repeat(np.arange(len(pairs)), counts)
-    starts = np.cumsum(counts) - counts
-    order = np.arange(pair_of.size) - np.repeat(starts - firsts, counts)
+    # the recurrence runs on both halves of one array, c_n(z) of every cell,
+    # then conj(c_n(w))
     x1 = np.concatenate([z1[pair_of], w1[pair_of].conj()])
     x2 = np.concatenate([z2[pair_of], w2[pair_of].conj()])
     A = np.tile(params.a + order, 2)

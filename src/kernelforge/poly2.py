@@ -8,6 +8,7 @@ drops exactly-zero coefficients.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import re
 from dataclasses import dataclass, field
@@ -132,7 +133,8 @@ class BiPoly:
         "(re,im)" pairs; bare z1/z2 mean exponent 1.  A term is at most one
         coefficient times powers of z1 and z2 in any order, and the powers
         of a variable multiply: "z2*z1^2*3*z1" is 3 z1^3 z2.  Whitespace is
-        ignored."""
+        ignored, except inside a number or a power ("2 3", "z1^1 2"), where
+        it is a DomainError."""
         return _parse_bipoly(text)
 
     def format(self) -> str:
@@ -160,6 +162,14 @@ _FACTOR_RE = re.compile(
     r"|(?P<star>\*)?(?P<coeff>\([^)]*\)|[0-9.eE+-]+)")
 
 
+# a blank between two characters of one number or one power: "2 3", "1.5 e3",
+# "1e- 3", "z 1", "z1 ^2" or "z1^1 2"; it leads with the blank, which is
+# rarer than digits, so that a search skips ahead quickly
+_SPLIT_NUMBER_RE = re.compile(
+    r"\s(?:(?<=[\d.]\s)\s*[\d.eE^]|(?<=[eE^]\s)\s*\S"
+    r"|(?<=[eE][+-]\s)\s*\d|(?<=z\s)\s*[12])")
+
+
 def _parse_coeff(text: str, term: str) -> complex:
     text = text.strip()
     try:
@@ -182,20 +192,27 @@ def _parse_bipoly(text: str) -> BiPoly:
     if not cleaned:
         raise DomainError("empty polynomial text")
     # split into signed terms at top level (parens only hold coefficients)
-    terms = []
+    cuts = [0]
     depth = 0
-    current = ""
     for i, ch in enumerate(cleaned):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch in "+-" and depth == 0 and i > 0 and cleaned[i - 1] not in "eE(,+-*^":
-            terms.append(current)
-            current = ch
-        else:
-            current += ch
-    terms.append(current)
+        elif (ch in "+-" and depth == 0 and i > 0
+              and cleaned[i - 1] not in "eE(,+-*^"):
+            cuts.append(i)
+    cuts.append(len(cleaned))
+    blank = _SPLIT_NUMBER_RE.search(text)
+    if blank:
+        # the term around the blank, as written; the character before the
+        # blank is the at.index(blank.start() - 1)-th of the cleaned text
+        at = [i for i, ch in enumerate(text) if not ch.isspace()]
+        k = bisect.bisect_right(cuts, at.index(blank.start() - 1)) - 1
+        term = text[at[cuts[k]]:at[cuts[k + 1] - 1] + 1]
+        raise DomainError(f"blank inside a number or power of polynomial "
+                          f"term {term!r}")
+    terms = [cleaned[a:b] for a, b in zip(cuts, cuts[1:])]
 
     out: dict = {}
     for raw in terms:

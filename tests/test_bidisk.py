@@ -12,7 +12,9 @@ from kernelforge.bidisk import (BidiskParams, coeff_a, coeff_b, diag_kernel,
                                 norm_expansion, q_kernel,
                                 restriction_transform, sigma,
                                 sigma_gamma_form, taylor_blocks)
-from kernelforge.config import Point2, TruncationConfig
+from kernelforge.config import (CONSECUTIVE_SMALL, DEFAULT_CONFIG,
+                               MAX_OUTER_TERMS, SAFETY_FACTOR, Point2,
+                               TruncationConfig)
 from kernelforge.errors import ConvergenceError, DomainError
 from kernelforge.fock import (FockParams, coeff_c, fock_norm_expansion,
                               fock_restriction_transform)
@@ -514,14 +516,17 @@ def test_full_kernel_terms_per_order(case, monkeypatch):
     assert (r.terms_used, len(parts), sum(parts)) == (terms, orders, terms)
 
 
-def test_full_kernel_reads_warmed_sigma(monkeypatch):
-    # a series that ends at order N reads sigma up to order N + 2; after
-    # sigma(p.shifted(k)) for those k it must evaluate no 3F2 (the benchmark's
-    # warm-up relies on this)
-    tup, z, w, _, orders = _TERM_CASES["vartheta"]
-    p = BidiskParams(*tup)
+def _outer_ends(params, pairs, cfg=DEFAULT_CONFIG):
+    """Each pair's N_hi: the last order full_kernels runs for it."""
+    tails, _ = bidisk._outer_tails(params, pairs, cfg)
+    return [len(t) - 1 for t in tails]
+
+
+def _assert_reads_sigma_to(monkeypatch, p, last, run):
+    """After sigma(p.shifted(k)) for k <= last, run() evaluates no 3F2, and
+    it has not read sigma at order last + 1."""
     bidisk._sigma_cached.cache_clear()
-    for k in range(orders + 2):
+    for k in range(last + 1):
         sigma(p.shifted(k))
     hyp3f2, calls = bidisk.hyp3f2_unit, []
 
@@ -530,16 +535,28 @@ def test_full_kernel_reads_warmed_sigma(monkeypatch):
         return hyp3f2(*args, **kwargs)
 
     monkeypatch.setattr(bidisk, "hyp3f2_unit", counted)
-    full_kernel(p, z, w)
+    run()
     assert calls == []
-    sigma(p.shifted(orders + 2))
+    sigma(p.shifted(last + 1))
     assert len(calls) == 1
+
+
+def test_full_kernel_reads_warmed_sigma(monkeypatch):
+    # a pair's series reads sigma up to order N_hi + 2, which is never past
+    # MAX_OUTER_TERMS + 1 (the benchmark's warm-up of orders 0..501 relies on
+    # this), and its outer rule stops at or before N_hi
+    tup, z, w, _, orders = _TERM_CASES["vartheta"]
+    p = BidiskParams(*tup)
+    (n_hi,) = _outer_ends(p, [(z, w)])
+    assert orders - 1 <= n_hi <= MAX_OUTER_TERMS - 1
+    _assert_reads_sigma_to(monkeypatch, p, n_hi + 2,
+                           lambda: full_kernel(p, z, w))
 
 
 def _batch_pairs():
     """The pairs of _TERM_CASES, pairs on the diagonal (dz = 0), a
     near-antipodal pair and random pairs up to radius 0.95: costs from 60 to
-    about 96,000 terms, and from 3 to more than one block of orders."""
+    about 96,000 terms, and from 3 to more than 64 orders."""
     pairs = [(z, w) for _, z, w, _, _ in _TERM_CASES.values()]
     pairs += [(Point2(0.6, 0.6), Point2(0.3j, 0.3j)),
               (Point2(0.5 - 0.2j, 0.5 - 0.2j), Point2(0.9, -0.1)),
@@ -555,17 +572,19 @@ def _batch_pairs():
 
 
 def _orders_of(monkeypatch, run):
-    """run() and the orders that each outer rule it made took, in order."""
-    rules, init = [], bidisk._OuterRule.__init__
+    """run() and the orders that each pair's outer rule took, in order, as
+    _outer_stops found them."""
+    orders, stops = [], bidisk._outer_stops
 
-    def recorded(self, *args):
-        init(self, *args)
-        rules.append(self)
+    def recorded(*args):
+        out = stops(*args)
+        orders.extend(N + 1 for N in out[0].tolist() if N >= 0)
+        return out
 
     with monkeypatch.context() as m:
-        m.setattr(bidisk._OuterRule, "__init__", recorded)
+        m.setattr(bidisk, "_outer_stops", recorded)
         out = run()
-    return out, [rule.order for rule in rules]
+    return out, orders
 
 
 @pytest.mark.parametrize("tup", sorted({c[0] for c in _TERM_CASES.values()}))
@@ -581,42 +600,149 @@ def test_full_kernels_match_full_kernel(tup, monkeypatch):
     monkeypatch.setattr(bidisk, "q_kernel", no_q_kernel)
     got, orders = _orders_of(monkeypatch, lambda: full_kernels(p, pairs))
     assert orders == ref_orders
-    assert max(orders) > bidisk._ORDER_BLOCK and min(orders) == 3
+    assert max(orders) > 64 and min(orders) == 3
     for r, g in zip(ref, got):
         assert (g.terms_used, g.tail_bound) == (r.terms_used, r.tail_bound)
         assert abs(g.value - r.value) <= 1e-12 * max(1.0, abs(r.value))
 
 
 def test_full_kernels_are_the_same_in_chunks(monkeypatch):
-    # a pair's result does not depend on the pairs that share its chunk
+    # a pair's result does not depend on the pairs that share its chunk, and
+    # each chunk runs its inner series in one _inner_sums call
     p = BidiskParams(*_TERM_CASES["vartheta"][0])
     pairs = _batch_pairs()
+    inner_sums, calls = bidisk._inner_sums, []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return inner_sums(*args)
+
+    monkeypatch.setattr(bidisk, "_inner_sums", counted)
     one_by_one = [full_kernels(p, [pair])[0] for pair in pairs]
+    assert calls == [1] * len(pairs)
+    calls.clear()
     monkeypatch.setattr(bidisk, "_CHUNK_PAIRS", 5)
     assert full_kernels(p, pairs) == one_by_one
+    assert calls == [5] * 4
 
 
 def test_full_kernels_reads_warmed_sigma(monkeypatch):
-    # as test_full_kernel_reads_warmed_sigma: the orders past the last one a
-    # pair's outer rule takes may run in the arrays, but read no sigma
-    tup = _TERM_CASES["vartheta"][0]
-    p = BidiskParams(*tup)
+    # as test_full_kernel_reads_warmed_sigma: sigma is read up to the
+    # largest N_hi + 2 of the pairs and no further
+    p = BidiskParams(*_TERM_CASES["vartheta"][0])
     pairs = _batch_pairs()
-    _, orders = _orders_of(monkeypatch, lambda: full_kernels(p, pairs))
-    bidisk._sigma_cached.cache_clear()
-    for k in range(max(orders) + 2):
-        sigma(p.shifted(k))
-    hyp3f2, calls = bidisk.hyp3f2_unit, []
+    last = max(_outer_ends(p, pairs)) + 2
+    assert last <= MAX_OUTER_TERMS + 1
+    _assert_reads_sigma_to(monkeypatch, p, last,
+                           lambda: full_kernels(p, pairs))
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return hyp3f2(*args, **kwargs)
 
-    monkeypatch.setattr(bidisk, "hyp3f2_unit", counted)
-    full_kernels(p, pairs)
-    assert calls == []
-    sigma(p.shifted(max(orders) + 2))
-    assert len(calls) == 1
+def _outer_rule_reference(params, z, w, sums, cfg):
+    """The outer rule as a loop over orders N = 0, 1, ... on the inner sums
+    `sums` of orders 0 .. len(sums) - 1: the sum, the order it stopped at
+    and its tail estimate, or None if it did not stop within those orders.
+    Its tail estimate at order N is SAFETY_FACTOR |dz dw|^(N+1) sigma_(N+1)
+    / (1 - rz rw) / (1 - min(|dz dw| sigma_(N+2) / sigma_(N+1), 0.999))."""
+    dz = z.z1 - z.z2
+    dw = complex(w.z1).conjugate() - complex(w.z2).conjugate()
+    rz, rw = max(abs(z.z1), abs(z.z2)), max(abs(w.z1), abs(w.z2))
+    sig = [sigma(params.shifted(N), cfg) for N in range(len(sums) + 2)]
+    total, streak = 0j, 0
+    for N, inner in enumerate(sums):
+        total += dz ** N * dw ** N * sig[N] * inner
+        ratio = min(abs(dz * dw) * sig[N + 2] / sig[N + 1], 0.999)
+        tail = (SAFETY_FACTOR * abs(dz * dw) ** (N + 1) * sig[N + 1]
+                / (1 - rz * rw) / (1 - ratio))
+        small = tail <= cfg.tolerance * max(1, abs(total))
+        streak = streak + 1 if small else 0
+        if streak == CONSECUTIVE_SMALL:
+            return total, N, tail
+    return None
+
+
+def _bound_pairs():
+    """Pairs on the diagonal (dz = 0), a near-antipodal pair, which takes
+    more than 64 orders, and random pairs up to radius 0.99."""
+    pairs = [(Point2(0.99, 0.99), Point2(0.5j, 0.5j)),
+             (Point2(0.2 - 0.3j, 0.6), Point2(-0.98j, -0.98j)),
+             (Point2(0.93, -0.93), Point2(0.93j, -0.93j))]
+    rng = np.random.default_rng(20061)
+    for _ in range(12):
+        c = (0.99 * np.sqrt(rng.uniform(size=4))
+             * np.exp(2j * np.pi * rng.uniform(size=4)))
+        pairs.append((Point2(complex(c[0]), complex(c[1])),
+                      Point2(complex(c[2]), complex(c[3]))))
+    return pairs
+
+
+@pytest.mark.parametrize("tolerance", [1e-6, 1e-10, 1e-14])
+def test_outer_rule_stops_within_its_bound(tolerance):
+    # the outer rule's threshold is never below the tolerance, so it stops
+    # at or before N_hi, the first order that ends CONSECUTIVE_SMALL tails
+    # within the tolerance: full_kernels, which runs orders 0 .. N_hi alone,
+    # returns what the rule over those orders returns
+    cfg = TruncationConfig(tolerance)
+    p = BidiskParams(*_TERM_CASES["vartheta"][0])
+    pairs = _bound_pairs()
+    n_hi = _outer_ends(p, pairs, cfg)
+    sums, terms, _ = bidisk._inner_sums(
+        p, pairs, np.repeat(np.arange(len(pairs)), np.add(n_hi, 1)),
+        np.concatenate([np.arange(n + 1) for n in n_hi]), cfg)
+    got = full_kernels(p, pairs, cfg)
+    assert min(n_hi) == CONSECUTIVE_SMALL - 1 and max(n_hi) > 64
+    start = 0
+    for (z, w), n, g in zip(pairs, n_hi, got):
+        ref = _outer_rule_reference(
+            p, z, w, sums[start:start + n + 1].tolist(), cfg)
+        assert ref is not None
+        total, stop, tail = ref
+        assert stop <= n
+        assert g.terms_used == terms[start:start + stop + 1].sum()
+        assert g.tail_bound == pytest.approx(tail, rel=1e-14)
+        assert abs(g.value - total) <= 1e-13 * max(1.0, abs(total))
+        start += n + 1
+
+
+def test_full_kernels_raise_at_max_outer_terms(monkeypatch):
+    # |dz dw| = 3.92, so the outer terms fall by about 0.98 per order and the
+    # rule has not stopped after MAX_OUTER_TERMS orders; the terms and the
+    # estimate are those of a loop of the outer rule over the orders, and
+    # sigma is read up to order MAX_OUTER_TERMS + 1 and no further
+    p = BidiskParams(1.0, 0.5, 0.0, 0.0)
+    pair = (Point2(0.99, -0.99), Point2(0.99j, -0.99j))
+    errors = []
+
+    def run():
+        with pytest.raises(ConvergenceError) as info:
+            full_kernels(p, [pair])
+        errors.append(info.value)
+
+    _assert_reads_sigma_to(monkeypatch, p, MAX_OUTER_TERMS + 1, run)
+    (exc,) = errors
+    assert str(exc) == "full_kernel did not converge in 500 outer terms"
+    assert exc.terms_used == 724894
+    assert exc.tail_estimate == pytest.approx(2695226514.0014634, rel=1e-12)
+
+
+@pytest.mark.parametrize("tup, tail", [
+    ((0.0, 4.0, 0.0, 0.0), 1952.3947885786088),
+    ((0.3, 0.7, 1.0, 0.5), 5.468616443555659),
+    ((1.0, 0.5, 0.0, 0.0), 89.58171902344006)])
+def test_full_kernel_and_full_kernels_raise_at_the_order_cap(tup, tail,
+                                                            monkeypatch):
+    # with 20 orders at most, the first pair needs more; both paths raise
+    # the error of a loop of the outer rule over the orders
+    monkeypatch.setattr(bidisk, "MAX_OUTER_TERMS", 20)
+    p = BidiskParams(*tup)
+    z, w = _batch_pairs()[0]
+    for run in (lambda: full_kernel(p, z, w),
+                lambda: full_kernels(p, _batch_pairs())):
+        with pytest.raises(ConvergenceError) as info:
+            run()
+        assert str(info.value) == ("full_kernel did not converge in 20 "
+                                   "outer terms")
+        assert info.value.terms_used == 1400
+        assert info.value.tail_estimate == pytest.approx(tail, rel=1e-12)
 
 
 def test_full_kernels_check_every_pair_first(monkeypatch):

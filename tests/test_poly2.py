@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from kernelforge.errors import DivisibilityError, DomainError
@@ -87,3 +89,14 @@ def test_parse_rejects_garbage():
     for text in ("z3 + 1", "", "2*3*z1", "z12", "z1 +"):
         with pytest.raises(DomainError):
             BiPoly.parse(text)
+    # a blank between two characters of one number or one power is refused
+    # by name; blanks elsewhere are ignored
+    for text, term in (("2 3*z1", "2 3*z1"), ("z2 - z1^1 2", "- z1^1 2"),
+                       ("1.5 e3*z1", "1.5 e3*z1"), ("1e- 3*z2", "1e- 3*z2"),
+                       ("1 .5*z1", "1 .5*z1"), ("z 1^2", "z 1^2"),
+                       ("z1 ^2", "z1 ^2"), ("(1 2,3)*z1", "(1 2,3)*z1"),
+                       ("z2 + (1, 2. 5)*z1", "+ (1, 2. 5)*z1")):
+        with pytest.raises(DomainError, match=re.escape(repr(term))):
+            BiPoly.parse(text)
+    f = BiPoly.parse(" 2 * z1^2*z2 - ( 1 , -2.5e-1 ) * z2 +3\n")
+    assert f.coeffs == {(2, 1): 2, (0, 1): complex(-1, 0.25), (0, 0): 3}
