@@ -490,15 +490,15 @@ def _binomial_table(size: int) -> np.ndarray:
     """C(m, j) as floats for 0 <= m, j < size, by Pascal's rule; exact while
     finite, which they are below m = 1030 (DomainError from there)."""
     global _binomials
+    if size > 1030:
+        # every C(1029, j) is finite in double precision, C(1030, 515) is not
+        raise DomainError(f"binomial coefficients C({size - 1}, j) are "
+                          f"not finite in double precision")
     if len(_binomials) < size:
         binom = np.zeros((size, size))
         binom[:, 0] = 1.0
-        with np.errstate(over="ignore"):
-            for m in range(1, size):
-                binom[m, 1:] = binom[m - 1, 1:] + binom[m - 1, :-1]
-        if not np.isfinite(binom).all():
-            raise DomainError(f"binomial coefficients C({size - 1}, j) are "
-                              f"not finite in double precision")
+        for m in range(1, size):
+            binom[m, 1:] = binom[m - 1, 1:] + binom[m - 1, :-1]
         _binomials = binom
     return _binomials[:size, :size]
 

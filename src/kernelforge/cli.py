@@ -315,8 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     n = subs.add_parser("norm-expand", help="orthogonal norm decomposition")
     _add_space_args(n)
-    n.add_argument("--poly", help='polynomial, e.g. "z1 - z2" or "(1,2)*z1^2"')
-    n.add_argument("--poly-file")
+    poly = n.add_mutually_exclusive_group()
+    poly.add_argument("--poly",
+                      help='polynomial, e.g. "z1 - z2" or "(1,2)*z1^2"')
+    poly.add_argument("--poly-file")
     n.add_argument("--oracle", action="store_true")
     n.set_defaults(func=cmd_norm_expand)
 

@@ -8,7 +8,6 @@ drops exactly-zero coefficients.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import re
 from dataclasses import dataclass, field
@@ -129,12 +128,8 @@ class BiPoly:
 
     @classmethod
     def parse(cls, text: str) -> "BiPoly":
-        """Parse "c*z1^m*z2^n + ..."; coefficients are plain reals or
-        "(re,im)" pairs; bare z1/z2 mean exponent 1.  A term is at most one
-        coefficient times powers of z1 and z2 in any order, and the powers
-        of a variable multiply: "z2*z1^2*3*z1" is 3 z1^3 z2.  Whitespace is
-        ignored, except inside a number or a power ("2 3", "z1^1 2"), where
-        it is a DomainError."""
+        """Terms c*z1^m*z2^n joined by + or -, factors in any order, c real,
+        (re,im) or none; * optional before z; no blank in a number or power."""
         return _parse_bipoly(text)
 
     def format(self) -> str:
@@ -142,10 +137,9 @@ class BiPoly:
             return "0"
         parts = []
         for (m, n), c in sorted(self.coeffs.items()):
-            if c.imag == 0:
-                coeff = f"{c.real:g}"
-            else:
-                coeff = f"({c.real:g},{c.imag:g})"
+            # the shortest texts that read back as the parts
+            re_, im = (repr(x).removesuffix(".0") for x in (c.real, c.imag))
+            coeff = re_ if c.imag == 0 else f"({re_},{im})"
             factors = [coeff]
             if m:
                 factors.append(f"z1^{m}" if m > 1 else "z1")
@@ -155,29 +149,36 @@ class BiPoly:
         return " + ".join(parts)
 
 
-# one factor of a term: a power of z1 or z2, with or without a "*" before
-# it, or the coefficient, with a "*" before it unless it leads the term
+# a "+" or "-" that starts a term: the last non-blank character before it
+# ends a factor, so it is not an exponent's sign or a sign after "(", ",",
+# "*", "^" or another sign
+_CUT_RE = re.compile(r"(?<=[^\seE(,+*^-])\s*(?=[+-])")
+
+# the signs that lead a term, and the blanks among them
+_SIGNS_RE = re.compile(r"[\s+-]*")
+
+# one factor of a term after any blanks: a power of z1 or z2, with or without
+# a "*" before it, or the coefficient, a "(re,im)" pair or a real number, with
+# a "*" before it unless it leads the term; a blank may follow a "*" or a
+# number's sign, but no blank splits a number or a power
 _FACTOR_RE = re.compile(
-    r"\*?z(?P<var>[12])(\^(?P<power>\d+))?"
-    r"|(?P<star>\*)?(?P<coeff>\([^)]*\)|[0-9.eE+-]+)")
+    r"\s*(?P<star>\*\s*)?(?:z(?P<var>[12])(?:\^(?P<power>\d+))?"
+    r"|(?P<coeff>\((?P<re>[^,)]*),(?P<im>[^,)]*)\)|[+-]?\s*[0-9.eE+-]+))")
 
 
-# a blank between two characters of one number or one power: "2 3", "1.5 e3",
-# "1e- 3", "z 1", "z1 ^2" or "z1^1 2"; it leads with the blank, which is
-# rarer than digits, so that a search skips ahead quickly
-_SPLIT_NUMBER_RE = re.compile(
-    r"\s(?:(?<=[\d.]\s)\s*[\d.eE^]|(?<=[eE^]\s)\s*\S"
-    r"|(?<=[eE][+-]\s)\s*\d|(?<=z\s)\s*[12])")
-
-
-def _parse_coeff(text: str, term: str) -> complex:
+def _number(text: str) -> float:
+    # float() takes blanks around a number, but not after its sign
     text = text.strip()
+    if text.startswith(("+", "-")):
+        text = text[0] + text[1:].lstrip()
+    return float(text)
+
+
+def _parse_coeff(match: re.Match, term: str) -> complex:
+    text = match["coeff"]
+    parts = (text,) if match["re"] is None else (match["re"], match["im"])
     try:
-        if text.startswith("(") and text.endswith(")"):
-            re_, im = text[1:-1].split(",")
-            value = complex(float(re_), float(im))
-        else:
-            value = complex(float(text))
+        value = complex(*map(_number, parts))
     except ValueError:
         raise DomainError(f"cannot parse coefficient {text!r} of polynomial "
                           f"term {term!r}") from None
@@ -188,54 +189,28 @@ def _parse_coeff(text: str, term: str) -> complex:
 
 
 def _parse_bipoly(text: str) -> BiPoly:
-    cleaned = "".join(text.split())
-    if not cleaned:
+    if not text.strip():
         raise DomainError("empty polynomial text")
-    # split into signed terms at top level (parens only hold coefficients)
-    cuts = [0]
-    depth = 0
-    for i, ch in enumerate(cleaned):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif (ch in "+-" and depth == 0 and i > 0
-              and cleaned[i - 1] not in "eE(,+-*^"):
-            cuts.append(i)
-    cuts.append(len(cleaned))
-    blank = _SPLIT_NUMBER_RE.search(text)
-    if blank:
-        # the term around the blank, as written; the character before the
-        # blank is the at.index(blank.start() - 1)-th of the cleaned text
-        at = [i for i, ch in enumerate(text) if not ch.isspace()]
-        k = bisect.bisect_right(cuts, at.index(blank.start() - 1)) - 1
-        term = text[at[cuts[k]]:at[cuts[k + 1] - 1] + 1]
-        raise DomainError(f"blank inside a number or power of polynomial "
-                          f"term {term!r}")
-    terms = [cleaned[a:b] for a, b in zip(cuts, cuts[1:])]
-
     out: dict = {}
-    for raw in terms:
-        term = raw
-        sign = 1.0
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -sign
-            term = term[1:]
-        coeffs, powers, pos = [], [0, 0], 0
+    for term in _CUT_RE.split(text):
+        term = term.strip()
+        signs = _SIGNS_RE.match(term)
+        sign = -1.0 if signs[0].count("-") % 2 else 1.0
+        coeff, powers, start = None, [0, 0], signs.end()
+        pos = start
         while pos < len(term):
             match = _FACTOR_RE.match(term, pos)
-            if not match or (match["coeff"] is not None
-                             and bool(pos) != bool(match["star"])):
-                raise DomainError(f"cannot parse polynomial term: {raw!r}")
+            if not match or (match["coeff"] is not None and (
+                    coeff is not None or bool(match["star"]) != (pos > start))):
+                raise DomainError(f"cannot parse polynomial term: {term!r}")
             if match["var"]:
                 powers[int(match["var"]) - 1] += int(match["power"] or 1)
             else:
-                coeffs.append(match["coeff"])
+                coeff = match
             pos = match.end()
-        if not term or len(coeffs) > 1:
-            raise DomainError(f"cannot parse polynomial term: {raw!r}")
-        coeff = _parse_coeff(coeffs[0], raw) if coeffs else complex(1.0)
+        if pos == start:
+            raise DomainError(f"cannot parse polynomial term: {term!r}")
+        value = _parse_coeff(coeff, term) if coeff else complex(1.0)
         key = tuple(powers)
-        out[key] = out.get(key, 0) + sign * coeff
+        out[key] = out.get(key, 0) + sign * value
     return BiPoly(out)

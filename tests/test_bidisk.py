@@ -358,6 +358,22 @@ def test_transforms_match_derivative_arithmetic():
                         <= 1e-13 * ref.max_abs_coeff())
 
 
+def test_binomial_table_refuses_a_power_past_1029_before_building_it(capsys):
+    # z1^(10^20) ended in numpy's "Maximum allowed dimension exceeded", and
+    # z1^40000 would have built a 12.8 GB table to refuse it
+    one = np.ones(1)
+    f = BiPoly.parse("z1^1029")
+    assert bidisk.diagonal_transform(f, 0, one).coeffs == f.coeffs
+    for text in ("z1^1030", f"z1^{10 ** 20}"):
+        with pytest.raises(DomainError, match="not finite in double"):
+            bidisk.diagonal_transform(BiPoly.parse(text), 0, one)
+    for space in ("bidisk", "fock"):
+        assert cli.main(["norm-expand", "--space", space, "--alpha", "0.5",
+                         "--beta", "0.5", "--poly", f"z1^{10 ** 20}"]
+                        ) == cli.EXIT_DOMAIN
+    assert "not finite in double" in capsys.readouterr().err
+
+
 def test_expansions_take_no_derivatives(capsys, monkeypatch):
     # the transforms read one binomial matrix product per order; a path
     # that falls back to derivative arithmetic is several times slower

@@ -204,6 +204,18 @@ def test_norm_expand_poly_file(capsys, tmp_path):
     assert json.loads(out)["items"][-1]["value"][0] == pytest.approx(2.0)
 
 
+def test_norm_expand_takes_poly_or_poly_file_not_both(capsys, tmp_path):
+    # --poly was ignored when --poly-file was also given
+    pf = tmp_path / "f.txt"
+    pf.write_text("z1^2\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["norm-expand", "--space", "fock", "--alpha", "1",
+                  "--beta", "1", "--poly", "z2", "--poly-file", str(pf)])
+    assert exc.value.code == 2
+    assert ("argument --poly-file: not allowed with argument --poly"
+            in capsys.readouterr().err)
+
+
 def test_verify_suite(capsys):
     code, out, _ = run(capsys, ["verify", "delta-identities"])
     assert code == 0
