@@ -20,14 +20,14 @@ term, and no cancellation when z1 and z2 point apart, unlike the binomial
 sum (_c_coeffs, which only taylor_blocks uses).  _inner_sums is the one loop
 that sums the inner series: it runs the recurrence of many (pair, order)
 cells as one numpy array recurrence, whose coefficients and geometric tail
-advance by one addition or product per term.  _outer_tails bounds each
-pair's orders from sigma_N before any series runs, full_kernels runs those
-orders of all its pairs in one _inner_sums pass, and _outer_stops applies
-the outer rule to all of them at once.  q_kernel is one cell of _inner_sums
-times its prefactor, and full_kernel calls it one order at a time under the
-same tails and stop test.  sigma has one cache, keyed by the weight's four
-exponents and the truncation settings, so sigma(params.shifted(N)) and the
-order-N reads of the kernels share entries and a warm series builds no
+advance by one addition or product per term.  The outer sum stops once:
+_outer_tails fixes each pair's last order N_hi from the points and sigma_N
+before any series runs, and the kernel is the sum of the orders 0 .. N_hi.
+full_kernels runs those orders of all its pairs in one _inner_sums pass;
+q_kernel is one cell of _inner_sums times its prefactor, and full_kernel
+calls it one order at a time.  sigma has one cache, keyed by the weight's
+four exponents and the truncation settings, so sigma(params.shifted(N)) and
+the order-N reads of the kernels share entries and a warm series builds no
 BidiskParams.
 """
 
@@ -194,10 +194,9 @@ def _outer_tails(params: BidiskParams, pairs: list, cfg: TruncationConfig):
     they read.  t_N = SAFETY_FACTOR head / (1 - ratio) takes the next
     order's term as head = |dz dw|^(N+1) sigma_(N+1) / (1 - rz rw), which
     assumes an inner sum of at most 1/(1 - rz rw), and the decay ratio from
-    the next two sigma_N.  N_hi ends the first CONSECUTIVE_SMALL orders in a
-    row with t_N <= tolerance (or is MAX_OUTER_TERMS - 1): the rule's
-    threshold tolerance max(1, |sum|) is never below the tolerance, as
-    max(1.0, nan) is 1.0, so the rule stops at or before N_hi."""
+    the next two sigma_N.  N_hi, the pair's last order, ends the first
+    CONSECUTIVE_SMALL orders in a row with t_N <= tolerance; a pair without
+    one in MAX_OUTER_TERMS orders raises ConvergenceError."""
     al, be, th, vt = params.alpha, params.beta, params.theta, params.vartheta
     sig = [_sigma_cached(al, be, th + N, vt, cfg).value.real for N in (0, 1)]
     out = []
@@ -220,56 +219,25 @@ def _outer_tails(params: BidiskParams, pairs: list, cfg: TruncationConfig):
             streak = streak + 1 if tails[-1] <= cfg.tolerance else 0
             if streak == CONSECUTIVE_SMALL:
                 break
+        else:
+            raise ConvergenceError(
+                f"full_kernel did not converge in {MAX_OUTER_TERMS} outer "
+                f"terms", terms_used=0, tail_estimate=tails[-1])
         out.append(tails)
     return out, sig
 
 
-def _outer_stops(tails, parts, terms, tolerance: float):
-    """The outer rule on pairs x orders arrays of the tail estimates, the
-    order-N parts and their terms: each pair's stop, the first order that
-    ends CONSECUTIVE_SMALL orders in a row whose tail is within tolerance
-    max(1, |sum|) (-1 where none does), and the sums and terms up to each
-    order."""
-    # inf and nan pass without a warning, as in Python's complex arithmetic
-    with np.errstate(all="ignore"):
-        totals = np.cumsum(parts, axis=1)
-        small = tails <= tolerance * np.fmax(1.0, np.abs(totals))
-    # run[:, j]: orders j .. j + CONSECUTIVE_SMALL - 1 are all small; the
-    # column after the last such j is True, so that argmax always finds one
-    width = max(small.shape[1] - CONSECUTIVE_SMALL + 1, 0)
-    run = np.ones((len(small), width + 1), dtype=bool)
-    for k in range(CONSECUTIVE_SMALL):
-        run[:, :width] &= small[:, k:k + width]
-    first = run.argmax(axis=1)
-    stops = np.where(first < width, first + CONSECUTIVE_SMALL - 1, -1)
-    return stops, totals, np.cumsum(terms, axis=1)
-
-
-def _outer_error(terms: int, tail_estimate: float):
-    """The error of an outer series that has not stopped in MAX_OUTER_TERMS
-    orders."""
-    return ConvergenceError(
-        f"full_kernel did not converge in {MAX_OUTER_TERMS} outer terms",
-        terms_used=terms, tail_estimate=tail_estimate)
-
-
 def full_kernel(params: BidiskParams, z: Point2, w: Point2,
                 cfg: TruncationConfig = DEFAULT_CONFIG) -> SeriesResult:
-    """Reproducing kernel as the sum over vanishing orders N of q_kernel."""
+    """Reproducing kernel as the sum of q_kernel over the vanishing orders
+    0 .. N_hi (_outer_tails), with the tail estimate at N_hi."""
     _require_bidisk(z, w)
     (tails,), _ = _outer_tails(params, [(z, w)], cfg)
-    parts = []
-    for N in range(len(tails)):
-        # by its module-global name, so that a wrapper installed there
-        # (bench/tracer.py) sees every order and its terms
-        parts.append(q_kernel(params, N, z, w, cfg))
-        (stop,), totals, used = _outer_stops(
-            np.array([tails[:N + 1]]), np.array([[p.value for p in parts]]),
-            np.array([[p.terms_used for p in parts]]), cfg.tolerance)
-        if stop >= 0:
-            return SeriesResult(complex(totals[0, N]), int(used[0, N]),
-                                tails[N])
-    raise _outer_error(sum(p.terms_used for p in parts), tails[-1])
+    # by its module-global name, so that a wrapper installed there
+    # (bench/tracer.py) sees every order and its terms
+    parts = [q_kernel(params, N, z, w, cfg) for N in range(len(tails))]
+    return SeriesResult(sum(p.value for p in parts),
+                        sum(p.terms_used for p in parts), tails[-1])
 
 
 # full_kernels runs at most _CHUNK_PAIRS pairs at a time, to keep arrays small
@@ -278,33 +246,34 @@ _CHUNK_PAIRS = 256
 
 def full_kernels(params: BidiskParams, pairs,
                  cfg: TruncationConfig = DEFAULT_CONFIG) -> list:
-    """The reproducing kernel at every (z, w) in pairs, in order, each the
-    sum over vanishing orders N of q_kernel(params, N, z, w).  The inner
-    series of all (pair, order) cells run as one array recurrence, and the
-    outer rule reads their sums as one pairs x orders array.  Every pair is
-    checked before any series runs; of the pairs that raise, the first one's
-    error is raised, as a loop over the pairs would raise it."""
+    """The reproducing kernel at every (z, w) in pairs, in order, each
+    full_kernel(params, z, w): the sum over the vanishing orders 0 .. N_hi
+    of q_kernel, with the inner series of all (pair, order) cells run as one
+    array recurrence.  Every pair is checked, and its N_hi found, before any
+    series runs, so a pair whose outer series cannot stop raises even where
+    an earlier pair's inner series would fail; of the inner series that
+    fail, the first pair's first one raises, as a loop over full_kernel
+    would raise it."""
     pairs = list(pairs)
     for z, w in pairs:
         _require_bidisk(z, w)
+    tails, sig = _outer_tails(params, pairs, cfg)
     out = []
     for start in range(0, len(pairs), _CHUNK_PAIRS):
-        out += _full_kernels_chunk(params, pairs[start:start + _CHUNK_PAIRS],
+        chunk = slice(start, start + _CHUNK_PAIRS)
+        out += _full_kernels_chunk(params, pairs[chunk], tails[chunk], sig,
                                    cfg)
     return out
 
 
-def _full_kernels_chunk(params: BidiskParams, pairs: list,
-                        cfg: TruncationConfig) -> list:
-    """One _inner_sums pass over the orders 0 .. N_hi of every pair, past
-    which its outer rule cannot run (_outer_tails), and the rule over those
-    cells as pairs x orders arrays."""
-    tails, sig = _outer_tails(params, pairs, cfg)
+def _full_kernels_chunk(params: BidiskParams, pairs: list, tails: list,
+                        sig: list, cfg: TruncationConfig) -> list:
+    """One _inner_sums pass over the orders 0 .. N_hi of every pair, each
+    pair's tail estimates `tails` from _outer_tails, and each pair's sum of
+    its orders."""
     counts = np.array([len(t) for t in tails])
-    # cell (i, N) for N < counts[i]; the cells past a pair's count are never
-    # small and add nothing
-    cells = np.arange(counts.max()) < counts[:, None]
-    pair_of, order = np.nonzero(cells)
+    # cell (i, N) for N < counts[i], in pair order
+    pair_of, order = np.nonzero(np.arange(counts.max()) < counts[:, None])
     sums, terms, inner_tails = _inner_sums(params, pairs, pair_of, order, cfg)
     # q_kernel's prefactors and parts as Python forms them, so that they
     # round as full_kernel's do: numpy's complex ** and products can differ
@@ -314,29 +283,19 @@ def _full_kernels_chunk(params: BidiskParams, pairs: list,
           for _, w in pairs]
     prefs = [dz[i] ** N * dw[i] ** N * sig[N]
              for i, N in zip(pair_of.tolist(), order.tolist())]
-    outer = np.full(cells.shape, np.nan)
-    outer[cells] = np.concatenate(tails)
-    parts = np.zeros(cells.shape, dtype=complex)
-    parts[cells] = [p * s for p, s in zip(prefs, sums.tolist())]
-    cell_terms = np.zeros(cells.shape, dtype=np.int64)
-    cell_terms[cells] = terms
-    stops, totals, used = _outer_stops(outer, parts, cell_terms, cfg.tolerance)
-    # a pair that has not stopped raises at its last order, and an inner
-    # series that did not converge raises when the rule reaches it
-    ends = np.where(stops >= 0, stops, counts - 1)
-    failed = cell_terms < 0
-    fails = np.where(failed.any(axis=1), failed.argmax(axis=1), counts)
-    raising = (fails <= ends) | (stops < 0)
-    if raising.any():
-        i = raising.argmax()
-        if fails[i] <= ends[i]:
-            k = counts[:i].sum() + fails[i]
-            raise _inner_error(abs(prefs[k]) * float(inner_tails[k]))
-        raise _outer_error(int(used[i, ends[i]]), float(outer[i, ends[i]]))
-    rows = np.arange(len(pairs))
-    return [SeriesResult(*result) for result in zip(
-        totals[rows, ends].tolist(), used[rows, ends].tolist(),
-        outer[rows, ends].tolist())]
+    failed = np.flatnonzero(terms < 0)
+    if failed.size:
+        k = failed[0]
+        raise _inner_error(abs(prefs[k]) * float(inner_tails[k]))
+    parts = [p * s for p, s in zip(prefs, sums.tolist())]
+    terms = terms.tolist()
+    out, start = [], 0
+    for t in tails:
+        end = start + len(t)
+        out.append(SeriesResult(sum(parts[start:end]),
+                                sum(terms[start:end]), t[-1]))
+        start = end
+    return out
 
 
 def _inner_sums(params: BidiskParams, pairs: list, pair_of, order,
@@ -482,16 +441,19 @@ def _binomial_weights(a: float, b: float, s: float, N: int) -> np.ndarray:
             * np.cumprod(np.concatenate(([1.0], (b + N - 1.0 - i) / den))))
 
 
+# the largest total degree of a polynomial that a norm expansion takes, in
+# every space: every C(1029, j) is finite in double precision, C(1030, 515)
+# is not
+MAX_DEGREE = 1029
 # C(m, j) as floats for 0 <= m, j < its size, grown by _binomial_table
 _binomials = np.ones((1, 1))
 
 
 def _binomial_table(size: int) -> np.ndarray:
     """C(m, j) as floats for 0 <= m, j < size, by Pascal's rule; exact while
-    finite, which they are below m = 1030 (DomainError from there)."""
+    finite, which they are for m <= MAX_DEGREE (DomainError past it)."""
     global _binomials
-    if size > 1030:
-        # every C(1029, j) is finite in double precision, C(1030, 515) is not
+    if size > MAX_DEGREE + 1:
         raise DomainError(f"binomial coefficients C({size - 1}, j) are "
                           f"not finite in double precision")
     if len(_binomials) < size:

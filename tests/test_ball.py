@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelforge import bidisk, fock, oracle
+from kernelforge import bidisk, cli, fock, oracle
 from kernelforge.ball import (BallParams, ball_full_kernel,
                               ball_full_kernel_series,
                               ball_hardy_norm_expansion, ball_norm_expansion,
@@ -53,9 +54,34 @@ def test_norm_expansion_examples():
     sep = (ball_norm_expansion(p, BiPoly.parse("z1")).total
            + ball_norm_expansion(p, BiPoly.parse("z2")).total)
     assert cross == pytest.approx(sep, rel=1e-12)
-    # f = 0 has no vanishing orders, and its total was the int 0
-    zero = ball_norm_expansion(p, BiPoly.parse("0")).total
-    assert type(zero) is float and zero == 0.0
+    # f = 0 reports order 0, as in the other spaces, and a float total
+    zero = ball_norm_expansion(p, BiPoly.parse("0"))
+    assert zero.terms == ((0, 0.0),)
+    assert type(zero.total) is float and zero.total == 0.0
+    assert ball_hardy_norm_expansion(0.0, 0.0, BiPoly.parse("0")).terms == (
+        (0, 0.0),)
+
+
+def test_norm_expansions_refuse_a_degree_past_1029(capsys):
+    # a loop over every order or power would not end on z2^(10^20) or
+    # z1^(10^20); the ball takes the polynomials that the bidisk and
+    # Gaussian space take
+    p = BallParams(0.5, 0.5, 0.0)
+    f = BiPoly.parse("z2^1029")
+    assert ball_norm_expansion(p, f).terms[-1][0] == 1029
+    assert ball_hardy_norm_expansion(0.5, 0.0, f).terms[-1][0] == 1029
+    for text in (f"z2^{10 ** 20}", f"z1^{10 ** 20}", "z2^100000000",
+                 "z1^1030", "z1^515*z2^515"):
+        start = time.perf_counter()
+        f = BiPoly.parse(text)
+        for expand in (lambda: ball_norm_expansion(p, f),
+                       lambda: ball_hardy_norm_expansion(0.5, 0.0, f)):
+            with pytest.raises(DomainError, match="exceeds 1029"):
+                expand()
+        assert cli.main(["norm-expand", "--space", "ball", "--alpha", "0.5",
+                         "--beta", "0.5", "--poly", text]) == cli.EXIT_DOMAIN
+        assert time.perf_counter() - start < 1.0
+    assert "exceeds 1029" in capsys.readouterr().err
 
 
 def test_norm_expansion_against_oracle():

@@ -560,11 +560,11 @@ def _assert_reads_sigma_to(monkeypatch, p, last, run):
 def test_full_kernel_reads_warmed_sigma(monkeypatch):
     # a pair's series reads sigma up to order N_hi + 2, which is never past
     # MAX_OUTER_TERMS + 1 (the benchmark's warm-up of orders 0..501 relies on
-    # this), and its outer rule stops at or before N_hi
+    # this), and it sums the orders 0 .. N_hi
     tup, z, w, _, orders = _TERM_CASES["vartheta"]
     p = BidiskParams(*tup)
     (n_hi,) = _outer_ends(p, [(z, w)])
-    assert orders - 1 <= n_hi <= MAX_OUTER_TERMS - 1
+    assert orders - 1 == n_hi <= MAX_OUTER_TERMS - 1
     _assert_reads_sigma_to(monkeypatch, p, n_hi + 2,
                            lambda: full_kernel(p, z, w))
 
@@ -588,17 +588,17 @@ def _batch_pairs():
 
 
 def _orders_of(monkeypatch, run):
-    """run() and the orders that each pair's outer rule took, in order, as
-    _outer_stops found them."""
-    orders, stops = [], bidisk._outer_stops
+    """run() and the orders that each pair's outer series took, in order, as
+    _outer_tails fixed them."""
+    orders, outer_tails = [], bidisk._outer_tails
 
     def recorded(*args):
-        out = stops(*args)
-        orders.extend(N + 1 for N in out[0].tolist() if N >= 0)
+        out = outer_tails(*args)
+        orders.extend(len(t) for t in out[0])
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(bidisk, "_outer_stops", recorded)
+        m.setattr(bidisk, "_outer_tails", recorded)
         out = run()
     return out, orders
 
@@ -658,7 +658,9 @@ def _outer_rule_reference(params, z, w, sums, cfg):
     `sums` of orders 0 .. len(sums) - 1: the sum, the order it stopped at
     and its tail estimate, or None if it did not stop within those orders.
     Its tail estimate at order N is SAFETY_FACTOR |dz dw|^(N+1) sigma_(N+1)
-    / (1 - rz rw) / (1 - min(|dz dw| sigma_(N+2) / sigma_(N+1), 0.999))."""
+    / (1 - rz rw) / (1 - min(|dz dw| sigma_(N+2) / sigma_(N+1), 0.999)), and
+    it stops after CONSECUTIVE_SMALL estimates in a row within the
+    tolerance."""
     dz = z.z1 - z.z2
     dw = complex(w.z1).conjugate() - complex(w.z2).conjugate()
     rz, rw = max(abs(z.z1), abs(z.z2)), max(abs(w.z1), abs(w.z2))
@@ -669,8 +671,7 @@ def _outer_rule_reference(params, z, w, sums, cfg):
         ratio = min(abs(dz * dw) * sig[N + 2] / sig[N + 1], 0.999)
         tail = (SAFETY_FACTOR * abs(dz * dw) ** (N + 1) * sig[N + 1]
                 / (1 - rz * rw) / (1 - ratio))
-        small = tail <= cfg.tolerance * max(1, abs(total))
-        streak = streak + 1 if small else 0
+        streak = streak + 1 if tail <= cfg.tolerance else 0
         if streak == CONSECUTIVE_SMALL:
             return total, N, tail
     return None
@@ -693,10 +694,9 @@ def _bound_pairs():
 
 @pytest.mark.parametrize("tolerance", [1e-6, 1e-10, 1e-14])
 def test_outer_rule_stops_within_its_bound(tolerance):
-    # the outer rule's threshold is never below the tolerance, so it stops
-    # at or before N_hi, the first order that ends CONSECUTIVE_SMALL tails
-    # within the tolerance: full_kernels, which runs orders 0 .. N_hi alone,
-    # returns what the rule over those orders returns
+    # the outer rule stops at N_hi, the first order that ends
+    # CONSECUTIVE_SMALL tails within the tolerance: full_kernels, which runs
+    # orders 0 .. N_hi alone, returns what the rule over those orders returns
     cfg = TruncationConfig(tolerance)
     p = BidiskParams(*_TERM_CASES["vartheta"][0])
     pairs = _bound_pairs()
@@ -712,32 +712,68 @@ def test_outer_rule_stops_within_its_bound(tolerance):
             p, z, w, sums[start:start + n + 1].tolist(), cfg)
         assert ref is not None
         total, stop, tail = ref
-        assert stop <= n
+        assert stop == n
         assert g.terms_used == terms[start:start + stop + 1].sum()
         assert g.tail_bound == pytest.approx(tail, rel=1e-14)
         assert abs(g.value - total) <= 1e-13 * max(1.0, abs(total))
         start += n + 1
 
 
+def _series_calls(monkeypatch):
+    """The names of q_kernel and _inner_sums, once per call to them from
+    now on."""
+    calls = []
+
+    def counted(name, original):
+        def run(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return run
+
+    for name in ("q_kernel", "_inner_sums"):
+        monkeypatch.setattr(bidisk, name,
+                            counted(name, getattr(bidisk, name)))
+    return calls
+
+
 def test_full_kernels_raise_at_max_outer_terms(monkeypatch):
     # |dz dw| = 3.92, so the outer terms fall by about 0.98 per order and the
-    # rule has not stopped after MAX_OUTER_TERMS orders; the terms and the
-    # estimate are those of a loop of the outer rule over the orders, and
+    # tail estimates do not end within MAX_OUTER_TERMS orders; both paths
+    # raise before any series runs, with the estimate at the last order, and
     # sigma is read up to order MAX_OUTER_TERMS + 1 and no further
     p = BidiskParams(1.0, 0.5, 0.0, 0.0)
-    pair = (Point2(0.99, -0.99), Point2(0.99j, -0.99j))
-    errors = []
+    z, w = Point2(0.99, -0.99), Point2(0.99j, -0.99j)
+    calls, errors = _series_calls(monkeypatch), []
 
     def run():
-        with pytest.raises(ConvergenceError) as info:
-            full_kernels(p, [pair])
-        errors.append(info.value)
+        for kernel in (lambda: full_kernel(p, z, w),
+                       lambda: full_kernels(p, [(z, w)])):
+            with pytest.raises(ConvergenceError) as info:
+                kernel()
+            errors.append(info.value)
 
     _assert_reads_sigma_to(monkeypatch, p, MAX_OUTER_TERMS + 1, run)
-    (exc,) = errors
-    assert str(exc) == "full_kernel did not converge in 500 outer terms"
-    assert exc.terms_used == 724894
-    assert exc.tail_estimate == pytest.approx(2695226514.0014634, rel=1e-12)
+    assert calls == [] and len(errors) == 2
+    for exc in errors:
+        assert str(exc) == "full_kernel did not converge in 500 outer terms"
+        assert exc.terms_used == 0
+        assert exc.tail_estimate == pytest.approx(2695226514.0014634,
+                                                  rel=1e-12)
+
+
+def test_full_kernels_raise_an_outer_error_before_any_inner_one(monkeypatch):
+    # with 100 terms per inner series the first pair's inner series fail,
+    # and the second pair's tail estimates do not end within MAX_OUTER_TERMS
+    # orders; every pair's N_hi is found before any series runs, so the
+    # second pair's error comes first
+    p = BidiskParams(1.0, 0.5, 0.0, 0.0)
+    monkeypatch.setattr(bidisk, "MAX_TERMS", 100)
+    pairs = [(Point2(0.93, -0.93), Point2(0.93j, -0.93j)),
+             (Point2(0.99, -0.99), Point2(0.99j, -0.99j))]
+    with pytest.raises(ConvergenceError, match="q_kernel inner series"):
+        full_kernels(p, pairs[:1])
+    with pytest.raises(ConvergenceError, match="500 outer terms"):
+        full_kernels(p, pairs)
 
 
 @pytest.mark.parametrize("tup, tail", [
@@ -747,17 +783,20 @@ def test_full_kernels_raise_at_max_outer_terms(monkeypatch):
 def test_full_kernel_and_full_kernels_raise_at_the_order_cap(tup, tail,
                                                             monkeypatch):
     # with 20 orders at most, the first pair needs more; both paths raise
-    # the error of a loop of the outer rule over the orders
+    # its outer error, with the estimate at its last order, before any series
+    # runs
     monkeypatch.setattr(bidisk, "MAX_OUTER_TERMS", 20)
     p = BidiskParams(*tup)
     z, w = _batch_pairs()[0]
+    calls = _series_calls(monkeypatch)
     for run in (lambda: full_kernel(p, z, w),
                 lambda: full_kernels(p, _batch_pairs())):
         with pytest.raises(ConvergenceError) as info:
             run()
+        assert calls == []
         assert str(info.value) == ("full_kernel did not converge in 20 "
                                    "outer terms")
-        assert info.value.terms_used == 1400
+        assert info.value.terms_used == 0
         assert info.value.tail_estimate == pytest.approx(tail, rel=1e-12)
 
 
