@@ -22,13 +22,13 @@ that sums the inner series: it runs the recurrence of many (pair, order)
 cells as one numpy array recurrence, whose coefficients and geometric tail
 advance by one addition or product per term.  The outer sum stops once:
 _outer_tails fixes each pair's last order N_hi from the points and sigma_N
-before any series runs, and the kernel is the sum of the orders 0 .. N_hi.
-full_kernels runs those orders of all its pairs in one _inner_sums pass;
-q_kernel is one cell of _inner_sums times its prefactor, and full_kernel
-calls it one order at a time.  sigma has one cache, keyed by the weight's
-four exponents and the truncation settings, so sigma(params.shifted(N)) and
-the order-N reads of the kernels share entries and a warm series builds no
-BidiskParams.
+before any series runs, and the kernel is the sum of the orders 0 .. N_hi
+(_outer_result).  full_kernels runs those orders of all its pairs in one
+_inner_sums pass; q_kernel is one cell of _inner_sums times its prefactor,
+and full_kernel calls it one order at a time.  sigma has one cache, keyed
+by the weight's four exponents and the truncation settings, so
+sigma(params.shifted(N)) and the order-N reads of the kernels share entries
+and a warm series builds no BidiskParams.
 """
 
 from __future__ import annotations
@@ -190,22 +190,22 @@ def q_kernel(params: BidiskParams, N: int, z: Point2, w: Point2,
 
 
 def _outer_tails(params: BidiskParams, pairs: list, cfg: TruncationConfig):
-    """Each pair's outer tail estimates t_N, N = 0 .. N_hi, and the sigma_N
-    they read.  t_N = SAFETY_FACTOR head / (1 - ratio) takes the next
-    order's term as head = |dz dw|^(N+1) sigma_(N+1) / (1 - rz rw), which
-    assumes an inner sum of at most 1/(1 - rz rw), and the decay ratio from
-    the next two sigma_N.  N_hi, the pair's last order, ends the first
-    CONSECUTIVE_SMALL orders in a row with t_N <= tolerance; a pair without
-    one in MAX_OUTER_TERMS orders raises ConvergenceError."""
+    """Each pair's order count N_hi + 1 and outer tail estimate t_N at N_hi,
+    and the sigma_N they read.  t_N = SAFETY_FACTOR head / (1 - ratio) takes
+    the next order's term as head = |dz dw|^(N+1) sigma_(N+1) / (1 - rz rw),
+    which assumes an inner sum of at most 1/(1 - rz rw), and the decay ratio
+    from the next two sigma_N.  N_hi, the pair's last order, ends the first
+    CONSECUTIVE_SMALL orders in a row with t_N <= tolerance, or is
+    MAX_OUTER_TERMS - 1 (see _outer_result)."""
     al, be, th, vt = params.alpha, params.beta, params.theta, params.vartheta
     sig = [_sigma_cached(al, be, th + N, vt, cfg).value.real for N in (0, 1)]
-    out = []
+    counts, tails = [], []
     for z, w in pairs:
         dzdw = abs((z.z1 - z.z2)
                    * (complex(w.z1).conjugate() - complex(w.z2).conjugate()))
         inner_bound = 1.0 / (1.0 - max(abs(z.z1), abs(z.z2))
                              * max(abs(w.z1), abs(w.z2)))
-        tails, streak = [], 0
+        streak = 0
         for N in range(MAX_OUTER_TERMS):
             if len(sig) == N + 2:
                 sig.append(
@@ -214,17 +214,27 @@ def _outer_tails(params: BidiskParams, pairs: list, cfg: TruncationConfig):
             # the outer terms decay at the asymptotic ratio |dz dw|/4 < 1;
             # the ratio is capped at 0.999, and a nan ratio stays nan
             ratio = dzdw * sig[N + 2] / sig[N + 1]
-            tails.append(SAFETY_FACTOR * head
-                         / (1.0 - (0.999 if ratio > 0.999 else ratio)))
-            streak = streak + 1 if tails[-1] <= cfg.tolerance else 0
+            tail = (SAFETY_FACTOR * head
+                    / (1.0 - (0.999 if ratio > 0.999 else ratio)))
+            streak = streak + 1 if tail <= cfg.tolerance else 0
             if streak == CONSECUTIVE_SMALL:
                 break
-        else:
-            raise ConvergenceError(
-                f"full_kernel did not converge in {MAX_OUTER_TERMS} outer "
-                f"terms", terms_used=0, tail_estimate=tails[-1])
-        out.append(tails)
-    return out, sig
+        counts.append(N + 1)
+        tails.append(tail)
+    return counts, tails, sig
+
+
+def _outer_result(total: complex, terms: int, tail: float,
+                  cfg: TruncationConfig) -> SeriesResult:
+    """The kernel as the sum `total` of its orders 0 .. N_hi.  Where the
+    tail estimates did not end within MAX_OUTER_TERMS orders, the sum stands
+    if the last estimate is within tolerance max(1, |total|), and raises
+    ConvergenceError otherwise (and where either is nan)."""
+    if not tail <= cfg.tolerance * max(1.0, abs(total)):
+        raise ConvergenceError(
+            f"full_kernel did not converge in {MAX_OUTER_TERMS} outer terms",
+            terms_used=terms, tail_estimate=tail)
+    return SeriesResult(total, terms, tail)
 
 
 def full_kernel(params: BidiskParams, z: Point2, w: Point2,
@@ -232,12 +242,12 @@ def full_kernel(params: BidiskParams, z: Point2, w: Point2,
     """Reproducing kernel as the sum of q_kernel over the vanishing orders
     0 .. N_hi (_outer_tails), with the tail estimate at N_hi."""
     _require_bidisk(z, w)
-    (tails,), _ = _outer_tails(params, [(z, w)], cfg)
+    (count,), (tail,), _ = _outer_tails(params, [(z, w)], cfg)
     # by its module-global name, so that a wrapper installed there
     # (bench/tracer.py) sees every order and its terms
-    parts = [q_kernel(params, N, z, w, cfg) for N in range(len(tails))]
-    return SeriesResult(sum(p.value for p in parts),
-                        sum(p.terms_used for p in parts), tails[-1])
+    parts = [q_kernel(params, N, z, w, cfg) for N in range(count)]
+    return _outer_result(sum(p.value for p in parts),
+                         sum(p.terms_used for p in parts), tail, cfg)
 
 
 # full_kernels runs at most _CHUNK_PAIRS pairs at a time, to keep arrays small
@@ -249,31 +259,27 @@ def full_kernels(params: BidiskParams, pairs,
     """The reproducing kernel at every (z, w) in pairs, in order, each
     full_kernel(params, z, w): the sum over the vanishing orders 0 .. N_hi
     of q_kernel, with the inner series of all (pair, order) cells run as one
-    array recurrence.  Every pair is checked, and its N_hi found, before any
-    series runs, so a pair whose outer series cannot stop raises even where
-    an earlier pair's inner series would fail; of the inner series that
-    fail, the first pair's first one raises, as a loop over full_kernel
-    would raise it."""
+    array recurrence.  Every pair is checked before any series runs; of the
+    pairs that raise, the first one's error is raised, as a loop over
+    full_kernel would raise it."""
     pairs = list(pairs)
     for z, w in pairs:
         _require_bidisk(z, w)
-    tails, sig = _outer_tails(params, pairs, cfg)
     out = []
     for start in range(0, len(pairs), _CHUNK_PAIRS):
-        chunk = slice(start, start + _CHUNK_PAIRS)
-        out += _full_kernels_chunk(params, pairs[chunk], tails[chunk], sig,
+        out += _full_kernels_chunk(params, pairs[start:start + _CHUNK_PAIRS],
                                    cfg)
     return out
 
 
-def _full_kernels_chunk(params: BidiskParams, pairs: list, tails: list,
-                        sig: list, cfg: TruncationConfig) -> list:
-    """One _inner_sums pass over the orders 0 .. N_hi of every pair, each
-    pair's tail estimates `tails` from _outer_tails, and each pair's sum of
-    its orders."""
-    counts = np.array([len(t) for t in tails])
+def _full_kernels_chunk(params: BidiskParams, pairs: list,
+                        cfg: TruncationConfig) -> list:
+    """One _inner_sums pass over the orders 0 .. N_hi of every pair
+    (_outer_tails), and each pair's sum of its orders."""
+    counts, tails, sig = _outer_tails(params, pairs, cfg)
     # cell (i, N) for N < counts[i], in pair order
-    pair_of, order = np.nonzero(np.arange(counts.max()) < counts[:, None])
+    pair_of, order = np.nonzero(
+        np.arange(max(counts)) < np.array(counts)[:, None])
     sums, terms, inner_tails = _inner_sums(params, pairs, pair_of, order, cfg)
     # q_kernel's prefactors and parts as Python forms them, so that they
     # round as full_kernel's do: numpy's complex ** and products can differ
@@ -283,17 +289,18 @@ def _full_kernels_chunk(params: BidiskParams, pairs: list, tails: list,
           for _, w in pairs]
     prefs = [dz[i] ** N * dw[i] ** N * sig[N]
              for i, N in zip(pair_of.tolist(), order.tolist())]
-    failed = np.flatnonzero(terms < 0)
-    if failed.size:
-        k = failed[0]
-        raise _inner_error(abs(prefs[k]) * float(inner_tails[k]))
     parts = [p * s for p, s in zip(prefs, sums.tolist())]
+    failed = np.flatnonzero(terms < 0)
     terms = terms.tolist()
     out, start = [], 0
-    for t in tails:
-        end = start + len(t)
-        out.append(SeriesResult(sum(parts[start:end]),
-                                sum(terms[start:end]), t[-1]))
+    for count, tail in zip(counts, tails):
+        end = start + count
+        # a pair's first failing inner series raises before its outer error
+        if failed.size and failed[0] < end:
+            k = failed[0]
+            raise _inner_error(abs(prefs[k]) * float(inner_tails[k]))
+        out.append(_outer_result(sum(parts[start:end]),
+                                 sum(terms[start:end]), tail, cfg))
         start = end
     return out
 

@@ -293,43 +293,36 @@ def suite_fock(seed: int = 0) -> dict:
 
 # -- criterion 9 ------------------------------------------------------------
 
-# per space, in draw order: its parameters and one point from the rng, and
-# its kernels over a list of pairs, looked up on its module at each call
-_STRUCTURAL_SPACES = {
-    "bidisk": (lambda rng: bidisk.BidiskParams(
-                   rng.uniform(-0.5, 2), rng.uniform(-0.5, 2),
-                   rng.uniform(0, 2), rng.uniform(0, 1)),
-               lambda rng: Point2(_rand_point(rng, 0.55),
-                                  _rand_point(rng, 0.55)),
-               lambda p, pairs: bidisk.full_kernels(p, pairs)),
-    "ball": (lambda rng: ball.BallParams(
-                 rng.uniform(-0.5, 2), rng.uniform(-0.5, 2),
-                 rng.uniform(-0.5, 2)),
-             lambda rng: Point2(_rand_point(rng, 0.45),
-                                _rand_point(rng, 0.45)),
-             lambda p, pairs: [ball.ball_full_kernel(p, z, w)
-                               for z, w in pairs]),
-    "fock": (lambda rng: fock.FockParams(
-                 rng.uniform(0.5, 2), rng.uniform(0.5, 2),
-                 rng.uniform(-0.5, 2.5)),
-             lambda rng: Point2(complex(*rng.uniform(-1.5, 1.5, 2)),
-                                complex(*rng.uniform(-1.5, 1.5, 2))),
-             lambda p, pairs: [fock.fock_full_kernel(p, z, w)
-                               for z, w in pairs]),
-}
-
-
 def suite_structural(seed: int = 0) -> dict:
     """Hermitian symmetry and positive semidefiniteness of kernel matrices."""
     rng = np.random.default_rng(seed)
     items = []
     for draw in range(10):
-        space = list(_STRUCTURAL_SPACES)[draw % 3]
-        params, point, kernels = _STRUCTURAL_SPACES[space]
-        p = params(rng)
-        pts = [point(rng) for _ in range(10)]
+        space = ("bidisk", "ball", "fock")[draw % 3]
+        if space == "bidisk":
+            p = bidisk.BidiskParams(rng.uniform(-0.5, 2), rng.uniform(-0.5, 2),
+                                    rng.uniform(0, 2), rng.uniform(0, 1))
+            pts = [Point2(_rand_point(rng, 0.55), _rand_point(rng, 0.55))
+                   for _ in range(10)]
+        elif space == "ball":
+            p = ball.BallParams(rng.uniform(-0.5, 2), rng.uniform(-0.5, 2),
+                                rng.uniform(-0.5, 2))
+            pts = [Point2(_rand_point(rng, 0.45), _rand_point(rng, 0.45))
+                   for _ in range(10)]
+            kernel = ball.ball_full_kernel
+        else:
+            p = fock.FockParams(rng.uniform(0.5, 2), rng.uniform(0.5, 2),
+                                rng.uniform(-0.5, 2.5))
+            pts = [Point2(complex(*rng.uniform(-1.5, 1.5, 2)),
+                          complex(*rng.uniform(-1.5, 1.5, 2)))
+                   for _ in range(10)]
+            kernel = fock.fock_full_kernel
         # row i holds K(pts[i], pts[j]) for j = 0, 1, ...
-        results = kernels(p, [(z, w) for z in pts for w in pts])
+        pairs = [(z, w) for z in pts for w in pts]
+        if space == "bidisk":
+            results = bidisk.full_kernels(p, pairs)
+        else:
+            results = [kernel(p, z, w) for z, w in pairs]
         mat = np.array([r.value for r in results],
                        dtype=complex).reshape(len(pts), len(pts))
         scale = np.max(np.abs(mat))

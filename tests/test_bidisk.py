@@ -534,8 +534,8 @@ def test_full_kernel_terms_per_order(case, monkeypatch):
 
 def _outer_ends(params, pairs, cfg=DEFAULT_CONFIG):
     """Each pair's N_hi: the last order full_kernels runs for it."""
-    tails, _ = bidisk._outer_tails(params, pairs, cfg)
-    return [len(t) - 1 for t in tails]
+    counts, _, _ = bidisk._outer_tails(params, pairs, cfg)
+    return [count - 1 for count in counts]
 
 
 def _assert_reads_sigma_to(monkeypatch, p, last, run):
@@ -594,7 +594,7 @@ def _orders_of(monkeypatch, run):
 
     def recorded(*args):
         out = outer_tails(*args)
-        orders.extend(len(t) for t in out[0])
+        orders.extend(out[0])
         return out
 
     with monkeypatch.context() as m:
@@ -719,61 +719,26 @@ def test_outer_rule_stops_within_its_bound(tolerance):
         start += n + 1
 
 
-def _series_calls(monkeypatch):
-    """The names of q_kernel and _inner_sums, once per call to them from
-    now on."""
-    calls = []
-
-    def counted(name, original):
-        def run(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-        return run
-
-    for name in ("q_kernel", "_inner_sums"):
-        monkeypatch.setattr(bidisk, name,
-                            counted(name, getattr(bidisk, name)))
-    return calls
-
-
 def test_full_kernels_raise_at_max_outer_terms(monkeypatch):
     # |dz dw| = 3.92, so the outer terms fall by about 0.98 per order and the
-    # tail estimates do not end within MAX_OUTER_TERMS orders; both paths
-    # raise before any series runs, with the estimate at the last order, and
-    # sigma is read up to order MAX_OUTER_TERMS + 1 and no further
+    # tail estimates do not end within MAX_OUTER_TERMS orders, nor is the
+    # last one within the tolerance of the sum; the terms are those of every
+    # order, the estimate the last order's, and sigma is read up to order
+    # MAX_OUTER_TERMS + 1 and no further
     p = BidiskParams(1.0, 0.5, 0.0, 0.0)
-    z, w = Point2(0.99, -0.99), Point2(0.99j, -0.99j)
-    calls, errors = _series_calls(monkeypatch), []
+    pair = (Point2(0.99, -0.99), Point2(0.99j, -0.99j))
+    errors = []
 
     def run():
-        for kernel in (lambda: full_kernel(p, z, w),
-                       lambda: full_kernels(p, [(z, w)])):
-            with pytest.raises(ConvergenceError) as info:
-                kernel()
-            errors.append(info.value)
+        with pytest.raises(ConvergenceError) as info:
+            full_kernels(p, [pair])
+        errors.append(info.value)
 
     _assert_reads_sigma_to(monkeypatch, p, MAX_OUTER_TERMS + 1, run)
-    assert calls == [] and len(errors) == 2
-    for exc in errors:
-        assert str(exc) == "full_kernel did not converge in 500 outer terms"
-        assert exc.terms_used == 0
-        assert exc.tail_estimate == pytest.approx(2695226514.0014634,
-                                                  rel=1e-12)
-
-
-def test_full_kernels_raise_an_outer_error_before_any_inner_one(monkeypatch):
-    # with 100 terms per inner series the first pair's inner series fail,
-    # and the second pair's tail estimates do not end within MAX_OUTER_TERMS
-    # orders; every pair's N_hi is found before any series runs, so the
-    # second pair's error comes first
-    p = BidiskParams(1.0, 0.5, 0.0, 0.0)
-    monkeypatch.setattr(bidisk, "MAX_TERMS", 100)
-    pairs = [(Point2(0.93, -0.93), Point2(0.93j, -0.93j)),
-             (Point2(0.99, -0.99), Point2(0.99j, -0.99j))]
-    with pytest.raises(ConvergenceError, match="q_kernel inner series"):
-        full_kernels(p, pairs[:1])
-    with pytest.raises(ConvergenceError, match="500 outer terms"):
-        full_kernels(p, pairs)
+    (exc,) = errors
+    assert str(exc) == "full_kernel did not converge in 500 outer terms"
+    assert exc.terms_used == 724894
+    assert exc.tail_estimate == pytest.approx(2695226514.0014634, rel=1e-12)
 
 
 @pytest.mark.parametrize("tup, tail", [
@@ -783,21 +748,55 @@ def test_full_kernels_raise_an_outer_error_before_any_inner_one(monkeypatch):
 def test_full_kernel_and_full_kernels_raise_at_the_order_cap(tup, tail,
                                                             monkeypatch):
     # with 20 orders at most, the first pair needs more; both paths raise
-    # its outer error, with the estimate at its last order, before any series
-    # runs
+    # its outer error, with the terms of its 20 orders and the estimate at
+    # the last one
     monkeypatch.setattr(bidisk, "MAX_OUTER_TERMS", 20)
     p = BidiskParams(*tup)
     z, w = _batch_pairs()[0]
-    calls = _series_calls(monkeypatch)
     for run in (lambda: full_kernel(p, z, w),
                 lambda: full_kernels(p, _batch_pairs())):
         with pytest.raises(ConvergenceError) as info:
             run()
-        assert calls == []
         assert str(info.value) == ("full_kernel did not converge in 20 "
                                    "outer terms")
-        assert info.value.terms_used == 0
+        assert info.value.terms_used == 1400
         assert info.value.tail_estimate == pytest.approx(tail, rel=1e-12)
+
+
+def test_full_kernels_raise_in_pair_order(monkeypatch):
+    # with 20 orders and 100 inner terms at most, the near-antipodal pair's
+    # first inner series fails and the first batch pair's outer series does
+    # not stop (its inner series do); the batch raises the earlier pair's
+    # error, as a loop over full_kernel does
+    monkeypatch.setattr(bidisk, "MAX_OUTER_TERMS", 20)
+    monkeypatch.setattr(bidisk, "MAX_TERMS", 100)
+    p = BidiskParams(1.0, 0.5, 0.0, 0.0)
+    inner = (Point2(0.93, -0.93), Point2(0.93j, -0.93j))
+    outer = _batch_pairs()[0]
+    with pytest.raises(ConvergenceError, match="q_kernel inner series"):
+        full_kernels(p, [inner, outer])
+    with pytest.raises(ConvergenceError, match="20 outer terms") as info:
+        full_kernels(p, [outer, inner])
+    assert info.value.terms_used == 1400
+
+
+@pytest.mark.parametrize("kernel", [
+    full_kernel, lambda p, z, w: full_kernels(p, [(z, w)])[0]],
+    ids=["full_kernel", "full_kernels"])
+def test_kernels_at_the_order_cap_stand_within_the_tolerance_of_the_sum(
+        kernel, monkeypatch):
+    # with 60 orders at most, the estimate at the last order (3.7e-12) is
+    # above the tolerance but within the tolerance of the kernel (about 41),
+    # so the 60 orders' sum is the result; it is the product kernel
+    # (1 - 0.49)^-5.5 to within that estimate
+    monkeypatch.setattr(bidisk, "MAX_OUTER_TERMS", 60)
+    p = BidiskParams(1.0, 0.5, 0.0, 0.0)
+    z = Point2(0.7, -0.7)
+    r = kernel(p, z, z)
+    assert r.terms_used == 2640
+    assert DEFAULT_CONFIG.tolerance < r.tail_bound
+    assert r.tail_bound <= DEFAULT_CONFIG.tolerance * abs(r.value)
+    assert abs(r.value - 0.51 ** -5.5) <= r.tail_bound
 
 
 def test_full_kernels_check_every_pair_first(monkeypatch):
