@@ -3,7 +3,7 @@ weighted holomorphic Hilbert spaces in two complex variables (bidisk, unit
 ball, and Gaussian-weighted entire functions), backed by an independent
 Gram-matrix oracle."""
 
-from .config import Point2, SeriesResult, TruncationConfig
+from .config import Point2, SeriesResult
 from .errors import (ConditioningError, ConvergenceError, DivisibilityError,
                      DomainError, KernelforgeError, QuadratureError)
 from .poly2 import BiPoly
@@ -31,7 +31,7 @@ __all__ = [
     "BallParams", "BidiskParams", "BiPoly", "ConditioningError",
     "ConvergenceError", "DivisibilityError", "DomainError", "FockParams",
     "GramBlocks", "KernelforgeError", "NormExpansion", "Point2",
-    "QuadratureError", "SUITES", "SeriesResult", "TruncationConfig",
+    "QuadratureError", "SUITES", "SeriesResult",
     "ball_full_kernel", "ball_full_kernel_series",
     "ball_hardy_norm_expansion", "ball_monomial_norms", "ball_norm_expansion",
     "ball_qN_kernel", "coeff_a", "coeff_b", "coeff_c",

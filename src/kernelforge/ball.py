@@ -14,8 +14,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .config import (CONSECUTIVE_SMALL, DEFAULT_CONFIG, MAX_OUTER_TERMS,
-                     SAFETY_FACTOR, Point2, SeriesResult, TruncationConfig)
+from .config import (CONSECUTIVE_SMALL, MAX_OUTER_TERMS, SAFETY_FACTOR,
+                     TOLERANCE, Point2, SeriesResult)
 from .errors import ConvergenceError, DomainError
 from .poly2 import BiPoly
 from .specfun import hyp2f1, log_gamma
@@ -98,8 +98,7 @@ def ball_qN_kernel(params: BallParams, N: int, z: Point2, w: Point2) -> complex:
     return value
 
 
-def ball_full_kernel(params: BallParams, z: Point2, w: Point2,
-                     cfg: TruncationConfig = DEFAULT_CONFIG) -> SeriesResult:
+def ball_full_kernel(params: BallParams, z: Point2, w: Point2) -> SeriesResult:
     """Closed-form reproducing kernel: Gamma(alpha+theta+2) /
     [Gamma(alpha+1) Gamma(theta+1) (1-z1 conj(w1))^{alpha+beta+theta+3}] times
     [(alpha+theta+2) 2F1(alpha+theta+3, 1; theta+1; x)
@@ -117,7 +116,7 @@ def ball_full_kernel(params: BallParams, z: Point2, w: Point2,
         raise DomainError(
             f"kernel argument |x| = {abs(x):.6f} >= 1; distance to the "
             f"boundary sphere is too small for the series form")
-    f = hyp2f1(al + th + 2.0, 1.0, th + 1.0, x, cfg)
+    f = hyp2f1(al + th + 2.0, 1.0, th + 1.0, x)
     try:
         pref = math.exp(log_gamma(al + th + 2.0) - log_gamma(al + 1.0)
                         - log_gamma(th + 1.0)) * u ** (-(al + be + th + 3.0))
@@ -131,9 +130,8 @@ def ball_full_kernel(params: BallParams, z: Point2, w: Point2,
     return SeriesResult(value, f.terms_used, abs(pref * slope) * f.tail_bound)
 
 
-def ball_full_kernel_series(params: BallParams, z: Point2, w: Point2,
-                            cfg: TruncationConfig = DEFAULT_CONFIG
-                            ) -> SeriesResult:
+def ball_full_kernel_series(params: BallParams, z: Point2,
+                            w: Point2) -> SeriesResult:
     """Cross-check path: direct summation of ball_qN_kernel over N with a
     geometric tail bound."""
     _require_ball(z, w)
@@ -150,7 +148,7 @@ def ball_full_kernel_series(params: BallParams, z: Point2, w: Point2,
         total += term
         # term ratio tends to |x| as the embed constants vary slowly in N
         tail = SAFETY_FACTOR * abs(term) * q / (1.0 - q) if q > 0 else 0.0
-        if tail <= cfg.tolerance * max(1.0, abs(total)):
+        if tail <= TOLERANCE * max(1.0, abs(total)):
             small_streak += 1
             if small_streak >= CONSECUTIVE_SMALL:
                 return SeriesResult(total, N + 1, tail)

@@ -26,9 +26,8 @@ before any series runs, and the kernel is the sum of the orders 0 .. N_hi
 (_outer_result).  full_kernels runs those orders of all its pairs in one
 _inner_sums pass; q_kernel is one cell of _inner_sums times its prefactor,
 and full_kernel calls it one order at a time.  sigma has one cache, keyed
-by the weight's four exponents and the truncation settings, so
-sigma(params.shifted(N)) and the order-N reads of the kernels share entries
-and a warm series builds no BidiskParams.
+by the weight's four exponents, so sigma(params.shifted(N)) and the order-N
+reads of the kernels share entries and a warm series builds no BidiskParams.
 """
 
 from __future__ import annotations
@@ -39,9 +38,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import (CONSECUTIVE_SMALL, DEFAULT_CONFIG, EPS, MAX_OUTER_TERMS,
-                     MAX_TERMS, SAFETY_FACTOR, Point2, SeriesResult,
-                     TruncationConfig)
+from .config import (CONSECUTIVE_SMALL, EPS, MAX_OUTER_TERMS, MAX_TERMS,
+                     SAFETY_FACTOR, TOLERANCE, Point2, SeriesResult)
 from .errors import ConvergenceError, DomainError
 from .poly2 import BiPoly
 from .specfun import hyp3f2_unit, log_gamma, pochhammer
@@ -92,16 +90,17 @@ def _require_bidisk(*points: Point2) -> None:
 
 
 @lru_cache(maxsize=4096)
-def _sigma_cached(al: float, be: float, th: float, vt: float,
-                  cfg: TruncationConfig) -> SeriesResult:
+def _sigma_cached(al: float, be: float, th: float,
+                  vt: float) -> SeriesResult:
     """sigma and its tail bound for the weight exponents (alpha, beta, theta,
-    vartheta), from 1/sigma = (beta+1) Gamma(alpha+2) Gamma(theta+1) /
-    [(a+b-1) Gamma(alpha+theta+2)] times 3F2(theta+1, a, a; alpha+theta+2,
-    a+b; 1).  The order-N subspace's sigma_N is the entry at theta + N."""
+    vartheta), the cache's whole key, from 1/sigma = (beta+1) Gamma(alpha+2)
+    Gamma(theta+1) / [(a+b-1) Gamma(alpha+theta+2)] times 3F2(theta+1, a, a;
+    alpha+theta+2, a+b; 1).  The order-N subspace's sigma_N is the entry at
+    theta + N."""
     a = al + th + vt + 2.0
     b = be + th + vt + 2.0
     try:
-        r = hyp3f2_unit(th + 1.0, a, a, al + th + 2.0, a + b, cfg)
+        r = hyp3f2_unit(th + 1.0, a, a, al + th + 2.0, a + b)
         logs = (log_gamma(al + 2.0), log_gamma(th + 1.0),
                 log_gamma(al + th + 2.0))
         pref = ((be + 1.0) * math.exp(logs[0] + logs[1] - logs[2])
@@ -117,12 +116,11 @@ def _sigma_cached(al: float, be: float, th: float, vt: float,
                         val * val * (pref * r.tail_bound) + rounding)
 
 
-def sigma(params: BidiskParams,
-          cfg: TruncationConfig = DEFAULT_CONFIG) -> float:
+def sigma(params: BidiskParams) -> float:
     """The kernel value at the origin, i.e. the reciprocal total mass of the
     weight."""
     return _sigma_cached(params.alpha, params.beta, params.theta,
-                         params.vartheta, cfg).value.real
+                         params.vartheta).value.real
 
 
 def sigma_gamma_form(params: BidiskParams) -> float:
@@ -137,13 +135,12 @@ def sigma_gamma_form(params: BidiskParams) -> float:
     return math.exp(-log_inv)
 
 
-def diag_kernel(params: BidiskParams, z: Point2, w1: complex,
-                cfg: TruncationConfig = DEFAULT_CONFIG) -> complex:
+def diag_kernel(params: BidiskParams, z: Point2, w1: complex) -> complex:
     """Kernel against a diagonal point: P(z, (w1, w1)) =
     sigma / [(1 - conj(w1) z1)^a (1 - conj(w1) z2)^b]."""
     _require_bidisk(z, Point2(w1, w1))
     wc = complex(w1).conjugate()
-    return (sigma(params, cfg)
+    return (sigma(params)
             * (1.0 - wc * z.z1) ** (-params.a)
             * (1.0 - wc * z.z2) ** (-params.b))
 
@@ -168,8 +165,8 @@ def _inner_error(tail_estimate: float):
         terms_used=MAX_TERMS, tail_estimate=tail_estimate)
 
 
-def q_kernel(params: BidiskParams, N: int, z: Point2, w: Point2,
-             cfg: TruncationConfig = DEFAULT_CONFIG) -> SeriesResult:
+def q_kernel(params: BidiskParams, N: int, z: Point2,
+             w: Point2) -> SeriesResult:
     """Kernel of the order-N subspace as the double series
     (z1-z2)^N (conj(w1)-conj(w2))^N sigma_N sum_n [n!/(s+2N+2)_n]
     c_n(z) conj(c_n(w)): the prefactor times one cell of _inner_sums."""
@@ -177,28 +174,28 @@ def q_kernel(params: BidiskParams, N: int, z: Point2, w: Point2,
         raise DomainError("N must be >= 0")
     _require_bidisk(z, w)
     sN = _sigma_cached(params.alpha, params.beta, params.theta + N,
-                       params.vartheta, cfg)
+                       params.vartheta)
     pref = ((z.z1 - z.z2) ** N
             * (complex(w.z1).conjugate() - complex(w.z2).conjugate()) ** N
             * sN.value.real)
     (total,), (terms,), (tail,) = (a.tolist() for a in _inner_sums(
-        params, [(z, w)], np.array([0]), np.array([N]), cfg))
+        params, [(z, w)], np.array([0]), np.array([N])))
     if terms < 0:
         raise _inner_error(abs(pref) * tail)
     return SeriesResult(pref * total, terms,
                         abs(pref) * tail + abs(sN.tail_bound) * abs(total))
 
 
-def _outer_tails(params: BidiskParams, pairs: list, cfg: TruncationConfig):
+def _outer_tails(params: BidiskParams, pairs: list):
     """Each pair's order count N_hi + 1 and outer tail estimate t_N at N_hi,
     and the sigma_N they read.  t_N = SAFETY_FACTOR head / (1 - ratio) takes
     the next order's term as head = |dz dw|^(N+1) sigma_(N+1) / (1 - rz rw),
     which assumes an inner sum of at most 1/(1 - rz rw), and the decay ratio
     from the next two sigma_N.  N_hi, the pair's last order, ends the first
-    CONSECUTIVE_SMALL orders in a row with t_N <= tolerance, or is
+    CONSECUTIVE_SMALL orders in a row with t_N <= TOLERANCE, or is
     MAX_OUTER_TERMS - 1 (see _outer_result)."""
     al, be, th, vt = params.alpha, params.beta, params.theta, params.vartheta
-    sig = [_sigma_cached(al, be, th + N, vt, cfg).value.real for N in (0, 1)]
+    sig = [_sigma_cached(al, be, th + N, vt).value.real for N in (0, 1)]
     counts, tails = [], []
     for z, w in pairs:
         dzdw = abs((z.z1 - z.z2)
@@ -208,15 +205,14 @@ def _outer_tails(params: BidiskParams, pairs: list, cfg: TruncationConfig):
         streak = 0
         for N in range(MAX_OUTER_TERMS):
             if len(sig) == N + 2:
-                sig.append(
-                    _sigma_cached(al, be, th + N + 2, vt, cfg).value.real)
+                sig.append(_sigma_cached(al, be, th + N + 2, vt).value.real)
             head = dzdw ** (N + 1) * sig[N + 1] * inner_bound
             # the outer terms decay at the asymptotic ratio |dz dw|/4 < 1;
             # the ratio is capped at 0.999, and a nan ratio stays nan
             ratio = dzdw * sig[N + 2] / sig[N + 1]
             tail = (SAFETY_FACTOR * head
                     / (1.0 - (0.999 if ratio > 0.999 else ratio)))
-            streak = streak + 1 if tail <= cfg.tolerance else 0
+            streak = streak + 1 if tail <= TOLERANCE else 0
             if streak == CONSECUTIVE_SMALL:
                 break
         counts.append(N + 1)
@@ -224,38 +220,35 @@ def _outer_tails(params: BidiskParams, pairs: list, cfg: TruncationConfig):
     return counts, tails, sig
 
 
-def _outer_result(total: complex, terms: int, tail: float,
-                  cfg: TruncationConfig) -> SeriesResult:
+def _outer_result(total: complex, terms: int, tail: float) -> SeriesResult:
     """The kernel as the sum `total` of its orders 0 .. N_hi.  Where the
     tail estimates did not end within MAX_OUTER_TERMS orders, the sum stands
-    if the last estimate is within tolerance max(1, |total|), and raises
+    if the last estimate is within TOLERANCE max(1, |total|), and raises
     ConvergenceError otherwise (and where either is nan)."""
-    if not tail <= cfg.tolerance * max(1.0, abs(total)):
+    if not tail <= TOLERANCE * max(1.0, abs(total)):
         raise ConvergenceError(
             f"full_kernel did not converge in {MAX_OUTER_TERMS} outer terms",
             terms_used=terms, tail_estimate=tail)
     return SeriesResult(total, terms, tail)
 
 
-def full_kernel(params: BidiskParams, z: Point2, w: Point2,
-                cfg: TruncationConfig = DEFAULT_CONFIG) -> SeriesResult:
+def full_kernel(params: BidiskParams, z: Point2, w: Point2) -> SeriesResult:
     """Reproducing kernel as the sum of q_kernel over the vanishing orders
     0 .. N_hi (_outer_tails), with the tail estimate at N_hi."""
     _require_bidisk(z, w)
-    (count,), (tail,), _ = _outer_tails(params, [(z, w)], cfg)
+    (count,), (tail,), _ = _outer_tails(params, [(z, w)])
     # by its module-global name, so that a wrapper installed there
     # (bench/tracer.py) sees every order and its terms
-    parts = [q_kernel(params, N, z, w, cfg) for N in range(count)]
+    parts = [q_kernel(params, N, z, w) for N in range(count)]
     return _outer_result(sum(p.value for p in parts),
-                         sum(p.terms_used for p in parts), tail, cfg)
+                         sum(p.terms_used for p in parts), tail)
 
 
 # full_kernels runs at most _CHUNK_PAIRS pairs at a time, to keep arrays small
 _CHUNK_PAIRS = 256
 
 
-def full_kernels(params: BidiskParams, pairs,
-                 cfg: TruncationConfig = DEFAULT_CONFIG) -> list:
+def full_kernels(params: BidiskParams, pairs) -> list:
     """The reproducing kernel at every (z, w) in pairs, in order, each
     full_kernel(params, z, w): the sum over the vanishing orders 0 .. N_hi
     of q_kernel, with the inner series of all (pair, order) cells run as one
@@ -267,20 +260,18 @@ def full_kernels(params: BidiskParams, pairs,
         _require_bidisk(z, w)
     out = []
     for start in range(0, len(pairs), _CHUNK_PAIRS):
-        out += _full_kernels_chunk(params, pairs[start:start + _CHUNK_PAIRS],
-                                   cfg)
+        out += _full_kernels_chunk(params, pairs[start:start + _CHUNK_PAIRS])
     return out
 
 
-def _full_kernels_chunk(params: BidiskParams, pairs: list,
-                        cfg: TruncationConfig) -> list:
+def _full_kernels_chunk(params: BidiskParams, pairs: list) -> list:
     """One _inner_sums pass over the orders 0 .. N_hi of every pair
     (_outer_tails), and each pair's sum of its orders."""
-    counts, tails, sig = _outer_tails(params, pairs, cfg)
+    counts, tails, sig = _outer_tails(params, pairs)
     # cell (i, N) for N < counts[i], in pair order
     pair_of, order = np.nonzero(
         np.arange(max(counts)) < np.array(counts)[:, None])
-    sums, terms, inner_tails = _inner_sums(params, pairs, pair_of, order, cfg)
+    sums, terms, inner_tails = _inner_sums(params, pairs, pair_of, order)
     # q_kernel's prefactors and parts as Python forms them, so that they
     # round as full_kernel's do: numpy's complex ** and products can differ
     # in the last bits, which cancelling parts magnify
@@ -300,18 +291,17 @@ def _full_kernels_chunk(params: BidiskParams, pairs: list,
             k = failed[0]
             raise _inner_error(abs(prefs[k]) * float(inner_tails[k]))
         out.append(_outer_result(sum(parts[start:end]),
-                                 sum(terms[start:end]), tail, cfg))
+                                 sum(terms[start:end]), tail))
         start = end
     return out
 
 
-def _inner_sums(params: BidiskParams, pairs: list, pair_of, order,
-                cfg: TruncationConfig):
+def _inner_sums(params: BidiskParams, pairs: list, pair_of, order):
     """q_kernel's inner sum, before the prefactor, of each cell j, pair
     pair_of[j] at order order[j] (integer arrays), as flat arrays over the
     cells: the sums, the terms each used (-1 where MAX_TERMS terms did not
     converge) and the tail estimate at the last term.  A cell stops after
-    CONSECUTIVE_SMALL terms whose tail is within tolerance, relative to its
+    CONSECUTIVE_SMALL terms whose tail is within TOLERANCE, relative to its
     sum where that exceeds 1, and drops out of the arrays once it has
     stopped."""
     z1, z2, w1, w2 = np.array([(z.z1, z.z2, w.z1, w.z2) for z, w in pairs],
@@ -345,7 +335,7 @@ def _inner_sums(params: BidiskParams, pairs: list, pair_of, order,
     sums = np.zeros(q.size, dtype=complex)
     terms = np.full(q.size, -1, dtype=np.int64)
     tails = np.zeros(q.size)
-    tolerance = cfg.tolerance
+    tolerance = TOLERANCE
     # inf and nan run on through the arrays without a warning, as through
     # Python's complex arithmetic
     with np.errstate(all="ignore"):
@@ -393,8 +383,7 @@ def _inner_sums(params: BidiskParams, pairs: list, pair_of, order,
     return sums, terms, tails
 
 
-def taylor_blocks(params: BidiskParams, max_degree: int,
-                  cfg: TruncationConfig = DEFAULT_CONFIG) -> list:
+def taylor_blocks(params: BidiskParams, max_degree: int) -> list:
     """Per-degree Taylor coefficient matrices K_d of the full kernel:
     K_d = sum_{N <= d} sigma_N [(d-N)!/(s+2N+2)_{d-N}] v_N v_N^T with v_N the
     monomial coefficient vector of (z1-z2)^N c_{d-N}(z).  Finite and exact
@@ -406,7 +395,7 @@ def taylor_blocks(params: BidiskParams, max_degree: int,
         block = np.zeros((d + 1, d + 1))
         for N in range(d + 1):
             n = d - N
-            sig = sigma(params.shifted(N), cfg)
+            sig = sigma(params.shifted(N))
             mu = math.factorial(n) / pochhammer(params.s + 2.0 * N + 2.0, n)
             # coefficients in ascending powers of z1, times (z1 - z2) one
             # factor at a time: one convolution with the binomial
@@ -527,14 +516,13 @@ def expand(orders, transform, weight, norm1d) -> NormExpansion:
     return NormExpansion(tuple(terms), sum((v for _, v in terms), 0.0))
 
 
-def norm_expansion(params: BidiskParams, f: BiPoly,
-                   cfg: TruncationConfig = DEFAULT_CONFIG) -> NormExpansion:
+def norm_expansion(params: BidiskParams, f: BiPoly) -> NormExpansion:
     """||f||^2 = sum_N (1/sigma_N) || transform_N f ||^2 in the 1D space of
     index s + 2N; finite for polynomials since transforms of order beyond
     deg f vanish."""
     return expand(range(max(f.total_degree, 0) + 1),
                   lambda N: restriction_transform(params, f, N),
-                  lambda N: 1.0 / sigma(params.shifted(N), cfg),
+                  lambda N: 1.0 / sigma(params.shifted(N)),
                   lambda t, N: disk_norm_sq(t, params.s + 2.0 * N))
 
 

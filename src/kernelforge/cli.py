@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import ball, bidisk, fock, oracle, verify
-from .config import Point2, TruncationConfig
+from .config import Point2
 from .errors import ConditioningError, ConvergenceError, DomainError
 from .poly2 import BiPoly
 
@@ -67,38 +67,38 @@ def _bidisk_gram(args, max_degree):
                                     max_degree)
 
 
-# What the commands use of each space: params(args), kernels(params, pairs,
-# cfg) -> one SeriesResult per (z, w) pair, expand(params, f, cfg), the exact
-# oracle gram(args, max_degree) and sigma(params, cfg) -> (sigma, closed form
-# or None).  Every entry looks its function up on the module when called, so
-# that wrappers installed on module attributes see each call.
+# What the commands use of each space: params(args), kernels(params, pairs)
+# -> one SeriesResult per (z, w) pair, expand(params, f), the exact oracle
+# gram(args, max_degree) and sigma(params) -> (sigma, closed form or None).
+# Every entry looks its function up on the module when called, so that
+# wrappers installed on module attributes see each call.
 SPACES = {
     "bidisk": {
         "params": lambda a: bidisk.BidiskParams(a.alpha, a.beta, a.theta,
                                                 a.vartheta),
-        "kernels": lambda p, pairs, cfg: bidisk.full_kernels(p, pairs, cfg),
-        "expand": lambda p, f, cfg: bidisk.norm_expansion(p, f, cfg),
+        "kernels": lambda p, pairs: bidisk.full_kernels(p, pairs),
+        "expand": lambda p, f: bidisk.norm_expansion(p, f),
         "gram": _bidisk_gram,
-        "sigma": lambda p, cfg: (
-            bidisk.sigma(p, cfg),
+        "sigma": lambda p: (
+            bidisk.sigma(p),
             bidisk.sigma_gamma_form(p) if p.vartheta == 0.0 else None),
     },
     "ball": {
         "params": lambda a: ball.BallParams(*_weights(a)),
-        "kernels": lambda p, pairs, cfg: [ball.ball_full_kernel(p, z, w, cfg)
-                                          for z, w in pairs],
-        "expand": lambda p, f, cfg: ball.ball_norm_expansion(p, f),
+        "kernels": lambda p, pairs: [ball.ball_full_kernel(p, z, w)
+                                     for z, w in pairs],
+        "expand": lambda p, f: ball.ball_norm_expansion(p, f),
         "gram": lambda a, d: oracle.ball_monomial_norms(a.alpha, a.beta,
                                                         a.theta, d),
     },
     "fock": {
         "params": lambda a: fock.FockParams(*_weights(a)),
-        "kernels": lambda p, pairs, cfg: [fock.fock_full_kernel(p, z, w, cfg)
-                                          for z, w in pairs],
-        "expand": lambda p, f, cfg: fock.fock_norm_expansion(p, f),
+        "kernels": lambda p, pairs: [fock.fock_full_kernel(p, z, w)
+                                     for z, w in pairs],
+        "expand": lambda p, f: fock.fock_norm_expansion(p, f),
         "gram": lambda a, d: oracle.gram_fock_exact(a.alpha, a.beta,
                                                     a.theta, d),
-        "sigma": lambda p, cfg: (fock.fock_sigma(p), None),
+        "sigma": lambda p: (fock.fock_sigma(p), None),
     },
 }
 
@@ -157,7 +157,7 @@ def _read_text(path, option) -> str:
                           f"at byte {exc.start})") from None
 
 
-def cmd_kernel(args, cfg) -> int:
+def cmd_kernel(args) -> int:
     space = SPACES[args.space]
     params = space["params"](args)
     pairs = [_parse_pair(t) for t in args.pair or []]
@@ -171,7 +171,7 @@ def cmd_kernel(args, cfg) -> int:
     # a degree-0 table checks the oracle's domain before any kernel runs and
     # carries the parameters of the remainder bound
     gram = space["gram"](args, 0) if args.oracle else None
-    results = space["kernels"](params, pairs, cfg)
+    results = space["kernels"](params, pairs)
     items = [{"item": f"pair {i}", "value": [res.value.real, res.value.imag],
               "terms_used": res.terms_used, "tail_bound": res.tail_bound}
              for i, res in enumerate(results)]
@@ -194,7 +194,7 @@ def cmd_kernel(args, cfg) -> int:
     return EXIT_OK if passed else EXIT_VERIFY
 
 
-def cmd_norm_expand(args, cfg) -> int:
+def cmd_norm_expand(args) -> int:
     space = SPACES[args.space]
     params = space["params"](args)
     if args.poly_file:
@@ -203,7 +203,7 @@ def cmd_norm_expand(args, cfg) -> int:
         f = BiPoly.parse(args.poly)
     else:
         raise DomainError("no polynomial given (use --poly or --poly-file)")
-    exp = space["expand"](params, f, cfg)
+    exp = space["expand"](params, f)
     items = [{"item": f"term N={N}", "value": [term, 0.0]}
              for N, term in exp.terms]
     items.append({"item": "total", "value": [exp.total, 0.0]})
@@ -224,9 +224,9 @@ def cmd_norm_expand(args, cfg) -> int:
     return EXIT_OK if passed else EXIT_VERIFY
 
 
-def cmd_sigma(args, cfg) -> int:
+def cmd_sigma(args) -> int:
     space = SPACES[args.space]
-    val, ref = space["sigma"](space["params"](args), cfg)
+    val, ref = space["sigma"](space["params"](args))
     items = [{"item": "sigma", "value": [val, 0.0]},
              {"item": "inv_sigma", "value": [1.0 / val, 0.0]}]
     if ref is not None:
@@ -239,8 +239,7 @@ def cmd_sigma(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, cfg) -> int:
-    # verify takes no --tolerance, so cfg holds the defaults the suites use
+def cmd_verify(args) -> int:
     if args.suite != "all" and args.suite not in verify.SUITES:
         names = ", ".join(sorted(verify.SUITES) + ["all"])
         print(f"unknown suite {args.suite!r}; choose from: {names}",
@@ -267,18 +266,6 @@ def _wrap_report(command, args, items, passed):
     return report
 
 
-def _make_cfg(args) -> TruncationConfig:
-    """The truncation settings of a command; a bad --tolerance is a domain
-    error whose message names it."""
-    if getattr(args, "tolerance", None) is None:
-        return TruncationConfig()
-    try:
-        return TruncationConfig(tolerance=args.tolerance)
-    except ValueError:
-        raise DomainError(f"--tolerance must be positive and finite, got "
-                          f"{args.tolerance}") from None
-
-
 def _add_format(sub):
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -290,8 +277,6 @@ def _add_space_args(sub, spaces=tuple(SPACES)):
     sub.add_argument("--beta", type=float, required=True)
     sub.add_argument("--theta", type=float, default=0.0)
     sub.add_argument("--vartheta", type=float, default=0.0)
-    sub.add_argument("--tolerance", type=float, default=None,
-                     help="series truncation tolerance override")
 
 
 @functools.cache
@@ -344,7 +329,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args._t0 = time.time()
     try:
-        return args.func(args, _make_cfg(args))
+        return args.func(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -1,40 +1,23 @@
-"""Shared value types: truncation control, series results, points in C^2."""
+"""Shared stopping policy and value types: series results, points in C^2."""
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
 # The stopping policy that every series loop shares.  A series stops after
 # CONSECUTIVE_SMALL consecutive terms whose tail estimate, SAFETY_FACTOR times
-# the ratio-based one, is within tolerance; the series over vanishing orders N
-# stop after at most MAX_OUTER_TERMS orders, and every other series after at
-# most MAX_TERMS terms.
+# the ratio-based one, is within TOLERANCE, the target bound on each truncated
+# sum's error; the series over vanishing orders N stop after at most
+# MAX_OUTER_TERMS orders, and every other series after at most MAX_TERMS
+# terms.
+TOLERANCE = 1e-12
 MAX_OUTER_TERMS = 500
 MAX_TERMS = 100_000
 CONSECUTIVE_SMALL = 3
 SAFETY_FACTOR = 4.0
 # machine epsilon, the unit of the rounding terms in tail bounds
 EPS = sys.float_info.epsilon
-
-
-@dataclass(frozen=True)
-class TruncationConfig:
-    """The settable control of every infinite series in the library: the
-    target bound on the truncation error of a sum (CLI --tolerance)."""
-
-    tolerance: float = 1e-12
-
-    def __post_init__(self):
-        # written so that a NaN tolerance is refused too
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError(
-                f"tolerance must be positive and finite, got {self.tolerance}")
-
-
-# the settings of every call that passes none
-DEFAULT_CONFIG = TruncationConfig()
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .config import DEFAULT_CONFIG, Point2, SeriesResult, TruncationConfig
+from .config import Point2, SeriesResult
 from .errors import DomainError
 from .poly2 import BiPoly
 from .specfun import log_gamma, mittag_e
@@ -88,8 +88,7 @@ def fock_q0_kernel(params: FockParams, z: Point2, w: Point2) -> complex:
     return _sigma_exp(params, expo, z, w)
 
 
-def fock_full_kernel(params: FockParams, z: Point2, w: Point2,
-                     cfg: TruncationConfig = DEFAULT_CONFIG) -> SeriesResult:
+def fock_full_kernel(params: FockParams, z: Point2, w: Point2) -> SeriesResult:
     """Full kernel sigma Gamma(theta+1) e^{...} E_theta(alpha beta
     (z1-z2)(conj(w1)-conj(w2))/(alpha+beta)) with E_theta evaluated by its
     entire series."""
@@ -106,7 +105,7 @@ def fock_full_kernel(params: FockParams, z: Point2, w: Point2,
     if not (cmath.isfinite(arg) and cmath.isfinite(pref)):
         raise DomainError(f"Fock kernel at z = ({z.z1}, {z.z2}), w = ({w.z1}, "
                           f"{w.z2}) is not finite in double precision")
-    e = mittag_e(th, arg, cfg)
+    e = mittag_e(th, arg)
     return SeriesResult(pref * e.value, e.terms_used, abs(pref) * e.tail_bound)
 
 
@@ -128,27 +127,26 @@ def fock_restriction_transform(params: FockParams, f: BiPoly, N: int) -> BiPoly:
         f, N, [u ** (N - j) * v ** j for j in range(N + 1)])
 
 
-def fock_disk_norm_sq(p: BiPoly, gamma: float) -> float:
-    """1D Gaussian-space norm of a polynomial in z1 via monomial norms
-    n!/gamma^{n+1}."""
-    return sum(abs(c) ** 2 * fock_moment(gamma, n)
+def fock_disk_norm_sq(p: BiPoly, gamma: float, log_weight=0.0) -> float:
+    """e^log_weight times the 1D Gaussian-space norm of a polynomial in z1,
+    via monomial norms n!/gamma^{n+1}: each term is formed in logs, so that
+    neither the weight nor n! leaves double range on its own."""
+    log_g = math.log(gamma)
+    return sum(math.exp(log_weight + 2.0 * math.log(abs(c))
+                        + log_gamma(n + 1.0) - (n + 1.0) * log_g)
                for (n, _), c in p.coeffs.items())
 
 
 def fock_norm_expansion(params: FockParams, f: BiPoly) -> NormExpansion:
     """||f||^2 = sum_N fock_moment(delta, theta + N) ||transform_N f||^2 in
     the 1D space of index alpha+beta, delta = alpha beta / (alpha+beta): the
-    weight is Gamma(theta+N+1) / delta^{theta+N+1}."""
-    delta = params.alpha * params.beta / params.gamma
+    weight Gamma(theta+N+1) / delta^{theta+N+1} enters each term as its log."""
+    log_delta = math.log(params.alpha * params.beta / params.gamma)
 
-    def weight(N):
-        try:
-            return fock_moment(delta, params.theta + N)
-        except OverflowError:
-            raise DomainError(f"Gaussian-space norm weight of order {N} at "
-                              f"{params} is not finite in double precision"
-                              ) from None
+    def norm(t, N):
+        p = params.theta + N + 1.0
+        return fock_disk_norm_sq(t, params.gamma, log_gamma(p) - p * log_delta)
 
     return expand(range(max(f.total_degree, 0) + 1),
-                  lambda N: fock_restriction_transform(params, f, N), weight,
-                  lambda t, N: fock_disk_norm_sq(t, params.gamma))
+                  lambda N: fock_restriction_transform(params, f, N),
+                  lambda N: 1.0, norm)

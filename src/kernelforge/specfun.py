@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 
-from .config import (CONSECUTIVE_SMALL, DEFAULT_CONFIG, EPS, MAX_TERMS,
-                     SAFETY_FACTOR, SeriesResult, TruncationConfig)
+from .config import (CONSECUTIVE_SMALL, EPS, MAX_TERMS, SAFETY_FACTOR,
+                     TOLERANCE, SeriesResult)
 from .errors import ConvergenceError, DomainError
 
 _INT_EPS = 1e-9
@@ -68,8 +68,7 @@ def pochhammer(x: float, n: int) -> float:
     return sg_top * sg_bot * math.exp(lg_top - lg_bot)
 
 
-def hyp2f1(a: float, b: float, c: float, x: complex,
-           cfg: TruncationConfig = DEFAULT_CONFIG) -> SeriesResult:
+def hyp2f1(a: float, b: float, c: float, x: complex) -> SeriesResult:
     """Gauss hypergeometric series sum_n (a)_n (b)_n / ((c)_n n!) x^n, |x| < 1."""
     if _is_nonpositive_integer(c):
         raise DomainError(f"hyp2f1: c = {c} is a non-positive integer")
@@ -77,7 +76,7 @@ def hyp2f1(a: float, b: float, c: float, x: complex,
     if ax >= 1.0:
         raise DomainError(f"hyp2f1 requires |x| < 1, got |x| = {ax}")
 
-    tolerance = cfg.tolerance
+    tolerance = TOLERANCE
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
     small_streak = 0
@@ -136,8 +135,7 @@ def _thomae_forms(a1: float, a2: float, a3: float, d: float, e: float):
         map(_is_nonpositive_integer, form[1] + form[2] + form[3]))]
 
 
-def _sum_3f2_rep(uppers, lowers, prefactor: float,
-                 cfg: TruncationConfig) -> SeriesResult:
+def _sum_3f2_rep(uppers, lowers, prefactor: float) -> SeriesResult:
     """prefactor * 3F2(uppers; lowers; 1), summed term by term; the
     tail_bound adds the summation's rounding, eps (n+2) sum_k |t_k|."""
     a1, a2, a3 = uppers
@@ -159,7 +157,7 @@ def _sum_3f2_rep(uppers, lowers, prefactor: float,
                                 scale * EPS * (n + 3) * abs_sum)
         # algebraic tail: sum_{m>n} C m^{-(s+1)} ~ |t_n| * n / s
         tail = SAFETY_FACTOR * abs(term) * max(n + 1, 1) / max(s, 1e-3)
-        if tail <= cfg.tolerance * max(1.0, abs(total)):
+        if tail <= TOLERANCE * max(1.0, abs(total)):
             small_streak += 1
             if small_streak >= CONSECUTIVE_SMALL:
                 return SeriesResult(complex(prefactor * total), n + 1,
@@ -172,8 +170,8 @@ def _sum_3f2_rep(uppers, lowers, prefactor: float,
         terms_used=MAX_TERMS, tail_estimate=scale * tail)
 
 
-def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float,
-                cfg: TruncationConfig = DEFAULT_CONFIG) -> SeriesResult:
+def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float,
+                b2: float) -> SeriesResult:
     """3F2(a1,a2,a3; b1,b2; 1).
 
     Requires b1+b2-a1-a2-a3 > 0 unless an upper parameter truncates the
@@ -212,18 +210,17 @@ def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float,
             log_pref += sense * lg
             sign *= sg
             log_size += abs(lg)
-    r = _sum_3f2_rep(uppers, lowers, sign * math.exp(log_pref), cfg)
+    r = _sum_3f2_rep(uppers, lowers, sign * math.exp(log_pref))
     # each log-Gamma and the exp round relative to the value
     return SeriesResult(r.value, r.terms_used,
                         r.tail_bound + 4 * EPS * (log_size + 1) * abs(r.value))
 
 
-def mittag_e(theta: float, x: complex,
-             cfg: TruncationConfig = DEFAULT_CONFIG) -> SeriesResult:
+def mittag_e(theta: float, x: complex) -> SeriesResult:
     """Entire function sum_N x^N / Gamma(theta + N + 1) for theta > -1."""
     if theta <= -1:
         raise DomainError(f"mittag_e requires theta > -1, got {theta}")
-    tolerance = cfg.tolerance
+    tolerance = TOLERANCE
     ax = abs(x)
     term = complex(math.exp(-math.lgamma(theta + 1.0)))
     total = term

@@ -12,9 +12,8 @@ from kernelforge.bidisk import (BidiskParams, coeff_a, coeff_b, diag_kernel,
                                 norm_expansion, q_kernel,
                                 restriction_transform, sigma,
                                 sigma_gamma_form, taylor_blocks)
-from kernelforge.config import (CONSECUTIVE_SMALL, DEFAULT_CONFIG,
-                               MAX_OUTER_TERMS, SAFETY_FACTOR, Point2,
-                               TruncationConfig)
+from kernelforge.config import (CONSECUTIVE_SMALL, MAX_OUTER_TERMS,
+                               SAFETY_FACTOR, TOLERANCE, Point2)
 from kernelforge.errors import ConvergenceError, DomainError
 from kernelforge.fock import (FockParams, coeff_c, fock_norm_expansion,
                               fock_restriction_transform)
@@ -80,7 +79,7 @@ def test_sigma_tail_bound_counts_rounding(tup):
     # each of these sums a terminating form, or one whose terms underflow to
     # 0 within six terms, so the truncation error is 0; the bound must still
     # cover the rounding of the log-Gamma prefactors
-    r = bidisk._sigma_cached(*tup, TruncationConfig())
+    r = bidisk._sigma_cached(*tup)
     assert abs(r.value.real - float(_sigma_mpmath(*tup))) <= r.tail_bound
 
 
@@ -532,9 +531,9 @@ def test_full_kernel_terms_per_order(case, monkeypatch):
     assert (r.terms_used, len(parts), sum(parts)) == (terms, orders, terms)
 
 
-def _outer_ends(params, pairs, cfg=DEFAULT_CONFIG):
+def _outer_ends(params, pairs):
     """Each pair's N_hi: the last order full_kernels runs for it."""
-    counts, _, _ = bidisk._outer_tails(params, pairs, cfg)
+    counts, _, _ = bidisk._outer_tails(params, pairs)
     return [count - 1 for count in counts]
 
 
@@ -653,7 +652,7 @@ def test_full_kernels_reads_warmed_sigma(monkeypatch):
                            lambda: full_kernels(p, pairs))
 
 
-def _outer_rule_reference(params, z, w, sums, cfg):
+def _outer_rule_reference(params, z, w, sums, tolerance):
     """The outer rule as a loop over orders N = 0, 1, ... on the inner sums
     `sums` of orders 0 .. len(sums) - 1: the sum, the order it stopped at
     and its tail estimate, or None if it did not stop within those orders.
@@ -664,14 +663,14 @@ def _outer_rule_reference(params, z, w, sums, cfg):
     dz = z.z1 - z.z2
     dw = complex(w.z1).conjugate() - complex(w.z2).conjugate()
     rz, rw = max(abs(z.z1), abs(z.z2)), max(abs(w.z1), abs(w.z2))
-    sig = [sigma(params.shifted(N), cfg) for N in range(len(sums) + 2)]
+    sig = [sigma(params.shifted(N)) for N in range(len(sums) + 2)]
     total, streak = 0j, 0
     for N, inner in enumerate(sums):
         total += dz ** N * dw ** N * sig[N] * inner
         ratio = min(abs(dz * dw) * sig[N + 2] / sig[N + 1], 0.999)
         tail = (SAFETY_FACTOR * abs(dz * dw) ** (N + 1) * sig[N + 1]
                 / (1 - rz * rw) / (1 - ratio))
-        streak = streak + 1 if tail <= cfg.tolerance else 0
+        streak = streak + 1 if tail <= tolerance else 0
         if streak == CONSECUTIVE_SMALL:
             return total, N, tail
     return None
@@ -693,23 +692,23 @@ def _bound_pairs():
 
 
 @pytest.mark.parametrize("tolerance", [1e-6, 1e-10, 1e-14])
-def test_outer_rule_stops_within_its_bound(tolerance):
+def test_outer_rule_stops_within_its_bound(tolerance, monkeypatch):
     # the outer rule stops at N_hi, the first order that ends
     # CONSECUTIVE_SMALL tails within the tolerance: full_kernels, which runs
     # orders 0 .. N_hi alone, returns what the rule over those orders returns
-    cfg = TruncationConfig(tolerance)
+    monkeypatch.setattr(bidisk, "TOLERANCE", tolerance)
     p = BidiskParams(*_TERM_CASES["vartheta"][0])
     pairs = _bound_pairs()
-    n_hi = _outer_ends(p, pairs, cfg)
+    n_hi = _outer_ends(p, pairs)
     sums, terms, _ = bidisk._inner_sums(
         p, pairs, np.repeat(np.arange(len(pairs)), np.add(n_hi, 1)),
-        np.concatenate([np.arange(n + 1) for n in n_hi]), cfg)
-    got = full_kernels(p, pairs, cfg)
+        np.concatenate([np.arange(n + 1) for n in n_hi]))
+    got = full_kernels(p, pairs)
     assert min(n_hi) == CONSECUTIVE_SMALL - 1 and max(n_hi) > 64
     start = 0
     for (z, w), n, g in zip(pairs, n_hi, got):
         ref = _outer_rule_reference(
-            p, z, w, sums[start:start + n + 1].tolist(), cfg)
+            p, z, w, sums[start:start + n + 1].tolist(), tolerance)
         assert ref is not None
         total, stop, tail = ref
         assert stop == n
@@ -794,8 +793,8 @@ def test_kernels_at_the_order_cap_stand_within_the_tolerance_of_the_sum(
     z = Point2(0.7, -0.7)
     r = kernel(p, z, z)
     assert r.terms_used == 2640
-    assert DEFAULT_CONFIG.tolerance < r.tail_bound
-    assert r.tail_bound <= DEFAULT_CONFIG.tolerance * abs(r.value)
+    assert TOLERANCE < r.tail_bound
+    assert r.tail_bound <= TOLERANCE * abs(r.value)
     assert abs(r.value - 0.51 ** -5.5) <= r.tail_bound
 
 

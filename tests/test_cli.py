@@ -291,26 +291,14 @@ def test_kernel_oracle_degree_follows_pairs(capsys):
     assert "oracle" in err
 
 
-_KERNEL = ["kernel", "--space", "bidisk", "--alpha", "0", "--beta", "0",
-           "--pair", "0.3,0.2,0.25,-0.1"]
-# argv and the setting the message must name; before they were checked, 0
-# was ignored, -1 ended in a traceback with exit code 1 and nan ran 100,000
-# terms and exited 3
-_BAD_SETTINGS = {
-    "tolerance-zero": (_KERNEL + ["--tolerance", "0"], "--tolerance"),
-    "tolerance-negative": (_KERNEL + ["--tolerance", "-1"], "--tolerance"),
-    "tolerance-nan": (_KERNEL + ["--tolerance", "nan"], "--tolerance"),
-    # accepted, then a bare OverflowError from math.ceil(inf)
-    "tolerance-inf": (_KERNEL + ["--tolerance", "inf"], "--tolerance"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_BAD_SETTINGS))
-def test_bad_setting_is_domain_error(capsys, case):
-    argv, name = _BAD_SETTINGS[case]
-    code, _, err = run(capsys, argv)
-    assert code == cli.EXIT_DOMAIN
-    assert name in err and len(err.strip().splitlines()) == 1
+def test_tolerance_option_is_refused(capsys):
+    # the truncation tolerance is the constant config.TOLERANCE; an option
+    # that once set it is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["kernel", "--space", "bidisk", "--alpha", "0", "--beta", "0",
+                  "--pair", "0.3,0.2,0.25,-0.1", "--tolerance", "1e-6"])
+    assert exc.value.code == cli.EXIT_DOMAIN
+    assert "--tolerance" in capsys.readouterr().err
 
 
 _NORM = ["norm-expand", "--space", "fock", "--alpha", "1", "--beta", "1"]
@@ -448,8 +436,6 @@ _PAST_DOUBLE_RANGE = {
                              "--beta", "600", "--theta", "600"],
     "fock-norm-coeff": ["norm-expand", "--space", "fock", "--alpha", "3",
                         "--beta", "3", "--poly", "(1e200,0)*z1^2"],
-    "fock-norm-degree": ["norm-expand", "--space", "fock", "--alpha", "3",
-                         "--beta", "3", "--poly", "z1^200"],
     "fock-sigma-theta": ["sigma", "--space", "fock", "--alpha", "3",
                          "--beta", "3", "--theta", "600"],
     "bidisk-oracle-remainder": ["kernel", "--space", "bidisk", "--alpha",
@@ -465,23 +451,30 @@ def test_past_double_range_is_domain_error(capsys, case):
     assert "double precision" in err and len(err.strip().splitlines()) == 1
 
 
-# norms whose factorials and Pochhammer symbols leave double range on their
-# own, though the norm does not: ||z1^n||^2 = n!/(alpha+2)_n
+# norms whose factorials, Pochhammer symbols or per-order weights leave
+# double range on their own, though the norm does not: ||z1^n||^2 is
+# n!/(alpha+2)_n on the bidisk and n!/3^(n+2) on the Gaussian space at
+# alpha = beta = 3, whose order weight Gamma(N+1)/1.5^(N+1) is past double
+# range from order 186 (z1^200 exited 2)
 _NORMS_NEAR_DOUBLE_RANGE = {
-    "bidisk-norm-degree": ("0", "z1^200", 1e-12),
-    "bidisk-norm-weights": ("1e5", "z1^60", 1e-9),
+    "bidisk-norm-degree": ("bidisk", "0", "z1^200", 1e-12),
+    "bidisk-norm-weights": ("bidisk", "1e5", "z1^60", 1e-9),
+    "fock-norm-degree": ("fock", "3", "z1^200", 1e-12),
+    "fock-norm-degree-185": ("fock", "3", "z1^185", 1e-12),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_NORMS_NEAR_DOUBLE_RANGE))
 def test_norms_near_double_range_match_closed_forms(capsys, case):
-    weight, poly, rel = _NORMS_NEAR_DOUBLE_RANGE[case]
-    code, out, _ = run(capsys, ["norm-expand", "--space", "bidisk", "--alpha",
+    space, weight, poly, rel = _NORMS_NEAR_DOUBLE_RANGE[case]
+    code, out, _ = run(capsys, ["norm-expand", "--space", space, "--alpha",
                                 weight, "--beta", weight, "--poly", poly])
     assert code == cli.EXIT_OK
     n = int(poly[3:])
     with mpmath.workdps(40):
-        exact = float(mpmath.factorial(n) / mpmath.rf(float(weight) + 2, n))
+        exact = float(mpmath.factorial(n) / (
+            mpmath.rf(float(weight) + 2, n) if space == "bidisk"
+            else mpmath.mpf(3) ** (n + 2)))
     total = json.loads(out)["items"][-1]["value"][0]
     assert total == pytest.approx(exact, rel=rel, abs=0)
 

@@ -78,6 +78,23 @@ def test_no_setting_comes_from_the_environment():
     assert reads == []
 
 
+def test_no_function_takes_a_truncation_setting():
+    # the truncation tolerance is the constant config.TOLERANCE, which each
+    # series module reads as a global; no function or lambda of the package
+    # takes a settings object as a parameter
+    found = []
+    for name, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [
+                    p for p in (a.vararg, a.kwarg) if p is not None]
+                found += [f"{name}:{node.lineno}" for p in params
+                          if p.arg == "cfg"]
+    assert found == []
+
+
 # scipy costs a process about 0.3 s and 24 MB to import, and only the Gram
 # oracle's quadrature and verify's E_theta rule need it
 _SCIPY_STAYS_UNLOADED = textwrap.dedent("""

@@ -4,7 +4,6 @@ import mpmath
 import pytest
 
 from kernelforge import bidisk, specfun
-from kernelforge.config import TruncationConfig
 from kernelforge.errors import ConvergenceError, DomainError
 from kernelforge.specfun import (_sum_3f2_rep, hyp2f1, hyp3f2_unit,
                                  log_gamma, mittag_e, pochhammer)
@@ -72,8 +71,10 @@ def test_hyp2f1_binomial_identity():
     # before their ratio falls below 1
     (-3 + 1e-12, 40.0, 0.5, 0.97, 1e-6),
 ])
-def test_hyp2f1_no_stop_while_terms_grow(a, b, c, x, tolerance):
-    r = hyp2f1(a, b, c, x, TruncationConfig(tolerance=tolerance))
+def test_hyp2f1_no_stop_while_terms_grow(a, b, c, x, tolerance,
+                                         monkeypatch):
+    monkeypatch.setattr(specfun, "TOLERANCE", tolerance)
+    r = hyp2f1(a, b, c, x)
     with mpmath.workdps(30):
         ref = complex(mpmath.hyp2f1(a, b, c, x))
     assert abs(r.value - ref) <= r.tail_bound
@@ -109,8 +110,9 @@ def test_hyp3f2_accelerated_matches_literal():
     # moderate excess: both paths converge and must agree
     args = (0.7, 1.2, 0.9, 2.0, 4.5)
     fast = hyp3f2_unit(*args)
-    slow = _sum_3f2_rep(args[:3], args[3:], 1.0,
-                        TruncationConfig(tolerance=1e-13))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specfun, "TOLERANCE", 1e-13)
+        slow = _sum_3f2_rep(args[:3], args[3:], 1.0)
     assert fast.value.real == pytest.approx(slow.value.real, rel=1e-9)
     assert fast.terms_used <= slow.terms_used
 
