@@ -20,7 +20,7 @@ from .errors import ConvergenceError, DomainError
 from .poly2 import BiPoly
 from .specfun import hyp2f1, log_gamma
 
-from .bidisk import MAX_DEGREE, NormExpansion, disk_norm_sq, expand
+from .bidisk import NormExpansion, disk_norm_sq, expand
 
 
 @dataclass(frozen=True)
@@ -57,21 +57,12 @@ def _z2_coefficient(f: BiPoly, N: int) -> BiPoly:
     return BiPoly({(m, 0): c for (m, n), c in f.coeffs.items() if n == N})
 
 
-def _z2_orders(f: BiPoly) -> range:
-    """The orders N = 0 .. deg_z2 f of f's coefficients of z2^N (N = 0 alone
-    for f = 0); DomainError past total degree MAX_DEGREE, as on the
-    bidisk."""
-    if f.total_degree > MAX_DEGREE:
-        raise DomainError(f"polynomial degree {f.total_degree} exceeds "
-                          f"{MAX_DEGREE}, the largest a norm expansion takes")
-    return range(max(f.degree_in(2), 0) + 1)
-
-
 def ball_norm_expansion(params: BallParams, f: BiPoly) -> NormExpansion:
     """||f||^2 = sum_N embed_const(N) ||f_N||^2 in the 1D space of index
     alpha+beta+theta+N+1, where f_N is f's coefficient of z2^N."""
     s_base = params.alpha + params.beta + params.theta + 1.0
-    return expand(_z2_orders(f), lambda N: _z2_coefficient(f, N),
+    return expand(f, range(max(f.degree_in(2), 0) + 1),
+                  lambda N: _z2_coefficient(f, N),
                   lambda N: embed_const(params, N),
                   lambda g, N: disk_norm_sq(g, s_base + N))
 
@@ -167,6 +158,7 @@ def ball_hardy_norm_expansion(beta: float, theta: float,
     if not -1 < beta + theta < math.inf:  # NaN and inf fail too
         raise DomainError(
             "ball_hardy_norm_expansion requires a finite beta + theta > -1")
-    return expand(_z2_orders(f), lambda N: _z2_coefficient(f, N),
+    return expand(f, range(max(f.degree_in(2), 0) + 1),
+                  lambda N: _z2_coefficient(f, N),
                   lambda N: 1.0 / (beta + theta + N + 1.0),
                   lambda g, N: disk_norm_sq(g, beta + theta + N))

@@ -26,8 +26,9 @@ before any series runs, and the kernel is the sum of the orders 0 .. N_hi
 (_outer_result).  full_kernels runs those orders of all its pairs in one
 _inner_sums pass; q_kernel is one cell of _inner_sums times its prefactor,
 and full_kernel calls it one order at a time.  sigma has one cache, keyed
-by the weight's four exponents, so sigma(params.shifted(N)) and the order-N
-reads of the kernels share entries and a warm series builds no BidiskParams.
+by the weight's four exponents: the kernels, taylor_blocks and
+norm_expansion read sigma_N as its entry at theta + N, so they share entries
+and a warm series builds no BidiskParams.
 """
 
 from __future__ import annotations
@@ -395,7 +396,8 @@ def taylor_blocks(params: BidiskParams, max_degree: int) -> list:
         block = np.zeros((d + 1, d + 1))
         for N in range(d + 1):
             n = d - N
-            sig = sigma(params.shifted(N))
+            sig = _sigma_cached(params.alpha, params.beta, params.theta + N,
+                                params.vartheta).value.real
             mu = math.factorial(n) / pochhammer(params.s + 2.0 * N + 2.0, n)
             # coefficients in ascending powers of z1, times (z1 - z2) one
             # factor at a time: one convolution with the binomial
@@ -504,25 +506,44 @@ class NormExpansion:
     total: float
 
 
-def expand(orders, transform, weight, norm1d) -> NormExpansion:
+def expand(f: BiPoly, orders, transform, weight, norm1d) -> NormExpansion:
     """The norm expansion shared by every space: ||f||^2 = sum over N in
     orders of weight(N) norm1d(transform(N), N), where transform(N) is the
     order-N restriction of f to the zero variety and norm1d its 1D
-    monomial-norm sum.  The weight is only evaluated for nonzero transforms."""
+    monomial-norm sum.  The weight is only evaluated for nonzero transforms.
+    DomainError past total degree MAX_DEGREE, and where a term, named by its
+    order, or the total is not finite in double precision."""
+    if f.total_degree > MAX_DEGREE:
+        raise DomainError(f"polynomial degree {f.total_degree} exceeds "
+                          f"{MAX_DEGREE}, the largest a norm expansion takes: "
+                          f"its binomial coefficients are not finite in "
+                          f"double precision")
     terms = []
     for N in orders:
-        t = transform(N)
-        terms.append((N, 0.0 if t.is_zero() else weight(N) * norm1d(t, N)))
-    return NormExpansion(tuple(terms), sum((v for _, v in terms), 0.0))
+        try:
+            t = transform(N)
+            term = 0.0 if t.is_zero() else weight(N) * norm1d(t, N)
+        except OverflowError:
+            term = math.inf
+        if not math.isfinite(term):
+            raise DomainError(f"norm expansion term of order {N} is not "
+                              f"finite in double precision")
+        terms.append((N, term))
+    total = sum((v for _, v in terms), 0.0)
+    if not math.isfinite(total):
+        raise DomainError("norm expansion total is not finite in double "
+                          "precision")
+    return NormExpansion(tuple(terms), total)
 
 
 def norm_expansion(params: BidiskParams, f: BiPoly) -> NormExpansion:
     """||f||^2 = sum_N (1/sigma_N) || transform_N f ||^2 in the 1D space of
     index s + 2N; finite for polynomials since transforms of order beyond
     deg f vanish."""
-    return expand(range(max(f.total_degree, 0) + 1),
+    al, be, th, vt = params.alpha, params.beta, params.theta, params.vartheta
+    return expand(f, range(max(f.total_degree, 0) + 1),
                   lambda N: restriction_transform(params, f, N),
-                  lambda N: 1.0 / sigma(params.shifted(N)),
+                  lambda N: 1.0 / _sigma_cached(al, be, th + N, vt).value.real,
                   lambda t, N: disk_norm_sq(t, params.s + 2.0 * N))
 
 
@@ -533,19 +554,11 @@ def hardy_norm_expansion(theta: float, f: BiPoly) -> NormExpansion:
     if not -0.5 < theta < math.inf:  # NaN and inf fail too
         raise DomainError(
             "hardy_norm_expansion requires a finite theta > -1/2")
-
-    def weight(N):
-        try:
-            return math.exp(log_gamma(2 * theta + 2 * N + 2.0)
-                            - 2.0 * log_gamma(theta + N + 1.0)
-                            ) / (2 * theta + 2 * N + 1.0)
-        except OverflowError:
-            raise DomainError(f"Hardy norm weight of order {N} at theta = "
-                              f"{theta} is not finite in double precision"
-                              ) from None
-
     return expand(
-        range(max(f.total_degree, 0) + 1),
+        f, range(max(f.total_degree, 0) + 1),
         lambda N: diagonal_transform(f, N, _binomial_weights(
             theta + 1.0, theta + 1.0, 2.0 * theta, N)),
-        weight, lambda t, N: disk_norm_sq(t, 2 * theta + 2.0 * N))
+        lambda N: math.exp(log_gamma(2 * theta + 2 * N + 2.0)
+                           - 2.0 * log_gamma(theta + N + 1.0)
+                           ) / (2 * theta + 2 * N + 1.0),
+        lambda t, N: disk_norm_sq(t, 2 * theta + 2.0 * N))

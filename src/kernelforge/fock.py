@@ -147,6 +147,6 @@ def fock_norm_expansion(params: FockParams, f: BiPoly) -> NormExpansion:
         p = params.theta + N + 1.0
         return fock_disk_norm_sq(t, params.gamma, log_gamma(p) - p * log_delta)
 
-    return expand(range(max(f.total_degree, 0) + 1),
+    return expand(f, range(max(f.total_degree, 0) + 1),
                   lambda N: fock_restriction_transform(params, f, N),
                   lambda N: 1.0, norm)

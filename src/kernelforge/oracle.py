@@ -76,33 +76,34 @@ class GramBlocks:
 
     def inner_product(self, f: BiPoly, g: BiPoly) -> complex:
         """<f, g> in the space; requires deg <= max_degree."""
-        deg = max(f.total_degree, g.total_degree)
-        if deg > self.max_degree:
-            raise DomainError(
-                f"degree {deg} exceeds Gram table max degree {self.max_degree}")
-        fvecs = _degree_vectors(f, deg)
-        total = 0.0 + 0.0j
-        for block, fv, gv in zip(self.blocks, fvecs, fvecs if g is f
-                                 else _degree_vectors(g, deg)):
-            if fv is not None and gv is not None:
-                total += fv @ (block @ np.conj(gv))
-        return total
+        blocks, (fv, gv), _ = _degree_stack(self, (f, g))
+        return complex(np.einsum("bm,bmn,bn->", fv, blocks, gv.conj()))
 
     def norm_sq(self, f: BiPoly) -> float:
         return self.inner_product(f, f).real
 
 
-def _degree_vectors(f: BiPoly, max_degree: int) -> list:
-    """f's coefficients by total degree d = 0..max_degree, which must be at
-    least f's, in one pass: entry d is indexed by the power of z1, or None
-    where f has no term of degree d."""
-    vecs = [None] * (max_degree + 1)
-    for (m, n), c in f.coeffs.items():
-        vec = vecs[m + n]
-        if vec is None:
-            vec = vecs[m + n] = np.zeros(m + n + 1, dtype=complex)
-        vec[m] = c
-    return vecs
+def _degree_stack(gram: GramBlocks, polys):
+    """(g, vecs, degrees) for the degrees d_0 < ... < d_{k-1} that any of
+    polys has: g[b] is block d_b of the Gram table and vecs[p, b] the
+    coefficients of polys[p] of degree d_b indexed by the power of z1, padded
+    with the identity and with zeros to size n = max(deg, 0) + 1 over the
+    polynomials' degrees."""
+    deg = max(p.total_degree for p in polys)
+    if deg > gram.max_degree:
+        raise DomainError(f"degree {deg} exceeds Gram table max degree "
+                          f"{gram.max_degree}")
+    n = max(deg, 0) + 1
+    degrees = sorted({m + k for p in polys for m, k in p.coeffs})
+    slot = {d: b for b, d in enumerate(degrees)}
+    g = np.eye(n)[None].repeat(len(degrees), 0)
+    for b, d in enumerate(degrees):
+        g[b, :d + 1, :d + 1] = gram.blocks[d]
+    vecs = np.zeros((len(polys), len(degrees), n), dtype=complex)
+    for p, poly in enumerate(polys):
+        for (m, k), c in poly.coeffs.items():
+            vecs[p, slot[m + k], m] = c
+    return g, vecs, degrees
 
 
 def _require_integer_theta(theta: float) -> int:
@@ -280,28 +281,32 @@ def _angular_reduce(t1, t2, psi, wpsi, max_delta, theta, vartheta):
     return cang
 
 
-def _bidisk_radial(p: BidiskParams, n: int):
-    """Gauss-Jacobi in r = |z_i| for the disk weights (1 - r^2)^alpha, with
-    the weight's factor (1 + r)^alpha and the area element's r in the
-    weights."""
+def _radial_rule(a: float, n: int):
+    """(t, w): Gauss-Jacobi of order n in r = |z_i| for the disk weight
+    (1 - r^2)^a, with nodes t = r^2 and the weight's factor (1 + r)^a and the
+    area element's r in the weights w."""
     from scipy.special import roots_jacobi
-
-    def rule(a):
-        x, w = roots_jacobi(n, a, 0.0)
-        s = 0.5 * (x + 1.0)
-        return s ** 2, w * 2.0 ** (-a - 1.0) * (1.0 + s) ** a * s
-    return (rule(p.alpha), rule(p.beta),
-            4.0 * (p.alpha + 1.0) * (p.beta + 1.0) / math.pi)
+    x, w = roots_jacobi(n, a, 0.0)
+    s = 0.5 * (x + 1.0)
+    return s ** 2, w * 2.0 ** (-a - 1.0) * (1.0 + s) ** a * s
 
 
-def _blocks_at_order(rule, theta, vartheta, max_degree):
-    """Gram blocks of degree 0..max_degree from a radial rule
-    ((t1, w1), (t2, w2), const) of order n = t1.size: entry (m1, m2) of block
-    d is const sum_ij w1_i w2_j t1_i^{a/2} t2_j^{b/2} cang[|m1-m2|, i, j],
-    a = m1 + m2, b = 2d - a, with the angular reduction at order 2n."""
-    (t1, w1), (t2, w2), const = rule
-    psi, wpsi = _angular_nodes(2 * t1.size, theta)
-    cang = _angular_reduce(t1, t2, psi, wpsi, max_degree, theta, vartheta)
+def _blocks_at_order(params: BidiskParams, n: int, max_degree: int) -> list:
+    """Gram blocks of degree 0..max_degree from the radial rules (t1, w1) and
+    (t2, w2) of order n for alpha and beta: entry (m1, m2) of block d is
+    const sum_ij w1_i w2_j t1_i^{a/2} t2_j^{b/2} cang[|m1-m2|, i, j],
+    a = m1 + m2, b = 2d - a, const = 4 (alpha+1)(beta+1)/pi, with the
+    angular reduction at order 2n.  QuadratureError naming n if a rule is not
+    finite."""
+    (t1, w1), (t2, w2) = (_radial_rule(a, n)
+                          for a in (params.alpha, params.beta))
+    if not all(np.isfinite(x).all() for x in (t1, w1, t2, w2)):
+        raise QuadratureError(
+            f"gram_numeric: the radial rule of order {n} is not finite")
+    const = 4.0 * (params.alpha + 1.0) * (params.beta + 1.0) / math.pi
+    psi, wpsi = _angular_nodes(2 * n, params.theta)
+    cang = _angular_reduce(t1, t2, psi, wpsi, max_degree, params.theta,
+                           params.vartheta)
     # cos(delta psi) pairs only with powers (sqrt(t1 t2))^{delta + even} of the
     # angular weight, so t^{a/2} cang[delta] has integral powers of t (a and
     # delta share parity).
@@ -321,20 +326,11 @@ def gram_numeric(params: BidiskParams, max_degree: int) -> GramBlocks:
     parameters; the attached quad_error is the largest entry change at the
     last doubling of the order.  The Gaussian space needs no quadrature:
     gram_fock_exact is exact at every theta."""
-    def compute(n, err):
-        rule = _bidisk_radial(params, n)
-        if not all(np.isfinite(x).all() for var in rule[:2] for x in var):
-            raise QuadratureError(
-                f"gram_numeric: the radial rule of order {n} is not finite; "
-                f"the last change was {err:.3e}")
-        return _blocks_at_order(rule, params.theta, params.vartheta,
-                                max_degree)
-
-    n, err = QUAD_START_ORDER, math.inf
-    prev = compute(n, err)
+    n = QUAD_START_ORDER
+    prev = _blocks_at_order(params, n, max_degree)
     while n < QUAD_MAX_ORDER:
         n *= 2
-        cur = compute(n, err)
+        cur = _blocks_at_order(params, n, max_degree)
         diffs = [np.abs(c - q) for c, q in zip(cur, prev)]
         err = float(np.max([np.max(x) for x in diffs]))
         # each block against its own largest entry, at least 1; NaN fails
@@ -364,8 +360,8 @@ def gram_kernel_blocks(gram: GramBlocks) -> list:
     g = np.eye(n)[None].repeat(n, 0)  # block d, padded with the identity
     for d, block in enumerate(gram.blocks):
         g[d, :d + 1, :d + 1] = block
-    inv_low = _solve_lower(_cholesky(g, "Gram block", range(n)),
-                           np.broadcast_to(np.eye(n), g.shape))
+    inv_low = np.linalg.solve(_cholesky(g, "Gram block", range(n)),
+                              np.broadcast_to(np.eye(n), g.shape))
     kernel = inv_low.transpose(0, 2, 1) @ inv_low
     return [kernel[d, :d + 1, :d + 1] for d in range(n)]
 
@@ -505,22 +501,10 @@ def _cholesky(m: np.ndarray, what: str, degrees) -> np.ndarray:
         raise
 
 
-def _solve_lower(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """low^{-1} rhs for a stack of lower triangular matrices with positive
-    diagonals, by forward substitution on the whole stack at once."""
-    out = np.empty_like(rhs)
-    for i in range(rhs.shape[1]):
-        out[:, i] = (rhs[:, i] - np.einsum("bj,bjc->bc", low[:, i, :i],
-                                          out[:, :i])) / low[:, i, i, None]
-    return out
-
-
 def _order_pass(gram: GramBlocks, f: BiPoly):
-    """(g, fv, degrees, parts) for the degrees d_0 < ... < d_{k-1} that f
-    has: g[b] is block d_b of the Gram table and fv[b] f's coefficient
-    vector of degree d_b, both padded with the identity and with zeros to
-    size n = max(deg f, 0) + 1, and parts[b, i] is the degree-d_b component
-    of Q_{d_b-i} f (zero for i > d_b).
+    """(g, fv, degrees, parts): g, f's coefficient rows fv and the degrees
+    d_0 < ... < d_{k-1} that f has, as _degree_stack lays them out, and
+    parts[b, i], the degree-d_b component of Q_{d_b-i} f (zero for i > d_b).
 
     In each block the basis E has column i = u^{d-i} v^i, so its first
     d-o+1 columns span the block's functions that vanish to order o; the
@@ -531,17 +515,8 @@ def _order_pass(gram: GramBlocks, f: BiPoly):
     submatrix of E^T G E, no worse conditioned after scaling than the whole
     (eigenvalue interlacing), so one check covers them all.  Every step runs
     on the whole stack at once."""
-    if f.total_degree > gram.max_degree:
-        raise DomainError("polynomial degree exceeds the Gram table")
-    n = max(f.total_degree, 0) + 1
-    degrees = sorted({m + k for m, k in f.coeffs})
-    slot = {d: b for b, d in enumerate(degrees)}
-    g = np.eye(n)[None].repeat(len(degrees), 0)
-    for b, d in enumerate(degrees):
-        g[b, :d + 1, :d + 1] = gram.blocks[d]
-    fv = np.zeros((len(degrees), n), dtype=complex)
-    for (m, k), c in f.coeffs.items():
-        fv[slot[m + k], m] = c
+    g, (fv,), degrees = _degree_stack(gram, (f,))
+    n = g.shape[-1]
     # the Gram block's own conditioning bounds how far the rounding in its
     # entries moves the parts (this catches a near-null direction that the
     # flag basis isolates and so scales away)
@@ -572,7 +547,8 @@ def _order_pass(gram: GramBlocks, f: BiPoly):
              + (upow_exp < 0)[:, None, :] * np.eye(n))
     basis_t = basis.transpose(0, 2, 1)
     normal = basis_t @ g @ basis
-    rows = _solve_lower(_cholesky(normal, "projection block", degrees), basis_t)
+    rows = np.linalg.solve(_cholesky(normal, "projection block", degrees),
+                           basis_t)
     coef = np.einsum("bim,bm->bi", rows, np.einsum("bmn,bn->bm", g, fv))
     return g, fv, degrees, coef[:, :, None] * rows
 

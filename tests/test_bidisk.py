@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from kernelforge import bidisk, cli, oracle, verify
+from kernelforge.ball import (BallParams, ball_hardy_norm_expansion,
+                              ball_norm_expansion)
 from kernelforge.bidisk import (BidiskParams, coeff_a, coeff_b, diag_kernel,
                                 full_kernel, full_kernels,
                                 hardy_norm_expansion,
@@ -313,6 +315,30 @@ def test_hardy_weight_past_double_range_is_domain_error():
     assert abs(total - 1.0) <= 1e-12
     with pytest.raises(DomainError, match="order 510"):
         hardy_norm_expansion(0.0, BiPoly.parse("z1^510"))
+
+
+def test_norm_expansions_refuse_values_past_double_range(capsys):
+    # every expansion raised a bare OverflowError on the first polynomial,
+    # and all but the ball's returned inf on the second, whose norm on the
+    # ball is 1.197e308 (and the CLI printed Infinity, which is not JSON)
+    expansions = (lambda f: norm_expansion(BidiskParams(0, 0, 0), f),
+                  lambda f: hardy_norm_expansion(0.0, f),
+                  lambda f: ball_norm_expansion(BallParams(0, 0, 0), f),
+                  lambda f: ball_hardy_norm_expansion(0.0, 0.0, f),
+                  lambda f: fock_norm_expansion(FockParams(1, 1), f))
+    huge = "(1.34e154,0) + (1.34e154,0)*z2"
+    for text in ("(1e200,0)*z1^2", huge):
+        f = BiPoly.parse(text)
+        for i, expand in enumerate(expansions):
+            if text == huge and i == 2:
+                assert 1.19e308 < expand(f).total < math.inf
+                continue
+            with pytest.raises(DomainError, match="not finite in double"):
+                expand(f)
+    assert cli.main(["norm-expand", "--space", "fock", "--alpha", "1",
+                     "--beta", "1", "--poly", huge]) == cli.EXIT_DOMAIN
+    out, err = capsys.readouterr()
+    assert out == "" and "order 0" in err
 
 
 def _derivative_transform(f, N, w):

@@ -133,11 +133,39 @@ def test_norm_sq_equals_inner_product():
             f = BiPoly({(m, d - m): complex(*rng.standard_normal(2))
                         for d in range(7) for m in range(d + 1)
                         if rng.random() < 0.5})
-            # a copy of f takes inner_product's general path, which builds
-            # the degree vectors of each argument on its own
+            # a copy of f is laid out as a second polynomial of the stack
             assert g.norm_sq(f) == g.inner_product(f, BiPoly(f.coeffs)).real
     with pytest.raises(DomainError):
         g.norm_sq(BiPoly.parse("z1^7"))
+
+
+def _random_poly(rng, degrees):
+    return BiPoly({(m, d - m): complex(*rng.standard_normal(2))
+                   for d in degrees for m in range(d + 1)
+                   if rng.random() < 0.6})
+
+
+@pytest.mark.parametrize("gram", [
+    oracle.gram_bidisk_exact(0.3, 0.9, 2.0, 7),
+    oracle.ball_monomial_norms(0.5, 1.0, 0.25, 7),
+    oracle.gram_fock_exact(1.5, 0.5, 0.5, 7)], ids=["bidisk", "ball", "fock"])
+def test_inner_product_is_hermitian_and_pairs_degrees(gram):
+    rng = np.random.default_rng(27)
+    zero = BiPoly()
+    for _ in range(10):
+        f, g = (_random_poly(rng, range(int(rng.integers(0, 8))))
+                for _ in range(2))
+        fg, gf = gram.inner_product(f, g), gram.inner_product(g, f)
+        scale = math.sqrt(gram.norm_sq(f) * gram.norm_sq(g))
+        assert abs(fg - gf.conjugate()) <= 1e-13 * scale
+        assert gram.inner_product(f, zero) == 0
+        assert gram.inner_product(zero, f) == 0
+        # no degree in common: every block pairs f's coefficients with zeros
+        even = _random_poly(rng, range(0, 8, 2))
+        odd = _random_poly(rng, range(1, 8, 2))
+        assert gram.inner_product(even, odd) == 0
+        assert gram.inner_product(odd, even) == 0
+    assert gram.inner_product(zero, zero) == 0
 
 
 def test_ball_monomial_norms():
@@ -255,8 +283,7 @@ def test_gram_numeric_checks_each_block_on_its_own_scale(monkeypatch):
     # 1e-8 per doubling: against the largest entry of the whole table the
     # changes look like 1e-12 and the call would return; against block 1's
     # own scale they are 1e-8 and it must not
-    def blocks(rule, theta, vartheta, max_degree):
-        n = rule[0][0].size
+    def blocks(params, n, max_degree):
         return [np.array([[1e4]]),
                 np.full((2, 2), 1.0 + 1e-8 * math.log2(n))]
     monkeypatch.setattr(oracle, "_blocks_at_order", blocks)
@@ -275,12 +302,12 @@ def test_gram_numeric_fractional_theta_bidisk():
 def test_gram_numeric_non_finite_rule_is_named(monkeypatch):
     # a rule with NaN weights at order 128 and above: the call names the
     # order at once rather than run the quadrature and report a change of nan
-    radial = oracle._bidisk_radial
+    radial = oracle._radial_rule
 
-    def nan_radial(p, n):
-        (t1, w1), var2, const = radial(p, n)
-        return (t1, w1 * math.nan if n >= 128 else w1), var2, const
-    monkeypatch.setattr(oracle, "_bidisk_radial", nan_radial)
+    def nan_radial(a, n):
+        t, w = radial(a, n)
+        return t, w * math.nan if n >= 128 and a == 0.4 else w
+    monkeypatch.setattr(oracle, "_radial_rule", nan_radial)
     with pytest.raises(QuadratureError, match="order 128") as info:
         oracle.gram_numeric(BidiskParams(0.4, 0.7, 0.5), 0)
     assert "nan" not in str(info.value)
