@@ -14,13 +14,15 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import (CONSECUTIVE_SMALL, MAX_OUTER_TERMS, SAFETY_FACTOR,
                      TOLERANCE, Point2, SeriesResult)
 from .errors import ConvergenceError, DomainError
 from .poly2 import BiPoly
 from .specfun import hyp2f1, log_gamma
 
-from .bidisk import NormExpansion, disk_norm_sq, expand
+from .bidisk import NormExpansion, disk_norm_sums, expand
 
 
 @dataclass(frozen=True)
@@ -52,19 +54,25 @@ def embed_const(params: BallParams, N: int) -> float:
                     - log_gamma(al + th + N + 2.0)) / (al + be + th + N + 2.0)
 
 
-def _z2_coefficient(f: BiPoly, N: int) -> BiPoly:
-    """f's order-N part along z2 = 0 over z2^N, a polynomial in z1."""
-    return BiPoly({(m, 0): c for (m, n), c in f.coeffs.items() if n == N})
+def _z2_rows(f: BiPoly, lo: int, hi: int) -> np.ndarray:
+    """f's coefficients of z2^N for N = lo .. hi-1, row N - lo, as
+    polynomials in z1 (their coefficients, read straight into the rows)."""
+    rows = np.zeros((hi - lo, f.degree_in(1) + 1), dtype=complex)
+    for (m, n), c in f.coeffs.items():
+        if lo <= n < hi:
+            rows[n - lo, m] = c
+    return rows
 
 
 def ball_norm_expansion(params: BallParams, f: BiPoly) -> NormExpansion:
     """||f||^2 = sum_N embed_const(N) ||f_N||^2 in the 1D space of index
     alpha+beta+theta+N+1, where f_N is f's coefficient of z2^N."""
     s_base = params.alpha + params.beta + params.theta + 1.0
-    return expand(f, range(max(f.degree_in(2), 0) + 1),
-                  lambda N: _z2_coefficient(f, N),
-                  lambda N: embed_const(params, N),
-                  lambda g, N: disk_norm_sq(g, s_base + N))
+    return expand(f, max(f.degree_in(2), 0) + 1,
+                  lambda lo, hi: _z2_rows(f, lo, hi),
+                  lambda rows, lo: disk_norm_sums(
+                      rows, s_base + np.arange(lo, lo + len(rows))),
+                  lambda N: embed_const(params, N))
 
 
 def ball_qN_kernel(params: BallParams, N: int, z: Point2, w: Point2) -> complex:
@@ -158,7 +166,8 @@ def ball_hardy_norm_expansion(beta: float, theta: float,
     if not -1 < beta + theta < math.inf:  # NaN and inf fail too
         raise DomainError(
             "ball_hardy_norm_expansion requires a finite beta + theta > -1")
-    return expand(f, range(max(f.degree_in(2), 0) + 1),
-                  lambda N: _z2_coefficient(f, N),
-                  lambda N: 1.0 / (beta + theta + N + 1.0),
-                  lambda g, N: disk_norm_sq(g, beta + theta + N))
+    return expand(f, max(f.degree_in(2), 0) + 1,
+                  lambda lo, hi: _z2_rows(f, lo, hi),
+                  lambda rows, lo: disk_norm_sums(
+                      rows, beta + theta + np.arange(lo, lo + len(rows))),
+                  lambda N: 1.0 / (beta + theta + N + 1.0))

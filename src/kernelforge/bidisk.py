@@ -17,7 +17,8 @@ bidisk double series").
 The inner coefficients c_n(z), the t^n coefficients of (1 - t z1)^-(a+N)
 (1 - t z2)^-(b+N), come from their three-term recurrence in n: O(1) per
 term, and no cancellation when z1 and z2 point apart, unlike the binomial
-sum (_c_coeffs, which only taylor_blocks uses).  _inner_sums is the one loop
+sum (which only taylor_blocks uses, for exact monomial coefficients, all
+orders in one array).  _inner_sums is the one loop
 that sums the inner series: it runs the recurrence of many (pair, order)
 cells as one numpy array recurrence, whose coefficients and geometric tail
 advance by one addition or product per term.  The outer sum stops once:
@@ -144,18 +145,6 @@ def diag_kernel(params: BidiskParams, z: Point2, w1: complex) -> complex:
     return (sigma(params)
             * (1.0 - wc * z.z1) ** (-params.a)
             * (1.0 - wc * z.z2) ** (-params.b))
-
-
-def _c_coeffs(params: BidiskParams, N: int, n: int) -> tuple:
-    """Coefficients (a+N)_j / j! * (b+N)_{n-j} / (n-j)! for j = 0..n."""
-    a, b = params.a + N, params.b + N
-    left = [1.0] * (n + 1)
-    for j in range(1, n + 1):
-        left[j] = left[j - 1] * (a + j - 1.0) / j
-    right = [1.0] * (n + 1)
-    for j in range(1, n + 1):
-        right[j] = right[j - 1] * (b + j - 1.0) / j
-    return tuple(left[j] * right[n - j] for j in range(n + 1))
 
 
 def _inner_error(tail_estimate: float):
@@ -384,29 +373,73 @@ def _inner_sums(params: BidiskParams, pairs: list, pair_of, order):
     return sums, terms, tails
 
 
+# the array passes take a chunk of orders or of f's terms at a time, as
+# full_kernels takes pairs, so that each intermediate array holds about
+# _CHUNK_ENTRIES numbers in the norm expansions' transforms, and about
+# _TAYLOR_CHUNK in taylor_blocks, whose blocks alone hold about
+# max_degree^3 / 3 and which adds to every block once per chunk
+_CHUNK_ENTRIES = 2048
+_TAYLOR_CHUNK = 1 << 18
+
+
 def taylor_blocks(params: BidiskParams, max_degree: int) -> list:
     """Per-degree Taylor coefficient matrices K_d of the full kernel:
     K_d = sum_{N <= d} sigma_N [(d-N)!/(s+2N+2)_{d-N}] v_N v_N^T with v_N the
     monomial coefficient vector of (z1-z2)^N c_{d-N}(z).  Finite and exact
-    apart from sigma evaluation; positive semidefinite by construction."""
+    apart from sigma evaluation; positive semidefinite by construction.
+
+    The vectors of every order N and inner degree n are rows of one array,
+    built a chunk of orders at a time: c_n's coefficients (a+N)_j/j!
+    (b+N)_{n-j}/(n-j)!, then the N factors (z1 - z2) one at a time; each K_d
+    is then one product V_d^T diag(sigma_N mu) V_d over its rows."""
     if max_degree < 0:
         raise DomainError("max_degree must be >= 0")
-    blocks = []
-    for d in range(max_degree + 1):
-        block = np.zeros((d + 1, d + 1))
-        for N in range(d + 1):
-            n = d - N
-            sig = _sigma_cached(params.alpha, params.beta, params.theta + N,
-                                params.vartheta).value.real
-            mu = math.factorial(n) / pochhammer(params.s + 2.0 * N + 2.0, n)
-            # coefficients in ascending powers of z1, times (z1 - z2) one
-            # factor at a time: one convolution with the binomial
-            # coefficients of (z1 - z2)^N would cancel in its alternating sums
-            v = np.asarray(_c_coeffs(params, N, n))
-            for _ in range(N):
-                v = np.convolve(v, [-1.0, 1.0])
-            block += sig * mu * np.outer(v, v)
-        blocks.append(block)
+    size = max_degree + 1
+    orders = np.arange(size)
+    # (a+N)_j/j! and (b+N)_j/j! as running products over j, one row per N
+    ab = np.concatenate((params.a + orders, params.b + orders))
+    left_right = np.ones((2 * size, size))
+    for j in range(1, size):
+        left_right[:, j] = left_right[:, j - 1] * (ab + j - 1.0) / j
+    left, right = left_right[:size], left_right[size:]
+    # sigma_N n!/(s+2N+2)_n, with the factorial ratio as a running product
+    weight = np.ones((size, size))
+    weight[:, 1:] = orders[1:] / (params.s + 2.0 * orders[:, None] + 1.0
+                                  + orders[1:])
+    weight = np.cumprod(weight, axis=1) * np.array(
+        [[_sigma_cached(params.alpha, params.beta, params.theta + N,
+                        params.vartheta).value.real] for N in range(size)])
+    blocks = [np.zeros((d + 1, d + 1)) for d in range(size)]
+    step = max(1, _TAYLOR_CHUNK // size ** 2)
+    for lo in range(0, size, step):
+        hi = min(lo + step, size)
+        # the rows of order N are n = 0 .. max_degree - N; the orders run
+        # down, so that the rows of the orders >= k lead
+        down = np.arange(hi - 1, lo - 1, -1)
+        counts = size - down
+        N = np.repeat(down, counts)
+        n = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                                counts)
+        rows = np.where(orders <= n[:, None], left[N] * right[
+            N[:, None], np.maximum(n[:, None] - orders, 0)], 0.0)
+        # times (z1 - z2) one factor at a time, as np.convolve(v, [-1, 1]):
+        # one convolution with the binomial coefficients of (z1 - z2)^N
+        # would cancel in its alternating sums
+        led = np.cumsum(counts)
+        for k in range(1, hi):
+            r = led[hi - 1 - max(k, lo)]
+            rows[:r, 1:] = rows[:r, :-1] - rows[:r, 1:]
+            rows[:r, 0] = -rows[:r, 0]
+        # K_d reads the rows of N + n = d, in ascending N
+        by_degree = np.lexsort((N, N + n))
+        # as u^T u with u = sqrt(sigma_N mu) v, which numpy forms exactly
+        # symmetric
+        rows = rows[by_degree] * np.sqrt(weight[N, n][by_degree, None])
+        bounds = np.searchsorted((N + n)[by_degree],
+                                 np.arange(size + 1)).tolist()
+        for d in range(lo, size):
+            u = rows[bounds[d]:bounds[d + 1], :d + 1]
+            blocks[d] += u.T @ u
     return blocks
 
 
@@ -430,13 +463,21 @@ def coeff_b(theta: float, k: int, N: int) -> float:
     return _coeff(theta + 1.0, 2.0 * theta, k, N)
 
 
-def _binomial_weights(a: float, b: float, s: float, N: int) -> np.ndarray:
+def _binomial_weight_rows(a: float, b: float, s: float, lo: int,
+                          hi: int) -> np.ndarray:
     """diagonal_transform's weights (-1)^(N-j) (a+j)_(N-j) (b+N-j)_j /
-    [(s+N+j+1)_(N-j) (s+N+1)_j] for these a, b and s, as running products."""
-    i = np.arange(N)
+    [(s+N+j+1)_(N-j) (s+N+1)_j] for these a, b and s, row N - lo for the
+    orders N = lo .. hi-1 and column j < hi (0 past N), as running
+    products."""
+    N = np.arange(lo, hi)[:, None]
+    i = np.arange(hi)
     den = s + N + 1.0 + i
-    return (np.cumprod(np.concatenate((-(a + i) / den, [1.0]))[::-1])[::-1]
-            * np.cumprod(np.concatenate(([1.0], (b + N - 1.0 - i) / den))))
+    # the product over N > i >= j, then over i < j
+    down = np.where(i < N, -(a + i) / den, 1.0)
+    up = np.ones_like(den)
+    up[:, 1:] = (b + N - 1.0 - i[:-1]) / den[:, :-1]
+    return np.where(i <= N, np.cumprod(down[:, ::-1], axis=1)[:, ::-1]
+                    * np.cumprod(up, axis=1), 0.0)
 
 
 # the largest total degree of a polynomial that a norm expansion takes, in
@@ -463,39 +504,66 @@ def _binomial_table(size: int) -> np.ndarray:
     return _binomials[:size, :size]
 
 
+def _transform_rows(f: BiPoly, lo: int, weights: np.ndarray) -> np.ndarray:
+    """diagonal_transform of f at the orders N = lo .. lo + len(weights) - 1,
+    row N - lo of weights holding that order's weights: row N - lo of the
+    result holds the z1^p coefficients, p <= deg f - lo, of the order-N
+    transform.  One pass over f's terms, a chunk at a time, evaluates
+    M_N[m, n] at each term and every order."""
+    count, hi = weights.shape
+    degree = f.total_degree
+    binom = _binomial_table(max(degree + 1, hi))
+    width = max(degree + 1 - lo, 0)
+    terms = len(f.coeffs)
+    m, n = np.fromiter(f.coeffs, np.dtype((np.intp, 2)), terms).T
+    c = np.fromiter(f.coeffs.values(), complex, terms)
+    rows = np.arange(count)[:, None]
+    out = np.zeros(count * width, dtype=complex)
+    step = max(1, _CHUNK_ENTRIES // hi)
+    for start in range(0, terms, step):
+        chunk = slice(start, start + step)
+        first, second = binom[m[chunk], :hi], binom[n[chunk], :hi]
+        M = np.empty((count, len(first)))
+        for i in range(count):
+            N = lo + i
+            M[i] = (first[:, :N + 1] * second[:, N::-1]) @ weights[i, :N + 1]
+        # term t adds c_t M_N[m_t, n_t] at p = m_t + n_t - N, row N - lo
+        p = m[chunk] + n[chunk] - lo - rows
+        keep = p >= 0
+        np.add.at(out, (p + rows * width)[keep], (c[chunk] * M)[keep])
+    return out.reshape(count, width)
+
+
 def diagonal_transform(f: BiPoly, N: int, weights) -> BiPoly:
     """sum_j w_j d1^j d2^(N-j) f restricted once to the diagonal, from
     weights[j] = j! (N-j)! w_j: c z1^m z2^n goes to c M[m, n] z1^(m+n-N),
     M[m, n] = sum_j weights[j] C(m, j) C(n, N-j).  With d/dz1 = d1 + d2 on
     the diagonal it is sum_k c_k d^{N-k} [d1^k f restricted] for w_j =
-    sum_{k<=j} c_k C(N-k, j-k), whose terms grow like 2^N times it."""
+    sum_{k<=j} c_k C(N-k, j-k), whose terms grow like 2^N times it.  The
+    single-order case of the norm expansions' pass (_transform_rows)."""
     if N < 0:
         raise DomainError("N must be >= 0")
-    binom = _binomial_table(max(f.total_degree, N) + 1)
-    M = ((binom[:, :N + 1] * weights) @ binom[:, N::-1].T).tolist()
-    out: dict = {}
-    for (m, n), c in f.coeffs.items():
-        if m + n >= N:
-            out[m + n - N, 0] = out.get((m + n - N, 0), 0) + c * M[m][n]
-    return BiPoly(out)
+    with np.errstate(all="ignore"):
+        row = _transform_rows(f, N, np.asarray(weights, dtype=float)[None])
+    return BiPoly({(p, 0): c for p, c in enumerate(row[0].tolist())})
 
 
 def restriction_transform(params: BidiskParams, f: BiPoly, N: int) -> BiPoly:
     """The polynomial in z1 sum_k a_{k,N} d^{N-k} [d^k f restricted to the
     diagonal], taken as one operator restricted once; inverts the order-N
     projection followed by division by (z1-z2)^N and diagonal restriction."""
-    return diagonal_transform(
-        f, N, _binomial_weights(params.a, params.b, params.s, N))
+    return diagonal_transform(f, N, _binomial_weight_rows(
+        params.a, params.b, params.s, N, N + 1)[0])
 
 
-def disk_norm_sq(p: BiPoly, s: float) -> float:
-    """Norm of a polynomial in z1 in the probability-normalized 1D space of
-    index s, via monomial norms m!/(s+2)_m taken as running products."""
-    total, norm = 0.0, 1.0
-    for m in range(p.degree_in(1) + 1):
-        total += abs(p.coeffs.get((m, 0), 0)) ** 2 * norm
-        norm *= (m + 1.0) / (s + 2.0 + m)
-    return total
+def disk_norm_sums(rows: np.ndarray, s) -> np.ndarray:
+    """The norm of each row of z1 coefficients in the probability-normalized
+    1D space of index s[row], via monomial norms m!/(s+2)_m taken as running
+    products."""
+    m = np.arange(rows.shape[1] - 1)
+    norms = np.ones(rows.shape)
+    norms[:, 1:] = (m + 1.0) / (s[:, None] + 2.0 + m)
+    return (np.abs(rows) ** 2 * np.cumprod(norms, axis=1)).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -506,29 +574,39 @@ class NormExpansion:
     total: float
 
 
-def expand(f: BiPoly, orders, transform, weight, norm1d) -> NormExpansion:
-    """The norm expansion shared by every space: ||f||^2 = sum over N in
-    orders of weight(N) norm1d(transform(N), N), where transform(N) is the
-    order-N restriction of f to the zero variety and norm1d its 1D
-    monomial-norm sum.  The weight is only evaluated for nonzero transforms.
-    DomainError past total degree MAX_DEGREE, and where a term, named by its
-    order, or the total is not finite in double precision."""
+def expand(f: BiPoly, orders: int, transforms, norms, weight) -> NormExpansion:
+    """The norm expansion shared by every space: ||f||^2 = sum over the
+    orders N < `orders` of weight(N) times the 1D monomial-norm sum of f's
+    order-N restriction to the zero variety.  transforms(lo, hi) gives the
+    restrictions of the orders lo .. hi-1 as rows of z1 coefficients, at
+    most deg f + 1 each, and norms(rows, lo) the norm sum of each row; the
+    orders come a chunk of about _CHUNK_ENTRIES coefficients at a time.  The
+    weight is only evaluated where a row is not zero.  DomainError past
+    total degree MAX_DEGREE, and where a term, named by its order, or the
+    total is not finite in double precision."""
     if f.total_degree > MAX_DEGREE:
         raise DomainError(f"polynomial degree {f.total_degree} exceeds "
                           f"{MAX_DEGREE}, the largest a norm expansion takes: "
                           f"its binomial coefficients are not finite in "
                           f"double precision")
     terms = []
-    for N in orders:
-        try:
-            t = transform(N)
-            term = 0.0 if t.is_zero() else weight(N) * norm1d(t, N)
-        except OverflowError:
-            term = math.inf
-        if not math.isfinite(term):
-            raise DomainError(f"norm expansion term of order {N} is not "
-                              f"finite in double precision")
-        terms.append((N, term))
+    step = max(1, _CHUNK_ENTRIES // (max(f.total_degree, 0) + 1))
+    for lo in range(0, orders, step):
+        hi = min(lo + step, orders)
+        # overflow shows as a term that is not finite
+        with np.errstate(all="ignore"):
+            rows = transforms(lo, hi)
+            sums = norms(rows, lo).tolist()
+        for N, nonzero, s in zip(range(lo, hi), rows.any(axis=1).tolist(),
+                                 sums):
+            try:
+                term = weight(N) * s if nonzero else 0.0
+            except OverflowError:
+                term = math.inf
+            if not math.isfinite(term):
+                raise DomainError(f"norm expansion term of order {N} is not "
+                                  f"finite in double precision")
+            terms.append((N, term))
     total = sum((v for _, v in terms), 0.0)
     if not math.isfinite(total):
         raise DomainError("norm expansion total is not finite in double "
@@ -541,10 +619,13 @@ def norm_expansion(params: BidiskParams, f: BiPoly) -> NormExpansion:
     index s + 2N; finite for polynomials since transforms of order beyond
     deg f vanish."""
     al, be, th, vt = params.alpha, params.beta, params.theta, params.vartheta
-    return expand(f, range(max(f.total_degree, 0) + 1),
-                  lambda N: restriction_transform(params, f, N),
-                  lambda N: 1.0 / _sigma_cached(al, be, th + N, vt).value.real,
-                  lambda t, N: disk_norm_sq(t, params.s + 2.0 * N))
+    return expand(
+        f, max(f.total_degree, 0) + 1,
+        lambda lo, hi: _transform_rows(f, lo, _binomial_weight_rows(
+            params.a, params.b, params.s, lo, hi)),
+        lambda rows, lo: disk_norm_sums(
+            rows, params.s + 2.0 * np.arange(lo, lo + len(rows))),
+        lambda N: 1.0 / _sigma_cached(al, be, th + N, vt).value.real)
 
 
 def hardy_norm_expansion(theta: float, f: BiPoly) -> NormExpansion:
@@ -555,10 +636,11 @@ def hardy_norm_expansion(theta: float, f: BiPoly) -> NormExpansion:
         raise DomainError(
             "hardy_norm_expansion requires a finite theta > -1/2")
     return expand(
-        f, range(max(f.total_degree, 0) + 1),
-        lambda N: diagonal_transform(f, N, _binomial_weights(
-            theta + 1.0, theta + 1.0, 2.0 * theta, N)),
+        f, max(f.total_degree, 0) + 1,
+        lambda lo, hi: _transform_rows(f, lo, _binomial_weight_rows(
+            theta + 1.0, theta + 1.0, 2.0 * theta, lo, hi)),
+        lambda rows, lo: disk_norm_sums(
+            rows, 2 * theta + 2.0 * np.arange(lo, lo + len(rows))),
         lambda N: math.exp(log_gamma(2 * theta + 2 * N + 2.0)
                            - 2.0 * log_gamma(theta + N + 1.0)
-                           ) / (2 * theta + 2 * N + 1.0),
-        lambda t, N: disk_norm_sq(t, 2 * theta + 2.0 * N))
+                           ) / (2 * theta + 2 * N + 1.0))

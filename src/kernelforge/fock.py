@@ -9,12 +9,15 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import Point2, SeriesResult
 from .errors import DomainError
 from .poly2 import BiPoly
 from .specfun import log_gamma, mittag_e
 
-from .bidisk import NormExpansion, diagonal_transform, expand
+from .bidisk import (NormExpansion, _transform_rows, diagonal_transform,
+                     expand)
 
 
 @dataclass(frozen=True)
@@ -117,36 +120,46 @@ def coeff_c(params: FockParams, k: int, N: int) -> float:
     return sign * math.comb(N, k) * (params.alpha / params.gamma) ** (N - k)
 
 
+def _weight_rows(params: FockParams, lo: int, hi: int) -> np.ndarray:
+    """fock_restriction_transform's weights (-alpha/gamma)^(N-j)
+    (beta/gamma)^j, row N - lo for the orders N = lo .. hi-1 and column
+    j < hi (0 past N)."""
+    u, v = -params.alpha / params.gamma, params.beta / params.gamma
+    N, j = np.arange(lo, hi)[:, None], np.arange(hi)
+    return np.where(j <= N, u ** np.maximum(N - j, 0) * v ** j, 0.0)
+
+
 def fock_restriction_transform(params: FockParams, f: BiPoly, N: int) -> BiPoly:
     """(1/N!) sum_k c_{k,N} d^{N-k} of the diagonal restriction of the k-th
     z1-derivative of f, a polynomial in z1; inverts projection, division by
     (z1-z2)^N, and diagonal restriction: ((beta d1 - alpha d2)/gamma)^N f / N!
     restricted once, weights (-alpha/gamma)^(N-j) (beta/gamma)^j."""
-    u, v = -params.alpha / params.gamma, params.beta / params.gamma
-    return diagonal_transform(
-        f, N, [u ** (N - j) * v ** j for j in range(N + 1)])
-
-
-def fock_disk_norm_sq(p: BiPoly, gamma: float, log_weight=0.0) -> float:
-    """e^log_weight times the 1D Gaussian-space norm of a polynomial in z1,
-    via monomial norms n!/gamma^{n+1}: each term is formed in logs, so that
-    neither the weight nor n! leaves double range on its own."""
-    log_g = math.log(gamma)
-    return sum(math.exp(log_weight + 2.0 * math.log(abs(c))
-                        + log_gamma(n + 1.0) - (n + 1.0) * log_g)
-               for (n, _), c in p.coeffs.items())
+    return diagonal_transform(f, N, _weight_rows(params, N, N + 1)[0])
 
 
 def fock_norm_expansion(params: FockParams, f: BiPoly) -> NormExpansion:
     """||f||^2 = sum_N fock_moment(delta, theta + N) ||transform_N f||^2 in
-    the 1D space of index alpha+beta, delta = alpha beta / (alpha+beta): the
-    weight Gamma(theta+N+1) / delta^{theta+N+1} enters each term as its log."""
+    the 1D space of index alpha+beta, delta = alpha beta / (alpha+beta), with
+    monomial norms n!/gamma^{n+1}.  Each coefficient's term is formed in logs,
+    exp(log w_N + 2 log|c_n| + log n! - (n+1) log gamma) with the weight
+    w_N = Gamma(theta+N+1) / delta^{theta+N+1}, so that neither the weight
+    nor n! leaves double range on its own."""
     log_delta = math.log(params.alpha * params.beta / params.gamma)
+    log_g = math.log(params.gamma)
+    # log n!, grown to the widest rows (the first chunk's)
+    log_factorial = []
 
-    def norm(t, N):
-        p = params.theta + N + 1.0
-        return fock_disk_norm_sq(t, params.gamma, log_gamma(p) - p * log_delta)
+    def norms(rows, lo):
+        width = rows.shape[1]
+        log_factorial.extend(log_gamma(n + 1.0)
+                             for n in range(len(log_factorial), width))
+        p = params.theta + np.arange(lo, lo + len(rows)) + 1.0
+        log_w = np.array([log_gamma(x) - x * log_delta for x in p.tolist()])
+        return np.exp(log_w[:, None] + 2.0 * np.log(np.abs(rows))
+                      + log_factorial[:width]
+                      - (np.arange(width) + 1.0) * log_g).sum(axis=1)
 
-    return expand(f, range(max(f.total_degree, 0) + 1),
-                  lambda N: fock_restriction_transform(params, f, N),
-                  lambda N: 1.0, norm)
+    return expand(f, max(f.total_degree, 0) + 1,
+                  lambda lo, hi: _transform_rows(f, lo,
+                                                 _weight_rows(params, lo, hi)),
+                  norms, lambda N: 1.0)

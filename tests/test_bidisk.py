@@ -7,20 +7,20 @@ import pytest
 
 from kernelforge import bidisk, cli, oracle, verify
 from kernelforge.ball import (BallParams, ball_hardy_norm_expansion,
-                              ball_norm_expansion)
+                              ball_norm_expansion, embed_const)
 from kernelforge.bidisk import (BidiskParams, coeff_a, coeff_b, diag_kernel,
                                 full_kernel, full_kernels,
                                 hardy_norm_expansion,
                                 norm_expansion, q_kernel,
                                 restriction_transform, sigma,
                                 sigma_gamma_form, taylor_blocks)
-from kernelforge.config import (CONSECUTIVE_SMALL, MAX_OUTER_TERMS,
+from kernelforge.config import (CONSECUTIVE_SMALL, EPS, MAX_OUTER_TERMS,
                                SAFETY_FACTOR, TOLERANCE, Point2)
 from kernelforge.errors import ConvergenceError, DomainError
 from kernelforge.fock import (FockParams, coeff_c, fock_norm_expansion,
                               fock_restriction_transform)
 from kernelforge.poly2 import BiPoly
-from kernelforge.specfun import pochhammer
+from kernelforge.specfun import log_gamma, pochhammer
 
 
 def test_params_validation():
@@ -183,6 +183,54 @@ def test_taylor_blocks_trivial_and_product():
             expect = (math.gamma(2.5 + m) / math.gamma(2.5) / math.factorial(m)
                       * math.gamma(3.0 + n) / math.gamma(3.0) / math.factorial(n))
             assert blk[m, m] == pytest.approx(expect, rel=1e-10)
+    # past degree 170, n!/(s+2N+2)_n was a quotient of two numbers past
+    # double range, and ended in a bare OverflowError
+    big = taylor_blocks(p, 180)
+    assert all(np.isfinite(b).all() and (b == b.T).all() for b in big)
+    for a, b in zip(big, taylor_blocks(p, 8)):
+        assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+
+
+def _c_coeffs(params, N, n):
+    """Coefficients (a+N)_j / j! * (b+N)_{n-j} / (n-j)! for j = 0..n."""
+    a, b = params.a + N, params.b + N
+    left = [1.0] * (n + 1)
+    for j in range(1, n + 1):
+        left[j] = left[j - 1] * (a + j - 1.0) / j
+    right = [1.0] * (n + 1)
+    for j in range(1, n + 1):
+        right[j] = right[j - 1] * (b + j - 1.0) / j
+    return tuple(left[j] * right[n - j] for j in range(n + 1))
+
+
+def _convolved_taylor_blocks(params, max_degree):
+    """taylor_blocks one (d, N) at a time, (z1 - z2)^N as N calls of
+    np.convolve: the reference for the one-array build (degree 170 at
+    most, past which n! is not a float)."""
+    blocks = []
+    for d in range(max_degree + 1):
+        block = np.zeros((d + 1, d + 1))
+        for N in range(d + 1):
+            n = d - N
+            mu = math.factorial(n) / pochhammer(params.s + 2.0 * N + 2.0, n)
+            v = np.asarray(_c_coeffs(params, N, n))
+            for _ in range(N):
+                v = np.convolve(v, [-1.0, 1.0])
+            block += sigma(params.shifted(N)) * mu * np.outer(v, v)
+        blocks.append(block)
+    return blocks
+
+
+@pytest.mark.parametrize("tup", [(0, 0, 0, 0), (0.5, 1.0, 1.0, 0),
+                                 (1.0, 0.5, 2.0, 0.3), (-0.5, 2.0, 0.5, 1.5),
+                                 (3.0, -0.7, 0.5, 1.5)])
+def test_taylor_blocks_match_convolution_reference(tup):
+    # the rows and (z1 - z2) factors are the reference's to the bit; mu as a
+    # running product of ratios and the sum over N as one matrix product
+    # round differently, by up to 7 ulps of the block here
+    p = BidiskParams(*tup)
+    for got, ref in zip(taylor_blocks(p, 30), _convolved_taylor_blocks(p, 30)):
+        assert np.max(np.abs(got - ref)) <= 10 * EPS * np.max(np.abs(ref))
 
 
 def test_taylor_blocks_match_oracle():
@@ -260,14 +308,13 @@ def test_norm_expansion_against_oracle():
 
 def test_norm_expansion_restriction_inequality():
     # dropping all terms beyond N=0 can only shrink the norm
-    from kernelforge.bidisk import disk_norm_sq
     rng = np.random.default_rng(4)
     g = oracle.gram_bidisk_exact(0.5, 0.5, 2, 5)
     p = BidiskParams(0.5, 0.5, 2, 0)
     for _ in range(5):
         f = BiPoly({(m, n): complex(*rng.standard_normal(2))
                     for m in range(3) for n in range(3)})
-        lhs = disk_norm_sq(f.restrict_diagonal(), p.s) / sigma(p)
+        lhs = _disk_norm_sq(f.restrict_diagonal(), p.s) / sigma(p)
         assert lhs <= g.norm_sq(f) * (1 + 1e-9)
 
 
@@ -292,14 +339,29 @@ def test_hardy_norm_expansion_values():
         hardy_norm_expansion(-0.5, BiPoly.parse("1"))
 
 
-@pytest.mark.parametrize("n", [20, 40, 80, 120])
-def test_high_power_totals_do_not_cancel(n):
+_MIXED_CANCEL = ("the transform weights of order N alternate in sign, and "
+                 "their sum against C(m, j) C(m, N-j) at z1^m z2^m cancels: "
+                 "at (0, 0, 0) 3.3e-10 relative off at m = 40, 7.3e-7 at "
+                 "m = 60")
+
+
+@pytest.mark.parametrize("n, m", [
+    pytest.param(20, 0, id="20"), pytest.param(40, 0, id="40"),
+    pytest.param(80, 0, id="80"), pytest.param(120, 0, id="120"),
+    pytest.param(15, 15, id="z1^15*z2^15"),
+    pytest.param(40, 40, id="z1^40*z2^40",
+                 marks=pytest.mark.xfail(strict=True, reason=_MIXED_CANCEL)),
+    pytest.param(60, 60, id="z1^60*z2^60",
+                 marks=pytest.mark.xfail(strict=True, reason=_MIXED_CANCEL))])
+def test_high_power_totals_do_not_cancel(n, m):
     # the transforms summed a_{k,N} d^{N-k} [d1^k f restricted] over k, terms
     # that alternate and grow like 2^N times the result: z1^40 came out 66.50
-    # (true 1/41) on the bidisk and 47,150 (true 1) on the torus
-    f = BiPoly.parse(f"z1^{n}")
+    # (true 1/41) on the bidisk and 47,150 (true 1) on the torus.  At theta =
+    # 0 the bidisk is a product space, and |z1^n z2^m| = 1 on the torus
+    f = BiPoly({(n, m): 1.0})
     for al in (0.0, 1.5):
-        want = float(mpmath.factorial(n) / mpmath.rf(al + 2, n))
+        want = float(mpmath.factorial(n) / mpmath.rf(al + 2, n)
+                     * mpmath.factorial(m) / mpmath.rf(2.7, m))
         got = norm_expansion(BidiskParams(al, 0.7, 0, 0), f).total
         assert abs(got - want) <= 1e-12 * want
     for th in (0.0, 0.5, 1.0):
@@ -341,6 +403,123 @@ def test_norm_expansions_refuse_values_past_double_range(capsys):
     assert out == "" and "order 0" in err
 
 
+def _matrix_transform(f, N, weights):
+    """diagonal_transform one order at a time: the whole (deg f + 1)^2
+    matrix M_N = (C[:, :N+1] weights) C[:, N::-1]^T, read at f's terms; the
+    reference for the one-pass transforms."""
+    binom = bidisk._binomial_table(max(f.total_degree, N) + 1)
+    M = ((binom[:, :N + 1] * weights) @ binom[:, N::-1].T).tolist()
+    out: dict = {}
+    for (m, n), c in f.coeffs.items():
+        if m + n >= N:
+            out[m + n - N, 0] = out.get((m + n - N, 0), 0) + c * M[m][n]
+    return BiPoly(out)
+
+
+def _binomial_weights(a, b, s, N):
+    """The order-N row of bidisk._binomial_weight_rows, one order at a
+    time."""
+    i = np.arange(N)
+    den = s + N + 1.0 + i
+    return (np.cumprod(np.concatenate((-(a + i) / den, [1.0]))[::-1])[::-1]
+            * np.cumprod(np.concatenate(([1.0], (b + N - 1.0 - i) / den))))
+
+
+def _disk_norm_sq(p, s):
+    """The 1D norm of a polynomial in z1, index s, one coefficient at a
+    time: the reference for bidisk.disk_norm_sums."""
+    total, norm = 0.0, 1.0
+    for m in range(p.degree_in(1) + 1):
+        total += abs(p.coeffs.get((m, 0), 0)) ** 2 * norm
+        norm *= (m + 1.0) / (s + 2.0 + m)
+    return total
+
+
+def _z2_coefficient(f, N):
+    return BiPoly({(m, 0): c for (m, n), c in f.coeffs.items() if n == N})
+
+
+# the order-N term of each expansion from the per-order matrix transform and
+# the 1D norms' loops
+
+def _bidisk_term(t, f, N):
+    p = BidiskParams(*t)
+    transform = _matrix_transform(f, N, _binomial_weights(p.a, p.b, p.s, N))
+    return _disk_norm_sq(transform, p.s + 2.0 * N) / sigma(p.shifted(N))
+
+
+def _hardy_term(th, f, N):
+    transform = _matrix_transform(f, N, _binomial_weights(
+        th + 1.0, th + 1.0, 2.0 * th, N))
+    weight = math.exp(log_gamma(2 * th + 2 * N + 2.0)
+                      - 2.0 * log_gamma(th + N + 1.0)) / (2 * th + 2 * N + 1.0)
+    return weight * _disk_norm_sq(transform, 2 * th + 2.0 * N)
+
+
+def _fock_term(t, f, N):
+    """One coefficient at a time, each term in logs."""
+    q = FockParams(*t)
+    u, v = -q.alpha / q.gamma, q.beta / q.gamma
+    transform = _matrix_transform(
+        f, N, [u ** (N - j) * v ** j for j in range(N + 1)])
+    log_delta = math.log(q.alpha * q.beta / q.gamma)
+    p = q.theta + N + 1.0
+    log_weight = log_gamma(p) - p * log_delta
+    return sum(math.exp(log_weight + 2.0 * math.log(abs(c))
+                        + log_gamma(n + 1.0) - (n + 1.0) * math.log(q.gamma))
+               for (n, _), c in transform.coeffs.items())
+
+
+# space -> (parameter tuples, the expansion, its reference order-N term)
+_EXPANSIONS = {
+    "bidisk": ([(0, 0, 0, 0), (0.5, 1.0, 1.0, 0), (1.0, 0.5, 2.0, 0.3),
+                (-0.5, 2.0, 0.5, 1.5), (3.0, -0.7, 0.0, 0.0)],
+               lambda t, f: norm_expansion(BidiskParams(*t), f),
+               _bidisk_term),
+    "hardy": ([0.0, 0.5, 1.0, 2.5, -0.3], hardy_norm_expansion, _hardy_term),
+    "ball": ([(0, 0, 0), (0.5, 1.0, 0.25), (1.5, -0.5, 2.0),
+              (-0.5, 3.0, 1.0)],
+             lambda t, f: ball_norm_expansion(BallParams(*t), f),
+             lambda t, f, N: embed_const(BallParams(*t), N) * _disk_norm_sq(
+                 _z2_coefficient(f, N), sum(t) + 1.0 + N)),
+    "ball-hardy": ([(0, 0), (0.5, 0.25), (-0.5, 2.0), (1.5, -0.9)],
+                   lambda t, f: ball_hardy_norm_expansion(*t, f),
+                   lambda t, f, N: _disk_norm_sq(_z2_coefficient(f, N),
+                                                 sum(t) + N)
+                   / (sum(t) + N + 1.0)),
+    "fock": ([(1, 1, 0), (1.3, 0.7, 1.0), (0.2, 3.0, 0.5), (3.0, 3.0, 2.5),
+              (1.0, 10.0, -0.5)],
+             lambda t, f: fock_norm_expansion(FockParams(*t), f),
+             _fock_term),
+}
+
+
+@pytest.mark.parametrize("space", sorted(_EXPANSIONS))
+def test_expansions_match_per_order_reference(space):
+    # the one pass over f's terms sums M_N[m, n] and the 1D norms in another
+    # order than the per-order matrix and loops did: within 5.6 ulps of the
+    # total here, the most on the Gaussian space, whose terms are formed as
+    # exp of a sum of logs near 30 that rounds by an ulp of 30
+    tuples, expansion, reference_term = _EXPANSIONS[space]
+    rng = np.random.default_rng(28)
+    polys = [BiPoly.parse("0"), BiPoly.parse("z1 - z2")]
+    for d in range(11):
+        keys = [(m, k - m) for k in range(d + 1) for m in range(k + 1)]
+        for size in (len(keys), min(3, len(keys))):
+            picked = rng.choice(len(keys), size=size, replace=False)
+            polys.append(BiPoly({keys[i]: complex(*rng.standard_normal(2))
+                                 for i in picked}))
+    for t in tuples:
+        for f in polys:
+            got = expansion(t, f)
+            want = [(N, reference_term(t, f, N)) for N, _ in got.terms]
+            total = sum(v for _, v in want)
+            assert [N for N, _ in got.terms] == list(range(len(want)))
+            for (_, a), (_, b) in zip(got.terms, want):
+                assert abs(a - b) <= 8 * EPS * total
+            assert abs(got.total - total) <= 8 * EPS * total
+
+
 def _derivative_transform(f, N, w):
     """sum_j w[j] d1^j d2^(N-j) f restricted to the diagonal, derivative by
     derivative: the reference for diagonal_transform's binomial form."""
@@ -369,8 +548,8 @@ def test_transforms_match_derivative_arithmetic():
                 (restriction_transform(p, f, N),
                  [coeff_a(p, j, N) * pochhammer(p.b + N - j, j)
                   / pochhammer(p.s + N + 1.0, j) for j in range(N + 1)]),
-                (bidisk.diagonal_transform(f, N, bidisk._binomial_weights(
-                    th + 1.0, th + 1.0, 2.0 * th, N)),
+                (bidisk.diagonal_transform(f, N, bidisk._binomial_weight_rows(
+                    th + 1.0, th + 1.0, 2.0 * th, N, N + 1)[0]),
                  [coeff_b(th, j, N) * pochhammer(th + 1.0 + N - j, j)
                   / pochhammer(2.0 * th + N + 1.0, j) for j in range(N + 1)]),
                 (fock_restriction_transform(q, f, N),
@@ -400,8 +579,9 @@ def test_binomial_table_refuses_a_power_past_1029_before_building_it(capsys):
 
 
 def test_expansions_take_no_derivatives(capsys, monkeypatch):
-    # the transforms read one binomial matrix product per order; a path
-    # that falls back to derivative arithmetic is several times slower
+    # the transforms read the binomial table in one pass over the terms;
+    # a path that falls back to derivative arithmetic is several times
+    # slower
     def no_derivatives(*args, **kwargs):
         raise AssertionError("BiPoly.differentiate called")
 

@@ -205,7 +205,6 @@ def test_norm_expansion_terms_match_order_parts_at_degree_18(th):
 
 def test_restriction_inequality():
     # the N=0 term alone is a lower bound for the norm
-    from kernelforge.fock import fock_disk_norm_sq
     rng = np.random.default_rng(13)
     p = FockParams(1.0, 1.0, 1.0)
     g = oracle.gram_fock_exact(1.0, 1.0, 1.0, 4)
@@ -215,7 +214,9 @@ def test_restriction_inequality():
         # weight of the N=0 expansion term
         w0 = ((p.gamma / (p.alpha * p.beta)) ** (p.theta + 1)
               * math.gamma(p.theta + 1))
-        lhs = w0 * fock_disk_norm_sq(f.restrict_diagonal(), p.gamma)
+        # the 1D monomial norms n!/gamma^(n+1)
+        lhs = w0 * sum(abs(c) ** 2 * math.factorial(n) / p.gamma ** (n + 1)
+                       for (n, _), c in f.restrict_diagonal().coeffs.items())
         assert lhs <= g.norm_sq(f) * (1 + 1e-9)
 
 
