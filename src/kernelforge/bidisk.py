@@ -18,15 +18,16 @@ The inner coefficients c_n(z), the t^n coefficients of (1 - t z1)^-(a+N)
 (1 - t z2)^-(b+N), come from their three-term recurrence in n: O(1) per
 term, and no cancellation when z1 and z2 point apart, unlike the binomial
 sum (which only taylor_blocks uses, for exact monomial coefficients, all
-orders in one array).  _inner_sums is the one loop
-that sums the inner series: it runs the recurrence of many (pair, order)
-cells as one numpy array recurrence, whose coefficients and geometric tail
-advance by one addition or product per term.  The outer sum stops once:
-_outer_tails fixes each pair's last order N_hi from the points and sigma_N
-before any series runs, and the kernel is the sum of the orders 0 .. N_hi
-(_outer_result).  full_kernels runs those orders of all its pairs in one
-_inner_sums pass; q_kernel is one cell of _inner_sums times its prefactor,
-and full_kernel calls it one order at a time.  sigma has one cache, keyed
+orders in one array).  _inner_sums is the one loop that sums the inner
+series: it runs the recurrence of many (pair, order) cells as one numpy
+array recurrence, whose coefficients and geometric tail advance by one
+addition or product per term.  The outer sum stops once: _outer_tails fixes
+each pair's last order N_hi from the points and sigma_N before any series
+runs, and the kernel is the sum of the orders 0 .. N_hi (_outer_result).
+_order_terms forms each cell's order-N term, the factor (z1-z2)^N
+conj(w1-w2)^N sigma_N times its inner sum: full_kernels runs the orders of
+a chunk of pairs in one pass of it, q_kernel is one cell of it, and
+full_kernel calls q_kernel one order at a time.  sigma has one cache, keyed
 by the weight's four exponents: the kernels, taylor_blocks and
 norm_expansion read sigma_N as its entry at theta + N, so they share entries
 and a warm series builds no BidiskParams.
@@ -159,21 +160,19 @@ def q_kernel(params: BidiskParams, N: int, z: Point2,
              w: Point2) -> SeriesResult:
     """Kernel of the order-N subspace as the double series
     (z1-z2)^N (conj(w1)-conj(w2))^N sigma_N sum_n [n!/(s+2N+2)_n]
-    c_n(z) conj(c_n(w)): the prefactor times one cell of _inner_sums."""
+    c_n(z) conj(c_n(w)): one cell of _order_terms."""
     if N < 0:
         raise DomainError("N must be >= 0")
     _require_bidisk(z, w)
     sN = _sigma_cached(params.alpha, params.beta, params.theta + N,
                        params.vartheta)
-    pref = ((z.z1 - z.z2) ** N
-            * (complex(w.z1).conjugate() - complex(w.z2).conjugate()) ** N
-            * sN.value.real)
-    (total,), (terms,), (tail,) = (a.tolist() for a in _inner_sums(
-        params, [(z, w)], np.array([0]), np.array([N])))
+    (part,), (terms,), (tail,) = (a.tolist() for a in _order_terms(
+        params, [(z, w)], np.array([0]), np.array([N]), sN.value.real))
     if terms < 0:
-        raise _inner_error(abs(pref) * tail)
-    return SeriesResult(pref * total, terms,
-                        abs(pref) * tail + abs(sN.tail_bound) * abs(total))
+        raise _inner_error(tail)
+    # sigma_N's error moves the part by its share tail(sigma_N) / sigma_N
+    return SeriesResult(part, terms,
+                        tail + abs(part) * sN.tail_bound / sN.value.real)
 
 
 def _outer_tails(params: BidiskParams, pairs: list):
@@ -240,62 +239,60 @@ _CHUNK_PAIRS = 256
 
 def full_kernels(params: BidiskParams, pairs) -> list:
     """The reproducing kernel at every (z, w) in pairs, in order, each
-    full_kernel(params, z, w): the sum over the vanishing orders 0 .. N_hi
-    of q_kernel, with the inner series of all (pair, order) cells run as one
-    array recurrence.  Every pair is checked before any series runs; of the
-    pairs that raise, the first one's error is raised, as a loop over
-    full_kernel would raise it."""
+    full_kernel(params, z, w), with the (pair, order) cells of up to
+    _CHUNK_PAIRS pairs in one _order_terms pass.  Every pair is checked
+    before any series runs; of the pairs that raise, the first one's error
+    is raised, as a loop over full_kernel would raise it."""
     pairs = list(pairs)
     for z, w in pairs:
         _require_bidisk(z, w)
     out = []
     for start in range(0, len(pairs), _CHUNK_PAIRS):
-        out += _full_kernels_chunk(params, pairs[start:start + _CHUNK_PAIRS])
+        chunk = pairs[start:start + _CHUNK_PAIRS]
+        counts, tails, sig = _outer_tails(params, chunk)
+        # cell (i, N) for N < counts[i], in pair order
+        pair_of, order = np.nonzero(
+            np.arange(max(counts)) < np.array(counts)[:, None])
+        parts, terms, inner_tails = _order_terms(
+            params, chunk, pair_of, order, np.take(sig, order))
+        failed = np.flatnonzero(terms < 0)
+        parts, terms = parts.tolist(), terms.tolist()
+        end = 0
+        for count, tail in zip(counts, tails):
+            begin, end = end, end + count
+            # an inner series' error comes before its pair's outer one
+            if failed.size and failed[0] < end:
+                raise _inner_error(float(inner_tails[failed[0]]))
+            out.append(_outer_result(sum(parts[begin:end]),
+                                     sum(terms[begin:end]), tail))
     return out
 
 
-def _full_kernels_chunk(params: BidiskParams, pairs: list) -> list:
-    """One _inner_sums pass over the orders 0 .. N_hi of every pair
-    (_outer_tails), and each pair's sum of its orders."""
-    counts, tails, sig = _outer_tails(params, pairs)
-    # cell (i, N) for N < counts[i], in pair order
-    pair_of, order = np.nonzero(
-        np.arange(max(counts)) < np.array(counts)[:, None])
-    sums, terms, inner_tails = _inner_sums(params, pairs, pair_of, order)
-    # q_kernel's prefactors and parts as Python forms them, so that they
-    # round as full_kernel's do: numpy's complex ** and products can differ
-    # in the last bits, which cancelling parts magnify
-    dz = [z.z1 - z.z2 for z, _ in pairs]
-    dw = [complex(w.z1).conjugate() - complex(w.z2).conjugate()
-          for _, w in pairs]
-    prefs = [dz[i] ** N * dw[i] ** N * sig[N]
-             for i, N in zip(pair_of.tolist(), order.tolist())]
-    parts = [p * s for p, s in zip(prefs, sums.tolist())]
-    failed = np.flatnonzero(terms < 0)
-    terms = terms.tolist()
-    out, start = [], 0
-    for count, tail in zip(counts, tails):
-        end = start + count
-        # a pair's first failing inner series raises before its outer error
-        if failed.size and failed[0] < end:
-            k = failed[0]
-            raise _inner_error(abs(prefs[k]) * float(inner_tails[k]))
-        out.append(_outer_result(sum(parts[start:end]),
-                                 sum(terms[start:end]), tail))
-        start = end
-    return out
+def _order_terms(params: BidiskParams, pairs: list, pair_of, order, sig):
+    """The order-N term of the kernel at each cell j, pair pair_of[j] at
+    order N = order[j] (integer arrays), sig its sigma_N (per cell, or one):
+    the factor (z1-z2)^N conj(w1-w2)^N sigma_N times the inner sum
+    (_inner_sums).  Flat arrays over the cells: the terms, the inner terms
+    each used (-1 where MAX_TERMS terms did not converge) and the inner tail
+    estimate times the factor's modulus."""
+    coords = np.array([(z.z1, z.z2, w.z1, w.z2) for z, w in pairs],
+                      dtype=complex)
+    sums, terms, tails = _inner_sums(params, coords, pair_of, order)
+    z1, z2, w1, w2 = coords[pair_of].T
+    factor = (z1 - z2) ** order * (w1 - w2).conj() ** order * sig
+    return factor * sums, terms, abs(factor) * tails
 
 
-def _inner_sums(params: BidiskParams, pairs: list, pair_of, order):
-    """q_kernel's inner sum, before the prefactor, of each cell j, pair
-    pair_of[j] at order order[j] (integer arrays), as flat arrays over the
-    cells: the sums, the terms each used (-1 where MAX_TERMS terms did not
+def _inner_sums(params: BidiskParams, coords, pair_of, order):
+    """The inner sum sum_n [n!/(s+2N+2)_n] c_n(z) conj(c_n(w)) of each cell
+    j, pair pair_of[j] at order N = order[j] (integer arrays), with row i of
+    coords the coordinates (z1, z2, w1, w2) of pair i, as flat arrays over
+    the cells: the sums, the terms each used (-1 where MAX_TERMS terms did not
     converge) and the tail estimate at the last term.  A cell stops after
     CONSECUTIVE_SMALL terms whose tail is within TOLERANCE, relative to its
     sum where that exceeds 1, and drops out of the arrays once it has
     stopped."""
-    z1, z2, w1, w2 = np.array([(z.z1, z.z2, w.z1, w.z2) for z, w in pairs],
-                              dtype=complex).T
+    z1, z2, w1, w2 = coords.T
     # the recurrence runs on both halves of one array, c_n(z) of every cell,
     # then conj(c_n(w))
     x1 = np.concatenate([z1[pair_of], w1[pair_of].conj()])
@@ -318,8 +315,9 @@ def _inner_sums(params: BidiskParams, pairs: list, pair_of, order):
     tail = SAFETY_FACTOR / (1.0 - q)
     total = np.zeros_like(q, dtype=complex)
     mu = np.ones_like(q)
-    # whether each of the last two terms was small
-    small1 = small2 = np.zeros(q.shape, dtype=bool)
+    # whether each of the last CONSECUTIVE_SMALL - 1 terms was small, the
+    # latest first
+    recent = [np.zeros(q.shape, dtype=bool)] * (CONSECUTIVE_SMALL - 1)
     cell = np.arange(q.size)
     live = cell.size
     sums = np.zeros(q.size, dtype=complex)
@@ -335,9 +333,10 @@ def _inner_sums(params: BidiskParams, pairs: list, pair_of, order):
             total += term
             tail *= q
             small = tail <= tolerance * np.fmax(1.0, np.abs(total))
-            done = small & small1
-            done &= small2
-            small1, small2 = small, small1
+            done = small
+            for flag in recent:
+                done = done & flag
+            recent = [small, *recent][:CONSECUTIVE_SMALL - 1]
             if np.count_nonzero(done):
                 idx = cell[done]
                 sums[idx], tails[idx] = total[done], tail[done]
@@ -350,9 +349,9 @@ def _inner_sums(params: BidiskParams, pairs: list, pair_of, order):
                     break
                 if 2 * live <= cell.size:
                     keep = terms[cell] < 0
-                    cell, s2, q, tail, total, mu, small1, small2 = (
+                    cell, s2, q, tail, total, mu, *recent = (
                         a[keep] for a in (cell, s2, q, tail, total, mu,
-                                          small1, small2))
+                                          *recent))
                     keep = np.tile(keep, 2)
                     xs, xx, P, R, c, c_prev = (
                         a[keep] for a in (xs, xx, P, R, c, c_prev))

@@ -143,6 +143,17 @@ def test_q_kernel_matches_oracle_projection_blocks():
     assert abs(got - ref) < 1e-7
 
 
+@pytest.mark.parametrize("N", [0, 5, 20, 40])
+def test_q_kernel_tail_bound_counts_sigma_error(N):
+    # sigma_N's error moves the order-N term by |term| tail(sigma_N) /
+    # sigma_N; at N = 40 that share alone (2.5e-11) once exceeded the whole
+    # reported bound (2.0e-11)
+    p = BidiskParams(1.0, 0.5, 0.3, 0.2)
+    r = q_kernel(p, N, Point2(0.9, -0.9), Point2(-0.9, 0.9))
+    sN = bidisk._sigma_cached(p.alpha, p.beta, p.theta + N, p.vartheta)
+    assert r.tail_bound >= abs(r.value) * sN.tail_bound / sN.value.real
+
+
 def test_full_kernel_product_case():
     p = BidiskParams(1.0, 0.5, 0, 0)
     z, w = Point2(0.3j, 0.2), Point2(0.1, 0.4)
@@ -737,6 +748,12 @@ def test_full_kernel_terms_per_order(case, monkeypatch):
     assert (r.terms_used, len(parts), sum(parts)) == (terms, orders, terms)
 
 
+def _coords(pairs):
+    """_inner_sums' coordinate rows (z1, z2, w1, w2), one per pair."""
+    return np.array([(z.z1, z.z2, w.z1, w.z2) for z, w in pairs],
+                    dtype=complex)
+
+
 def _outer_ends(params, pairs):
     """Each pair's N_hi: the last order full_kernels runs for it."""
     counts, _, _ = bidisk._outer_tails(params, pairs)
@@ -907,7 +924,8 @@ def test_outer_rule_stops_within_its_bound(tolerance, monkeypatch):
     pairs = _bound_pairs()
     n_hi = _outer_ends(p, pairs)
     sums, terms, _ = bidisk._inner_sums(
-        p, pairs, np.repeat(np.arange(len(pairs)), np.add(n_hi, 1)),
+        p, _coords(pairs),
+        np.repeat(np.arange(len(pairs)), np.add(n_hi, 1)),
         np.concatenate([np.arange(n + 1) for n in n_hi]))
     got = full_kernels(p, pairs)
     assert min(n_hi) == CONSECUTIVE_SMALL - 1 and max(n_hi) > 64
@@ -922,6 +940,68 @@ def test_outer_rule_stops_within_its_bound(tolerance, monkeypatch):
         assert g.tail_bound == pytest.approx(tail, rel=1e-14)
         assert abs(g.value - total) <= 1e-13 * max(1.0, abs(total))
         start += n + 1
+
+
+def test_inner_sums_stop_after_consecutive_small_tails(monkeypatch):
+    # the geometric tail estimate falls with every term, so each further
+    # small tail the rule asks for costs each cell one more term
+    p = BidiskParams(*_TERM_CASES["vartheta"][0])
+    pairs = [(z, w) for _, z, w, _, _ in _TERM_CASES.values()]
+    coords = _coords(pairs)
+    pair_of = np.repeat(np.arange(len(pairs)), 3)
+    order = np.tile([0, 2, 7], len(pairs))
+    _, terms, _ = bidisk._inner_sums(p, coords, pair_of, order)
+    monkeypatch.setattr(bidisk, "CONSECUTIVE_SMALL", CONSECUTIVE_SMALL + 2)
+    _, more, _ = bidisk._inner_sums(p, coords, pair_of, order)
+    assert min(terms) > 0
+    assert (more == terms + 2).all()
+
+
+_SYMMETRY_TUPLES = [(0.0, 4.0, 0.0, 0.0), (3.0, 1.0, 0.0, 0.0),
+                    (2.0, 2.0, 0.0, 0.0), (0.5, 0.0, 1.5, 0.0),
+                    (0.3, 0.7, 1.0, 0.5)]
+
+
+def _symmetry_pairs():
+    """16 pairs with every coordinate uniform by area within radius 0.85."""
+    rng = np.random.default_rng(20062)
+    c = (0.85 * np.sqrt(rng.uniform(size=(16, 4)))
+         * np.exp(2j * np.pi * rng.uniform(size=(16, 4))))
+    return [(Point2(*map(complex, row[:2])), Point2(*map(complex, row[2:])))
+            for row in c]
+
+
+def _conjugate_swap(p, pairs):
+    return p, [(w, z) for z, w in pairs]
+
+
+def _rotation(p, pairs):
+    lam = cmath.exp(0.7j)
+    return p, [(Point2(lam * z.z1, lam * z.z2), Point2(lam * w.z1, lam * w.z2))
+               for z, w in pairs]
+
+
+def _coordinate_swap(p, pairs):
+    return (BidiskParams(p.beta, p.alpha, p.theta, p.vartheta),
+            [(Point2(z.z2, z.z1), Point2(w.z2, w.z1)) for z, w in pairs])
+
+
+@pytest.mark.parametrize("tup", _SYMMETRY_TUPLES)
+@pytest.mark.parametrize("move, conjugates", [
+    (_conjugate_swap, True), (_rotation, False), (_coordinate_swap, False)],
+    ids=["conjugate-swap", "rotation", "coordinate-swap"])
+def test_full_kernels_keep_the_kernels_symmetries(tup, move, conjugates):
+    # K(w, z) = conj K(z, w), K(lam z, lam w) = K(z, w) for |lam| = 1, and
+    # swapping the coordinates with alpha and beta leaves K as it is: the
+    # series are the same up to rounding, and so are their term counts
+    p = BidiskParams(*tup)
+    pairs = _symmetry_pairs()
+    ref = full_kernels(p, pairs)
+    got = full_kernels(*move(p, pairs))
+    for r, g in zip(ref, got):
+        value = g.value.conjugate() if conjugates else g.value
+        assert g.terms_used == r.terms_used
+        assert abs(value - r.value) <= 1e-12 * max(1.0, abs(r.value))
 
 
 def test_full_kernels_raise_at_max_outer_terms(monkeypatch):
