@@ -31,11 +31,25 @@ full_kernel calls q_kernel one order at a time.  sigma has one cache, keyed
 by the weight's four exponents: the kernels, taylor_blocks and
 norm_expansion read sigma_N as its entry at theta + N, so they share entries
 and a warm series builds no BidiskParams.
+
+Both full kernels sum each pair in its Moebius frame (_frame; ROADMAP, "A
+Möbius frame for each bidisk pair"): the weight is covariant under one disk
+automorphism applied to both coordinates, so K(z, w) = F K(psi z, psi w)
+with a closed factor F.  The centre c is the gyromidpoint of z1 and z2 or
+that of w1 and w2, whichever leaves the smaller max|psi(z_i)|
+max|psi(w_i)|, the rate of the moved series; a pair with a point on the
+diagonal z1 = z2 moves that point to the origin, the paper's reduction.
+The series run on the moved rows, and tail_bound is |F| times their
+estimate plus the rounding of F and of the map, of the order of (a+b) EPS
+|log(1-|c|^2)| relative to |K| (derived in _frame).  Where c is 0, or the
+frame is not finite, the pair stays where it is, with F = 1, and its
+results are those of the direct series to the last bit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -150,7 +164,7 @@ def diag_kernel(params: BidiskParams, z: Point2, w1: complex) -> complex:
 
 def _inner_error(tail_estimate: float):
     """The error of an inner series that has not stopped in MAX_TERMS
-    terms."""
+    terms, with that series' tail estimate (in its pair's frame)."""
     return ConvergenceError(
         f"q_kernel inner series did not converge in {MAX_TERMS} terms",
         terms_used=MAX_TERMS, tail_estimate=tail_estimate)
@@ -167,7 +181,8 @@ def q_kernel(params: BidiskParams, N: int, z: Point2,
     sN = _sigma_cached(params.alpha, params.beta, params.theta + N,
                        params.vartheta)
     (part,), (terms,), (tail,) = (a.tolist() for a in _order_terms(
-        params, [(z, w)], np.array([0]), np.array([N]), sN.value.real))
+        params, _coords([(z, w)]), np.array([0]), np.array([N]),
+        sN.value.real))
     if terms < 0:
         raise _inner_error(tail)
     # sigma_N's error moves the part by its share tail(sigma_N) / sigma_N
@@ -175,22 +190,100 @@ def q_kernel(params: BidiskParams, N: int, z: Point2,
                         tail + abs(part) * sN.tail_bound / sN.value.real)
 
 
-def _outer_tails(params: BidiskParams, pairs: list):
+def _coords(pairs) -> np.ndarray:
+    """The coordinate rows (z1, z2, w1, w2) of the (z, w) pairs."""
+    return np.array([(z.z1, z.z2, w.z1, w.z2) for z, w in pairs],
+                    dtype=complex)
+
+
+def _gyromidpoint(p, q):
+    """The hyperbolic midpoint of p and q in the unit disk, x / (1 +
+    sqrt(1 - |x|^2)) with x = (gp p + gq q) / (gp + gq - 1) and g = 1 / (1 -
+    |.|^2): the same bits for (q, p), and p itself for q = p."""
+    gp, gq = 1.0 / (1.0 - abs(p) ** 2), 1.0 / (1.0 - abs(q) ** 2)
+    x = (gp * p + gq * q) / (gp + gq - 1.0)
+    return x / (1.0 + np.sqrt(1.0 - abs(x) ** 2))
+
+
+def _frame(params: BidiskParams, coords):
+    """Each pair's Moebius frame, for the rows (z1, z2, w1, w2) of coords:
+    the moved rows, the factor F and its rounding relative to |K|, with
+    K(z, w) = F K(psi z, psi w).
+
+    psi(t) = (t - c) / (1 - conj(c) t) takes c to 0.  It is -phi_c, under
+    which, applied to both coordinates, the weight is covariant (ROADMAP, "A
+    Möbius frame for each bidisk pair"), and K(-z, -w) = K(z, w); so F =
+    (1-|c|^2)^(a+b) / [(1-conj(c) z1)^a (1-conj(c) z2)^b conj((1-conj(c)
+    w1)^a (1-conj(c) w2)^b)], formed as the exp of a sum of logs, since its
+    powers alone leave double range near the circle.  c is the gyromidpoint
+    of z1 and z2, or that of w1 and w2, whichever gives the smaller
+    max|psi(z_i)| max|psi(w_i)|, the rate of the moved series.  A row stays
+    as it is, with F = 1 and no rounding, where c is 0, the frame is not
+    finite, or a moved point rounds onto the circle.
+
+    The rounding, to first order in EPS and relative to |K|:
+    - log F sums five terms l_k, the exponents times log(1-|c|^2) and
+      log(1-conj(c) t); each rounds by 2 EPS |l_k|, and their sum by 4 EPS
+      sum|l_k|;
+    - the arguments round by EPS (1 + 2|c|^2/(1-|c|^2)) and EPS (1 + 3g)
+      relative, g = max|c t|/|1-conj(c) t| <= |c|/min|1-conj(c) t|, times
+      their exponents;
+    - exp and the product F K add 3 EPS;
+    - each moved coordinate rounds by EPS (6 + 3g) relative, which moves
+      K(psi z, psi w) by (a+b) q/(1-q) times that on each side, q the
+      rate: exact for the product kernel, an estimate otherwise.
+    Away from the circle the first term leads, a small multiple of (a+b)
+    EPS |log(1-|c|^2)|."""
+    a, b = params.a, params.b
+    rows = np.arange(len(coords))
+    with np.errstate(all="ignore"):
+        # column 0 the gyromidpoint of (z1, z2), column 1 that of (w1, w2),
+        # each applied to the whole row
+        c = _gyromidpoint(coords[:, 0::2], coords[:, 1::2])
+        den = 1.0 - c.conj()[:, :, None] * coords[:, None]
+        moved = (coords[:, None] - c[:, :, None]) / den
+        radii = abs(moved)
+        rz = np.maximum(radii[:, :, 0], radii[:, :, 1])
+        rw = np.maximum(radii[:, :, 2], radii[:, :, 3])
+        rate = rz * rw
+        pick = (rate[:, 1] < rate[:, 0]).astype(int)
+        c, den, moved, rate, radius = (v[rows, pick] for v in (
+            c, den, moved, rate, np.maximum(rz, rw)))
+        size = abs(c)
+        c2 = size * size
+        l0 = (a + b) * np.log1p(-c2)
+        logs = np.log(den) * [a, b, a, b]
+        F = np.exp(l0 - (logs[:, 0] + logs[:, 1]
+                         + (logs[:, 2] + logs[:, 3]).conj()))
+        g = size / abs(den).min(axis=1)
+        rounding = EPS * (
+            6.0 * (abs(l0) + abs(logs).sum(axis=1)) + 3.0
+            + (abs(a) + abs(b)) * (2.0 * c2 / (1.0 - c2) + 2.0 + 6.0 * g
+                                   + (12.0 + 6.0 * g) * rate / (1.0 - rate)))
+        # nan compares false, so a frame that is not finite keeps c = 0;
+        # with F finite and not 0, so are its logs and the rounding
+        moves = ((c != 0) & (radius < 1.0)
+                 & (abs(F) >= sys.float_info.min) & (abs(F) < np.inf))
+    return (np.where(moves[:, None], moved, coords), np.where(moves, F, 1.0),
+            np.where(moves, rounding, 0.0))
+
+
+def _outer_tails(params: BidiskParams, coords):
     """Each pair's order count N_hi + 1 and outer tail estimate t_N at N_hi,
-    and the sigma_N they read.  t_N = SAFETY_FACTOR head / (1 - ratio) takes
-    the next order's term as head = |dz dw|^(N+1) sigma_(N+1) / (1 - rz rw),
-    which assumes an inner sum of at most 1/(1 - rz rw), and the decay ratio
-    from the next two sigma_N.  N_hi, the pair's last order, ends the first
-    CONSECUTIVE_SMALL orders in a row with t_N <= TOLERANCE, or is
-    MAX_OUTER_TERMS - 1 (see _outer_result)."""
+    for the rows (z1, z2, w1, w2) of coords, and the sigma_N they read.
+    t_N = SAFETY_FACTOR head / (1 - ratio) takes the next order's term as
+    head = |dz dw|^(N+1) sigma_(N+1) / (1 - rz rw), which assumes an inner
+    sum of at most 1/(1 - rz rw), and the decay ratio from the next two
+    sigma_N.  N_hi, the pair's last order, ends the first CONSECUTIVE_SMALL
+    orders in a row with t_N <= TOLERANCE, or is MAX_OUTER_TERMS - 1 (see
+    _outer_result)."""
     al, be, th, vt = params.alpha, params.beta, params.theta, params.vartheta
     sig = [_sigma_cached(al, be, th + N, vt).value.real for N in (0, 1)]
     counts, tails = [], []
-    for z, w in pairs:
-        dzdw = abs((z.z1 - z.z2)
-                   * (complex(w.z1).conjugate() - complex(w.z2).conjugate()))
-        inner_bound = 1.0 / (1.0 - max(abs(z.z1), abs(z.z2))
-                             * max(abs(w.z1), abs(w.z2)))
+    for z1, z2, w1, w2 in coords.tolist():
+        dzdw = abs((z1 - z2) * (w1.conjugate() - w2.conjugate()))
+        inner_bound = 1.0 / (1.0 - max(abs(z1), abs(z2))
+                             * max(abs(w1), abs(w2)))
         streak = 0
         for N in range(MAX_OUTER_TERMS):
             if len(sig) == N + 2:
@@ -209,28 +302,37 @@ def _outer_tails(params: BidiskParams, pairs: list):
     return counts, tails, sig
 
 
-def _outer_result(total: complex, terms: int, tail: float) -> SeriesResult:
-    """The kernel as the sum `total` of its orders 0 .. N_hi.  Where the
-    tail estimates did not end within MAX_OUTER_TERMS orders, the sum stands
-    if the last estimate is within TOLERANCE max(1, |total|), and raises
-    ConvergenceError otherwise (and where either is nan)."""
-    if not tail <= TOLERANCE * max(1.0, abs(total)):
+def _outer_result(total: complex, terms: int, tail: float, F: complex,
+                  rounding: float) -> SeriesResult:
+    """The kernel K = F total from the sum `total` of its orders 0 .. N_hi
+    in the pair's frame and the frame's F and rounding (_frame), with
+    tail_bound |F| tail plus the rounding.  Where the tail estimates did not
+    end within MAX_OUTER_TERMS orders, the sum stands if |F| tail is within
+    TOLERANCE max(1, |K|), and raises ConvergenceError otherwise (and where
+    either is nan)."""
+    value, tail = F * total, abs(F) * tail
+    if not tail <= TOLERANCE * max(1.0, abs(value)):
         raise ConvergenceError(
             f"full_kernel did not converge in {MAX_OUTER_TERMS} outer terms",
             terms_used=terms, tail_estimate=tail)
-    return SeriesResult(total, terms, tail)
+    return SeriesResult(value, terms, tail + rounding * abs(value))
 
 
 def full_kernel(params: BidiskParams, z: Point2, w: Point2) -> SeriesResult:
-    """Reproducing kernel as the sum of q_kernel over the vanishing orders
-    0 .. N_hi (_outer_tails), with the tail estimate at N_hi."""
+    """Reproducing kernel as F times the sum of q_kernel over the vanishing
+    orders 0 .. N_hi (_outer_tails) at the pair moved to its frame
+    (_frame), with the tail estimate at N_hi."""
     _require_bidisk(z, w)
-    (count,), (tail,), _ = _outer_tails(params, [(z, w)])
+    moved, F, rounding = _frame(params, _coords([(z, w)]))
+    (count,), (tail,), _ = _outer_tails(params, moved)
+    z1, z2, w1, w2 = moved[0].tolist()
+    z, w = Point2(z1, z2), Point2(w1, w2)
     # by its module-global name, so that a wrapper installed there
     # (bench/tracer.py) sees every order and its terms
     parts = [q_kernel(params, N, z, w) for N in range(count)]
     return _outer_result(sum(p.value for p in parts),
-                         sum(p.terms_used for p in parts), tail)
+                         sum(p.terms_used for p in parts), tail,
+                         *F.tolist(), *rounding.tolist())
 
 
 # full_kernels runs at most _CHUNK_PAIRS pairs at a time, to keep arrays small
@@ -240,43 +342,45 @@ _CHUNK_PAIRS = 256
 def full_kernels(params: BidiskParams, pairs) -> list:
     """The reproducing kernel at every (z, w) in pairs, in order, each
     full_kernel(params, z, w), with the (pair, order) cells of up to
-    _CHUNK_PAIRS pairs in one _order_terms pass.  Every pair is checked
-    before any series runs; of the pairs that raise, the first one's error
-    is raised, as a loop over full_kernel would raise it."""
+    _CHUNK_PAIRS pairs, moved to their frames, in one _order_terms pass.
+    Every pair is checked before any series runs; of the pairs that raise,
+    the first one's error is raised, as a loop over full_kernel would raise
+    it."""
     pairs = list(pairs)
     for z, w in pairs:
         _require_bidisk(z, w)
     out = []
     for start in range(0, len(pairs), _CHUNK_PAIRS):
-        chunk = pairs[start:start + _CHUNK_PAIRS]
-        counts, tails, sig = _outer_tails(params, chunk)
+        coords, F, rounding = _frame(
+            params, _coords(pairs[start:start + _CHUNK_PAIRS]))
+        counts, tails, sig = _outer_tails(params, coords)
         # cell (i, N) for N < counts[i], in pair order
         pair_of, order = np.nonzero(
             np.arange(max(counts)) < np.array(counts)[:, None])
         parts, terms, inner_tails = _order_terms(
-            params, chunk, pair_of, order, np.take(sig, order))
+            params, coords, pair_of, order, np.take(sig, order))
         failed = np.flatnonzero(terms < 0)
         parts, terms = parts.tolist(), terms.tolist()
         end = 0
-        for count, tail in zip(counts, tails):
+        for count, tail, f, r in zip(counts, tails, F.tolist(),
+                                     rounding.tolist()):
             begin, end = end, end + count
             # an inner series' error comes before its pair's outer one
             if failed.size and failed[0] < end:
                 raise _inner_error(float(inner_tails[failed[0]]))
             out.append(_outer_result(sum(parts[begin:end]),
-                                     sum(terms[begin:end]), tail))
+                                     sum(terms[begin:end]), tail, f, r))
     return out
 
 
-def _order_terms(params: BidiskParams, pairs: list, pair_of, order, sig):
+def _order_terms(params: BidiskParams, coords, pair_of, order, sig):
     """The order-N term of the kernel at each cell j, pair pair_of[j] at
-    order N = order[j] (integer arrays), sig its sigma_N (per cell, or one):
-    the factor (z1-z2)^N conj(w1-w2)^N sigma_N times the inner sum
-    (_inner_sums).  Flat arrays over the cells: the terms, the inner terms
-    each used (-1 where MAX_TERMS terms did not converge) and the inner tail
-    estimate times the factor's modulus."""
-    coords = np.array([(z.z1, z.z2, w.z1, w.z2) for z, w in pairs],
-                      dtype=complex)
+    order N = order[j] (integer arrays), with row i of coords the
+    coordinates (z1, z2, w1, w2) of pair i and sig the cell's sigma_N (per
+    cell, or one): the factor (z1-z2)^N conj(w1-w2)^N sigma_N times the inner
+    sum (_inner_sums).  Flat arrays over the cells: the terms, the inner
+    terms each used (-1 where MAX_TERMS terms did not converge) and the
+    inner tail estimate times the factor's modulus."""
     sums, terms, tails = _inner_sums(params, coords, pair_of, order)
     z1, z2, w1, w2 = coords[pair_of].T
     factor = (z1 - z2) ** order * (w1 - w2).conj() ** order * sig
@@ -328,8 +432,9 @@ def _inner_sums(params: BidiskParams, coords, pair_of, order):
     # Python's complex arithmetic
     with np.errstate(all="ignore"):
         for n in range(MAX_TERMS):
-            term = mu * c[:cell.size]
-            term *= c[cell.size:]
+            # not in place: numpy multiplies a one-element complex array in
+            # place with other roundings than it does longer arrays
+            term = mu * c[:cell.size] * c[cell.size:]
             total += term
             tail *= q
             small = tail <= tolerance * np.fmax(1.0, np.abs(total))
