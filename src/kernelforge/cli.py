@@ -1,5 +1,5 @@
 """Command-line interface: kernel evaluation, norm decomposition, sigma
-constants, and verification suites, with JSON (default) or CSV reports.
+constants and verification suites; reports are one JSON line (default) or CSV.
 
 Exit codes: 0 success, 1 verification failure, 2 domain error,
 3 series/quadrature non-convergence, 4 Gram conditioning failure.
@@ -116,8 +116,7 @@ def _emit(report: dict, args) -> None:
                              it.get("abs_err", ""), it.get("rel_err", "")])
         sys.stdout.write(buf.getvalue())
     else:
-        json.dump(report, sys.stdout, indent=2, default=float)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(report, default=float) + "\n")
 
 
 def _flat_items(report: dict):
@@ -189,8 +188,7 @@ def cmd_kernel(args) -> int:
             item.update(oracle=[ref.real, ref.imag], abs_err=abs_err,
                         rel_err=rel_err, tol=_ORACLE_TOL, passed=bool(ok),
                         oracle_degree=degree, oracle_tail=tail)
-    report = _wrap_report("kernel", args, items, passed)
-    _emit(report, args)
+    _emit(_wrap_report("kernel", args, items, passed), args)
     return EXIT_OK if passed else EXIT_VERIFY
 
 
@@ -218,9 +216,8 @@ def cmd_norm_expand(args) -> int:
             passed = passed and ok
             item.update(oracle=[ref, 0.0], abs_err=abs_err,
                         rel_err=abs_err / max(ref, 1e-300), passed=bool(ok))
-    report = _wrap_report("norm-expand", args, items, passed)
-    report["polynomial"] = f.format()
-    _emit(report, args)
+    _emit(_wrap_report("norm-expand", args, items, passed,
+                       polynomial=f.format()), args)
     return EXIT_OK if passed else EXIT_VERIFY
 
 
@@ -234,8 +231,7 @@ def cmd_sigma(args) -> int:
             "item": "sigma_gamma_form", "value": [ref, 0.0],
             "abs_err": abs(val - ref), "rel_err": abs(val - ref) / ref,
         })
-    report = _wrap_report("sigma", args, items, True)
-    _emit(report, args)
+    _emit(_wrap_report("sigma", args, items, True), args)
     return EXIT_OK
 
 
@@ -245,15 +241,14 @@ def cmd_verify(args) -> int:
         print(f"unknown suite {args.suite!r}; choose from: {names}",
               file=sys.stderr)
         return EXIT_DOMAIN
-    report = dict(verify.run_suite(args.suite, args.seed))
-    report["command"] = "verify"
-    report["wall_time"] = time.time() - args._t0
+    report = dict(verify.run_suite(args.suite, args.seed), command="verify",
+                  wall_time=time.time() - args._t0)
     _emit(report, args)
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 
 
-def _wrap_report(command, args, items, passed):
-    report = {
+def _wrap_report(command, args, items, passed, **extra):
+    return {
         "command": command,
         "space": getattr(args, "space", None),
         "params": {k: getattr(args, k) for k in
@@ -262,8 +257,8 @@ def _wrap_report(command, args, items, passed):
         "passed": bool(passed),
         "items": items,
         "wall_time": time.time() - args._t0,
+        **extra,
     }
-    return report
 
 
 def _add_format(sub):

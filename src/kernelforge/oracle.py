@@ -17,7 +17,8 @@ Cholesky factorisation per degree block, taken for all of f's degree blocks
 at once on a stack padded with the identity.  Within total degree d the
 subspaces of order at least o are nested, and the basis u^k v^(d-k),
 k = d..0, spans each of them with its first d-o+1 columns, so
-orthonormalising it in order gives every Q_N f at once.  The complement v
+orthonormalising it in order gives every Q_N f, and every ||Q_N f||^2 from
+f's coordinates in the orthonormal basis, at once.  The complement v
 makes u^(d-1) v orthogonal to u^d in the block.  It is z1 + z2 wherever the
 weight is symmetric in z1 and z2, z1 on the ball, and alpha z1 + beta z2 on
 the Gaussian space, whose weight factors in u and v, so that the basis is
@@ -360,31 +361,35 @@ def gram_kernel_blocks(gram: GramBlocks) -> list:
     g = np.eye(n)[None].repeat(n, 0)  # block d, padded with the identity
     for d, block in enumerate(gram.blocks):
         g[d, :d + 1, :d + 1] = block
-    inv_low = np.linalg.solve(_cholesky(g, "Gram block", range(n)),
+    inv_low = np.linalg.solve(_cholesky(g, ("Gram block",), range(n)),
                               np.broadcast_to(np.eye(n), g.shape))
     kernel = inv_low.transpose(0, 2, 1) @ inv_low
     return [kernel[d, :d + 1, :d + 1] for d in range(n)]
 
 
-def _check_conditioning(m: np.ndarray, what: str, degrees) -> None:
-    """ConditioningError naming `what` and the degree degrees[i] of the first
-    m[i] that fails, unless every real symmetric matrix of the stack m,
-    scaled to a unit diagonal, is positive definite with condition number at
-    most COND_LIMIT.  The scaled number is the one that matters: it bounds
-    how far relative rounding in m's entries moves what is solved with m,
-    and Cholesky's accuracy, whatever the spread of m's diagonal.  Padding a
-    block with the identity keeps its verdict: the eigenvalues of a unit
-    diagonal matrix bracket 1, so the padding moves neither extreme."""
+def _check_conditioning(m: np.ndarray, whats, degrees) -> None:
+    """ConditioningError naming the first block of the stack m that fails:
+    m holds one real symmetric block per degree in degrees for each name in
+    whats, in that order, and each, scaled to a unit diagonal, must be finite
+    and positive definite with condition number at most COND_LIMIT.  The
+    scaled number bounds how far relative rounding in m's entries moves what
+    is solved with m, and Cholesky's accuracy, whatever the spread of m's
+    diagonal.  Padding with the identity keeps a verdict: the eigenvalues of
+    a unit diagonal matrix bracket 1, so it moves neither extreme."""
+    good = np.isfinite(m).all(axis=(1, 2))
     diag = np.diagonal(m, axis1=1, axis2=2)
-    s = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
-    eig = np.linalg.eigvalsh(m * (s[:, :, None] * s[:, None, :]))
-    # true where a diagonal entry or the least eigenvalue is not positive
-    # (the largest then is, as the trace is) and for NaN
-    bad = ~(diag > 0).all(axis=1) | ~(eig[:, -1] <= COND_LIMIT * eig[:, 0])
-    if bad.any():
+    s = 1.0 / np.sqrt(np.where((diag > 0) & good[:, None], diag, 1.0))
+    scaled = m * (s[:, :, None] * s[:, None, :])
+    scaled[~good] = np.eye(m.shape[-1])  # eigvalsh fails on NaN entries
+    eig = np.linalg.eigvalsh(scaled)
+    # false for a matrix not finite, and where a diagonal entry or the least
+    # eigenvalue is not positive (the largest then is, as the trace is)
+    good &= (diag > 0).all(axis=1) & (eig[:, -1] <= COND_LIMIT * eig[:, 0])
+    if not good.all():
+        k, i = divmod(int(np.argmin(good)), len(degrees))
         raise ConditioningError(
-            f"{what} degree {degrees[np.argmax(bad)]} is not positive "
-            f"definite with condition number at most {COND_LIMIT:.0e}")
+            f"{whats[k]} degree {degrees[i]} is not positive definite with "
+            f"condition number at most {COND_LIMIT:.0e}")
 
 
 def kernel_from_blocks(kernel_blocks: list, z1, z2, w1, w2) -> complex:
@@ -483,81 +488,83 @@ def _form_powers(form: np.ndarray, binom: np.ndarray) -> np.ndarray:
             * pow0[..., np.maximum(a[:, None] - a, 0)])
 
 
-def _cholesky(m: np.ndarray, what: str, degrees) -> np.ndarray:
-    """The lower Cholesky factors of the stack m, or ConditioningError naming
-    `what` and the degree degrees[i] of the first m[i] that fails
-    _check_conditioning or has none."""
-    _check_conditioning(m, what, degrees)
+def _cholesky(m: np.ndarray, whats, degrees) -> np.ndarray:
+    """The lower Cholesky factors of m's last stack, after
+    _check_conditioning(m, whats, degrees), or ConditioningError naming
+    whats[-1] and the degree of the first block of it that has none."""
+    _check_conditioning(m, whats, degrees)
+    last = m[-len(degrees):]
     try:
-        return np.linalg.cholesky(m)
+        return np.linalg.cholesky(last)
     except np.linalg.LinAlgError:
         # the factorisation fails for the whole stack; name the block
-        for d, block in zip(degrees, m):
+        for d, block in zip(degrees, last):
             try:
                 np.linalg.cholesky(block)
             except np.linalg.LinAlgError:
-                raise ConditioningError(f"{what} degree {d}: Cholesky "
+                raise ConditioningError(f"{whats[-1]} degree {d}: Cholesky "
                                         f"factorisation failed") from None
         raise
 
 
 def _order_pass(gram: GramBlocks, f: BiPoly):
-    """(g, fv, degrees, parts): g, f's coefficient rows fv and the degrees
-    d_0 < ... < d_{k-1} that f has, as _degree_stack lays them out, and
-    parts[b, i], the degree-d_b component of Q_{d_b-i} f (zero for i > d_b).
-
-    In each block the basis E has column i = u^{d-i} v^i, so its first
-    d-o+1 columns span the block's functions that vanish to order o; the
-    complement v makes u^{d-1} v g-orthogonal to u^d (see the module
-    docstring).  With E^T G E = L L^T the rows w_i of L^{-1} E^T are
-    G-orthonormal and w_0..w_j span what the first j+1 columns of E span, so
-    the part is <f, w_i> w_i.  Each order's normal matrix is a leading
-    submatrix of E^T G E, no worse conditioned after scaling than the whole
-    (eigenvalue interlacing), so one check covers them all.  Every step runs
-    on the whole stack at once."""
+    """(degrees, total, low, basis_t, coef), every step on the whole stack
+    at once: the degrees d_0 < ... < d_{k-1} that f has, total = ||f||^2
+    and, per block as _degree_stack lays it out, the Cholesky factor L of
+    E^T G E = L L^T, E^T and coef = L^{-1} E^T G f, where E has column
+    i = u^{d-i} v^i (see the module docstring).  The rows w_i of L^{-1} E^T
+    are G-orthonormal and w_0..w_j span E's first j+1 columns, so the
+    degree-d component p of Q_{d-i} f is coef_i w_i and p G conj(p) =
+    |coef_i|^2 (Golub and Van Loan, Matrix Computations, 5.3).  One check
+    covers the stack [G; E^T G E], Gram blocks named first: G's own
+    conditioning bounds how far the rounding in its entries moves the parts
+    (it catches a near-null direction that the flag basis isolates and so
+    scales away), and each order's normal matrix is a leading submatrix of
+    E^T G E, no worse conditioned after scaling (eigenvalue interlacing).
+    E is built first with floating-point warnings off: a bad G may make it
+    non-finite."""
     g, (fv,), degrees = _degree_stack(gram, (f,))
     n = g.shape[-1]
-    # the Gram block's own conditioning bounds how far the rounding in its
-    # entries moves the parts (this catches a near-null direction that the
-    # flag basis isolates and so scales away)
-    _check_conditioning(g, "Gram block", degrees)
     binom = _binomial_table(n)
     # the variety is {u = 0}: u = z2 on the ball, z1 - z2 elsewhere; a row
     # of zeros after the powers of u stands for the columns past degree d
     u = np.array([1.0, 0.0] if gram.space == "ball" else [-1.0, 1.0])
     upow = np.vstack([_form_powers(u, binom), np.zeros(n)])
     deg = np.array(degrees, dtype=int)
-    gu = np.einsum("bmn,bn->bm", g, upow[deg])
-    prev = upow[deg - 1, :-1]
-    v = np.stack([np.einsum("bm,bm->b", gu[:, 1:], prev),
-                  -np.einsum("bm,bm->b", gu[:, :-1], prev)], axis=1)
-    v[deg == 0] = u  # a degree-0 block has no complement; E = [1] there
-    v /= np.where(abs(v[:, 0]) >= abs(v[:, 1]), v[:, 0], v[:, 1])[:, None]
-    # E[b, m, i] = sum_j upow[d_b - i, j] vpow[b, i, m - j]: one product
-    # with a Hankel view of the powers of v behind n - 1 zeros (entry (m, j)
-    # is vpow[b, i, m - n + 1 + j]) against the powers of u reversed, and
-    # the identity in the padding
-    upow_exp = deg[:, None] - np.arange(n)
-    vpow = np.zeros((len(degrees), n, 2 * n - 1))
-    vpow[:, :, n - 1:] = _form_powers(v, binom)
-    hankel = as_strided(vpow, vpow.shape[:2] + (n, n),
-                        vpow.strides + vpow.strides[2:], writeable=False)
-    basis = (np.einsum("bij,bimj->bmi",
-                       upow[np.where(upow_exp < 0, n, upow_exp), ::-1], hankel)
-             + (upow_exp < 0)[:, None, :] * np.eye(n))
-    basis_t = basis.transpose(0, 2, 1)
-    normal = basis_t @ g @ basis
-    rows = np.linalg.solve(_cholesky(normal, "projection block", degrees),
-                           basis_t)
-    coef = np.einsum("bim,bm->bi", rows, np.einsum("bmn,bn->bm", g, fv))
-    return g, fv, degrees, coef[:, :, None] * rows
+    with np.errstate(all="ignore"):
+        gu = np.einsum("bmn,bn->bm", g, upow[deg])
+        prev = upow[deg - 1, :-1]
+        v = np.stack([np.einsum("bm,bm->b", gu[:, 1:], prev),
+                      -np.einsum("bm,bm->b", gu[:, :-1], prev)], axis=1)
+        v[deg == 0] = u  # a degree-0 block has no complement; E = [1] there
+        v /= np.where(abs(v[:, 0]) >= abs(v[:, 1]), v[:, 0], v[:, 1])[:, None]
+        # E[b, m, i] = sum_j upow[d_b - i, j] vpow[b, i, m - j]: one product
+        # with a Hankel view of the powers of v behind n - 1 zeros (entry
+        # (m, j) is vpow[b, i, m - n + 1 + j]) against the powers of u
+        # reversed, and the identity in the padding
+        upow_exp = deg[:, None] - np.arange(n)
+        vpow = np.zeros((len(degrees), n, 2 * n - 1))
+        vpow[:, :, n - 1:] = _form_powers(v, binom)
+        hankel = as_strided(vpow, vpow.shape[:2] + (n, n),
+                            vpow.strides + vpow.strides[2:], writeable=False)
+        upow_rev = upow[np.where(upow_exp < 0, n, upow_exp), ::-1]
+        basis_t = (np.einsum("bij,bimj->bim", upow_rev, hankel)
+                   + (upow_exp < 0)[:, :, None] * np.eye(n))
+        normal = basis_t @ g @ basis_t.transpose(0, 2, 1)
+    low = _cholesky(np.concatenate([g, normal]),
+                    ("Gram block", "projection block"), degrees)
+    gf = np.einsum("bmn,bn->bm", g, fv)
+    total = np.einsum("bm,bm->", gf, fv.conj()).real
+    coef = np.linalg.solve(low, basis_t @ gf[:, :, None])[:, :, 0]
+    return degrees, float(total), low, basis_t, coef
 
 
 def order_parts(gram: GramBlocks, f: BiPoly) -> list:
     """[Q_0 f, ..., Q_D f] with D = max(deg f, 0): the orthogonal parts of f
     that vanish to order exactly N along the space's variety, so that
     f = sum_N Q_N f and ||f||^2 = sum_N ||Q_N f||^2 (see _order_pass)."""
-    _, _, degrees, parts = _order_pass(gram, f)
+    degrees, _, low, basis_t, coef = _order_pass(gram, f)
+    parts = coef[:, :, None] * np.linalg.solve(low, basis_t)
     out = [{} for _ in range(max(f.total_degree, 0) + 1)]
     for d, block in zip(degrees, parts):
         keys = [(m, d - m) for m in range(d + 1)]
@@ -568,16 +575,14 @@ def order_parts(gram: GramBlocks, f: BiPoly) -> list:
 
 def order_norms(gram: GramBlocks, f: BiPoly) -> tuple[float, list]:
     """(||f||^2, [||Q_0 f||^2, ..., ||Q_D f||^2]), D = max(deg f, 0): the
-    norms of f and of order_parts(gram, f) in the space, each the sum over
-    degrees d of p G_d conj(p) for its degree-d components p."""
-    g, fv, degrees, parts = _order_pass(gram, f)
-    total = np.einsum("bm,bm->", np.einsum("bmn,bn->bm", g, fv),
-                      fv.conj()).real
-    norms = np.einsum("bim,bim->bi", parts @ g, parts.conj()).real
-    order = np.array(degrees, dtype=int)[:, None] - np.arange(g.shape[-1])
+    norms of f and of order_parts(gram, f) in the space, each part's the sum
+    of |coef_i|^2 over f's degree blocks (see _order_pass)."""
+    degrees, total, _, _, coef = _order_pass(gram, f)
+    norms = coef.real ** 2 + coef.imag ** 2
+    order = np.array(degrees, dtype=int)[:, None] - np.arange(coef.shape[-1])
     by_order = np.zeros(max(f.total_degree, 0) + 1)
     np.add.at(by_order, order[order >= 0], norms[order >= 0])
-    return float(total), by_order.tolist()
+    return total, by_order.tolist()
 
 
 def project(gram: GramBlocks, f: BiPoly, order: int) -> tuple[BiPoly, BiPoly]:

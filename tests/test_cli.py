@@ -1,6 +1,9 @@
+import argparse
 import json
+import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from kernelforge import bidisk, cli, verify
@@ -500,3 +503,38 @@ def test_verify_keyerror_inside_a_suite_propagates(capsys, monkeypatch):
     with pytest.raises(KeyError, match="inside the suite"):
         cli.main(["verify", "hardy"])
     assert "unknown suite" not in capsys.readouterr().err
+
+
+_SPACE_ARGS = ["--space", "bidisk", "--alpha", "1", "--beta", "0.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", *_SPACE_ARGS, "--pair", "0.3,0.2,0.1,-0.4", "--oracle"],
+    ["norm-expand", *_SPACE_ARGS, "--theta", "1", "--poly", "z1^3 - z2",
+     "--oracle"],
+    ["sigma", *_SPACE_ARGS],
+    ["verify", "delta-identities"],
+], ids=lambda argv: argv[0])
+def test_json_report_is_one_line_of_its_report(capsys, monkeypatch, argv):
+    emitted = []
+
+    def spy(report, args):
+        emitted.append(report)
+        emit(report, args)
+
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", spy)
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out) == emitted[0]
+
+
+def test_json_report_keeps_non_finite_spellings_and_numpy_floats(capsys):
+    report = {"nan": float("nan"), "inf": [math.inf, -math.inf],
+              "float64": np.float64(0.1), "float32": np.float32(0.5),
+              "int64": np.int64(3)}
+    cli._emit(report, argparse.Namespace(format="json"))
+    out = capsys.readouterr().out
+    assert out == ('{"nan": NaN, "inf": [Infinity, -Infinity], '
+                   '"float64": 0.1, "float32": 0.5, "int64": 3.0}\n')

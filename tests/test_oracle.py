@@ -485,6 +485,29 @@ def test_non_positive_diagonal_is_named_without_a_warning():
         oracle.gram_kernel_blocks(g)
 
 
+@pytest.mark.parametrize("block3", [
+    np.diag([1.0, 1.0, 1.0, -1.0]),  # fails by its least eigenvalue
+    np.zeros((4, 4)),  # its flag basis divides 0 by 0
+    np.full((4, 4), np.nan),
+    np.diag([1.0, math.inf, 1.0, 1.0]),
+], ids=["indefinite", "zero", "nan", "inf"])
+def test_gram_block_is_named_before_an_earlier_projection_block(block3):
+    # block 2 is test_projection_check_names_a_middle_degree's: it passes
+    # as a Gram block and fails as a projection block.  Gram and projection
+    # blocks are checked in one pass, and a failing Gram block of any degree
+    # is named before any projection block, with no warning on the way.
+    q = np.array([[-0.31, 0.34, 0.89], [0.27, -0.86, 0.43],
+                  [0.91, 0.37, 0.18]])
+    g = _middle_degree_gram(q @ np.diag([1.0, 1e-9, 1e-10]) @ q.T)
+    g.blocks[3] = block3
+    for fn in (oracle.order_parts, oracle.order_norms):
+        with pytest.raises(ConditioningError,
+                           match="Gram block degree 3 is not"):
+            fn(g, _DEGREES_0_TO_3)
+    with pytest.raises(ConditioningError, match="Gram block degree 3 is not"):
+        oracle.gram_kernel_blocks(g)
+
+
 def test_failed_factorisation_names_its_block(monkeypatch):
     # the stacked Cholesky fails for the whole stack; with the checks off,
     # an indefinite block 2 must still be named
