@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -241,11 +242,14 @@ def ball_hardy_monomial_norm(beta: float, theta: float, m: int, n: int) -> float
 QUAD_TOLERANCE = 1e-10
 QUAD_START_ORDER = 32
 QUAD_MAX_ORDER = 512
+# entries of each temporary of _angular_reduce: 256 kB, within a core's L2
+_REDUCE_CHUNK = 1 << 15
 
 
+@lru_cache(maxsize=32)
 def _angular_nodes(n: int, theta: float):
     """Nodes/weights on (0, pi); graded toward 0 when the angular factor has
-    an integrable singularity there (theta < 0)."""
+    an integrable singularity there (theta < 0).  Cached, read-only."""
     from scipy.special import roots_legendre
     x, w = roots_legendre(n)
     u = 0.5 * (x + 1.0)
@@ -256,40 +260,57 @@ def _angular_nodes(n: int, theta: float):
     else:
         psi = math.pi * u
         wpsi = wu * math.pi
-    return psi, wpsi
+    return _read_only(psi, wpsi)
 
 
 def _angular_reduce(t1, t2, psi, wpsi, max_delta, theta, vartheta):
     """cang[delta, i, j] = int_0^pi cos(delta psi) W(t1_i, t2_j, psi) dpsi,
-    accumulated in angular chunks to bound memory."""
-    cross = np.sqrt(np.outer(t1, t2))
-    gap = np.subtract.outer(np.sqrt(t1), np.sqrt(t2)) ** 2
-    mix = 1.0 + np.outer(t1, t2)
-    deltas = np.arange(max_delta + 1)
-    cang = np.zeros((max_delta + 1, t1.size, t2.size))
-    chunk = max(1, (1 << 22) // (t1.size * t2.size))
-    for k0 in range(0, psi.size, chunk):
-        ps = psi[k0:k0 + chunk]
-        # |z1 - z2|^2 = t1 + t2 - 2 cross cos(psi), written without the
-        # cancellation that makes it 0 (and 0 ** theta inf for theta < 0)
-        # when t1 == t2 and cos(psi) rounds to 1
-        g_diff = gap[:, :, None] + 4.0 * cross[:, :, None] * np.sin(ps / 2) ** 2
-        wgt = g_diff ** theta
+    with the integrand formed for a block of radial pairs (i, j) at a time,
+    each block's temporaries _REDUCE_CHUNK entries or fewer, so that they
+    stay in cache."""
+    # |z1 - z2|^2 = gap + cross4 sin^2(psi/2), written without the
+    # cancellation that makes it 0 (and 0 ** theta inf for theta < 0) when
+    # t1 == t2 and cos(psi) rounds to 1; |1 - z1 conj(z2)|^2 = |z1 - z2|^2 +
+    # (1 - t1)(1 - t2) likewise does not cancel as t1 t2 -> 1
+    gap = np.subtract.outer(np.sqrt(t1), np.sqrt(t2)).ravel() ** 2
+    cross4 = 4.0 * np.sqrt(np.outer(t1, t2)).ravel()
+    damp = np.outer(1.0 - t1, 1.0 - t2).ravel()
+    sin2 = np.sin(psi / 2) ** 2
+    cosw = np.cos(np.outer(np.arange(max_delta + 1), psi)) * wpsi
+    cang = np.empty((max_delta + 1, gap.size))
+    chunk = max(1, _REDUCE_CHUNK // psi.size)
+    wgt, base = np.empty((2, chunk, psi.size))
+    for p0 in range(0, gap.size, chunk):
+        s = slice(p0, p0 + chunk)
+        w = wgt[:len(gap[s])]
+        np.multiply.outer(cross4[s], sin2, out=w)
+        w += gap[s, None]
         if vartheta != 0.0:
-            wgt = wgt * (mix[:, :, None] - 2.0 * cross[:, :, None] * np.cos(ps)) ** vartheta
-        cosmat = np.cos(np.outer(deltas, ps)) * wpsi[k0:k0 + chunk]
-        cang += np.einsum("dk,ijk->dij", cosmat, wgt)
-    return cang
+            b = np.add(w, damp[s, None], out=base[:len(w)])
+            b **= vartheta
+            w **= theta
+            w *= b
+        else:
+            w **= theta
+        np.matmul(cosw, w.T, out=cang[:, s])
+    return cang.reshape(max_delta + 1, t1.size, t2.size)
 
 
+@lru_cache(maxsize=32)
 def _radial_rule(a: float, n: int):
     """(t, w): Gauss-Jacobi of order n in r = |z_i| for the disk weight
     (1 - r^2)^a, with nodes t = r^2 and the weight's factor (1 + r)^a and the
-    area element's r in the weights w."""
+    area element's r in the weights w.  Cached, read-only."""
     from scipy.special import roots_jacobi
     x, w = roots_jacobi(n, a, 0.0)
     s = 0.5 * (x + 1.0)
-    return s ** 2, w * 2.0 ** (-a - 1.0) * (1.0 + s) ** a * s
+    return _read_only(s ** 2, w * 2.0 ** (-a - 1.0) * (1.0 + s) ** a * s)
+
+
+def _read_only(*arrays):
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays
 
 
 def _blocks_at_order(params: BidiskParams, n: int, max_degree: int) -> list:
@@ -312,13 +333,12 @@ def _blocks_at_order(params: BidiskParams, n: int, max_degree: int) -> list:
     # angular weight, so t^{a/2} cang[delta] has integral powers of t (a and
     # delta share parity).
     half = np.arange(2 * max_degree + 1)[:, None] / 2.0
-    integrals = const * np.einsum("ai,bj,dij->abd", w1 * t1 ** half,
-                                  w2 * t2 ** half, cang)
+    integrals = const * (w1 * t1 ** half) @ cang @ (w2 * t2 ** half).T
     blocks = []
     for d in range(max_degree + 1):
         m = np.arange(d + 1)
         a = m[:, None] + m[None, :]
-        blocks.append(integrals[a, 2 * d - a, np.abs(m[:, None] - m[None, :])])
+        blocks.append(integrals[np.abs(m[:, None] - m[None, :]), a, 2 * d - a])
     return blocks
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -321,6 +322,78 @@ def test_angular_reduce_equal_radii_negative_theta():
     assert math.cos(psi[0]) == 1.0
     cang = oracle._angular_reduce(t, t, psi, wpsi, 2, -0.5, 0.0)
     assert np.isfinite(cang).all()
+
+
+def _weight_monomials(theta: int, vartheta: int) -> dict:
+    """{(a1, a2, b1, b2): c}: (z1-z2)^theta (conj(z1)-conj(z2))^theta
+    (1-z1 conj(z2))^vartheta (1-conj(z1) z2)^vartheta as the sum of the
+    monomials c z1^a1 z2^a2 conj(z1)^b1 conj(z2)^b2."""
+    factors = ([{(1, 0, 0, 0): 1, (0, 1, 0, 0): -1},
+                {(0, 0, 1, 0): 1, (0, 0, 0, 1): -1}] * theta
+               + [{(0, 0, 0, 0): 1, (1, 0, 0, 1): -1},
+                  {(0, 0, 0, 0): 1, (0, 1, 1, 0): -1}] * vartheta)
+    poly = {(0, 0, 0, 0): 1}
+    for factor in factors:
+        prod = {}
+        for e, c in poly.items():
+            for f, k in factor.items():
+                key = tuple(x + y for x, y in zip(e, f))
+                prod[key] = prod.get(key, 0) + c * k
+        poly = prod
+    return poly
+
+
+@pytest.mark.parametrize("al,be,th,vt", [(0.4, 0.7, 1, 1), (0.3, 0.6, 0, 2),
+                                         (1.0, 0.5, 2, 1)])
+def test_gram_numeric_matches_exact_vartheta_weight(al, be, th, vt):
+    # at integer (theta, vartheta) the weight is a polynomial in z and
+    # conj(z), so each Gram entry is a finite sum of products of disk moments
+    gn = oracle.gram_numeric(BidiskParams(al, be, th, vt), 4)
+    weight = _weight_monomials(th, vt)
+    for d, block in enumerate(gn.blocks):
+        want = np.zeros((d + 1, d + 1))
+        for m1 in range(d + 1):
+            for m2 in range(d + 1):
+                for (a1, a2, b1, b2), c in weight.items():
+                    if m1 + a1 == m2 + b1 and a2 - m1 == b2 - m2:
+                        want[m1, m2] += (c * oracle.disk_moment(al, m1 + a1)
+                                         * oracle.disk_moment(be, d - m1 + a2))
+        scale = max(np.max(np.abs(want)), 1.0)
+        assert np.max(np.abs(block - want)) <= 1e-12 * scale, d
+
+
+def test_angular_reduce_does_not_depend_on_the_chunk_split(monkeypatch):
+    (t1, _), (t2, _) = oracle._radial_rule(0.4, 32), oracle._radial_rule(0.7, 32)
+    psi, wpsi = oracle._angular_nodes(64, 0.75)
+    want = oracle._angular_reduce(t1, t2, psi, wpsi, 6, 0.75, 1.3)
+    monkeypatch.setattr(oracle, "_REDUCE_CHUNK", 1)
+    got = oracle._angular_reduce(t1, t2, psi, wpsi, 6, 0.75, 1.3)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_angular_reduce_memory_does_not_grow_with_order_squared():
+    # the integrand over all n^2 radial pairs and 2n angles held 133 MB at
+    # order 256; formed in blocks, only the n^2 (max_delta + 1) result and
+    # the n^2 radial tables remain
+    (t1, _), (t2, _) = (oracle._radial_rule(a, 256) for a in (0.4, 0.7))
+    psi, wpsi = oracle._angular_nodes(512, 0.75)
+    tracemalloc.start()
+    try:
+        oracle._angular_reduce(t1, t2, psi, wpsi, 6, 0.75, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+
+
+def test_quadrature_rules_are_cached_read_only():
+    for rule, args in ((oracle._radial_rule, (0.4, 64)),
+                       (oracle._angular_nodes, (128, 0.75))):
+        first, again = rule(*args), rule(*args)
+        for x, y in zip(first, again):
+            assert x is y
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 0.0
 
 
 def test_kernel_blocks_product_case():
