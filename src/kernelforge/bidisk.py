@@ -59,7 +59,7 @@ from .config import (CONSECUTIVE_SMALL, EPS, MAX_OUTER_TERMS, MAX_TERMS,
                      SAFETY_FACTOR, TOLERANCE, Point2, SeriesResult)
 from .errors import ConvergenceError, DomainError
 from .poly2 import BiPoly
-from .specfun import hyp3f2_unit, log_gamma, pochhammer
+from .specfun import hyp3f2_unit, log_gamma
 
 
 @dataclass(frozen=True)
@@ -551,9 +551,12 @@ def _coeff(a: float, s: float, k: int, N: int) -> float:
     """(-1)^{N-k}/(k!(N-k)!) (a+k)_{N-k} / (s+N+k+1)_{N-k}."""
     if not 0 <= k <= N:
         raise DomainError(f"need 0 <= k <= N, got k={k}, N={N}")
-    sign = -1.0 if (N - k) % 2 else 1.0
-    return (sign / (math.factorial(k) * math.factorial(N - k))
-            * pochhammer(a + k, N - k) / pochhammer(s + N + k + 1.0, N - k))
+    # factor i is below 2/(i+1), so no partial product overflows; the int
+    # quotient 1/k! is correctly rounded and underflows rather than raise
+    out = -1.0 if (N - k) % 2 else 1.0
+    for i in range(N - k):
+        out *= (a + k + i) / ((s + N + k + 1.0 + i) * (i + 1))
+    return out * (1 / math.factorial(k))
 
 
 def coeff_a(params: BidiskParams, k: int, N: int) -> float:

@@ -16,8 +16,8 @@ from .errors import DomainError
 from .poly2 import BiPoly
 from .specfun import log_gamma, mittag_e
 
-from .bidisk import (NormExpansion, _transform_rows, diagonal_transform,
-                     expand)
+from .bidisk import (MAX_DEGREE, NormExpansion, _transform_rows,
+                     diagonal_transform, expand)
 
 
 @dataclass(frozen=True)
@@ -146,13 +146,12 @@ def fock_norm_expansion(params: FockParams, f: BiPoly) -> NormExpansion:
     nor n! leaves double range on its own."""
     log_delta = math.log(params.alpha * params.beta / params.gamma)
     log_g = math.log(params.gamma)
-    # log n!, grown to the widest rows (the first chunk's)
-    log_factorial = []
+    # log n! for n <= deg f (expand refuses a degree past MAX_DEGREE)
+    log_factorial = np.array([log_gamma(n + 1.0) for n in
+                              range(min(f.total_degree, MAX_DEGREE) + 1)])
 
     def norms(rows, lo):
         width = rows.shape[1]
-        log_factorial.extend(log_gamma(n + 1.0)
-                             for n in range(len(log_factorial), width))
         p = params.theta + np.arange(lo, lo + len(rows)) + 1.0
         log_w = np.array([log_gamma(x) - x * log_delta for x in p.tolist()])
         return np.exp(log_w[:, None] + 2.0 * np.log(np.abs(rows))

@@ -247,14 +247,14 @@ _REDUCE_CHUNK = 1 << 15
 
 
 @lru_cache(maxsize=32)
-def _angular_nodes(n: int, theta: float):
+def _angular_nodes(n: int, graded: bool):
     """Nodes/weights on (0, pi); graded toward 0 when the angular factor has
     an integrable singularity there (theta < 0).  Cached, read-only."""
     from scipy.special import roots_legendre
     x, w = roots_legendre(n)
     u = 0.5 * (x + 1.0)
     wu = 0.5 * w
-    if theta < 0:
+    if graded:
         psi = math.pi * u ** 3
         wpsi = wu * 3.0 * math.pi * u ** 2
     else:
@@ -326,7 +326,7 @@ def _blocks_at_order(params: BidiskParams, n: int, max_degree: int) -> list:
         raise QuadratureError(
             f"gram_numeric: the radial rule of order {n} is not finite")
     const = 4.0 * (params.alpha + 1.0) * (params.beta + 1.0) / math.pi
-    psi, wpsi = _angular_nodes(2 * n, params.theta)
+    psi, wpsi = _angular_nodes(2 * n, params.theta < 0)
     cang = _angular_reduce(t1, t2, psi, wpsi, max_degree, params.theta,
                            params.vartheta)
     # cos(delta psi) pairs only with powers (sqrt(t1 t2))^{delta + even} of the

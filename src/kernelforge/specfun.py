@@ -1,6 +1,9 @@
 """Special-function core: log-Gamma, Pochhammer symbols, Gauss 2F1,
 generalized 3F2 at unit argument, and the entire function E_theta.
 
+A Pochhammer symbol (x)_n is one running product at every n, n roundings;
+DomainError where it is not finite (for x >= 0, where (x)_n itself is not).
+
 All series carry explicit truncation-error accounting via SeriesResult.
 The 3F2 at x=1 converges only algebraically (term decay ~ n^{-(s+1)} where
 s is the parameter excess), so it is summed in whichever of the ten forms
@@ -46,26 +49,20 @@ def _signed_log_gamma(x: float) -> tuple[float, float]:
 
 
 def pochhammer(x: float, n: int) -> float:
-    """Rising factorial x(x+1)...(x+n-1); the empty product is 1."""
+    """Rising factorial x(x+1)...(x+n-1) as a running product; the empty
+    product is 1.  DomainError where it is not finite in double precision."""
     if n < 0:
         raise DomainError(f"pochhammer requires n >= 0, got {n}")
-    if n == 0:
-        return 1.0
     # An integer zero anywhere in the product forces an exact 0.
     if x <= 0 and x == round(x) and -round(x) < n:
         return 0.0
-    if n <= 30:
-        out = 1.0
-        for k in range(n):
-            out *= x + k
-        return out
-    # Large n: log-Gamma differences avoid overflow; track signs of the
-    # finitely many negative factors when x < 0.
-    if x > 0:
-        return math.exp(math.lgamma(x + n) - math.lgamma(x))
-    lg_top, sg_top = _signed_log_gamma(x + n)
-    lg_bot, sg_bot = _signed_log_gamma(x)
-    return sg_top * sg_bot * math.exp(lg_top - lg_bot)
+    out = 1.0
+    for k in range(n):
+        out *= x + k
+    if not math.isfinite(out):
+        raise DomainError(f"pochhammer({x}, {n}) is not finite in double "
+                          f"precision")
+    return out
 
 
 def hyp2f1(a: float, b: float, c: float, x: complex) -> SeriesResult:

@@ -1,5 +1,7 @@
 import cmath
 import math
+import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -280,6 +282,34 @@ def test_coeff_b_degenerates_from_coeff_a():
     for N in range(4):
         for k in range(N + 1):
             assert coeff_b(th, k, N) == pytest.approx(coeff_a(p, k, N), rel=1e-9)
+
+
+def _coeff_exact(a, s, k, N):
+    """(-1)^{N-k}/(k!(N-k)!) (a+k)_{N-k} / (s+N+k+1)_{N-k} in exact
+    rationals, at the binary values of a and s."""
+    a, s = Fraction(a), Fraction(s)
+    out = Fraction((-1) ** (N - k), math.factorial(k) * math.factorial(N - k))
+    for i in range(N - k):
+        out *= (a + k + i) / (s + N + k + 1 + i)
+    return out
+
+
+@pytest.mark.parametrize("N", [170, 171, 300])
+def test_coeffs_stay_finite_and_keep_their_digits(N):
+    # k! and the Pochhammer symbols leave double range from N = 170 on, where
+    # a_{k,N} only underflows; every normal value is within 2 (N+1) EPS
+    cases = [(coeff_a, p, p.a, p.s) for p in (
+        BidiskParams(0, 0, 0), BidiskParams(0.4, 0.7, 0.75, 0.3),
+        BidiskParams(3.0, -0.9, -0.9, -0.9))]
+    cases += [(coeff_b, th, th + 1.0, 2.0 * th) for th in (0.0, 2.25)]
+    for coeff, params, a, s in cases:
+        for k in range(N + 1):
+            value = coeff(params, k, N)
+            assert math.isfinite(value), (params, k)
+            if abs(value) >= sys.float_info.min:
+                want = _coeff_exact(a, s, k, N)
+                error = abs(Fraction(value) - want)
+                assert error <= 2 * (N + 1) * EPS * abs(want), (params, k)
 
 
 def test_restriction_transform_basics():

@@ -318,7 +318,7 @@ def test_angular_reduce_equal_radii_negative_theta():
     # t1 == t2 and the graded node nearest 0 has cos(psi) == 1.0: the weight
     # |z1 - z2|^(2 theta) was 0 ** -0.5 = inf there
     t = np.array([0.25, 0.5])
-    psi, wpsi = oracle._angular_nodes(32, -0.5)
+    psi, wpsi = oracle._angular_nodes(32, True)
     assert math.cos(psi[0]) == 1.0
     cang = oracle._angular_reduce(t, t, psi, wpsi, 2, -0.5, 0.0)
     assert np.isfinite(cang).all()
@@ -364,7 +364,7 @@ def test_gram_numeric_matches_exact_vartheta_weight(al, be, th, vt):
 
 def test_angular_reduce_does_not_depend_on_the_chunk_split(monkeypatch):
     (t1, _), (t2, _) = oracle._radial_rule(0.4, 32), oracle._radial_rule(0.7, 32)
-    psi, wpsi = oracle._angular_nodes(64, 0.75)
+    psi, wpsi = oracle._angular_nodes(64, False)
     want = oracle._angular_reduce(t1, t2, psi, wpsi, 6, 0.75, 1.3)
     monkeypatch.setattr(oracle, "_REDUCE_CHUNK", 1)
     got = oracle._angular_reduce(t1, t2, psi, wpsi, 6, 0.75, 1.3)
@@ -376,7 +376,7 @@ def test_angular_reduce_memory_does_not_grow_with_order_squared():
     # order 256; formed in blocks, only the n^2 (max_delta + 1) result and
     # the n^2 radial tables remain
     (t1, _), (t2, _) = (oracle._radial_rule(a, 256) for a in (0.4, 0.7))
-    psi, wpsi = oracle._angular_nodes(512, 0.75)
+    psi, wpsi = oracle._angular_nodes(512, False)
     tracemalloc.start()
     try:
         oracle._angular_reduce(t1, t2, psi, wpsi, 6, 0.75, 0.5)
@@ -388,12 +388,27 @@ def test_angular_reduce_memory_does_not_grow_with_order_squared():
 
 def test_quadrature_rules_are_cached_read_only():
     for rule, args in ((oracle._radial_rule, (0.4, 64)),
-                       (oracle._angular_nodes, (128, 0.75))):
+                       (oracle._angular_nodes, (128, False))):
         first, again = rule(*args), rule(*args)
         for x, y in zip(first, again):
             assert x is y
             with pytest.raises(ValueError, match="read-only"):
                 x[0] = 0.0
+
+
+def test_angular_rules_are_built_once_per_order_and_grading(monkeypatch):
+    # the angular nodes depend on theta only through theta < 0, so a second
+    # positive theta reuses every rule the first one built: one per order
+    nodes, orders = oracle._angular_nodes, set()
+
+    def recording(n, graded):
+        orders.add(n)
+        return nodes(n, graded)
+    monkeypatch.setattr(oracle, "_angular_nodes", recording)
+    nodes.cache_clear()
+    oracle.gram_numeric(BidiskParams(0.3, 0.6, 1.0, 0.5), 0)
+    oracle.gram_numeric(BidiskParams(0.3, 0.6, 1.5, 0.5), 0)
+    assert nodes.cache_info().misses == len(orders)
 
 
 def test_kernel_blocks_product_case():

@@ -3,7 +3,9 @@ import math
 import mpmath
 import pytest
 
-from kernelforge import bidisk, specfun
+from kernelforge import ball, bidisk, specfun
+from kernelforge.ball import BallParams
+from kernelforge.config import CONSECUTIVE_SMALL, Point2
 from kernelforge.errors import ConvergenceError, DomainError
 from kernelforge.specfun import (_sum_3f2_rep, hyp2f1, hyp3f2_unit,
                                  log_gamma, mittag_e, pochhammer)
@@ -47,6 +49,21 @@ def test_pochhammer_near_integer_is_not_zero():
     with mpmath.workdps(40):
         ref = float(mpmath.rf(mpmath.mpf(-3 + 1e-10), 5))
     assert pochhammer(-3 + 1e-10, 5) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("x,n", [(0.5, 31), (3.7, 150), (-30.5, 60)])
+def test_pochhammer_within_rounding_of_mpmath(x, n):
+    # a running product rounds n times; exp(lgamma(x + n) - lgamma(x)) was
+    # 1.6e-13 off at (3.7, 150)
+    with mpmath.workdps(40):
+        ref = mpmath.rf(mpmath.mpf(x), n)
+        assert abs((pochhammer(x, n) - ref) / ref) <= 1e-15
+
+
+def test_pochhammer_past_double_range_is_a_domain_error():
+    assert math.isfinite(pochhammer(2.0, 169))  # 170!
+    with pytest.raises(DomainError, match="not finite"):
+        pochhammer(2.0, 170)
 
 
 def test_hyp2f1_log_identity():
@@ -222,3 +239,23 @@ def test_hyp2f1_within_its_bound_near_the_unit_circle():
     with mpmath.workdps(40):
         ref = complex(mpmath.hyp2f1(a, b, c, x))
     assert abs(r.value - ref) <= r.tail_bound
+
+
+_SCALAR_SERIES = {
+    "hyp2f1": lambda: specfun.hyp2f1(0.5, 1.5, 2.5, 0.6 + 0.2j),
+    "mittag_e": lambda: specfun.mittag_e(0.5, 3.0 - 1.0j),
+    "hyp3f2_unit": lambda: specfun.hyp3f2_unit(0.5, 0.7, 1.1, 4.6, 5.3),
+    "ball_full_kernel_series": lambda: ball.ball_full_kernel_series(
+        BallParams(0.5, 1.0, 0.25), Point2(0.3, 0.4j), Point2(-0.2, 0.5)),
+}
+
+
+@pytest.mark.parametrize("series", _SCALAR_SERIES.values(),
+                         ids=list(_SCALAR_SERIES))
+def test_series_stop_after_consecutive_small_tails(series, monkeypatch):
+    # each tail estimate here falls with every term, so each further small
+    # tail the stopping rule asks for costs one more term
+    terms = series().terms_used
+    for module in (specfun, ball):
+        monkeypatch.setattr(module, "CONSECUTIVE_SMALL", CONSECUTIVE_SMALL + 2)
+    assert series().terms_used == terms + 2
