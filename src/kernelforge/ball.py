@@ -22,7 +22,7 @@ from .errors import ConvergenceError, DomainError
 from .poly2 import BiPoly
 from .specfun import hyp2f1, log_gamma
 
-from .bidisk import NormExpansion, disk_norm_sums, expand
+from .bidisk import NormExpansion, disk_expansion
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ def embed_const(params: BallParams, N: int) -> float:
 
 
 def _z2_rows(f: BiPoly, lo: int, hi: int) -> np.ndarray:
-    """f's coefficients of z2^N for N = lo .. hi-1, row N - lo, as
-    polynomials in z1 (their coefficients, read straight into the rows)."""
+    """f's coefficients of z2^N, N = lo .. hi-1, as rows of z1 coefficients."""
     rows = np.zeros((hi - lo, f.degree_in(1) + 1), dtype=complex)
     for (m, n), c in f.coeffs.items():
         if lo <= n < hi:
@@ -67,12 +66,10 @@ def _z2_rows(f: BiPoly, lo: int, hi: int) -> np.ndarray:
 def ball_norm_expansion(params: BallParams, f: BiPoly) -> NormExpansion:
     """||f||^2 = sum_N embed_const(N) ||f_N||^2 in the 1D space of index
     alpha+beta+theta+N+1, where f_N is f's coefficient of z2^N."""
-    s_base = params.alpha + params.beta + params.theta + 1.0
-    return expand(f, max(f.degree_in(2), 0) + 1,
-                  lambda lo, hi: _z2_rows(f, lo, hi),
-                  lambda rows, lo: disk_norm_sums(
-                      rows, s_base + np.arange(lo, lo + len(rows))),
-                  lambda N: embed_const(params, N))
+    return disk_expansion(f, max(f.degree_in(2), 0) + 1,
+                          lambda lo, hi: _z2_rows(f, lo, hi),
+                          params.alpha + params.beta + params.theta + 1.0, 1.0,
+                          lambda N: embed_const(params, N))
 
 
 def ball_qN_kernel(params: BallParams, N: int, z: Point2, w: Point2) -> complex:
@@ -166,8 +163,7 @@ def ball_hardy_norm_expansion(beta: float, theta: float,
     if not -1 < beta + theta < math.inf:  # NaN and inf fail too
         raise DomainError(
             "ball_hardy_norm_expansion requires a finite beta + theta > -1")
-    return expand(f, max(f.degree_in(2), 0) + 1,
-                  lambda lo, hi: _z2_rows(f, lo, hi),
-                  lambda rows, lo: disk_norm_sums(
-                      rows, beta + theta + np.arange(lo, lo + len(rows))),
-                  lambda N: 1.0 / (beta + theta + N + 1.0))
+    return disk_expansion(f, max(f.degree_in(2), 0) + 1,
+                          lambda lo, hi: _z2_rows(f, lo, hi),
+                          beta + theta, 1.0,
+                          lambda N: 1.0 / (beta + theta + N + 1.0))

@@ -38,7 +38,7 @@ automorphism applied to both coordinates, so K(z, w) = F K(psi z, psi w)
 with a closed factor F.  The centre c is the gyromidpoint of z1 and z2 or
 that of w1 and w2, whichever leaves the smaller max|psi(z_i)|
 max|psi(w_i)|, the rate of the moved series; a pair with a point on the
-diagonal z1 = z2 moves that point to the origin, the paper's reduction.
+diagonal z1 = z2 moves it to the origin up to rounding, the paper's reduction.
 The series run on the moved rows, and tail_bound is |F| times their
 estimate plus the rounding of F and of the map, of the order of (a+b) EPS
 |log(1-|c|^2)| relative to |K| (derived in _frame).  Where c is 0, or the
@@ -199,7 +199,8 @@ def _coords(pairs) -> np.ndarray:
 def _gyromidpoint(p, q):
     """The hyperbolic midpoint of p and q in the unit disk, x / (1 +
     sqrt(1 - |x|^2)) with x = (gp p + gq q) / (gp + gq - 1) and g = 1 / (1 -
-    |.|^2): the same bits for (q, p), and p itself for q = p."""
+    |.|^2): the same bits for (q, p); for q = p, p up to rounding of about
+    EPS / (1 - |p|^2) relative (1 - 1.1e-16 goes to 1.0)."""
     gp, gq = 1.0 / (1.0 - abs(p) ** 2), 1.0 / (1.0 - abs(q) ** 2)
     x = (gp * p + gq * q) / (gp + gq - 1.0)
     return x / (1.0 + np.sqrt(1.0 - abs(x) ** 2))
@@ -506,11 +507,8 @@ def taylor_blocks(params: BidiskParams, max_degree: int) -> list:
     for j in range(1, size):
         left_right[:, j] = left_right[:, j - 1] * (ab + j - 1.0) / j
     left, right = left_right[:size], left_right[size:]
-    # sigma_N n!/(s+2N+2)_n, with the factorial ratio as a running product
-    weight = np.ones((size, size))
-    weight[:, 1:] = orders[1:] / (params.s + 2.0 * orders[:, None] + 1.0
-                                  + orders[1:])
-    weight = np.cumprod(weight, axis=1) * np.array(
+    # sigma_N n!/(s+2N+2)_n
+    weight = disk_norms(params.s + 2.0 * orders, size) * np.array(
         [[_sigma_cached(params.alpha, params.beta, params.theta + N,
                         params.vartheta).value.real] for N in range(size)])
     blocks = [np.zeros((d + 1, d + 1)) for d in range(size)]
@@ -663,14 +661,13 @@ def restriction_transform(params: BidiskParams, f: BiPoly, N: int) -> BiPoly:
         params.a, params.b, params.s, N, N + 1)[0])
 
 
-def disk_norm_sums(rows: np.ndarray, s) -> np.ndarray:
-    """The norm of each row of z1 coefficients in the probability-normalized
-    1D space of index s[row], via monomial norms m!/(s+2)_m taken as running
-    products."""
-    m = np.arange(rows.shape[1] - 1)
-    norms = np.ones(rows.shape)
-    norms[:, 1:] = (m + 1.0) / (s[:, None] + 2.0 + m)
-    return (np.abs(rows) ** 2 * np.cumprod(norms, axis=1)).sum(axis=1)
+def disk_norms(x, size: int) -> np.ndarray:
+    """The monomial norms m!/(x+2)_m, m < size, of the probability-normalized
+    1D space of index x[i] in row i: running products of (k+1)/(x+2+k)."""
+    k = np.arange(size - 1)
+    norms = np.ones((len(x), size))
+    norms[:, 1:] = (k + 1.0) / (x[:, None] + 2.0 + k)
+    return np.cumprod(norms, axis=1)
 
 
 @dataclass(frozen=True)
@@ -721,17 +718,25 @@ def expand(f: BiPoly, orders: int, transforms, norms, weight) -> NormExpansion:
     return NormExpansion(tuple(terms), total)
 
 
+def disk_expansion(f: BiPoly, orders: int, transforms, x0: float,
+                   step: float, weight) -> NormExpansion:
+    """expand with the norms of disk_norms: the order-N row of
+    transforms(lo, hi) lies in the 1D space of index x0 + step N."""
+    return expand(f, orders, transforms, lambda rows, lo: (
+        np.abs(rows) ** 2 * disk_norms(x0 + step * np.arange(
+            lo, lo + len(rows)), rows.shape[1])).sum(axis=1), weight)
+
+
 def norm_expansion(params: BidiskParams, f: BiPoly) -> NormExpansion:
     """||f||^2 = sum_N (1/sigma_N) || transform_N f ||^2 in the 1D space of
     index s + 2N; finite for polynomials since transforms of order beyond
     deg f vanish."""
     al, be, th, vt = params.alpha, params.beta, params.theta, params.vartheta
-    return expand(
+    return disk_expansion(
         f, max(f.total_degree, 0) + 1,
         lambda lo, hi: _transform_rows(f, lo, _binomial_weight_rows(
             params.a, params.b, params.s, lo, hi)),
-        lambda rows, lo: disk_norm_sums(
-            rows, params.s + 2.0 * np.arange(lo, lo + len(rows))),
+        params.s, 2.0,
         lambda N: 1.0 / _sigma_cached(al, be, th + N, vt).value.real)
 
 
@@ -742,12 +747,11 @@ def hardy_norm_expansion(theta: float, f: BiPoly) -> NormExpansion:
     if not -0.5 < theta < math.inf:  # NaN and inf fail too
         raise DomainError(
             "hardy_norm_expansion requires a finite theta > -1/2")
-    return expand(
+    return disk_expansion(
         f, max(f.total_degree, 0) + 1,
         lambda lo, hi: _transform_rows(f, lo, _binomial_weight_rows(
             theta + 1.0, theta + 1.0, 2.0 * theta, lo, hi)),
-        lambda rows, lo: disk_norm_sums(
-            rows, 2 * theta + 2.0 * np.arange(lo, lo + len(rows))),
+        2 * theta, 2.0,
         lambda N: math.exp(log_gamma(2 * theta + 2 * N + 2.0)
                            - 2.0 * log_gamma(theta + N + 1.0)
                            ) / (2 * theta + 2 * N + 1.0))

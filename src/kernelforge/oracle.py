@@ -54,8 +54,7 @@ _REMAINDER_TERMS = 1000
 
 def disk_moment(alpha: float, p: int) -> float:
     """int |z|^{2p} dA_alpha over the unit disk = p! / (alpha+2)_p."""
-    return math.exp(log_gamma(p + 1.0) + log_gamma(alpha + 2.0)
-                    - log_gamma(alpha + 2.0 + p))
+    return math.prod(k / (alpha + 1.0 + k) for k in range(1, p + 1))
 
 
 @dataclass
@@ -134,7 +133,8 @@ def _binomial_gram_blocks(theta: float, max_degree: int, moment1,
                      u[np.clip(shift, 0, th)], 0.0)
     blocks = []
     for d in range(max_degree + 1):
-        b = big_b[:d + th + 1, :d + 1]
+        # contiguous: numpy may round a product with a strided view otherwise
+        b = np.ascontiguousarray(big_b[:d + th + 1, :d + 1])
         g = b.T @ ((mom1[:d + th + 1] * mom2[d + th::-1])[:, None] * b)
         blocks.append(0.5 * (g + g.T))  # exactly symmetric
     return blocks
@@ -219,10 +219,10 @@ def ball_monomial_norms(alpha: float, beta: float, theta: float,
 
 
 def ball_hardy_monomial_norm(beta: float, theta: float, m: int, n: int) -> float:
-    """Surface-measure norm of z1^m z2^n: the alpha -> -1 limit of
-    (alpha+1)(alpha+2) times the ball norm."""
-    return math.exp(log_gamma(m + 1.0) + log_gamma(n + theta + beta + 1.0)
-                    - log_gamma(m + n + theta + beta + 2.0))
+    """Surface-measure norm of z1^m z2^n, the alpha -> -1 limit of (alpha+1)
+    (alpha+2) times the ball norm: m! / (x+1)_(m+1), x = n + theta + beta."""
+    x = n + theta + beta
+    return disk_moment(x, m) / (x + 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 generalized 3F2 at unit argument, and the entire function E_theta.
 
 A Pochhammer symbol (x)_n is one running product at every n, n roundings;
-DomainError where it is not finite (for x >= 0, where (x)_n itself is not).
+DomainError where a partial product overflows (for x >= 0, where (x)_n does).
 
 All series carry explicit truncation-error accounting via SeriesResult.
 The 3F2 at x=1 converges only algebraically (term decay ~ n^{-(s+1)} where
@@ -41,16 +41,14 @@ def _signed_log_gamma(x: float) -> tuple[float, float]:
     """(log|Gamma(x)|, sign) for any non-pole real x."""
     if _is_nonpositive_integer(x):
         raise DomainError(f"Gamma pole at x = {x}")
-    if x > 0:
-        return math.lgamma(x), 1.0
     # Gamma alternates sign on the negative axis: positive on (-2,-1), ...
-    sign = 1.0 if math.floor(x) % 2 == 0 else -1.0
-    return math.lgamma(x), sign
+    return math.lgamma(x), 1.0 if x > 0 or math.floor(x) % 2 == 0 else -1.0
 
 
 def pochhammer(x: float, n: int) -> float:
     """Rising factorial x(x+1)...(x+n-1) as a running product; the empty
-    product is 1.  DomainError where it is not finite in double precision."""
+    product is 1.  DomainError where a partial product is not finite in
+    double precision, also where the symbol is, as at (-171 + 2**-44, 172)."""
     if n < 0:
         raise DomainError(f"pochhammer requires n >= 0, got {n}")
     # An integer zero anywhere in the product forces an exact 0.

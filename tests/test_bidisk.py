@@ -469,7 +469,7 @@ def _binomial_weights(a, b, s, N):
 
 def _disk_norm_sq(p, s):
     """The 1D norm of a polynomial in z1, index s, one coefficient at a
-    time: the reference for bidisk.disk_norm_sums."""
+    time: the reference for bidisk.disk_expansion's norms."""
     total, norm = 0.0, 1.0
     for m in range(p.degree_in(1) + 1):
         total += abs(p.coeffs.get((m, 0), 0)) ** 2 * norm
@@ -989,6 +989,19 @@ def test_inner_sums_stop_after_consecutive_small_tails(monkeypatch):
     _, more, _ = bidisk._inner_sums(p, coords, pair_of, order)
     assert min(terms) > 0
     assert (more == terms + 2).all()
+
+
+def test_outer_tails_stop_after_consecutive_small_tails(monkeypatch):
+    # the outer tail estimate falls with every order here, so each further
+    # small estimate the rule asks for costs each pair one more order
+    p = BidiskParams(1.0, 0.5, 0.3, 0.2)
+    rng = np.random.default_rng(7)
+    coords = (0.6 * np.sqrt(rng.uniform(size=(12, 4)))
+              * np.exp(2j * np.pi * rng.uniform(size=(12, 4))))
+    counts, _, _ = bidisk._outer_tails(p, coords)
+    monkeypatch.setattr(bidisk, "CONSECUTIVE_SMALL", CONSECUTIVE_SMALL + 2)
+    more, _, _ = bidisk._outer_tails(p, coords)
+    assert np.array_equal(more, np.add(counts, 2))
 
 
 _SYMMETRY_TUPLES = [(0.0, 4.0, 0.0, 0.0), (3.0, 1.0, 0.0, 0.0),

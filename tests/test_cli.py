@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import math
 
@@ -249,6 +251,18 @@ def test_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("item,")
     assert len(lines) == 3
+
+
+def test_verify_all_csv_has_one_row_per_item(capsys):
+    # `verify all` nests one report per suite; the CSV has a header and one
+    # row for each item of every suite
+    code, out, _ = run(capsys, ["verify", "all", "--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    _, report, _ = run(capsys, ["verify", "all"])
+    items = [it for r in json.loads(report)["reports"] for it in r["items"]]
+    assert rows[0][0] == "item" and len(rows) == len(items) + 1
+    assert [row[0] for row in rows[1:]] == [it["item"] for it in items]
 
 
 def test_determinism_same_seed(capsys):

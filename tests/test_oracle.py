@@ -24,6 +24,32 @@ def test_disk_and_fock_moments():
     assert oracle.fock_moment(2.0, 1) == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, -0.5, 2.5, 7.25, -0.75])
+def test_disk_moment_within_rounding_of_exact(alpha):
+    # p!/(alpha+2)_p in exact rationals: the running product uses at most
+    # 0.4 of this bound here, the log-Gamma form up to 12.7 times it
+    exact = Fraction(1)
+    for p in range(60):
+        got = Fraction(oracle.disk_moment(alpha, p))
+        assert abs(got - exact) <= Fraction(p + 1, 2 ** 53) * exact
+        exact *= (p + 1) / (Fraction(alpha) + 2 + p)
+
+
+@pytest.mark.parametrize("be,th", [(0.0, 0.0), (0.5, 0.25), (-0.5, 1.25),
+                                   (3.0, -0.75), (1.125, 2.5)])
+def test_ball_hardy_monomial_norm_within_rounding_of_exact(be, th):
+    # m!/(y)_(m+1), y = n + theta + beta + 1, in exact rationals: the
+    # running product uses at most 0.56 of this bound here, the log-Gamma
+    # form up to 17.8 times it
+    for n in (0, 1, 7):
+        y = n + Fraction(th) + Fraction(be) + 1
+        exact = 1 / y
+        for m in range(130):
+            got = Fraction(oracle.ball_hardy_monomial_norm(be, th, m, n))
+            assert abs(got - exact) <= Fraction(m + 2, 2 ** 53) * exact
+            exact *= (m + 1) / (y + m + 1)
+
+
 def test_bidisk_theta_zero_diagonal():
     g = oracle.gram_bidisk_exact(0.5, 1.0, 0.0, 4)
     for d in range(5):
@@ -84,8 +110,8 @@ def _binomial_block(th, d, moment):
              for m2 in range(d + 1)] for m1 in range(d + 1)]
 
 
-# disk_moment(0, p) is 1/(p+1) up to about 10 ulp of log-Gamma rounding, so
-# the reference takes the double the builder uses exactly: the test checks
+# disk_moment(0, p) is 1/(p+1) only up to the rounding of its running product,
+# so the reference takes the double the builder uses exactly: the test checks
 # how the blocks are assembled from the moments, within 4 ulp
 @pytest.mark.parametrize("build,moment", [
     (lambda th, d: oracle.gram_bidisk_exact(0.0, 0.0, th, d),
