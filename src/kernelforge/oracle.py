@@ -26,10 +26,6 @@ orthogonal there.  A fixed v fails: scaled to a unit diagonal, the basis's
 Gram matrix reaches condition number 1.7e12 at bidisk degree 14 with
 v = z2, and 1e17 with v = z1 + z2 on the Gaussian space at alpha = 1,
 beta = 100, theta = 1, degree 10.
-
-scipy, for the Gauss rules of the quadrature, is imported inside the
-functions that call it, on first use, so that importing kernelforge, summing
-the series kernels and inverting exact Gram blocks never load it.
 """
 
 from __future__ import annotations
@@ -52,9 +48,16 @@ COND_LIMIT = 1e12
 _REMAINDER_TERMS = 1000
 
 
+def disk_moments(alpha: float, count: int) -> np.ndarray:
+    """[int |z|^{2p} dA_alpha over the unit disk, p < count], p! / (alpha+2)_p
+    = prod_{k <= p} k / (alpha + 1 + k), as one running product."""
+    k = np.arange(1.0, count)
+    return np.cumprod(np.concatenate([[1.0], k / (alpha + 1.0 + k)]))[:count]
+
+
 def disk_moment(alpha: float, p: int) -> float:
-    """int |z|^{2p} dA_alpha over the unit disk = p! / (alpha+2)_p."""
-    return math.prod(k / (alpha + 1.0 + k) for k in range(1, p + 1))
+    """int |z|^{2p} dA_alpha over the unit disk: entry p of disk_moments."""
+    return float(disk_moments(alpha, p + 1)[p])
 
 
 @dataclass
@@ -115,16 +118,14 @@ def _require_integer_theta(theta: float) -> int:
     return int(round(theta))
 
 
-def _binomial_gram_blocks(theta: float, max_degree: int, moment1,
-                          moment2) -> list:
-    """Blocks for integer theta: the orthogonal basis is z1^k z2^(d+theta-k)
-    in the theta = 0 product space, with norms mu_k = moment1(k)
-    moment2(d+theta-k) (moment_i(p) the p-th absolute moment of variable i),
-    and column m of B holds z1^m z2^(d-m) (z1-z2)^theta."""
-    th = _require_integer_theta(theta)
+def _binomial_gram_blocks(th: int, mom1: np.ndarray,
+                          mom2: np.ndarray) -> list:
+    """Blocks of degree 0..len(mom1) - th - 1 for integer theta = th: the
+    orthogonal basis is z1^k z2^(d+th-k) in the theta = 0 product space, with
+    norms mu_k = mom1[k] mom2[d+th-k] (mom_i[p] the p-th absolute moment of
+    variable i), and column m of B holds z1^m z2^(d-m) (z1-z2)^th."""
+    max_degree = len(mom1) - th - 1
     u = _form_powers(np.array([-1.0, 1.0]), _binomial_table(th + 1))[-1]
-    mom1, mom2 = (np.array([mom(p) for p in range(max_degree + th + 1)])
-                  for mom in (moment1, moment2))
     # B[r, m] = u[r - m]: B's first d + th + 1 rows and d + 1 columns are
     # the B of degree d
     shift = np.subtract.outer(np.arange(max_degree + th + 1),
@@ -144,12 +145,11 @@ def gram_bidisk_exact(alpha: float, beta: float, theta: float,
                       max_degree: int) -> GramBlocks:
     """Exact bidisk Gram blocks for integer theta, vartheta = 0."""
     BidiskParams(alpha, beta, theta)
-    blocks = _binomial_gram_blocks(theta, max_degree,
-                                   lambda p: disk_moment(alpha, p),
-                                   lambda p: disk_moment(beta, p))
+    th = _require_integer_theta(theta)
+    blocks = _binomial_gram_blocks(
+        th, *(disk_moments(a, max_degree + th + 1) for a in (alpha, beta)))
     return GramBlocks("bidisk", {"alpha": alpha, "beta": beta,
-                                 "theta": float(round(theta)), "vartheta": 0.0},
-                      blocks)
+                                 "theta": float(th), "vartheta": 0.0}, blocks)
 
 
 def gram_fock_exact(alpha: float, beta: float, theta: float,
@@ -181,9 +181,10 @@ def gram_fock_exact(alpha: float, beta: float, theta: float,
 def gram_hardy_torus_exact(theta: float, max_degree: int) -> GramBlocks:
     """Torus Gram blocks for the weighted Hardy norm, integer theta: all torus
     moments equal 1, so entries are pure binomial sums."""
-    blocks = _binomial_gram_blocks(theta, max_degree, lambda p: 1.0,
-                                   lambda p: 1.0)
-    return GramBlocks("hardy_bidisk", {"theta": float(round(theta))}, blocks)
+    th = _require_integer_theta(theta)
+    ones = np.ones(max_degree + th + 1)
+    return GramBlocks("hardy_bidisk", {"theta": float(th)},
+                      _binomial_gram_blocks(th, ones, ones))
 
 
 def _ball_log_norms(alpha: float, beta: float, theta: float):
@@ -247,11 +248,49 @@ _REDUCE_CHUNK = 1 << 15
 
 
 @lru_cache(maxsize=32)
+def gauss_jacobi(a: float, n: int):
+    """(x, w): the n-point Gauss rule for int_{-1}^1 (1-x)^a g(x) dx, a > -1
+    (Gauss-Legendre at a = 0), by Golub and Welsch (Math. Comp. 23 (1969)
+    221).  The nodes are the eigenvalues of the Jacobi matrix of the
+    polynomials p_k orthogonal for (1-x)^a, each of the norm of p_0 = 1,
+    polished by one Newton step on p_n, and w = mu0 / sum_{k<n} p_k(x)^2,
+    with mu0 = 2^(a+1)/(a+1) the weight's integral.  Cached, read-only."""
+    if not (-1 < a < math.inf and n >= 1):
+        raise DomainError(f"gauss_jacobi needs a finite a > -1 and n >= 1, "
+                          f"got a = {a}, n = {n}")
+    k = np.arange(1.0, n + 1.0)
+    s = 2.0 * k + a
+    # the three-term recurrence: p_k's diagonal coefficient diag[k] and
+    # off[k], by which x p_k = off[k] p_{k+1} + diag[k] p_k + off[k-1] p_{k-1}
+    diag = np.concatenate([[-a / (a + 2.0)],
+                           -a * a / (s[:-1] * (s[:-1] + 2.0))])
+    off = 2.0 * k * (k + a) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    # eigvalsh reads the lower triangle
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], -1))
+    p, dp, _ = _jacobi_recurrence(x, diag, off)
+    x = x - p / dp
+    total = _jacobi_recurrence(x, diag, off)[2]
+    return _read_only(x, 2.0 ** (a + 1.0) / (a + 1.0) / total)
+
+
+def _jacobi_recurrence(x, diag, off):
+    """(p_n(x), p_n'(x), sum_{k<n} p_k(x)^2) by the recurrence of
+    gauss_jacobi, n = len(diag)."""
+    p_prev, p, dp_prev, dp = 0.0, np.ones_like(x), 0.0, np.zeros_like(x)
+    total, back = np.zeros_like(x), 0.0
+    for d, o in zip(diag.tolist(), off.tolist()):
+        total += p * p
+        p_prev, p = p, ((x - d) * p - back * p_prev) / o
+        dp_prev, dp = dp, ((x - d) * dp + p_prev - back * dp_prev) / o
+        back = o
+    return p, dp, total
+
+
+@lru_cache(maxsize=32)
 def _angular_nodes(n: int, graded: bool):
     """Nodes/weights on (0, pi); graded toward 0 when the angular factor has
     an integrable singularity there (theta < 0).  Cached, read-only."""
-    from scipy.special import roots_legendre
-    x, w = roots_legendre(n)
+    x, w = gauss_jacobi(0.0, n)
     u = 0.5 * (x + 1.0)
     wu = 0.5 * w
     if graded:
@@ -301,8 +340,7 @@ def _radial_rule(a: float, n: int):
     """(t, w): Gauss-Jacobi of order n in r = |z_i| for the disk weight
     (1 - r^2)^a, with nodes t = r^2 and the weight's factor (1 + r)^a and the
     area element's r in the weights w.  Cached, read-only."""
-    from scipy.special import roots_jacobi
-    x, w = roots_jacobi(n, a, 0.0)
+    x, w = gauss_jacobi(a, n)
     s = 0.5 * (x + 1.0)
     return _read_only(s ** 2, w * 2.0 ** (-a - 1.0) * (1.0 + s) ** a * s)
 

