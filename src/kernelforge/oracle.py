@@ -13,10 +13,12 @@ parameters by constructing the space's parameter class, or takes one.
 
 The orthogonal parts Q_N f of f that vanish to order exactly N along the
 space's variety {u = 0} (u = z1 - z2, or z2 on the ball) all come from one
-Cholesky factorisation per degree block, taken for all of f's degree blocks
-at once on a stack padded with the identity.  Within total degree d the
-subspaces of order at least o are nested, and the basis u^k v^(d-k),
-k = d..0, spans each of them with its first d-o+1 columns, so
+Cholesky factorisation per degree block.  A table's first order query takes
+it for every block at once, on a stack padded with the identity, and keeps
+it on the table with the bases and the conditioning verdicts, so that each
+query then does only the products with f and one solve.  Within total
+degree d the subspaces of order at least o are nested, and the basis
+u^k v^(d-k), k = d..0, spans each of them with its first d-o+1 columns, so
 orthonormalising it in order gives every Q_N f, and every ||Q_N f||^2 from
 f's coordinates in the orthonormal basis, at once.  The complement v
 makes u^(d-1) v orthogonal to u^d in the block.  It is z1 + z2 wherever the
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -62,7 +64,12 @@ def disk_moment(alpha: float, p: int) -> float:
 
 @dataclass
 class GramBlocks:
-    """Per-degree Hermitian Gram matrices of monomials plus provenance."""
+    """Per-degree Hermitian Gram matrices of monomials plus provenance.
+
+    The first order query on the table (order_norms, order_parts, project)
+    builds the state that depends on the blocks alone, for every degree, and
+    keeps it on the instance; blocks edited after that query are not seen by
+    later order queries."""
 
     space: str
     params: dict
@@ -80,34 +87,43 @@ class GramBlocks:
 
     def inner_product(self, f: BiPoly, g: BiPoly) -> complex:
         """<f, g> in the space; requires deg <= max_degree."""
-        blocks, (fv, gv), _ = _degree_stack(self, (f, g))
+        (fv, gv), degrees = _degree_vectors(self, (f, g))
+        blocks = _padded(self.blocks, degrees, fv.shape[-1])
         return complex(np.einsum("bm,bmn,bn->", fv, blocks, gv.conj()))
 
     def norm_sq(self, f: BiPoly) -> float:
         return self.inner_product(f, f).real
 
+    @cached_property
+    def _orders(self) -> tuple:
+        return _order_state(self)
 
-def _degree_stack(gram: GramBlocks, polys):
-    """(g, vecs, degrees) for the degrees d_0 < ... < d_{k-1} that any of
-    polys has: g[b] is block d_b of the Gram table and vecs[p, b] the
-    coefficients of polys[p] of degree d_b indexed by the power of z1, padded
-    with the identity and with zeros to size n = max(deg, 0) + 1 over the
-    polynomials' degrees."""
+
+def _degree_vectors(gram: GramBlocks, polys):
+    """(vecs, degrees) for the degrees d_0 < ... < d_{k-1} that any of polys
+    has: vecs[p, b] holds the coefficients of polys[p] of degree d_b indexed
+    by the power of z1, padded with zeros to size n = max(deg, 0) + 1 over
+    the polynomials' degrees."""
     deg = max(p.total_degree for p in polys)
     if deg > gram.max_degree:
         raise DomainError(f"degree {deg} exceeds Gram table max degree "
                           f"{gram.max_degree}")
-    n = max(deg, 0) + 1
     degrees = sorted({m + k for p in polys for m, k in p.coeffs})
     slot = {d: b for b, d in enumerate(degrees)}
-    g = np.eye(n)[None].repeat(len(degrees), 0)
-    for b, d in enumerate(degrees):
-        g[b, :d + 1, :d + 1] = gram.blocks[d]
-    vecs = np.zeros((len(polys), len(degrees), n), dtype=complex)
+    vecs = np.zeros((len(polys), len(degrees), max(deg, 0) + 1),
+                    dtype=complex)
     for p, poly in enumerate(polys):
         for (m, k), c in poly.coeffs.items():
             vecs[p, slot[m + k], m] = c
-    return g, vecs, degrees
+    return vecs, degrees
+
+
+def _padded(blocks: list, degrees, n: int) -> np.ndarray:
+    """g[b] = blocks[degrees[b]] padded with the identity to size n."""
+    g = np.eye(n)[None].repeat(len(degrees), 0)
+    for b, d in enumerate(degrees):
+        g[b, :d + 1, :d + 1] = blocks[d]
+    return g
 
 
 def _require_integer_theta(theta: float) -> int:
@@ -416,24 +432,23 @@ def gram_kernel_blocks(gram: GramBlocks) -> list:
     Because the Gram table is block-diagonal by total degree, these inverses
     are the exact Taylor blocks of the true kernel, not truncation artifacts."""
     n = len(gram.blocks)
-    g = np.eye(n)[None].repeat(n, 0)  # block d, padded with the identity
-    for d, block in enumerate(gram.blocks):
-        g[d, :d + 1, :d + 1] = block
-    inv_low = np.linalg.solve(_cholesky(g, ("Gram block",), range(n)),
-                              np.broadcast_to(np.eye(n), g.shape))
+    g = _padded(gram.blocks, range(n), n)
+    low, failed = _factors(g)
+    _require_factors(_conditioned(g)[None], failed, ("Gram block",),
+                     range(n))
+    inv_low = np.linalg.solve(low, np.broadcast_to(np.eye(n), g.shape))
     kernel = inv_low.transpose(0, 2, 1) @ inv_low
     return [kernel[d, :d + 1, :d + 1] for d in range(n)]
 
 
-def _check_conditioning(m: np.ndarray, whats, degrees) -> None:
-    """ConditioningError naming the first block of the stack m that fails:
-    m holds one real symmetric block per degree in degrees for each name in
-    whats, in that order, and each, scaled to a unit diagonal, must be finite
-    and positive definite with condition number at most COND_LIMIT.  The
-    scaled number bounds how far relative rounding in m's entries moves what
-    is solved with m, and Cholesky's accuracy, whatever the spread of m's
-    diagonal.  Padding with the identity keeps a verdict: the eigenvalues of
-    a unit diagonal matrix bracket 1, so it moves neither extreme."""
+def _conditioned(m: np.ndarray) -> np.ndarray:
+    """True for each real symmetric block of the stack m that, scaled to a
+    unit diagonal, is finite and positive definite with condition number at
+    most COND_LIMIT.  The scaled number bounds how far relative rounding in
+    the block's entries moves what is solved with it, and Cholesky's
+    accuracy, whatever the spread of its diagonal.  Padding with the
+    identity keeps a verdict: the eigenvalues of a unit diagonal matrix
+    bracket 1, so it moves neither extreme."""
     good = np.isfinite(m).all(axis=(1, 2))
     diag = np.diagonal(m, axis1=1, axis2=2)
     s = 1.0 / np.sqrt(np.where((diag > 0) & good[:, None], diag, 1.0))
@@ -442,12 +457,49 @@ def _check_conditioning(m: np.ndarray, whats, degrees) -> None:
     eig = np.linalg.eigvalsh(scaled)
     # false for a matrix not finite, and where a diagonal entry or the least
     # eigenvalue is not positive (the largest then is, as the trace is)
-    good &= (diag > 0).all(axis=1) & (eig[:, -1] <= COND_LIMIT * eig[:, 0])
+    return (good & (diag > 0).all(axis=1)
+            & (eig[:, -1] <= COND_LIMIT * eig[:, 0]))
+
+
+def _check_conditioning(good: np.ndarray, whats, degrees) -> None:
+    """ConditioningError naming the first block that fails, where good[k, i]
+    is _conditioned's verdict on the block of degree degrees[i] named
+    whats[k]: all of whats[0]'s blocks come before any of whats[1]'s."""
     if not good.all():
         k, i = divmod(int(np.argmin(good)), len(degrees))
         raise ConditioningError(
             f"{whats[k]} degree {degrees[i]} is not positive definite with "
             f"condition number at most {COND_LIMIT:.0e}")
+
+
+def _require_factors(good: np.ndarray, failed: np.ndarray, whats,
+                     degrees) -> None:
+    """_check_conditioning(good, whats, degrees), then ConditioningError
+    naming whats[-1] and the degree of the first block whose Cholesky
+    factorisation failed, where failed is _factors' flag for each of
+    whats[-1]'s blocks."""
+    _check_conditioning(good, whats, degrees)
+    if failed.any():
+        raise ConditioningError(
+            f"{whats[-1]} degree {degrees[int(np.argmax(failed))]}: "
+            f"Cholesky factorisation failed")
+
+
+def _factors(m: np.ndarray):
+    """(low, failed): the lower Cholesky factor of each block of the stack m,
+    and where a block has none, the identity in low and True in failed."""
+    try:
+        return np.linalg.cholesky(m), np.zeros(len(m), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass  # the factorisation fails for the whole stack; find the blocks
+    low = np.broadcast_to(np.eye(m.shape[-1]), m.shape).copy()
+    failed = np.zeros(len(m), dtype=bool)
+    for b, block in enumerate(m):
+        try:
+            low[b] = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            failed[b] = True
+    return low, failed
 
 
 def kernel_from_blocks(kernel_blocks: list, z1, z2, w1, w2) -> complex:
@@ -546,62 +598,42 @@ def _form_powers(form: np.ndarray, binom: np.ndarray) -> np.ndarray:
             * pow0[..., np.maximum(a[:, None] - a, 0)])
 
 
-def _cholesky(m: np.ndarray, whats, degrees) -> np.ndarray:
-    """The lower Cholesky factors of m's last stack, after
-    _check_conditioning(m, whats, degrees), or ConditioningError naming
-    whats[-1] and the degree of the first block of it that has none."""
-    _check_conditioning(m, whats, degrees)
-    last = m[-len(degrees):]
-    try:
-        return np.linalg.cholesky(last)
-    except np.linalg.LinAlgError:
-        # the factorisation fails for the whole stack; name the block
-        for d, block in zip(degrees, last):
-            try:
-                np.linalg.cholesky(block)
-            except np.linalg.LinAlgError:
-                raise ConditioningError(f"{whats[-1]} degree {d}: Cholesky "
-                                        f"factorisation failed") from None
-        raise
-
-
-def _order_pass(gram: GramBlocks, f: BiPoly):
-    """(degrees, total, low, basis_t, coef), every step on the whole stack
-    at once: the degrees d_0 < ... < d_{k-1} that f has, total = ||f||^2
-    and, per block as _degree_stack lays it out, the Cholesky factor L of
-    E^T G E = L L^T, E^T and coef = L^{-1} E^T G f, where E has column
-    i = u^{d-i} v^i (see the module docstring).  The rows w_i of L^{-1} E^T
-    are G-orthonormal and w_0..w_j span E's first j+1 columns, so the
-    degree-d component p of Q_{d-i} f is coef_i w_i and p G conj(p) =
-    |coef_i|^2 (Golub and Van Loan, Matrix Computations, 5.3).  One check
-    covers the stack [G; E^T G E], Gram blocks named first: G's own
-    conditioning bounds how far the rounding in its entries moves the parts
-    (it catches a near-null direction that the flag basis isolates and so
-    scales away), and each order's normal matrix is a leading submatrix of
-    E^T G E, no worse conditioned after scaling (eigenvalue interlacing).
-    E is built first with floating-point warnings off: a bad G may make it
-    non-finite."""
-    g, (fv,), degrees = _degree_stack(gram, (f,))
-    n = g.shape[-1]
+def _order_state(gram: GramBlocks) -> tuple:
+    """(g, basis_t, low, good, failed): what the order queries on the table
+    share, per degree d, each block padded with the identity to the table's
+    size: g[d] = G_d, basis_t[d] = E^T with E's column i = u^{d-i} v^i (see
+    the module docstring), low[d] = L with E^T G_d E = L L^T (the identity
+    where that factorisation fails, as failed[d] says), and good[0, d],
+    good[1, d] _conditioned's verdicts on G_d and E^T G_d E.  Every step
+    runs on the whole stack at once.  One eigvalsh call covers the stack
+    [G; E^T G E]: G's own conditioning bounds how far the rounding in its
+    entries moves the parts (it catches a near-null direction that the flag
+    basis isolates and so scales away), and each order's normal matrix is a
+    leading submatrix of E^T G E, no worse conditioned after scaling
+    (eigenvalue interlacing).  Nothing here raises for a bad block: each
+    query names the first of its own blocks that fails.  E is built with
+    floating-point warnings off: a bad G may make it non-finite."""
+    n = len(gram.blocks)
+    g = _padded(gram.blocks, range(n), n)
     binom = _binomial_table(n)
     # the variety is {u = 0}: u = z2 on the ball, z1 - z2 elsewhere; a row
     # of zeros after the powers of u stands for the columns past degree d
     u = np.array([1.0, 0.0] if gram.space == "ball" else [-1.0, 1.0])
     upow = np.vstack([_form_powers(u, binom), np.zeros(n)])
-    deg = np.array(degrees, dtype=int)
+    deg = np.arange(n)
     with np.errstate(all="ignore"):
         gu = np.einsum("bmn,bn->bm", g, upow[deg])
         prev = upow[deg - 1, :-1]
         v = np.stack([np.einsum("bm,bm->b", gu[:, 1:], prev),
                       -np.einsum("bm,bm->b", gu[:, :-1], prev)], axis=1)
-        v[deg == 0] = u  # a degree-0 block has no complement; E = [1] there
+        v[0] = u  # the degree-0 block has no complement; E = [1] there
         v /= np.where(abs(v[:, 0]) >= abs(v[:, 1]), v[:, 0], v[:, 1])[:, None]
-        # E[b, m, i] = sum_j upow[d_b - i, j] vpow[b, i, m - j]: one product
+        # E[b, m, i] = sum_j upow[b - i, j] vpow[b, i, m - j]: one product
         # with a Hankel view of the powers of v behind n - 1 zeros (entry
         # (m, j) is vpow[b, i, m - n + 1 + j]) against the powers of u
         # reversed, and the identity in the padding
-        upow_exp = deg[:, None] - np.arange(n)
-        vpow = np.zeros((len(degrees), n, 2 * n - 1))
+        upow_exp = deg[:, None] - deg
+        vpow = np.zeros((n, n, 2 * n - 1))
         vpow[:, :, n - 1:] = _form_powers(v, binom)
         hankel = as_strided(vpow, vpow.shape[:2] + (n, n),
                             vpow.strides + vpow.strides[2:], writeable=False)
@@ -609,8 +641,30 @@ def _order_pass(gram: GramBlocks, f: BiPoly):
         basis_t = (np.einsum("bij,bimj->bim", upow_rev, hankel)
                    + (upow_exp < 0)[:, :, None] * np.eye(n))
         normal = basis_t @ g @ basis_t.transpose(0, 2, 1)
-    low = _cholesky(np.concatenate([g, normal]),
-                    ("Gram block", "projection block"), degrees)
+    good = _conditioned(np.concatenate([g, normal])).reshape(2, n)
+    low, failed = _factors(normal)
+    return g, basis_t, low, good, failed
+
+
+def _order_pass(gram: GramBlocks, f: BiPoly):
+    """(degrees, total, low, basis_t, coef): the degrees d_0 < ... < d_{k-1}
+    that f has, total = ||f||^2 and, per block as _degree_vectors lays it
+    out, the table's L and E^T (_order_state) and coef = L^{-1} E^T G f, from
+    one batched solve.  The rows w_i of L^{-1} E^T are G-orthonormal and
+    w_0..w_j span E's first j+1 columns, so the degree-d component p of
+    Q_{d-i} f is coef_i w_i and p G conj(p) = |coef_i|^2 (Golub and Van
+    Loan, Matrix Computations, 5.3).  ConditioningError names the first of
+    f's blocks that fails, a Gram block before any projection block."""
+    (fv,), degrees = _degree_vectors(gram, (f,))
+    if not degrees:  # f = 0: no block to gather, even from an empty table
+        empty = np.zeros((0, 1, 1))
+        return degrees, 0.0, empty, empty, fv
+    n = fv.shape[-1]
+    g, basis_t, low, good, failed = gram._orders
+    deg = np.array(degrees, dtype=int)
+    _require_factors(good[:, deg], failed[deg],
+                     ("Gram block", "projection block"), degrees)
+    g, basis_t, low = (x[deg, :n, :n] for x in (g, basis_t, low))
     gf = np.einsum("bmn,bn->bm", g, fv)
     total = np.einsum("bm,bm->", gf, fv.conj()).real
     coef = np.linalg.solve(low, basis_t @ gf[:, :, None])[:, :, 0]

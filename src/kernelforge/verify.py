@@ -335,19 +335,27 @@ def suite_structural(seed: int = 0) -> dict:
 def suite_delta_identities(seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
     items = []
+    # each draw forms every order's coefficient row and every (n, k) factor
+    # once; each term multiplies them left to right, the coefficient first
+    pairs = [(n, k) for n in range(11) for k in range(n, 11)]
     for draw in range(5):
         al, be = rng.uniform(-0.5, 2, 2)
         th, vt = rng.uniform(0, 2, 2)
         p = bidisk.BidiskParams(al, be, th, vt)
+        factors = {(n, k): (
+            math.factorial(n), math.comb(k, n),
+            pochhammer(al + th + vt + n + 2.0, k - n),
+            pochhammer(al + be + 2 * th + 2 * vt + 2 * n + 4.0, k - n))
+            for n, k in pairs}
         worst = 0.0
         for N in range(1, 11):
+            row = [bidisk.coeff_a(p, k, N) for k in range(N + 1)]
             # n = N too: that sum is a_{N,N} N! = 1, which fixes coeff_a's scale
             for n in range(N + 1):
-                total = sum(
-                    bidisk.coeff_a(p, k, N) * math.factorial(n) * math.comb(k, n)
-                    * pochhammer(al + th + vt + n + 2.0, k - n)
-                    / pochhammer(al + be + 2 * th + 2 * vt + 2 * n + 4.0, k - n)
-                    for k in range(n, N + 1))
+                total = 0.0
+                for k in range(n, N + 1):
+                    fact, comb, up, down = factors[n, k]
+                    total += row[k] * fact * comb * up / down
                 worst = max(worst, abs(total - (n == N)))
         items.append(_item(f"bidisk delta draw {draw}", worst, 0.0, 1e-10,
                            scale=1.0))
@@ -355,14 +363,18 @@ def suite_delta_identities(seed: int = 0) -> dict:
         al, be = rng.uniform(0.5, 2.5, 2)
         p = fock.FockParams(al, be, 0.0)
         ratio = al / (al + be)
+        factors = {(n, k): (math.factorial(n), math.comb(k, n),
+                            ratio ** (k - n)) for n, k in pairs}
         worst = 0.0
         for N in range(1, 11):
+            row = [fock.coeff_c(p, k, N) / math.factorial(N)
+                   for k in range(N + 1)]
             # n = N too: that sum is c_{N,N} = 1, which fixes coeff_c's scale
             for n in range(N + 1):
-                total = sum(
-                    fock.coeff_c(p, k, N) / math.factorial(N)
-                    * math.factorial(n) * math.comb(k, n) * ratio ** (k - n)
-                    for k in range(n, N + 1))
+                total = 0.0
+                for k in range(n, N + 1):
+                    fact, comb, power = factors[n, k]
+                    total += row[k] * fact * comb * power
                 worst = max(worst, abs(total - (n == N)))
         items.append(_item(f"fock delta draw {draw}", worst, 0.0, 1e-10,
                            scale=1.0))

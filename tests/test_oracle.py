@@ -661,6 +661,67 @@ def test_failed_factorisation_names_its_block(monkeypatch):
         oracle.order_norms(g, _DEGREES_0_TO_3)
 
 
+_ORDER_QUERIES = {
+    "order_norms": oracle.order_norms,
+    "order_parts": oracle.order_parts,
+    "project": lambda g, f: oracle.project(g, f, 1),
+}
+
+
+@pytest.mark.parametrize("query", sorted(_ORDER_QUERIES))
+def test_later_order_queries_reuse_the_table_factors(monkeypatch, query):
+    # the first query on a table factors every block; later ones, of any
+    # degree, run no eigensolve or factorisation and answer as a fresh table
+    run = _ORDER_QUERIES[query]
+    f = BiPoly.parse("(1,2)*z1^3 - z1*z2^2 + (0.5,-1)*z2 - 3")
+    g = oracle.gram_fock_exact(1.3, 0.7, 1.0, 5)
+    oracle.order_norms(g, BiPoly.parse("z1^5 - (0,2)*z2^2"))
+    calls = []
+    for name in ("eigvalsh", "cholesky"):
+        def spy(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    got = run(g, f)
+    assert calls == []
+    monkeypatch.undo()
+    assert got == run(oracle.gram_fock_exact(1.3, 0.7, 1.0, 5), f)
+
+
+@pytest.mark.parametrize("what", ["Gram", "projection"])
+def test_a_failing_block_leaves_the_other_degrees_answered(what):
+    # a query is checked on its own degrees only, before and after the
+    # failing block has been named once
+    q = np.array([[-0.31, 0.34, 0.89], [0.27, -0.86, 0.43],
+                  [0.91, 0.37, 0.18]])
+    u2 = np.array([1.0, -2.0, 1.0]) / math.sqrt(6.0)
+    block2 = {"Gram": np.eye(3) - (1 - 1e-16) * np.outer(u2, u2),
+              "projection": q @ np.diag([1.0, 1e-9, 1e-10]) @ q.T}[what]
+    g = _middle_degree_gram(block2)
+    f = BiPoly.parse("1 - (0,1)*z1 + z1*z2^2 - 2*z2^3")
+    with pytest.raises(ConditioningError, match=f"{what} block degree 2"):
+        oracle.order_norms(g, _DEGREES_0_TO_3)
+    good = oracle.gram_bidisk_exact(0.0, 0.0, 0.0, 3)
+    for fn in (oracle.order_norms, oracle.order_parts):
+        assert fn(g, f) == fn(good, f)
+
+
+def test_zero_polynomial_on_an_empty_table():
+    g = oracle.gram_bidisk_exact(0.0, 0.0, 0.0, -1)
+    assert oracle.order_norms(g, BiPoly()) == (0.0, [0.0])
+    assert oracle.project(g, BiPoly(), 0) == (BiPoly(), BiPoly())
+
+
+def test_blocks_edited_after_the_first_order_query_are_not_seen():
+    g = oracle.gram_bidisk_exact(0.0, 0.0, 0.0, 1)
+    f = BiPoly.parse("z1 + 2*z2")
+    before = oracle.order_norms(g, f)
+    g.blocks[1][:] = [[1.0, 1.0], [1.0, 1.0 + 1e-15]]
+    assert oracle.order_norms(g, f) == before
+    with pytest.raises(ConditioningError, match="Gram block degree 1"):
+        oracle.gram_kernel_blocks(g)
+
+
 _NORM_POLYS = {
     "zero": "0",
     "constant": "(2,-1)",

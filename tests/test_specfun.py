@@ -65,8 +65,8 @@ def test_hyp3f2_unit_prefactor_with_a_negative_gamma_argument(monkeypatch):
                         lambda x: seen.append(x) or signed(x))
     r = hyp3f2_unit(*args)
     assert min(seen) < 0
-    with mpmath.workdps(40):
-        ref = complex(mpmath.hyp3f2(*args, 1))
+    # with mpmath.workdps(40): mpmath.hyp3f2(*args, 1), which takes seconds
+    ref = complex(0.06825889767109190178131305503450530087119)
     assert abs(r.value - ref) <= r.tail_bound
 
 
