@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (CONSECUTIVE_SMALL, MAX_OUTER_TERMS, SAFETY_FACTOR,
-                     TOLERANCE, Point2, SeriesResult)
+from .config import MAX_OUTER_TERMS, TOLERANCE, Point2, SeriesResult
 from .errors import ConvergenceError, DomainError
 from .poly2 import BiPoly
 from .specfun import hyp2f1, log_gamma
@@ -35,6 +34,12 @@ class BallParams:
         for name in ("alpha", "beta", "theta"):
             if not -1 < getattr(self, name) < math.inf:  # NaN, inf fail too
                 raise DomainError(f"{name} must be finite and exceed -1")
+        # ||g(z1)||^2 integrates |g|^2 against (1-|z1|^2)^(alpha+beta+theta+1)
+        if not self.alpha + self.beta + self.theta + 2.0 > 0:
+            raise DomainError(
+                f"alpha + beta + theta + 2 must exceed 0, got "
+                f"{self.alpha + self.beta + self.theta + 2.0}: the ball space "
+                f"has no finite norm there")
 
 
 def _require_ball(*points: Point2) -> None:
@@ -128,28 +133,34 @@ def ball_full_kernel(params: BallParams, z: Point2, w: Point2) -> SeriesResult:
 
 def ball_full_kernel_series(params: BallParams, z: Point2,
                             w: Point2) -> SeriesResult:
-    """Cross-check path: direct summation of ball_qN_kernel over N with a
-    geometric tail bound."""
+    """Cross-check path: direct summation of ball_qN_kernel over N, stopped
+    at the first N whose proven tail is within tolerance.
+
+    The term ratio is exact: with s = alpha+beta+theta,
+    K_(N+1) / K_N = x embed_const(N) / embed_const(N+1), so
+    |K_(N+1) / K_N| = rho_N = |x| (alpha+theta+N+2)/(theta+N+1)
+    * (s+N+3)/(s+N+2).  The first factor is 1 + (alpha+1)/(theta+N+1) and
+    the second 1 + 1/(s+N+2); both exceed 1 and fall with N, as alpha,
+    theta > -1 and s+2 > 0 (BallParams).  So every ratio past N is at most
+    rho_N, and once rho_N < 1 the terms after K_N sum to at most
+    |K_N| rho_N / (1 - rho_N); no term counts toward the stop before."""
     _require_ball(z, w)
+    al, be, th = params.alpha, params.beta, params.theta
     u = 1.0 - z.z1 * complex(w.z1).conjugate()
-    x = z.z2 * complex(w.z2).conjugate() / u
-    q = abs(x)
+    q = abs(z.z2 * complex(w.z2).conjugate() / u)
     if q >= 1.0:
         raise DomainError(f"series ratio |x| = {q:.6f} >= 1 at these points")
     total = 0.0 + 0.0j
     tail = math.inf
-    small_streak = 0
     for N in range(MAX_OUTER_TERMS):
         term = ball_qN_kernel(params, N, z, w)
         total += term
-        # term ratio tends to |x| as the embed constants vary slowly in N
-        tail = SAFETY_FACTOR * abs(term) * q / (1.0 - q) if q > 0 else 0.0
-        if tail <= TOLERANCE * max(1.0, abs(total)):
-            small_streak += 1
-            if small_streak >= CONSECUTIVE_SMALL:
+        rho = (q * (al + th + N + 2.0) / (th + N + 1.0)
+               * (al + be + th + N + 3.0) / (al + be + th + N + 2.0))
+        if rho < 1.0:
+            tail = abs(term) * rho / (1.0 - rho)
+            if tail <= TOLERANCE * max(1.0, abs(total)):
                 return SeriesResult(total, N + 1, tail)
-        else:
-            small_streak = 0
     raise ConvergenceError(
         f"ball kernel series did not converge in {MAX_OUTER_TERMS} terms",
         terms_used=MAX_OUTER_TERMS, tail_estimate=tail)

@@ -5,12 +5,15 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-# The stopping policy that every series loop shares.  A series stops after
-# CONSECUTIVE_SMALL consecutive terms whose tail estimate, SAFETY_FACTOR times
-# the ratio-based one, is within TOLERANCE, the target bound on each truncated
-# sum's error; the series over vanishing orders N stop after at most
-# MAX_OUTER_TERMS orders, and every other series after at most MAX_TERMS
-# terms.
+# The stopping policy of the series loops.  TOLERANCE is the target bound on
+# each truncated sum's error.  hyp2f1, the 3F2 at unit argument, mittag_e at
+# theta != 0 and the bidisk inner and outer sums stop after
+# CONSECUTIVE_SMALL consecutive terms whose tail estimate, SAFETY_FACTOR
+# times the ratio-based one, is within TOLERANCE.  The ball's order series
+# (ball_full_kernel_series) stops at its first proven tail within TOLERANCE,
+# and mittag_e at theta = 0 is exp, summed by no loop.  The series over
+# vanishing orders N stop after at most MAX_OUTER_TERMS orders, and every
+# other series after at most MAX_TERMS terms.
 TOLERANCE = 1e-12
 MAX_OUTER_TERMS = 500
 MAX_TERMS = 100_000

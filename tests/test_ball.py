@@ -13,7 +13,7 @@ from kernelforge.ball import (BallParams, ball_full_kernel,
                               ball_full_kernel_series,
                               ball_hardy_norm_expansion, ball_norm_expansion,
                               ball_qN_kernel, embed_const)
-from kernelforge.config import Point2
+from kernelforge.config import TOLERANCE, Point2
 from kernelforge.errors import DomainError
 from kernelforge.poly2 import BiPoly
 
@@ -22,6 +22,17 @@ def test_params_validation():
     with pytest.raises(DomainError):
         BallParams(-1.0, 0, 0)
     BallParams(-0.5, 2.0, 0.25)
+
+
+@pytest.mark.parametrize("al,be,th", [(-0.9, -0.9, -0.9), (-0.9, -0.9, -0.5),
+                                      (-0.5, -0.9, -0.6)])
+def test_params_refuse_weights_without_a_ball_space(al, be, th):
+    # ||g(z1)||^2 integrates against (1-|z1|^2)^(alpha+beta+theta+1), finite
+    # only when alpha + beta + theta + 2 > 0; at (-0.9, -0.9, -0.5) the
+    # kernel's diagonal at (0.1, 0.1) came out -0.0259
+    with pytest.raises(DomainError, match=r"alpha \+ beta \+ theta \+ 2"):
+        BallParams(al, be, th)
+    BallParams(al, be, -al - be - 2.0 + 0.01)
 
 
 def test_embed_const_base_case():
@@ -276,18 +287,85 @@ def test_hardy_norm_expansion_against_oracle(be, th):
         assert exp.total == pytest.approx(sum(ref.values()), rel=1e-13)
 
 
+def _ball_kernel_mp(p, z, w):
+    """The two-2F1 closed form of ball_full_kernel's docstring, at the
+    working precision."""
+    al, be, th = (mpmath.mpf(v) for v in (p.alpha, p.beta, p.theta))
+    u = 1 - mpmath.mpc(z.z1) * mpmath.conj(w.z1)
+    x = mpmath.mpc(z.z2) * mpmath.conj(w.z2) / u
+    pref = (mpmath.gamma(al + th + 2)
+            / (mpmath.gamma(al + 1) * mpmath.gamma(th + 1))
+            * u ** (-(al + be + th + 3)))
+    return pref * ((al + th + 2) * mpmath.hyp2f1(al + th + 3, 1, th + 1, x)
+                   + be * mpmath.hyp2f1(al + th + 2, 1, th + 1, x))
+
+
 def _ball_kernel_mpmath(p, z, w):
-    """The two-2F1 closed form of ball_full_kernel's docstring, at 30
-    digits."""
+    """_ball_kernel_mp at 30 digits, rounded to a complex."""
     with mpmath.workdps(30):
+        return complex(_ball_kernel_mp(p, z, w))
+
+
+def _ball_remainder_mp(p, z, w, n):
+    """sum_{M >= n} K_M at 40 digits: the closed form less the order-M
+    kernels (z2 conj(w2))^M / [embed_const(M) u^(s+M+3)], M < n."""
+    with mpmath.workdps(40):
         al, be, th = (mpmath.mpf(v) for v in (p.alpha, p.beta, p.theta))
+        s = al + be + th
         u = 1 - mpmath.mpc(z.z1) * mpmath.conj(w.z1)
-        x = mpmath.mpc(z.z2) * mpmath.conj(w.z2) / u
-        pref = (mpmath.gamma(al + th + 2)
-                / (mpmath.gamma(al + 1) * mpmath.gamma(th + 1))
-                * u ** (-(al + be + th + 3)))
-        return complex(pref * ((al + th + 2) * mpmath.hyp2f1(al + th + 3, 1, th + 1, x)
-                               + be * mpmath.hyp2f1(al + th + 2, 1, th + 1, x)))
+        y = mpmath.mpc(z.z2) * mpmath.conj(w.z2)
+        # g = Gamma(alpha+theta+M+2) / [Gamma(alpha+1) Gamma(theta+M+1)]
+        # and power = y^M u^-(s+M+3), carried from M to M+1
+        g = (mpmath.gamma(al + th + 2)
+             / (mpmath.gamma(al + 1) * mpmath.gamma(th + 1)))
+        power = u ** (-(s + 3))
+        head = 0
+        for M in range(n):
+            head += (s + M + 2) * g * power
+            g *= (al + th + M + 2) / (th + M + 1)
+            power *= y / u
+        return abs(_ball_kernel_mp(p, z, w) - head)
+
+
+# pairs with x = z2 conj(w2) / (1 - z1 conj(w1)) of modulus about r and
+# argument about -phase; at phase 0 the terms share their argument, so the
+# remainder nearly attains the bound.  The series reaches its 500-order cap
+# beyond r = 0.7 at alpha = 30, and beyond r = 0.9 at alpha = 0
+def _pair_at(r, phase):
+    z = Point2(0.1, math.sqrt(r))
+    return z, Point2(-0.05j, cmath.rect(math.sqrt(r), phase))
+
+
+_SERIES_GRID = [
+    (al, be, th, r, phase)
+    for al in (0.0, 3.0, 10.0, 30.0) for be in (0.0, 2.0)
+    for th in (0.0, 0.5, 3.0)
+    for r, phase in ((0.0, 0.0), (0.25, 2.0), (0.5, math.pi), (0.7, 0.0),
+                     (0.9, 0.0)) if r < 0.9 or al == 0.0]
+
+
+@pytest.mark.parametrize("al,be,th,r,phase", _SERIES_GRID)
+def test_kernel_series_stops_at_its_first_proven_tail(al, be, th, r, phase):
+    # |K_(N+1) / K_N| = rho_N, which falls with N to |x|: the series stops
+    # at the first N with rho_N < 1 and |K_N| rho_N / (1 - rho_N) within
+    # the tolerance, and that tail bounds the exact remainder
+    p = BallParams(al, be, th)
+    z, w = _pair_at(r, phase)
+    got = ball_full_kernel_series(p, z, w)
+    q = abs(z.z2 * w.z2.conjugate() / (1.0 - z.z1 * w.z1.conjugate()))
+    total = 0.0
+    for N in range(got.terms_used):
+        term = ball_qN_kernel(p, N, z, w)
+        total += term
+        rho = (q * (al + th + N + 2.0) / (th + N + 1.0)
+               * (al + be + th + N + 3.0) / (al + be + th + N + 2.0))
+        proven = (rho < 1.0 and abs(term) * rho / (1.0 - rho)
+                  <= TOLERANCE * max(1.0, abs(total)))
+        assert proven == (N == got.terms_used - 1)
+    assert total == got.value
+    # 1e-30 |K|: the reference's own rounding at 40 digits, all of it at x = 0
+    assert (_ball_remainder_mp(p, z, w, got.terms_used)
+            <= got.tail_bound + 1e-30 * abs(got.value))
 
 
 _index = st.floats(-1.0, 3.0, exclude_min=True)

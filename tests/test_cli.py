@@ -458,6 +458,12 @@ _PAST_DOUBLE_RANGE = {
     "bidisk-oracle-remainder": ["kernel", "--space", "bidisk", "--alpha",
                                 "-0.999999", "--beta", "1e5", "--pair",
                                 "0.1,0.2,0.1,0.1", "--oracle"],
+    # these two summed 100,000 terms past double range and exited 3
+    "ball-kernel-hyp2f1": ["kernel", "--space", "ball", "--alpha", "100000",
+                           "--beta", "0", "--pair", "0.1,0.1,0.1,0.1"],
+    "fock-kernel-mittag": ["kernel", "--space", "fock", "--alpha", "1",
+                           "--beta", "1", "--theta", "0.5", "--pair",
+                           "30,-30,30,-30"],
 }
 
 
@@ -466,6 +472,18 @@ def test_past_double_range_is_domain_error(capsys, case):
     code, _, err = run(capsys, _PAST_DOUBLE_RANGE[case])
     assert code == cli.EXIT_DOMAIN
     assert "double precision" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("extra", [[], ["--oracle"]], ids=["plain", "oracle"])
+def test_ball_weights_without_a_ball_space_are_domain_errors(capsys, extra):
+    # alpha + beta + theta + 2 <= 0: each weight exceeds -1, but the norm
+    # diverges; the plain expansion exited 0 with a total of -28.16, and the
+    # oracle exited 2 on a log_gamma of a negative argument
+    code, _, err = run(capsys, [
+        "norm-expand", "--space", "ball", "--alpha", "-0.9", "--beta", "-0.9",
+        "--theta", "-0.9", "--poly", "1", *extra])
+    assert code == cli.EXIT_DOMAIN
+    assert "alpha + beta + theta + 2" in err
 
 
 # norms whose factorials, Pochhammer symbols or per-order weights leave

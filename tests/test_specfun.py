@@ -3,9 +3,8 @@ import math
 import mpmath
 import pytest
 
-from kernelforge import ball, bidisk, specfun
-from kernelforge.ball import BallParams
-from kernelforge.config import CONSECUTIVE_SMALL, Point2
+from kernelforge import bidisk, specfun
+from kernelforge.config import CONSECUTIVE_SMALL
 from kernelforge.errors import ConvergenceError, DomainError
 from kernelforge.specfun import (_sum_3f2_rep, hyp2f1, hyp3f2_unit,
                                  log_gamma, mittag_e, pochhammer)
@@ -190,6 +189,20 @@ def test_mittag_theta_zero_is_exp():
     r = mittag_e(0.0, 2.0 + 1.0j)
     import cmath
     assert abs(r.value - cmath.exp(2.0 + 1.0j)) < 1e-12
+    assert r.terms_used == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hyp2f1(100002.0, 1.0, 1.0, 0.0101),
+    lambda: mittag_e(0.5, 1800.0),
+    lambda: mittag_e(0.0, 710.0),
+    lambda: mittag_e(0.0, 709.9 + 1j)],
+    ids=["hyp2f1", "mittag", "exp", "exp-modulus"])
+def test_sums_past_double_range_are_domain_errors(call):
+    # the series ran to the term cap and raised ConvergenceError (CLI exit
+    # 3); exp(709.9 + i) has finite parts but a modulus past double range
+    with pytest.raises(DomainError, match="double precision"):
+        call()
 
 
 def test_mittag_theta_one():
@@ -239,9 +252,10 @@ _CANCELS = pytest.mark.xfail(
                         "tail_bound counts no rounding")
 
 
-# each was off by the error given, against a tail_bound near 1e-13
+# each series case was off by the error given, against a tail_bound near
+# 1e-13; at theta = 0, where E_0 is exp, the series was off by 2.94 at 40j
 @pytest.mark.parametrize("theta, x", [
-    pytest.param(0.0, 40j, marks=_CANCELS),          # off by 2.94
+    (0.0, 40j), (0.0, -40.0), (0.0, 700 - 3e8j), (0.0, -745.0),
     pytest.param(0.5, -30.0, marks=_CANCELS),        # off by 1.17e-5
     pytest.param(1.0, -20 + 5j, marks=_CANCELS),     # off by 5.0e-10
     (1.0, 2.0),
@@ -267,8 +281,6 @@ _SCALAR_SERIES = {
     "hyp2f1": lambda: specfun.hyp2f1(0.5, 1.5, 2.5, 0.6 + 0.2j),
     "mittag_e": lambda: specfun.mittag_e(0.5, 3.0 - 1.0j),
     "hyp3f2_unit": lambda: specfun.hyp3f2_unit(0.5, 0.7, 1.1, 4.6, 5.3),
-    "ball_full_kernel_series": lambda: ball.ball_full_kernel_series(
-        BallParams(0.5, 1.0, 0.25), Point2(0.3, 0.4j), Point2(-0.2, 0.5)),
 }
 
 
@@ -278,6 +290,5 @@ def test_series_stop_after_consecutive_small_tails(series, monkeypatch):
     # each tail estimate here falls with every term, so each further small
     # tail the stopping rule asks for costs one more term
     terms = series().terms_used
-    for module in (specfun, ball):
-        monkeypatch.setattr(module, "CONSECUTIVE_SMALL", CONSECUTIVE_SMALL + 2)
+    monkeypatch.setattr(specfun, "CONSECUTIVE_SMALL", CONSECUTIVE_SMALL + 2)
     assert series().terms_used == terms + 2
